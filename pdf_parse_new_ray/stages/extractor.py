@@ -1,15 +1,16 @@
-"""Stateful extraction stage: an actor-pool `map_batches` UDF.
+"""Stateful extraction stage: a warm `map_batches` UDF.
 
 Reference analogue: the worker/child engines that hold a parsed
 PDFDocumentProxy + font caches per process (lib/pdf-worker.js:97-105,
 lib/pdf-child.js:72-78; SURVEY §2.3 T1-T2).  Here the warm state is an LRU
 of parsed `PDFDocument`s + their `TextExtractor` font caches, held per Ray
-actor across batches — setup cost is paid once per (actor, document), not
-once per page-range unit.
+worker process across batches and jobs — setup cost is paid once per
+(worker, document), not once per page-range unit.
 
 Used as:
-    ds.map_batches(PdfExtractor, concurrency=(m, n), batch_size=B,
+    ds.map_batches(make_extract_task(), batch_size=B,
                    batch_format="pyarrow", zero_copy_batch=True)
+or in-process as ``PdfExtractor()(batch)``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class PdfExtractor:
 
     def __init__(self, doc_cache_size: int = 8, page_render=None, max_pages: int = 0,
                  progress: Optional[str] = None, verbosity: int = 0):
-        self._cache: "OrderedDict[str, tuple[PDFDocument, TextExtractor]]" = OrderedDict()
+        self._cache: "OrderedDict[str, tuple[pa.Buffer, PDFDocument, TextExtractor]]" = OrderedDict()
         self._cache_size = doc_cache_size
         self._page_render = _resolve_page_render(page_render)
         self._max_pages = max_pages
@@ -71,16 +72,20 @@ class PdfExtractor:
 
     def _get_doc(self, media_ref: str, blob_col: pa.Array,
                  row: int) -> tuple[PDFDocument, TextExtractor]:
+        blob = blob_col[row].as_buffer()  # zero-copy view of the row's bytes
         ent = self._cache.get(media_ref)
-        if ent is not None:
+        # a media_ref is unique only within one corpus (seeded corpora all
+        # name their media pdf-000001…) and the task-mode cache outlives a
+        # job, so a hit must also hold the same bytes (a memcmp, no copy)
+        if ent is not None and ent[0].equals(blob):
             self._cache.move_to_end(media_ref)
             self.metrics["cache_hits"] += 1
-            return ent
+            return ent[1], ent[2]
         # the blob leaves the (zero-copy, plasma-backed) Arrow buffer only
         # here — one Python bytes per parsed doc, nothing on cache hits.
         # Round 1 to_pylist()'d the whole bytes column every batch (judge
         # finding: memory traffic halves the raw scaling headroom).
-        data = blob_col[row].as_py()
+        data = blob.to_pybytes()
         if looks_like_html(data):
             # interleaved corpora carry html media next to pdf (north_rule:
             # "HTML boilerplate strip ... DOM heuristics"); the sniff is
@@ -92,7 +97,7 @@ class PdfExtractor:
         else:
             doc = PDFDocument(data)
             ext = TextExtractor(doc)
-        self._cache[media_ref] = (doc, ext)
+        self._cache[media_ref] = (pa.py_buffer(data), doc, ext)
         self.metrics["docs_parsed"] += 1
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -189,8 +194,9 @@ class PdfExtractor:
 # Ray Data map tasks run in long-lived worker processes; a module-level
 # extractor per (config) keeps the same warm parsed-doc/font caches as an
 # actor would, without paying actor-pool spin-up and its stricter
-# scheduling.  Only hashable configs (page_render=None or 'module:fn')
-# can use this path; arbitrary callables need the actor class above.
+# scheduling.  The config must be hashable, so the pipeline takes
+# page_render=None or 'module:fn'; arbitrary callables work in-process
+# (PdfExtractor, pdfkernel.parse_pdf).
 _TASK_EXTRACTORS: dict = {}
 
 

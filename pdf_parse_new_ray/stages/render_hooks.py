@@ -3,7 +3,7 @@
 The reference lets users swap the page fold for a module-exported function
 (`options.pagerenderModule`, index.d.ts:32, loaded in lib/pdf-worker.js:62-72
 and lib/pdf-child.js:42-52 so it crosses process boundaries without eval).
-Our task/actor extraction stages accept the same contract as a
+Our extraction stage accepts the same contract as a
 ``'module:function'`` string resolved once per worker
 (`stages.extractor._resolve_page_render`).
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..fixtures.corpus import SPAN_TYPE
-
 
 def explode_spans(batch: pa.Table) -> pa.Table:
     """docs rows → span rows (doc_id, kind, text, media_ref, offset).
@@ -34,21 +32,3 @@ def explode_spans(batch: pa.Table) -> pa.Table:
     }
     return pa.table(cols)
 
-
-def assemble_media_parts(group: pa.Table) -> pa.Table:
-    """Per-media_ref group of extracted page-range chunks → one media row.
-    Chunk order restored by page_start sort (reference: results[currentIndex]
-    slot addressing); chunk texts carry their own leading separators, so the
-    doc text is their direct concatenation."""
-    order = pc.sort_indices(group, sort_keys=[("page_start", "ascending")])
-    g = group.take(order)
-    ref = g.column("media_ref")[0].as_py()
-    texts = g.column("chunk_text").to_pylist()
-    errors = [e for e in g.column("error").to_pylist() if e]
-    numpages = max(g.column("numpages").to_pylist() or [0])
-    return pa.table({
-        "media_ref": pa.array([ref], pa.string()),
-        "text": pa.array(["".join(t or "" for t in texts)], pa.string()),
-        "numpages": pa.array([numpages], pa.int32()),
-        "error": pa.array([errors[0] if errors else None], pa.string()),
-    })

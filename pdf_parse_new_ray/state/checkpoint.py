@@ -6,12 +6,21 @@ completed partitions."  The reference has no analogue (its closest is the
 benchmark collector's incremental save, benchmark/collect-benchmarks.js:
 199-202) — this is scale-path engineering the Ray build adds.
 
-Layout:
-    out_dir/part=<k>/data.parquet      one file per partition
-    out_dir/_lineage/part-<k>.json     written AFTER the data file (atomic
-                                       tmp+rename) → presence == completed
-Partition key = blake2b(doc_id) % n_partitions — stable across runs and
-processes (never Python's salted hash()).
+Layout (the same for every writer):
+    out_dir/part=<k>/frag-<run>-<id>.parquet   fragment files (write_fragment,
+                                               tmp+rename)
+    out_dir/_lineage/part-<k>.json             written AFTER the fragments by
+                                               commit_partition (atomic
+                                               tmp+rename) → presence ==
+                                               completed
+A partition's data is exactly the fragments its lineage record lists; any
+other file under part=<k> (left by a failed task attempt or a crashed run)
+is an orphan that every reader ignores.  The record's content_hash is
+order-free (XOR of per-doc digests), so it does not depend on how the docs
+were spread across fragments or ordered within them.
+Partition key = ``partition_column`` (pandas siphash of doc_id) %
+n_partitions — stable across runs and processes (never Python's salted
+hash()).
 """
 
 from __future__ import annotations
@@ -21,23 +30,17 @@ import json
 import os
 import time
 import uuid
-from typing import Optional
+from typing import Iterable, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-def partition_of(doc_id: str, n_partitions: int) -> int:
-    h = hashlib.blake2b(doc_id.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(h, "big") % n_partitions
-
-
 def partition_column(doc_ids: pa.Array, n_partitions: int) -> pa.Array:
     """Vectorized stable partition key (pandas siphash with its fixed
     default key — deterministic across processes and runs, unlike Python's
-    salted hash()).  NOTE: a different function than ``partition_of`` —
-    both are stable, but checkpoints written by one keying must be resumed
-    by the same keying (the pipeline uses only this one)."""
+    salted hash()).  Checkpoints written under one keying must be resumed
+    under the same keying (KEYING_VERSION)."""
     import numpy as np
     import pandas as pd
 
@@ -48,6 +51,10 @@ def partition_column(doc_ids: pa.Array, n_partitions: int) -> pa.Array:
 
 def lineage_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_lineage")
+
+
+def _lineage_path(out_dir: str, k: int) -> str:
+    return os.path.join(lineage_dir(out_dir), f"part-{k}.json")
 
 
 # bump when the partition keying changes — a checkpoint written under one
@@ -109,61 +116,65 @@ def manifest(out_dir: str) -> dict:
         return {}
 
 
-def completed_partitions(out_dir: str) -> set[int]:
-    d = lineage_dir(out_dir)
-    if not os.path.isdir(d):
-        return set()
-    done = set()
-    for name in os.listdir(d):
-        if name.startswith("part-") and name.endswith(".json"):
-            try:
-                with open(os.path.join(d, name)) as f:
-                    rec = json.load(f)
-                if rec.get("status") == "complete":
-                    done.add(int(rec["partition"]))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                continue
-    return done
-
-
-def write_partition(out_dir: str, k: int, table: pa.Table, metrics: dict) -> dict:
-    """Write part=<k>/data.parquet then its lineage record (atomic rename).
-    Returns the lineage record."""
-    part_dir = os.path.join(out_dir, f"part={k}")
-    os.makedirs(part_dir, exist_ok=True)
-    os.makedirs(lineage_dir(out_dir), exist_ok=True)
-    data_path = os.path.join(part_dir, "data.parquet")
-    tmp_path = data_path + ".tmp"
-    pq.write_table(table, tmp_path)
-    os.replace(tmp_path, data_path)
-    content_hash = hashlib.blake2b(digest_size=16)
-    for col in ("doc_id",):
-        if col in table.column_names:
-            for v in table.column(col).to_pylist():
-                content_hash.update(str(v).encode())
-    rec = {
-        "partition": k,
-        "status": "complete",
-        "rows": table.num_rows,
-        "bytes": os.path.getsize(data_path),
-        "content_hash": content_hash.hexdigest(),
-        "completed_at": time.time(),
-        **metrics,
-    }
-    lpath = os.path.join(lineage_dir(out_dir), f"part-{k}.json")
-    with open(lpath + ".tmp", "w") as f:
-        json.dump(rec, f)
-    os.replace(lpath + ".tmp", lpath)
+def _load_record(path: str) -> Optional[dict]:
+    """The committed lineage record at ``path``, or None when it is
+    unreadable, not complete, or lists no data files (a record of the
+    retired single-file layout: a resume must redo that partition rather
+    than read it as empty)."""
+    try:
+        with open(path) as f:
+            rec = json.load(f)
+    except (OSError, ValueError):
+        return None
+    if rec.get("status") != "complete" or not rec.get("files") \
+            or "partition" not in rec:
+        return None
     return rec
 
 
+def lineage_records(out_dir: str) -> list[dict]:
+    """Every committed lineage record under ``out_dir``, in partition
+    order — the one reader behind resume (completed_partitions),
+    read_output and collect_stats."""
+    d = lineage_dir(out_dir)
+    if not os.path.isdir(d):
+        return []
+    recs = (_load_record(os.path.join(d, name)) for name in os.listdir(d)
+            if name.startswith("part-") and name.endswith(".json"))
+    return sorted((r for r in recs if r is not None),
+                  key=lambda r: int(r["partition"]))
+
+
+def completed_partitions(out_dir: str) -> set[int]:
+    return {int(r["partition"]) for r in lineage_records(out_dir)}
+
+
+def content_hash(doc_ids: Iterable) -> str:
+    """Order-free content hash of a set of docs: XOR of per-doc blake2b
+    digests, so it folds identically however a partition's docs spread
+    across fragments.  Hashes of disjoint doc sets combine with
+    ``xor_hashes``."""
+    hx = 0
+    for v in doc_ids:
+        hx ^= int.from_bytes(
+            hashlib.blake2b(str(v).encode(), digest_size=16).digest(), "big")
+    return format(hx, "032x")
+
+
+def xor_hashes(hashes: Iterable[str]) -> str:
+    hx = 0
+    for h in hashes:
+        hx ^= int(h, 16)
+    return format(hx, "032x")
+
+
 def write_fragment(out_dir: str, k: int, run_id: str, table: pa.Table) -> str:
-    """Streaming-write mode: append one fragment file to part=<k> under a
-    run-unique name.  Fragments become part of the committed output ONLY
-    when commit_partitions() later writes a lineage record listing them —
-    a crashed run leaves orphan fragments that every reader ignores (the
-    classic write-fragments/commit-at-end layout).  Returns the fragment
-    file name."""
+    """Write one fragment file to part=<k> under a run-unique name.  It
+    becomes part of the committed output ONLY when a commit_partition()
+    lineage record lists it — a failed task attempt or a crashed run leaves
+    orphan fragments that every reader ignores (the classic
+    write-fragments/commit-at-end layout).  Returns the fragment file
+    name."""
     part_dir = os.path.join(out_dir, f"part={k}")
     os.makedirs(part_dir, exist_ok=True)
     name = f"frag-{run_id}-{uuid.uuid4().hex[:12]}.parquet"
@@ -173,63 +184,49 @@ def write_fragment(out_dir: str, k: int, run_id: str, table: pa.Table) -> str:
     return name
 
 
-def commit_partitions(out_dir: str, run_id: str,
-                      metrics_by_part: dict[int, dict]) -> list[dict]:
-    """Commit a streaming-write run: for each partition, list THIS run's
-    fragments and write the lineage record (atomic rename) marking it
-    complete.  The driver-side tail of the fragment layout — O(partitions)
-    work, independent of data volume."""
+def commit_partition(out_dir: str, k: int, files: list[str],
+                     metrics: dict) -> dict:
+    """Commit partition k: write its lineage record (atomic tmp+rename)
+    listing exactly ``files`` (fragment names under part=<k>, as returned
+    by write_fragment).  ``metrics`` carries ``rows``, ``content_hash``
+    (see content_hash) and any other per-partition numbers to record.
+    Returns the lineage record."""
     os.makedirs(lineage_dir(out_dir), exist_ok=True)
-    recs = []
-    for k in sorted(metrics_by_part):
-        m = dict(metrics_by_part[k])
-        part_dir = os.path.join(out_dir, f"part={k}")
-        files = sorted(
-            f for f in (os.listdir(part_dir) if os.path.isdir(part_dir) else [])
-            if f.startswith(f"frag-{run_id}-") and f.endswith(".parquet"))
-        rec = {
-            "partition": k,
-            "status": "complete",
-            "rows": int(m.pop("rows", m.get("n_docs", 0))),
-            "bytes": sum(os.path.getsize(os.path.join(part_dir, f))
-                         for f in files),
-            "files": files,
-            "content_hash": m.pop("content_hash", ""),
-            "completed_at": time.time(),
-            **m,
-        }
-        lpath = os.path.join(lineage_dir(out_dir), f"part-{k}.json")
-        with open(lpath + ".tmp", "w") as f:
-            json.dump(rec, f)
-        os.replace(lpath + ".tmp", lpath)
-        recs.append(rec)
-    return recs
+    part_dir = os.path.join(out_dir, f"part={k}")
+    rec = {
+        "partition": k,
+        "status": "complete",
+        "completed_at": time.time(),
+        **metrics,
+        "files": sorted(files),
+        "bytes": sum(os.path.getsize(os.path.join(part_dir, f)) for f in files),
+    }
+    lpath = _lineage_path(out_dir, k)
+    # attempt-unique tmp name: two attempts of one task may commit at once
+    tmp = f"{lpath}.{uuid.uuid4().hex[:8]}.tmp"
+    with open(tmp, "w") as f:
+        json.dump(rec, f)
+    os.replace(tmp, lpath)
+    return rec
+
+
+def _files_of(out_dir: str, rec: dict) -> list[str]:
+    part_dir = os.path.join(out_dir, f"part={rec['partition']}")
+    return [os.path.join(part_dir, f) for f in rec["files"]]
 
 
 def partition_files(out_dir: str, k: int) -> list[str]:
-    """Data files of a COMPLETED partition: the lineage 'files' list for
-    fragment-layout partitions, else the classic single data.parquet."""
-    lpath = os.path.join(lineage_dir(out_dir), f"part-{k}.json")
-    try:
-        with open(lpath) as f:
-            rec = json.load(f)
-        files = rec.get("files")
-    except (OSError, ValueError):
-        files = None
-    part_dir = os.path.join(out_dir, f"part={k}")
-    if files:
-        return [os.path.join(part_dir, f) for f in files]
-    p = os.path.join(part_dir, "data.parquet")
-    return [p] if os.path.exists(p) else []
+    """Data files of a COMPLETED partition (its lineage 'files' list);
+    empty when partition k is not committed."""
+    rec = _load_record(_lineage_path(out_dir, k))
+    return _files_of(out_dir, rec) if rec else []
 
 
 def read_output(out_dir: str) -> pa.Table:
     """Read back all completed partitions (driver-side convenience for
     tests/small results)."""
-    parts = []
-    for k in sorted(completed_partitions(out_dir)):
-        for p in partition_files(out_dir, k):
-            parts.append(pq.read_table(p))
+    parts = [pq.read_table(p) for rec in lineage_records(out_dir)
+             for p in _files_of(out_dir, rec)]
     if not parts:
         raise FileNotFoundError(f"no completed partitions under {out_dir}")
     return pa.concat_tables(parts)
@@ -237,36 +234,26 @@ def read_output(out_dir: str) -> pa.Table:
 
 def compact_partitions_inplace(out_dir: str, min_files: int = 2) -> dict:
     """Opt-in post-job hygiene (VERDICT r4 item 6): rewrite each completed
-    partition's fragment files as ONE file, atomically repointing the
-    partition's LINEAGE record at it — completion status, metrics and
-    content_hash survive, so a resume still skips the partition and
-    readers see identical rows.  Crash-safe ordering: new file first,
-    atomic lineage rename second (readers switch here), fragment deletes
-    last — a crash at any point leaves only orphan files that every
-    reader already ignores.  Driver-side, one partition in memory at a
-    time; O(completed partitions) work."""
-    done = sorted(completed_partitions(out_dir))
+    partition's fragment files as ONE fragment, atomically repointing the
+    partition's LINEAGE record at it through commit_partition — completion
+    status, metrics and content_hash survive, so a resume still skips the
+    partition and readers see identical rows.  Crash-safe ordering: new
+    fragment first, atomic lineage rename second (readers switch here),
+    fragment deletes last — a crash at any point leaves only orphan files
+    that every reader already ignores.  Driver-side, one partition in
+    memory at a time; O(completed partitions) work."""
     n_compacted = files_removed = 0
     rows = 0
-    for k in done:
-        files = partition_files(out_dir, k)
+    run_id = uuid.uuid4().hex[:12]
+    for rec in lineage_records(out_dir):
+        files = _files_of(out_dir, rec)
         if len(files) < min_files:
             continue
+        k = int(rec["partition"])
         t = pa.concat_tables([pq.read_table(p) for p in files])
-        part_dir = os.path.join(out_dir, f"part={k}")
-        name = f"compact-{uuid.uuid4().hex[:12]}.parquet"
-        path = os.path.join(part_dir, name)
-        pq.write_table(t, path + ".tmp")
-        os.replace(path + ".tmp", path)
-        lpath = os.path.join(lineage_dir(out_dir), f"part-{k}.json")
-        with open(lpath) as f:
-            rec = json.load(f)
-        rec["files"] = [name]
-        rec["bytes"] = os.path.getsize(path)
-        rec["compacted_from"] = rec.get("compacted_from", 0) + len(files)
-        with open(lpath + ".tmp", "w") as f:
-            json.dump(rec, f)
-        os.replace(lpath + ".tmp", lpath)
+        name = write_fragment(out_dir, k, run_id, t)
+        commit_partition(out_dir, k, [name], {
+            **rec, "compacted_from": rec.get("compacted_from", 0) + len(files)})
         for p in files:
             try:
                 os.remove(p)
@@ -277,59 +264,3 @@ def compact_partitions_inplace(out_dir: str, min_files: int = 2) -> dict:
         n_compacted += 1
     return {"n_partitions_compacted": n_compacted,
             "n_files_removed": files_removed, "rows": rows}
-
-
-def compact_partitions(out_dir: str, target_bytes: int = 64 * 1024 * 1024,
-                       compacted_dir: str | None = None) -> dict:
-    """Small-file compaction for a completed partitioned output: greedily
-    bin-packs adjacent completed partitions (ascending partition id, so
-    any partition-order guarantee survives) into files of ~target_bytes,
-    written to ``compacted_dir`` (default: <out_dir>_compacted) with a
-    fresh manifest + lineage so the compacted store is itself resumable.
-    The classic post-job hygiene step: a 10^12-doc run at fine partition
-    granularity (needed for resume) leaves far more files than any
-    reader wants; compaction trades the completed run's granularity for
-    read efficiency WITHOUT a Ray job (pure driver-side streaming merge,
-    one input partition in memory at a time).  Returns
-    {n_input_partitions, n_output_files, rows_in, rows_out} and asserts
-    nothing is lost (rows_in == rows_out)."""
-    import glob as _glob
-
-    dst = compacted_dir or out_dir.rstrip("/") + "_compacted"
-    os.makedirs(dst, exist_ok=True)
-    done = sorted(completed_partitions(out_dir))
-    rows_in = 0
-    rows_out = 0
-    group: list[pa.Table] = []
-    group_bytes = 0
-    out_k = 0
-
-    def flush():
-        nonlocal group, group_bytes, out_k, rows_out
-        if not group:
-            return
-        merged = pa.concat_tables(group)
-        rec = write_partition(dst, out_k, merged,
-                              {"compacted_from": len(group)})
-        rows_out += rec["rows"]
-        out_k += 1
-        group, group_bytes = [], 0
-
-    for k in done:
-        files = partition_files(out_dir, k)
-        if not files:
-            continue
-        t = pa.concat_tables([pq.read_table(p) for p in files])
-        rows_in += t.num_rows
-        sz = sum(os.path.getsize(p) for p in files)
-        if group and group_bytes + sz > target_bytes:
-            flush()
-        group.append(t)
-        group_bytes += sz
-    flush()
-    ensure_manifest(dst, {"compacted_from": out_dir,
-                          "n_inputs": len(done)})
-    assert rows_in == rows_out, (rows_in, rows_out)
-    n_files = len(_glob.glob(os.path.join(dst, "part=*", "data.parquet")))
-    return {"n_input_partitions": len(done), "n_output_files": n_files,
-            "rows_in": rows_in, "rows_out": rows_out}

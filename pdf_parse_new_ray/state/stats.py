@@ -13,28 +13,9 @@ the caller has into one getStats-shaped dict.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Iterable, Optional
 
 from . import checkpoint as ckpt
-
-
-def _lineage_records(out_dir: str) -> list[dict]:
-    d = ckpt.lineage_dir(out_dir)
-    if not os.path.isdir(d):
-        return []
-    recs = []
-    for name in sorted(os.listdir(d)):
-        if name.startswith("part-") and name.endswith(".json"):
-            try:
-                with open(os.path.join(d, name)) as f:
-                    rec = json.load(f)
-                if rec.get("status") == "complete":
-                    recs.append(rec)
-            except (ValueError, json.JSONDecodeError):
-                continue
-    return recs
 
 
 def collect_stats(out_dir: Optional[str] = None,
@@ -81,7 +62,7 @@ def collect_stats(out_dir: Optional[str] = None,
         errors += snap.get("errors", 0)
         units += snap.get("units", 0)
 
-    lineage = _lineage_records(out_dir) if out_dir else []
+    lineage = ckpt.lineage_records(out_dir) if out_dir else []
     if lineage:
         method_usage["partition_write"] = len(lineage)
         times["partition_write"] = [r.get("wall_s", 0.0) for r in lineage]

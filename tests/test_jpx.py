@@ -275,6 +275,7 @@ def test_ppm_ppt_packed_headers_vs_openjpeg():
             assert np.array_equal(mine, img), (mode, kw)
 
 
+@pytest.mark.skipif(not _ref_available(), reason="node/reference unavailable")
 def test_tile_parts_vs_openjpeg():
     """Multiple tile-parts per tile (A.4.2 SOT TPsot/TNsot, B.8): the
     packet stream of one tile split across several SOT..SOD segments —
@@ -302,6 +303,7 @@ def test_tile_parts_vs_openjpeg():
         assert np.array_equal(mine, img), kw
 
 
+@pytest.mark.skipif(not _ref_available(), reason="node/reference unavailable")
 def test_signed_components_vs_openjpeg():
     """Signed components (SIZ Ssiz bit 7): samples carry no DC level
     shift in the codestream (B.1.4 is unsigned-only), and the

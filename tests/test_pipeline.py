@@ -136,15 +136,6 @@ def test_compact_inplace_then_resume(ray_session, small_corpus, tmp_path):
     assert metrics == []
     assert ckpt.read_output(out).sort_by("doc_id").equals(before)
 
-    # the pipeline-level opt-in flag produces the compacted layout directly
-    out2 = str(tmp_path / "outc2")
-    extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=out2, n_partitions=8, batch_size=4, compact=True,
-    ).take_all()
-    assert len(glob.glob(os.path.join(out2, "part=*", "*.parquet"))) == 8
-    assert ckpt.read_output(out2).sort_by("doc_id").equals(before)
-
 
 def test_resume_config_mismatch_raises(ray_session, small_corpus, tmp_path):
     # resuming under a different partition count would mis-skip docs —
@@ -264,17 +255,17 @@ def test_join_strategy_gate_is_byte_aware():
     assert choose_join_strategy(100, BROADCAST_MEDIA_BYTES + 1) == "hash"
 
 
-def test_auto_gate_falls_back_to_hash_on_bytes(ray_session, small_corpus):
+def test_auto_gate_falls_back_to_hash_on_bytes(ray_session, small_corpus,
+                                               monkeypatch):
     """auto + a 1-byte broadcast budget must run the hash plan and still
     produce span-sequence-identical output."""
-    from pdf_parse_new_ray.pipelines.config import ExtractionConfig
-    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+    from pdf_parse_new_ray.pipelines import extraction
 
-    cfg = ExtractionConfig(n_partitions=8, broadcast_media_bytes=1,
-                           join_strategy="auto", resume=False)
-    docs = extract_documents(
+    monkeypatch.setattr(extraction, "BROADCAST_MEDIA_BYTES", 1)
+    assert extraction.choose_join_strategy(1, 2) == "hash"
+    docs = extraction.extract_documents(
         f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=None, config=cfg,
+        out_dir=None, n_partitions=8, join_strategy="auto", resume=False,
     ).take_all()
     _check(docs, _oracle(small_corpus))
 
@@ -445,7 +436,7 @@ def test_streaming_fragments_commit_and_presize(ray_session, small_corpus, tmp_p
     assert mf["gate_rows"] > 0 and mf["gate_bytes"] > 0
 
     # pre-sized re-run over a NEW store seeded with the same gate stats:
-    # identical output through the lazy-chunk plan
+    # the plan is decided from the manifest, the output is identical
     out2 = str(tmp_path / "out2")
     ckpt.ensure_manifest(out2, {
         "docs_path": f"{small_corpus}/documents_interleaved",
@@ -506,6 +497,13 @@ def test_scale_proof_digest_detects_differences(ray_session, small_corpus, tmp_p
     n_ora, d_ora = _digest_dataset(f"{small_corpus}/oracle_docs")
     assert (n_out, d_out) == (n_ora, d_ora)
 
+    # an orphan fragment of a failed attempt is not part of the store
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    pq.write_table(ckpt.read_output(out_dir).slice(0, 2),
+                   os.path.join(out_dir, "part=0", "frag-orphan-0.parquet"))
+    assert _digest_dataset(out_dir) == (n_ora, d_ora)
+
     # mutate one span's text -> digest must move
     t = pq.read_table(f"{small_corpus}/oracle_docs")
     rows = t.to_pylist()
@@ -525,3 +523,151 @@ def test_scale_proof_digest_detects_differences(ray_session, small_corpus, tmp_p
                    str(tmp_path / "reord.parquet"))
     n_r, d_r = _digest_dataset(str(tmp_path / "reord.parquet"))
     assert n_r == n_ora and d_r != d_ora
+
+
+def test_task_extract_cache_checks_bytes():
+    """The task-mode extractor's per-worker doc cache outlives a job, and
+    media_refs repeat across corpora (every seeded corpus names its media
+    pdf-000001...): a cached doc must be re-parsed when the same ref
+    arrives with different bytes, never served stale."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures import pdfgen
+    from pdf_parse_new_ray.pdfkernel import parse_pdf
+    from pdf_parse_new_ray.stages.extractor import make_extract_task
+
+    def unit(blob):
+        return pa.table({
+            "media_ref": pa.array(["pdf-000001"], pa.string()),
+            "bytes": pa.array([blob], pa.binary()),
+            "page_start": pa.array([0], pa.int32()),
+            "page_end": pa.array([1 << 20], pa.int32()),
+            "n_chunks": pa.array([1], pa.int32()),
+        })
+
+    old, _ = pdfgen.make_text_pdf([["first corpus"]])
+    new, _ = pdfgen.make_text_pdf([["second corpus"]])
+    extract = make_extract_task()
+    assert extract(unit(old)).column("chunk_text")[0].as_py() == \
+        parse_pdf(old)["text"]
+    assert extract(unit(new)).column("chunk_text")[0].as_py() == \
+        parse_pdf(new)["text"]
+
+
+def test_failed_attempt_fragment_is_not_committed(tmp_path):
+    """Ray Data retries a failed task; an attempt that died after writing
+    its fragment leaves a frag-<run_id>-* file of the SAME run.  Both
+    plans commit exactly the fragments of the attempt whose output was
+    consumed, so the stray is never committed and readers never see its
+    rows twice."""
+    import glob
+
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures.corpus import SPAN_TYPE
+    from pdf_parse_new_ray.pipelines import extraction
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    # broadcast plan: streamed fragments, committed by the driver
+    docs = pa.table({
+        "doc_id": ["d0", "d1", "d2"],
+        "spans": pa.array([[{"kind": "text", "text": t, "media_ref": "",
+                             "offset": 0}] for t in "abc"],
+                          pa.list_(SPAN_TYPE)),
+        "n_spans": pa.array([1, 1, 1], pa.int32()),
+        "numpages": pa.array([0, 0, 0], pa.int32()),
+        "n_errors": pa.array([0, 0, 0], pa.int32()),
+        "part": pa.array([0, 1, 0], pa.int32()),
+    })
+    out = str(tmp_path / "broadcast")
+    write = extraction._stream_write_docs(out, "run1")
+    write(docs)  # the failed attempt: fragments on disk, rows lost
+    rows = write(docs).to_pylist()  # the retry, whose rows are consumed
+    extraction._commit_fragments(out, rows)
+    assert len(glob.glob(os.path.join(out, "part=*", "frag-run1-*"))) == 4
+    assert all(len(ckpt.partition_files(out, k)) == 1 for k in (0, 1))
+    got = ckpt.read_output(out)
+    assert sorted(got.column("doc_id").to_pylist()) == ["d0", "d1", "d2"]
+
+    # hash plan: each map_groups task writes and commits its partition
+    group = pa.table({
+        "doc_id": ["d0", "d0"], "kind": ["text", "pdf"], "text": ["a", "b"],
+        "media_ref": ["", "m0"], "offset": pa.array([0, 1], pa.int32()),
+        "part": pa.array([0, 0], pa.int32()),
+        "numpages": pa.array([0, 3], pa.int32()),
+        "error": pa.array([None, None], pa.string()),
+    })
+    out2 = str(tmp_path / "hash")
+    assemble = extraction._assemble_partition(out2, "run2")
+    assemble(group)  # an attempt that died after its commit
+    assemble(group)  # the retry re-commits with its own fragment
+    assert len(glob.glob(os.path.join(out2, "part=0", "frag-run2-*"))) == 2
+    assert len(ckpt.partition_files(out2, 0)) == 1
+    got2 = ckpt.read_output(out2)
+    assert got2.column("doc_id").to_pylist() == ["d0"]
+    assert got2.column("numpages").to_pylist() == [3]
+
+
+def test_both_plans_write_one_layout(ray_session, small_corpus, tmp_path):
+    """Write-mode broadcast and hash plans commit the same store: equal
+    read_output rows, equal per-partition content_hash and row counts,
+    and every lineage record lists only frag-* files."""
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    recs = {}
+    rows = {}
+    for strategy in ("broadcast", "hash"):
+        out = str(tmp_path / strategy)
+        extract_documents(
+            f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+            out_dir=out, n_partitions=4, join_strategy=strategy,
+        ).take_all()
+        rows[strategy] = ckpt.read_output(out).sort_by("doc_id")
+        recs[strategy] = {r["partition"]: r for r in ckpt.lineage_records(out)}
+    assert rows["broadcast"].to_pylist() == rows["hash"].to_pylist()
+    _check(rows["hash"].to_pylist(), _oracle(small_corpus))
+    assert set(recs["broadcast"]) == set(recs["hash"]) == set(range(4))
+    for k in range(4):
+        b, h = recs["broadcast"][k], recs["hash"][k]
+        assert b["content_hash"] == h["content_hash"]
+        for m in ("rows", "n_docs", "n_spans", "pages", "errors"):
+            assert b[m] == h[m], (k, m)
+    for by_part in recs.values():
+        for r in by_part.values():
+            assert r["files"] and all(f.startswith("frag-") for f in r["files"])
+
+
+def test_lineage_without_files_is_redone(ray_session, small_corpus, tmp_path):
+    """A lineage record that lists no files (the retired single
+    data.parquet layout) is not a completed partition: resume redoes it
+    instead of reading it as empty."""
+    import json
+
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    out = str(tmp_path / "out")
+    extract_documents(
+        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+        out_dir=out, n_partitions=4, join_strategy="hash",
+    ).take_all()
+    lpath = os.path.join(out, "_lineage", "part-2.json")
+    with open(lpath) as f:
+        rec = json.load(f)
+    del rec["files"]
+    with open(lpath, "w") as f:
+        json.dump(rec, f)
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.string())}),
+                   os.path.join(out, "part=2", "data.parquet"))
+    assert ckpt.completed_partitions(out) == {0, 1, 3}
+    assert ckpt.partition_files(out, 2) == []
+
+    metrics = extract_documents(
+        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+        out_dir=out, n_partitions=4, join_strategy="hash",
+    ).take_all()
+    assert [m["partition"] for m in metrics] == [2]
+    _check(ckpt.read_output(out).to_pylist(), _oracle(small_corpus))

@@ -105,21 +105,6 @@ def test_render_hook_module_path_distributed(ray_session, small_corpus):
         assert "--- PAGE ---" in got[ref]
 
 
-def test_extraction_config_plan(ray_session, small_corpus):
-    from pdf_parse_new_ray.pipelines.config import ExtractionConfig
-    from pdf_parse_new_ray.pipelines.extraction import extract_documents
-
-    cfg = ExtractionConfig().for_cluster(cpus=4, avg_doc_bytes=512 * 1024)
-    assert cfg.batch_size == 128
-    assert cfg.n_partitions == 16
-    docs = extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        config=cfg,
-    ).take_all()
-    oracle = {r["doc_id"] for r in pq.read_table(f"{small_corpus}/oracle_docs").to_pylist()}
-    assert {d["doc_id"] for d in docs} == oracle
-
-
 def test_split_unit_cap(ray_session, small_corpus):
     # every unit row duplicates the doc bytes, so fan-out must be bounded
     import pyarrow.parquet as pq
@@ -273,30 +258,6 @@ def test_phash_neardup_banding_guarantee(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(entry, "MEDIA_DRIVER_ROWS", 2_000_000)
     pd.testing.assert_frame_equal(entry._phash_dup_groups(
         "/root/testdata/sf0.001"), grp)
-
-
-def test_compact_partitions_preserves_rows(tmp_path):
-    """Compaction bin-packs completed partitions into fewer files with
-    zero row loss, ascending-partition order preserved, and a resumable
-    manifest + lineage in the compacted store."""
-    import pyarrow as pa
-
-    from pdf_parse_new_ray.state import checkpoint as ckpt
-
-    src = str(tmp_path / "out")
-    for k in range(8):
-        t = pa.table({"doc_id": [f"d{k}-{i}" for i in range(50)],
-                      "text": ["x" * 100] * 50})
-        ckpt.write_partition(src, k, t, {})
-    stats = ckpt.compact_partitions(src, target_bytes=6000)
-    assert stats["rows_in"] == stats["rows_out"] == 400
-    assert stats["n_input_partitions"] == 8
-    assert 1 <= stats["n_output_files"] < 8
-    merged = ckpt.read_output(src.rstrip("/") + "_compacted")
-    orig = ckpt.read_output(src)
-    assert merged.num_rows == orig.num_rows
-    assert merged.column("doc_id").to_pylist() == \
-        orig.column("doc_id").to_pylist()  # ascending-partition order
 
 
 def _wav16(samples, rate=8000, nch=1):

@@ -23,6 +23,7 @@ distributed plans a 100x cluster run would execute:
      + spill), printed as ONE JSON line for BASELINE.md.
 
 Usage: python tools/scale_proof.py [--sf 1.0] [--cpus 32]
+Exits 1 when span equality fails or any spot oracle is bad.
 """
 
 from __future__ import annotations
@@ -77,9 +78,20 @@ def _digest_batch(batch):
 
 
 def _digest_dataset(path: str) -> tuple[int, int]:
+    """(n_docs, digest) of a parquet dataset.  An extraction store (a dir
+    with a lineage log) is read through its lineage: only the files of
+    committed partitions, never orphan fragments of failed attempts."""
     import ray.data as rd
 
-    parts = rd.read_parquet(path, columns=["doc_id", "spans"]).map_batches(
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    files = path
+    if os.path.isdir(ckpt.lineage_dir(path)):
+        files = [f for k in sorted(ckpt.completed_partitions(path))
+                 for f in ckpt.partition_files(path, k)]
+        if not files:
+            return 0, 0
+    parts = rd.read_parquet(files, columns=["doc_id", "spans"]).map_batches(
         _digest_batch, batch_format="pyarrow", batch_size=512).take_all()
     n = sum(p["n"] for p in parts)
     dig = 0
@@ -88,7 +100,7 @@ def _digest_dataset(path: str) -> tuple[int, int]:
     return n, dig
 
 
-def main() -> None:
+def main() -> int:
     sf = 1.0
     cpus = 32
     if "--sf" in sys.argv:
@@ -219,7 +231,8 @@ def main() -> None:
 
     ray.shutdown()
     print(json.dumps(out))
+    return 0 if out["span_equality"] and n_bad == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
