@@ -3,7 +3,9 @@
 Default: runs the headline extraction pipeline + representative queries over
 ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1 → the matching generated
 interleaved corpus) with ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32)`` and prints ONE JSON line.
+num_cpus=$RAY_GRAFT_CPUS or this host's cores)`` and prints ONE JSON line.
+Keyed exchanges size their buckets from the session's CPUs, so a session
+wider than the host would oversize every exchange.
 
 ``--scaling``: runs the headline pipeline in two FRESH processes at
 num_cpus=8 and num_cpus=32 on the same input and reports both throughputs
@@ -358,13 +360,14 @@ def run_scaling() -> dict:
 
 
 if __name__ == "__main__":
+    cpus = int(os.environ.get("RAY_GRAFT_CPUS", 0)) \
+        or len(os.sched_getaffinity(0))
     if "--scaling" in sys.argv:
         out = run_scaling()
     elif "--single" in sys.argv:
-        out = run_bench(int(os.environ.get("RAY_GRAFT_CPUS", 32)), headline_only=True)
+        out = run_bench(cpus, headline_only=True)
     elif "--force-distributed" in sys.argv:
-        out = run_bench(int(os.environ.get("RAY_GRAFT_CPUS", 32)),
-                        distributed_only=True)
+        out = run_bench(cpus, distributed_only=True)
     else:
-        out = run_bench(int(os.environ.get("RAY_GRAFT_CPUS", 32)))
+        out = run_bench(cpus)
     print(json.dumps(out))

@@ -170,6 +170,7 @@ def generate_corpus(
 # bump when generator output changes (cached corpora regenerate):
 # v2 = ~8% encrypted media PDFs (rc4-128/aesv2/aesv3, empty user password)
 CORPUS_VERSION = "v2"
+CORPUS_SEED = 42  # generation seed of the corpus_dir_for corpora
 
 
 def corpus_dir_for(sf: float, base: str = "/tmp/graft_corpus") -> str:
@@ -186,7 +187,7 @@ def corpus_dir_for(sf: float, base: str = "/tmp/graft_corpus") -> str:
         import shutil
 
         shutil.rmtree(out, ignore_errors=True)
-        generate_corpus(out, n_docs=n_docs, seed=42)
+        generate_corpus(out, n_docs=n_docs, seed=CORPUS_SEED)
         with open(marker, "w") as f:
             f.write(CORPUS_VERSION)
     return out

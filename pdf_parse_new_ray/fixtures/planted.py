@@ -324,10 +324,15 @@ def planted_extract_metadata(sf_dir: str):
     also value-checks transparent Info-string decryption."""
     import pyarrow.dataset as pads
 
+    from .corpus import CORPUS_SEED as seed
+
     base = _corpus_base(sf_dir)
     media = pads.dataset(os.path.join(base, "media")).to_table(
         columns=["media_ref", "numpages"]).to_pandas()
-    seed = 42  # corpus_dir_for generation seed (corpus.py:189)
+    # the title seeding below holds for PDF media only (html-* refs carry
+    # their own generator's titles)
+    if not media["media_ref"].str.startswith("pdf-").all():
+        raise ValueError("planted_extract_metadata needs a pdf-only corpus")
     exp = pd.DataFrame({
         "media_ref": media["media_ref"],
         "numpages": media["numpages"].astype("int64"),

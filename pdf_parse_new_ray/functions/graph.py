@@ -229,6 +229,8 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     return out
 
 
+# node buckets of the cogroup path's vertex-state groupby (``__vb``);
+# its edge attach sizes its own exchange (joins.exchange_buckets)
 PAGERANK_COGROUP_BUCKETS = 256
 
 
@@ -350,8 +352,7 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
         shares = vs.map_batches(share_rows, batch_format="pyarrow")
         partials = attach_value(
             edges, shares, "src", "share", pa.float64(),
-            [("src", pa.int64()), ("dst", pa.int64())],
-            n_buckets=n_buckets, post=post)
+            [("src", pa.int64()), ("dst", pa.int64())], post=post)
         vs = vs.map_batches(tag_vs, batch_format="pyarrow") \
             .union(partials.map_batches(tag_parts, batch_format="pyarrow")) \
             .groupby("__vb") \

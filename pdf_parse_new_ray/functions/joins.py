@@ -5,9 +5,19 @@ extraction hash path uses (pipelines/extraction.py cogroup join), packaged
 for the relational/dedup operators.  Used where a broadcast would ship a
 fact-table-size lookup (round-1 judge finding on q5_nation_revenue).
 
-Keys are hashed into ``n_buckets`` cogroup buckets so the per-group probe
-is a VECTORIZED index_in/take over thousands of rows — grouping by the raw
-key would cost one Python call per key (measured 10x slower at sf0.1).
+Keys are hashed into cogroup buckets so the per-group probe is a
+VECTORIZED index_in/take over thousands of rows — grouping by the raw key
+would cost one Python call per key (measured 10x slower at sf0.1).
+
+The exchange, not its caller, picks the bucket count (FP-Hadoop's split
+of the reduce function from how its input is partitioned):
+:func:`exchange_buckets` is the one rule, the largest power of two
+<= min(4096, max(cluster CPUs, input_rows // 250_000)).  An exchange
+costs map blocks x buckets shard objects plus one reduce task per bucket
+whatever the data, so fixed counts were pure overhead on small clusters.
+On a 4-vCPU host one lineitem x orders attach at sf0.01 (both reads
+included, 8 runs each after warm-up) took 0.47-1.5 s at the old fixed 64
+buckets and 0.20-0.28 s at 4.
 """
 
 from __future__ import annotations
@@ -73,35 +83,52 @@ def _bucket_of(keys: pa.ChunkedArray, n_buckets: int) -> pa.Array:
 # ---------------------------------------------------------------------------
 # Raw-task keyed exchange (map-reduce hash shuffle)
 #
-# Ray Data's groupby()/sort() all-to-all costs a near-constant ~2-4 s per
-# exchange at bench scale: sampling pass + sort-map + ordered sort-reduce
-# over O(in_blocks x out_blocks) shard objects, all of it pure overhead when
-# the downstream consumer only needs hash-bucket colocation, never global
-# order.  This is the canonical Ray map-reduce shuffle instead: each block
-# splits into n_buckets shards (``num_returns=n_buckets`` — each shard is
-# its own plasma object so a reducer fetches ONLY its column), one reduce
-# task per bucket.  No sampling, no sort, no union schema-padding.
+# Ray Data's groupby()/sort() all-to-all pays a sampling pass, a sort-map
+# and an ordered sort-reduce over O(in_blocks x out_blocks) shard objects —
+# pure overhead when the consumer only needs hash-bucket colocation, never
+# global order.  This is the canonical Ray map-reduce shuffle instead: each
+# block splits into n_buckets shards (``num_returns=n_buckets`` — each shard
+# is its own plasma object, so a reducer fetches ONLY its column), one
+# reduce task per bucket.  No sampling, no sort, no union schema-padding.
 #
-# Scale note (the partitioning assumption, per the brief): driver-side
-# metadata is O(map_blocks x n_buckets) object refs — the same simple-
-# shuffle regime Ray Data itself uses below its push-based threshold.  At
-# 100 TB a fact side arrives in ~1e5-1e6 blocks, so callers must scale
-# n_buckets with data (as q3's n_join does) and the _EXCHANGE_MAX_BLOCKS
-# gate below falls back to the Dataset-native sort exchange when the ref
-# table would outgrow the driver; the two paths are result-identical
-# (forced-path equality pytest).
+# Scale note: driver-side metadata is O(map_blocks x n_buckets) object refs —
+# the simple-shuffle regime Ray Data itself uses below its push-based
+# threshold.  exchange_buckets grows n_buckets with the rows, and past
+# _EXCHANGE_MAX_BLOCKS map blocks on a side hash_exchange hands the executed
+# sides to the Dataset-native sort exchange instead; the two paths are
+# result-identical (forced-path equality pytest).
 # ---------------------------------------------------------------------------
 
 _EXCHANGE_MAX_BLOCKS = 4096
+EXCHANGE_ROWS_PER_BUCKET = 250_000
+_EXCHANGE_MAX_BUCKETS = 4096
 
 
-def _block_refs_of(ds: rd.Dataset) -> list:
-    """Execute the (lazy) dataset and collect its block object refs —
-    the materialization an all-to-all pipeline breaker implies anyway."""
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    return refs
+def _pow2_floor(n: int) -> int:
+    return 1 << (max(1, n).bit_length() - 1)
+
+
+def exchange_buckets(input_rows: int) -> int:
+    """The bucket count of every keyed exchange: the largest power of two
+    <= ``min(4096, max(cluster CPUs, input_rows // 250_000))``.
+
+    Each bucket costs one shard object per map block plus one reduce task,
+    whatever the data, so buckets beyond the core count only add overhead
+    until a bucket would hold more than 250k rows (on a 4-vCPU host the
+    forced q3+q5+q8 legs ran slower at 8 and 16 buckets than at 4)."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return _pow2_floor(min(_EXCHANGE_MAX_BUCKETS,
+                           max(cpus, input_rows // EXCHANGE_ROWS_PER_BUCKET)))
+
+
+def salted_buckets(n_buckets: int, n_salts: int) -> int:
+    """Total buckets of a salted exchange: ``n_salts`` sub-buckets under
+    each of a power-of-two count of key buckets, at least ``n_buckets``
+    overall when that allows (``max(n_buckets, n_salts)`` for power-of-two
+    inputs)."""
+    return n_salts * _pow2_floor(n_buckets // n_salts)
 
 
 def _slice_by_bucket(t: pa.Table, bk, n_buckets: int):
@@ -141,8 +168,8 @@ def key_split(key_col: str, columns: list[str]):
 def salted_fact_split(key_col: str, columns: list[str], n_salts: int):
     """Hot-key-salted fact split: each key's rows spread over ``n_salts``
     sub-buckets (salt = row position mod n_salts).  Pair with
-    ``salted_dim_split`` on the other side and n_buckets * n_salts total
-    buckets."""
+    ``salted_dim_split`` on the other side; the total bucket count is a
+    multiple of n_salts (:func:`salted_buckets`)."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -187,34 +214,57 @@ def _run_split(t, split_fn, n_buckets: int):
         # empty block may still carry an upstream schema (even lack the
         # key column).  Emit zero-row shards as-is; reducers must skip
         # zero-row shards before concat (the attach reducer does).
-        return (t,) * n_buckets
-    return split_fn(t, n_buckets)
+        shards = (t,) * n_buckets
+    else:
+        shards = split_fn(t, n_buckets)
+    # num_returns=1 stores the return value itself, not a 1-tuple
+    return shards if n_buckets > 1 else shards[0]
 
 
-def hash_exchange(sides: list, n_buckets: int, reduce_fn,
-                  num_cpus: float = 1.0) -> rd.Dataset | None:
+# When True (default), hash_exchange runs the raw-task map-reduce shuffle
+# and hands over to its sort fallback only past _EXCHANGE_MAX_BLOCKS; tests
+# flip it to force the fallback and assert result equality.
+USE_HASH_EXCHANGE = True
+
+
+def hash_exchange(sides: list, reduce_fn, fallback, n_salts: int = 1,
+                  num_cpus: float = 1.0) -> rd.Dataset:
     """Generic keyed cogroup: ``sides = [(dataset, split_fn), ...]`` where
     ``split_fn(block, n_buckets) -> tuple[pa.Table] * n_buckets`` (build
-    one with :func:`key_split`).  Each side is hash-partitioned into
-    ``n_buckets`` aligned buckets; ``reduce_fn(tables_side0,
-    tables_side1, ...) -> pa.Table`` runs once per bucket over that
-    bucket's shard lists (possibly empty).  Returns the reduced buckets
-    as a new Dataset (blocks stay in plasma), or ``None`` when a side's
-    block count exceeds ``_EXCHANGE_MAX_BLOCKS`` (caller falls back to
-    the Dataset-native sort exchange — result-identical, forced-path
-    equality pytest)."""
+    one with :func:`key_split`).  The sides are executed first; their
+    total row count from block metadata sizes the exchange
+    (:func:`exchange_buckets`, widened by :func:`salted_buckets` when
+    ``n_salts > 1``).  Each side is then hash-partitioned into that many
+    aligned buckets; ``reduce_fn(tables_side0, tables_side1, ...) ->
+    pa.Table`` runs once per bucket over that bucket's shard lists
+    (possibly empty).  Returns the reduced buckets as a new Dataset
+    (blocks stay in plasma).
+
+    When a side has more than ``_EXCHANGE_MAX_BLOCKS`` blocks, or
+    ``USE_HASH_EXCHANGE`` is off, returns ``fallback(*executed_sides,
+    n_buckets)`` instead: the caller's Dataset-native sort exchange over
+    the same executed sides with the same bucket count."""
     import ray
 
-    split = ray.remote(_run_split)
+    executed, side_refs, rows = [], [], 0
+    for ds, _ in sides:
+        ds = ds.materialize()
+        bundles = list(ds.iter_internal_ref_bundles())
+        executed.append(ds)
+        side_refs.append([r for b in bundles for r in b.block_refs])
+        rows += sum(b.num_rows() or 0 for b in bundles)
+    n_buckets = exchange_buckets(rows)
+    if n_salts > 1:
+        n_buckets = salted_buckets(n_buckets, n_salts)
+    if not USE_HASH_EXCHANGE or \
+            max(map(len, side_refs)) > _EXCHANGE_MAX_BLOCKS:
+        return fallback(*executed, n_buckets)
+
+    split = ray.remote(_run_split).options(num_returns=n_buckets)
     shard_cols = []
-    for ds, split_fn in sides:
-        refs = _block_refs_of(ds)
-        if len(refs) > _EXCHANGE_MAX_BLOCKS:
-            return None  # caller falls back to the Dataset-native exchange
-        shard_cols.append([
-            split.options(num_returns=n_buckets).remote(
-                r, split_fn, n_buckets)
-            for r in refs])
+    for refs, (_, split_fn) in zip(side_refs, sides):
+        shards = [split.remote(r, split_fn, n_buckets) for r in refs]
+        shard_cols.append(shards if n_buckets > 1 else [[s] for s in shards])
 
     def _reduce(fn, *side_ref_lists):
         import ray as _ray
@@ -228,13 +278,6 @@ def hash_exchange(sides: list, n_buckets: int, reduce_fn,
                       *[[s[j] for s in col] for col in shard_cols])
         for j in range(n_buckets)]
     return rd.from_arrow_refs(out_refs)
-
-
-# When True (default), attach_value rides the raw-task hash_exchange and
-# falls back to the Dataset-native sort exchange only past
-# _EXCHANGE_MAX_BLOCKS; tests flip it to force the sort path and assert
-# result equality.
-USE_HASH_EXCHANGE = True
 
 
 def _empty_attach_out(pair_cols, out_name, vtype) -> pa.Table:
@@ -276,7 +319,7 @@ def _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post):
 def attach_value(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
                  out_name: str, vtype: pa.DataType,
                  pair_cols: list[tuple[str, pa.DataType]],
-                 n_buckets: int = 64, post=None) -> rd.Dataset:
+                 post=None) -> rd.Dataset:
     """Attach ``values``' per-key payload to each row of ``pairs`` whose
     ``key_col`` matches the value row's key.  ``values`` must have columns
     (doc_id, value) with unique int64 doc_id; ``pair_cols`` declares the
@@ -289,145 +332,90 @@ def attach_value(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
     high-cardinality Ray groupby().aggregate() (measured ~12 s for 147k
     groups at sf0.1) never happens; the caller merges the tiny partials.
 
-    Exchange strategy: by default the raw-task map-reduce
-    :func:`hash_exchange` (each block splits into n_buckets plasma
-    shards, one probe task per bucket — no sampling/sort/union padding;
-    measured ~2 s/exchange cheaper than the groupby sort at bench scale).
-    Falls back to the Dataset-native sort exchange when a side's block
-    count would outgrow the driver's O(blocks x buckets) ref metadata, or
-    when ``USE_HASH_EXCHANGE`` is flipped off (forced-path equality
-    pytest covers both)."""
-    assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of 2"
-    if USE_HASH_EXCHANGE:
-        pcols = [n for n, _ in pair_cols]
-        if key_col not in pcols:
-            pcols = pcols + [key_col]
-        out = hash_exchange(
-            [(pairs, key_split(key_col, pcols)),
-             (values, key_split("doc_id", ["doc_id", "value"]))],
-            n_buckets,
-            _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post))
-        if out is not None:
-            return out
-    return _attach_value_sort(pairs, values, key_col, out_name, vtype,
-                              pair_cols, n_buckets, post)
-
-
-def _attach_value_sort(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
-                       out_name: str, vtype: pa.DataType,
-                       pair_cols: list[tuple[str, pa.DataType]],
-                       n_buckets: int = 64, post=None) -> rd.Dataset:
-    """Dataset-native fallback exchange: tag both sides with a hash
-    bucket, union, ONE groupby cogroup on the bucket, vectorized
-    index_in/take probe inside each bucket."""
-    import pyarrow.compute as pc
-
-    assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of 2"
-    names = [n for n, _ in pair_cols] + [out_name, "__key", "__jkey"]
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        cols = {n: t.column(n) for n, _ in pair_cols}
-        cols[out_name] = pa.nulls(t.num_rows, vtype)
-        cols["__key"] = t.column(key_col)
-        cols["__jkey"] = _bucket_of(t.column(key_col), n_buckets)
-        return pa.table({n: cols[n] for n in names})
-
-    def tag_values(t: pa.Table) -> pa.Table:
-        cols = {n: pa.nulls(t.num_rows, ty) for n, ty in pair_cols}
-        cols[out_name] = t.column("value")
-        cols["__key"] = t.column("doc_id")
-        cols["__jkey"] = _bucket_of(t.column("doc_id"), n_buckets)
-        return pa.table({n: cols[n] for n in names})
-
-    out_names = [n for n, _ in pair_cols] + [out_name]
-
-    def merge(g: pa.Table) -> pa.Table:
-        is_val = pc.is_valid(g.column(out_name))
-        vals = g.filter(is_val)
-        prs = g.filter(pc.invert(is_val))
-        if prs.num_rows == 0 or vals.num_rows == 0:
-            out = g.slice(0, 0).select(out_names)
-            return post(out) if post is not None else out
-        idx = pc.index_in(prs.column("__key"),
-                          value_set=vals.column("__key").combine_chunks())
-        hit = pc.is_valid(idx)
-        picked = pc.take(vals.column(out_name).combine_chunks(),
-                         idx.filter(hit))
-        out = prs.filter(hit).drop_columns([out_name, "__key", "__jkey"])
-        out = out.append_column(out_name, picked)
-        return post(out) if post is not None else out
-
-    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        values.map_batches(tag_values, batch_format="pyarrow"))
-    return tagged.groupby("__jkey").map_groups(merge, batch_format="pyarrow")
+    Exchange: the raw-task map-reduce :func:`hash_exchange`, which picks
+    the bucket count itself (:func:`exchange_buckets` — the cluster's
+    cores, more only past 250k rows per bucket; a 4-vCPU host gets 4
+    buckets, about half the wall of the old fixed 64 on one sf0.01
+    attach — see the module docstring).  The count changes only the layout:
+    every bucket and ``post`` call sees all rows of its keys.  Past the
+    block gate, or with ``USE_HASH_EXCHANGE`` off, the Dataset-native
+    sort exchange runs with the same count (forced-path equality pytest
+    covers both)."""
+    return attach_value_salted(pairs, values, key_col, out_name, vtype,
+                               pair_cols, n_salts=1, post=post)
 
 
 def attach_value_salted(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
                         out_name: str, vtype: pa.DataType,
                         pair_cols: list[tuple[str, pa.DataType]],
-                        n_buckets: int = 64, n_salts: int = 8,
-                        post=None) -> rd.Dataset:
+                        n_salts: int = 8, post=None) -> rd.Dataset:
     """``attach_value`` with HOT-KEY SALTING: the fact side spreads each
     key's rows over ``n_salts`` sub-buckets (salt = row position mod
     n_salts, so a hot key's traffic divides by n_salts instead of
     swamping one cogroup task), and the value side replicates each row
     to all n_salts sub-buckets (dim replication is n_salts x dim size —
     cheap, the dim is the small side by construction).  Results are
-    IDENTICAL to attach_value; only the exchange layout changes.  Use
-    when a fact key can be pathologically hot (power-law user_ids,
-    viral content ids).  Same exchange dispatch as attach_value:
-    raw-task hash_exchange by default, sort fallback past the block gate."""
-    assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of 2"
-    if USE_HASH_EXCHANGE:
-        pcols = [n for n, _ in pair_cols]
-        if key_col not in pcols:
-            pcols = pcols + [key_col]
-        out = hash_exchange(
-            [(pairs, salted_fact_split(key_col, pcols, n_salts)),
-             (values, salted_dim_split("doc_id", ["doc_id", "value"],
-                                       n_salts))],
-            n_buckets * n_salts,
-            _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post))
-        if out is not None:
-            return out
-    return _attach_value_sort_salted(pairs, values, key_col, out_name, vtype,
-                                     pair_cols, n_buckets, n_salts, post)
+    IDENTICAL to attach_value; only the exchange layout changes, over
+    :func:`salted_buckets` total buckets.  Use when a fact key can be
+    pathologically hot (power-law user_ids, viral content ids);
+    ``n_salts=1`` is the plain :func:`attach_value`."""
+    pcols = [n for n, _ in pair_cols]
+    if key_col not in pcols:
+        pcols = pcols + [key_col]
+    if n_salts > 1:
+        splits = (salted_fact_split(key_col, pcols, n_salts),
+                  salted_dim_split("doc_id", ["doc_id", "value"], n_salts))
+    else:
+        splits = (key_split(key_col, pcols),
+                  key_split("doc_id", ["doc_id", "value"]))
+
+    def sort_fallback(pairs, values, n_buckets):
+        return _attach_value_sort(pairs, values, key_col, out_name, vtype,
+                                  pair_cols, n_buckets, n_salts, post)
+
+    return hash_exchange(
+        [(pairs, splits[0]), (values, splits[1])],
+        _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post),
+        sort_fallback, n_salts=n_salts)
 
 
-def _attach_value_sort_salted(pairs: rd.Dataset, values: rd.Dataset,
-                              key_col: str, out_name: str, vtype: pa.DataType,
-                              pair_cols: list[tuple[str, pa.DataType]],
-                              n_buckets: int = 64, n_salts: int = 8,
-                              post=None) -> rd.Dataset:
-    """Dataset-native fallback for the salted attach (union + ONE
-    groupby cogroup on the salted bucket)."""
+def _attach_value_sort(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
+                       out_name: str, vtype: pa.DataType,
+                       pair_cols: list[tuple[str, pa.DataType]],
+                       n_buckets: int, n_salts: int, post) -> rd.Dataset:
+    """Dataset-native fallback exchange: tag both sides with the bucket
+    :func:`hash_exchange` would use (salted as in ``salted_*_split`` when
+    ``n_salts > 1``), union, ONE groupby cogroup on it, vectorized
+    index_in/take probe inside each bucket."""
     import numpy as np
     import pyarrow.compute as pc
 
-    assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of 2"
+    n_key_buckets = n_buckets // n_salts
     names = [n for n, _ in pair_cols] + [out_name, "__key", "__jkey"]
 
+    def jkey(keys, salt) -> pa.Array:
+        bk = pc.cast(_bucket_of(keys, n_key_buckets), pa.int64())
+        return pc.add(pc.multiply(bk, pa.scalar(n_salts, pa.int64())),
+                      pa.array(salt))
+
     def tag_pairs(t: pa.Table) -> pa.Table:
-        bk = pc.cast(_bucket_of(t.column(key_col), n_buckets), pa.int64())
-        salt = pa.array(np.arange(t.num_rows, dtype=np.int64) % n_salts)
         cols = {n: t.column(n) for n, _ in pair_cols}
         cols[out_name] = pa.nulls(t.num_rows, vtype)
         cols["__key"] = t.column(key_col)
-        cols["__jkey"] = pc.add(pc.multiply(bk, pa.scalar(n_salts, pa.int64())),
-                                salt)
+        cols["__jkey"] = jkey(t.column(key_col),
+                              np.arange(t.num_rows, dtype=np.int64) % n_salts)
         return pa.table({n: cols[n] for n in names})
 
     def tag_values(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_salts))
-        rep = t.take(idx)
-        bk = pc.cast(_bucket_of(rep.column("doc_id"), n_buckets), pa.int64())
-        salt = pa.array(np.tile(np.arange(n_salts, dtype=np.int64), n))
-        cols = {nm: pa.nulls(n * n_salts, ty) for nm, ty in pair_cols}
-        cols[out_name] = rep.column("value")
-        cols["__key"] = rep.column("doc_id")
-        cols["__jkey"] = pc.add(pc.multiply(bk, pa.scalar(n_salts, pa.int64())),
-                                salt)
+        if n_salts > 1:
+            t = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64),
+                                          n_salts)))
+        cols = {nm: pa.nulls(t.num_rows, ty) for nm, ty in pair_cols}
+        cols[out_name] = t.column("value")
+        cols["__key"] = t.column("doc_id")
+        cols["__jkey"] = jkey(t.column("doc_id"),
+                              np.tile(np.arange(n_salts, dtype=np.int64), n))
         return pa.table({nm: cols[nm] for nm in names})
 
     out_names = [n for n, _ in pair_cols] + [out_name]

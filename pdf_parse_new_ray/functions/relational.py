@@ -236,7 +236,6 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
              ("o_orderdate", odate_type)],
         ).drop_columns(["in_seg"])  # inner-join semantics: only members survive
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
-    li_rows = li.count()  # parquet metadata — no scan
     li = li.map_batches(
         lambda t: pa.table({
             "l_orderkey": t["l_orderkey"],
@@ -249,8 +248,8 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     # filtered selection certainly is — ship (o_orderkey, o_orderdate)
     # once via ray.put and fold revenue inside each lineitem batch (no
     # join aggregator actors, no groupby shuffle; partials are bounded by
-    # the gated selection size).  Past the gate, the Ray-native hash join
-    # below runs with data-scaled partitions.
+    # the gated selection size).  Past the gate, the orderkey cogroup
+    # below runs (the exchange sizes its own buckets).
     if orders.count() <= BROADCAST_DIM_ROWS:
         # Arrow-native materialize (gated small): keeps the source
         # timestamp unit exact — a pandas roundtrip would silently
@@ -309,20 +308,11 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     # raw-task hash exchange) attaches o_orderdate to the lineitem
     # revenue partials.  A bucket holds EVERY partial of its orderkeys,
     # so the post hook computes FINAL per-order revenue and forwards only
-    # the bucket's top-10 — the driver merges n_buckets x 10 rows, never
+    # the bucket's top-10 — the driver merges buckets x 10 rows, never
     # the order-cardinality result (the previous Ray-native join +
     # groupby here paid two sort exchanges plus aggregator-actor spin-up:
     # 8.7 s forced-distributed at sf0.1 vs 2.4 s for this plan).
-    # Buckets scale with DATA, capped by the cluster (fixed counts would
-    # cap a real cluster's fact-fact parallelism).
     from .joins import attach_value, rename_agg
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    n_buckets = 1 << max(2, min(max(cpus, li_rows // 250_000),
-                                4096)).bit_length() - 1
 
     ovals = sel_orders.map_batches(
         lambda t: pa.table({"doc_id": t["o_orderkey"],
@@ -343,7 +333,7 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     cells = attach_value(
         li, ovals, "l_orderkey", "o_orderdate", odate_type,
         [("l_orderkey", pa.int64()), ("revenue_part", pa.float64())],
-        n_buckets=n_buckets, post=topk_post)
+        post=topk_post)
     out = cells.to_pandas().rename(columns={"l_orderkey": "o_orderkey"})
     out = out.sort_values(["revenue", "o_orderkey"],
                           ascending=[False, True]).head(10).reset_index(drop=True)
@@ -1519,6 +1509,9 @@ def q_daily_distinct_users(sf_dir: str) -> pd.DataFrame:
     (calendar), so the group fan-out stays small; a hot single day would
     be salted into (day, hash(user) % k) sub-groups with a second tiny
     merge — not needed at these cardinalities."""
+    # The exact-distinct group bound is inherent (every distinct user of a
+    # day must meet in one group); q_hll_distinct / q_kmv_distinct are the
+    # bounded-memory approximate forms.
     def pairs(t: pa.Table) -> pa.Table:
         day = pc.floor_temporal(t.column("ts"), unit="day")
         return pa.table({"day": day, "user_id": t.column("user_id")}) \
@@ -1828,7 +1821,7 @@ def _bloom_positions(keys: np.ndarray) -> np.ndarray:
                 % np.uint64(_BLOOM_BITS)).astype(np.int64)
 
 
-def q_bloom_semi_join(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
     """Lineitems of high-value orders via a BLOOM-PRUNED join: the
     filtered orders keys build a bloom filter (map-only partial bitmaps
     OR-merged on the driver — 128 KiB each), the broadcast bloom prunes
@@ -1961,7 +1954,7 @@ def q_bloom_semi_join(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
                        vtype=pa.float64(),
                        pair_cols=[("l_orderkey", pa.int64()),
                                   ("rev", pa.int64())],
-                       n_buckets=n_buckets, post=post).to_pandas()
+                       post=post).to_pandas()
     # half-up to cents in integers, then an exact 2-decimal float
     out["revenue"] = ((out["rev"].astype("int64") + 50) // 100) / 100.0
     out["n_items"] = out["n_items"].astype("int64")
@@ -3041,8 +3034,7 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
 # Row-level dim attach under skew: event age since user's first event
 # ---------------------------------------------------------------------------
 
-def q_event_age(sf_dir: str, n_buckets: int = 64,
-                n_salts: int = 8) -> pd.DataFrame:
+def q_event_age(sf_dir: str, n_salts: int = 8) -> pd.DataFrame:
     """Per-event age (microseconds since that user's FIRST event) — a
     row-level fact-side attach where a power-law-hot user would swamp a
     single cogroup bucket, so the attach runs SALTED
@@ -3098,7 +3090,7 @@ def q_event_age(sf_dir: str, n_buckets: int = 64,
         "user_id", "first_us", pa.int64(),
         [("event_id", pa.int64()), ("user_id", pa.int64()),
          ("us", pa.int64())],
-        n_buckets=n_buckets, n_salts=n_salts)
+        n_salts=n_salts)
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -4691,14 +4683,14 @@ Q4_DATE_LO = "1996-01-01"
 Q4_DATE_HI = "1996-07-01"   # exclusive (two quarters)
 
 
-def q4_priority_with_returns(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q4_priority_with_returns(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q4 adapted to the test schema (no commit/receipt dates):
     orders placed in [Q4_DATE_LO, Q4_DATE_HI) with AT LEAST ONE returned
     lineitem (returnflag R), counted per order priority.  The EXISTS
     side never aggregates more than batch-local distinct orderkeys
     before its ONE bucketed cogroup with the date-filtered orders; the
     priority count folds inside the cogroup's post hook, so the driver
-    merges priority x n_buckets partials."""
+    merges one partial per (priority, exchange bucket)."""
     from .joins import attach_value, rename_agg
 
     lo = pa.scalar(pd.Timestamp(Q4_DATE_LO))
@@ -4736,7 +4728,7 @@ def q4_priority_with_returns(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     parts = attach_value(
         orders, returned, "o_orderkey", "has_return", pa.int64(),
         [("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())],
-        n_buckets=n_buckets, post=combine).to_pandas()
+        post=combine).to_pandas()
     out = parts.groupby("o_orderpriority", as_index=False).agg(
         order_count=("n", "sum"))
     out["order_count"] = out["order_count"].astype("int64")

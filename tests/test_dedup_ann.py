@@ -1639,6 +1639,106 @@ def test_attach_exchange_paths_equal(ray_session, tmp_path, monkeypatch):
     assert results[True, "plain"].equals(results[True, "salt"])
 
 
+def test_exchange_buckets_rule(ray_session, monkeypatch):
+    """The one bucket-count rule: a power of two, the power-of-two floor
+    of the cluster's CPUs at small inputs, growing with rows at 250k per
+    bucket, capped at 4096; salted totals are multiples of n_salts."""
+    import ray
+
+    from pdf_parse_new_ray.functions import joins
+
+    def pow2(n):
+        return n > 0 and n & (n - 1) == 0
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    floor = 1 << (cpus.bit_length() - 1)
+    assert joins.exchange_buckets(0) == floor
+    assert joins.exchange_buckets(1000) == floor
+
+    for cpus, want_small in ((1, 1), (4, 4), (6, 4), (48, 32)):
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda c=cpus: {"CPU": float(c)})
+        assert joins.exchange_buckets(0) == want_small
+        prev = 0
+        for rows in (0, 10**5, 10**6, 10**7, 10**8, 10**9, 10**12):
+            n = joins.exchange_buckets(rows)
+            assert pow2(n) and prev <= n <= 4096
+            assert n >= min(4096, rows // joins.EXCHANGE_ROWS_PER_BUCKET) // 2
+            prev = n
+        assert joins.exchange_buckets(64 * 250_000) == max(64, want_small)
+        assert joins.exchange_buckets(10**12) == 4096
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 10_000.0})
+    assert joins.exchange_buckets(0) == 4096
+
+    for n in (1, 2, 4, 64, 4096):
+        for n_salts in (1, 2, 3, 4, 8, 16):
+            total = joins.salted_buckets(n, n_salts)
+            assert total >= n_salts and total % n_salts == 0
+            assert pow2(total // n_salts)
+            if pow2(n_salts):
+                assert total == max(n, n_salts)
+
+
+def test_attach_bucket_count_only_changes_layout(ray_session, tmp_path,
+                                                 monkeypatch):
+    """attach_value and attach_value_salted, with and without ``post``,
+    return identical rows whether the exchange runs 1, 4 or 64
+    buckets."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins
+
+    rng = np.random.default_rng(5)
+    n, m = 5_000, 300
+    pq.write_table(pa.table({
+        "k": pa.array(rng.integers(0, 2 * m, n), pa.int64()),
+        "row": pa.array(np.arange(n), pa.int64()),
+    }), str(tmp_path / "pairs.parquet"))
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(m), pa.int64()),
+        "value": pa.array(rng.normal(size=m)),
+    }), str(tmp_path / "vals.parquet"))
+
+    def post(t):
+        return t.group_by("k").aggregate([("v", "sum")]) \
+            .rename_columns(["k", "vsum"])
+
+    def run(fn, **kw):
+        pairs = rd.read_parquet(str(tmp_path / "pairs.parquet")) \
+            .repartition(4)
+        vals = rd.read_parquet(str(tmp_path / "vals.parquet"))
+        cols = [("k", pa.int64()), ("row", pa.int64())]
+        df = fn(pairs, vals, "k", "v", pa.float64(), cols, **kw).to_pandas()
+        if "vsum" in df.columns:  # partials: merge before comparing
+            return df.groupby("k")["vsum"].sum().sort_index()
+        return df.sort_values(["row"]).reset_index(drop=True)
+
+    kinds = {"plain": (joins.attach_value, {}),
+             "post": (joins.attach_value, {"post": post}),
+             "salt": (joins.attach_value_salted, {"n_salts": 4}),
+             "salt_post": (joins.attach_value_salted,
+                           {"n_salts": 4, "post": post})}
+    results = {}
+    for k in (1, 4, 64):
+        monkeypatch.setattr(joins, "exchange_buckets", lambda rows, k=k: k)
+        for kind, (fn, kw) in kinds.items():
+            results[k, kind] = run(fn, **kw)
+    for kind in kinds:
+        want = results[1, kind]
+        assert len(want) > 0
+        for k in (4, 64):
+            got = results[k, kind]
+            if kind.endswith("post"):
+                assert (got.index == want.index).all()
+                assert np.allclose(got.to_numpy(), want.to_numpy())
+            else:
+                assert got.equals(want)
+    assert results[1, "plain"].equals(results[1, "salt"])
+
+
 def test_trailing_hour_sum_peers_and_fallback(ray_session, tmp_path,
                                               monkeypatch):
     """RANGE semantics: ts peers are included in each other's window,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -204,9 +205,9 @@ def main() -> int:
     out["spot_oracles_sf0.1"] = {"ok": n_ok, "bad": n_bad,
                                  "failures": failures}
 
-    # 4. memory + object-store accounting.  memory_summary needs grpc
-    # (absent in this container), so spill is accounted from the session's
-    # spill directory + raylet log lines instead.
+    # 4. memory + object-store accounting.  memory_summary needs grpc,
+    # which may be absent, so spill is accounted from the session's spill
+    # directory + the raylet's cumulative "Spilled N MiB, ..." messages.
     out["rss_mb_peak_driver"] = _vm_peak_mb()
     try:
         sess = ray._private.worker._global_node.get_session_dir_path()
@@ -216,15 +217,15 @@ def main() -> int:
             for root, _, files in os.walk(spill_dir):
                 spill_bytes += sum(
                     os.path.getsize(os.path.join(root, f)) for f in files)
-        spilled_lines = 0
+        spilled_mib = 0
         raylet_log = os.path.join(sess, "logs", "raylet.out")
         if os.path.exists(raylet_log):
             with open(raylet_log, errors="replace") as f:
-                spilled_lines = sum(
-                    1 for line in f if "Spilled" in line or "spill" in line)
+                for m in re.finditer(r"Spilled (\d+) MiB", f.read()):
+                    spilled_mib = max(spilled_mib, int(m.group(1)))
         out["object_store"] = {
             "spill_dir_bytes": spill_bytes,
-            "raylet_spill_log_lines": spilled_lines,
+            "raylet_spilled_mib": spilled_mib,
         }
     except Exception as e:  # noqa: BLE001
         out["object_store"] = {"unavailable": type(e).__name__}
