@@ -264,12 +264,12 @@ def _extract_media_maxpages(sf_dir: str):
     return pd.DataFrame(sorted(rows, key=lambda r: r["media_ref"]))
 
 
-def _extract_then_dedup(sf_dir: str, n_buckets: int = 256):
+def _extract_then_dedup(sf_dir: str):
     """Pipeline composition: extract the interleaved corpus, then exact-dedup
     documents on the hash of their post-extraction full text — the
     extract → clean → dedup shape of a training-data pipeline, end to end
     in one streaming lineage (no intermediate write).  The dedup stage is
-    the same ONE-bucketed-shuffle + in-bucket Arrow group_by plan as
+    the same ONE keyed exchange + in-bucket Arrow group_by plan as
     functions/dedup.d_exact_dedup — a per-fingerprint map_groups would pay
     one Python call per distinct document (~10^12 at corpus scale)."""
     import hashlib
@@ -277,8 +277,8 @@ def _extract_then_dedup(sf_dir: str, n_buckets: int = 256):
     import pandas as pd
     import pyarrow as pa
 
+    from pdf_parse_new_ray.functions.joins import keyed
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
-    from pdf_parse_new_ray.state import checkpoint as ckpt
 
     base = _corpus_for(sf_dir)
     docs = extract_documents(f"{base}/documents_interleaved", f"{base}/media")
@@ -290,11 +290,9 @@ def _extract_then_dedup(sf_dir: str, n_buckets: int = 256):
             s = sorted(s, key=lambda x: x["offset"])
             out.append(hashlib.md5(
                 "\x00".join(x["text"] or "" for x in s).encode("utf-8")).hexdigest())
-        fps = pa.array(out, pa.string())
         return pa.table({
             "doc_id": t.column("doc_id"),
-            "fingerprint": fps,
-            "__bk": ckpt.partition_column(fps, n_buckets),
+            "fingerprint": pa.array(out, pa.string()),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -306,8 +304,8 @@ def _extract_then_dedup(sf_dir: str, n_buckets: int = 256):
                                 "doc_id_count": "group_size"},
                           ["fingerprint", "keep_doc_id", "group_size"])
 
-    df = docs.map_batches(fingerprint, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(per_bucket, batch_format="pyarrow").to_pandas()
+    df = keyed(docs.map_batches(fingerprint, batch_format="pyarrow"),
+               "fingerprint", per_bucket).to_pandas()
     df["group_size"] = df["group_size"].astype("int64")  # doc_id is a string
     return df.sort_values("fingerprint").reset_index(drop=True)
 
@@ -383,10 +381,10 @@ def _video_frame_sample(sf_dir: str):
         sorted(rows, key=lambda r: (r["media_ref"], r["frame_index"])))
 
 
-def _phash_dup_groups(sf_dir: str, n_buckets: int = 64):
+def _phash_dup_groups(sf_dir: str):
     """Image near-dup groups: identical perceptual fingerprints across
     different blobs (byte-level dups are caught upstream by sha256 —
-    this catches re-encodes).  Same ONE-bucketed-shuffle exact-dedup
+    this catches re-encodes).  Same ONE keyed exchange exact-dedup
     plan as d_exact_dedup, keyed on the phash."""
     import re as _re
 
@@ -395,9 +393,8 @@ def _phash_dup_groups(sf_dir: str, n_buckets: int = 64):
     import ray.data as rd
 
     from pdf_parse_new_ray.fixtures.media_mixed import mixed_media_dir_for
-    from pdf_parse_new_ray.functions.joins import rename_agg
+    from pdf_parse_new_ray.functions.joins import keyed, rename_agg
     from pdf_parse_new_ray.stages.multimodal import ImagePHasher
-    from pdf_parse_new_ray.state import checkpoint as ckpt
 
     m = _re.search(r"sf([0-9.]+)", sf_dir)
     base = mixed_media_dir_for(float(m.group(1)) if m else 0.001)
@@ -410,7 +407,6 @@ def _phash_dup_groups(sf_dir: str, n_buckets: int = 64):
         return pa.table({
             "media_ref": t.column("media_ref"),
             "phash": t.column("phash"),
-            "__bk": ckpt.partition_column(t.column("phash"), n_buckets),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -424,7 +420,7 @@ def _phash_dup_groups(sf_dir: str, n_buckets: int = 64):
 
     if _media_meta_rows(base) <= MEDIA_DRIVER_ROWS:
         # driver fold: the per-phash min/count groups on the collected
-        # (ref, phash) rows — the md5-bucketed exchange is overhead here
+        # (ref, phash) rows — the keyed exchange is overhead here
         hp = hashes.to_pandas()
         hp = hp[hp["decoded"]]
         df = hp.groupby("phash", as_index=False).agg(
@@ -432,9 +428,8 @@ def _phash_dup_groups(sf_dir: str, n_buckets: int = 64):
             group_size=("media_ref", "count"))
         df = df[df["group_size"] > 1]
     else:
-        df = hashes.map_batches(prep, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(per_bucket, batch_format="pyarrow") \
-            .to_pandas()
+        df = keyed(hashes.map_batches(prep, batch_format="pyarrow"),
+                   "phash", per_bucket).to_pandas()
     if df.empty:
         return pd.DataFrame({"phash": pd.Series(dtype="object"),
                              "keep_ref": pd.Series(dtype="object"),
@@ -502,14 +497,10 @@ def _phash_neardup_pairs(sf_dir: str):
             out_k.append((np.uint64(b) << np.uint64(16)) + v)
             out_h.extend(hs.tolist())
         key = np.concatenate(out_k) if out_k else np.array([], np.uint64)
-        with np.errstate(over="ignore"):
-            coarse = ((key * np.uint64(0x9E3779B97F4A7C15))
-                      >> np.uint64(56)).astype(np.int32)
         return pa.table({
             "media_ref": pa.array(out_r, pa.string()),
             "bucket": pa.array(key, pa.uint64()),
             "phash": pa.array(out_h, pa.uint64()),
-            "__bk": pa.array(coarse, pa.int32()),
         })
 
     def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -528,7 +519,7 @@ def _phash_neardup_pairs(sf_dir: str):
                             "capped": pa.array([], pa.bool_())})
 
     def bucket_pairs_multi(g: pa.Table) -> pa.Table:
-        """One Python call per COARSE bucket walks every fine (band, value)
+        """One Python call per keyed bucket walks every fine (band, value)
         bucket as a sorted segment — the functions.dedup._bucket_pairs_multi
         dispatch shape.  Hot fine buckets (one shared 16-bit band value
         across a degenerate corpus slice — e.g. solid-color thumbnails)
@@ -586,15 +577,11 @@ def _phash_neardup_pairs(sf_dir: str):
 
     # multi-band collisions dedupe DISTRIBUTED on the pair key (hamming is
     # identical across bands for the same pair; min is a formality) — the
-    # driver only ever sees the final near-dup pairs.  ONE ref_a-bucketed
-    # shuffle + per-bucket Arrow group_by, not a Ray-native keyed
+    # driver only ever sees the final near-dup pairs.  ONE keyed exchange
+    # on ref_a + per-bucket Arrow group_by, not a Ray-native keyed
     # aggregate (one accumulator per distinct pair — the lsh_pairs
     # dedupe this mirrors measured that pattern at 6.6 s/57k pairs).
-    from pdf_parse_new_ray.state import checkpoint as ckpt
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__pb", ckpt.partition_column(t.column("ref_a"), 256))
+    from pdf_parse_new_ray.functions.joins import keyed
 
     def merge_pairs(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -624,13 +611,9 @@ def _phash_neardup_pairs(sf_dir: str):
                                        as_index=False) \
                 .agg(hamming=("hamming", "min"), capped=("capped", "max"))
     else:
-        df = hashes.map_batches(bands, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(bucket_pairs_multi,
-                                        batch_format="pyarrow") \
-            .map_batches(tag_pair, batch_format="pyarrow") \
-            .groupby("__pb").map_groups(merge_pairs,
-                                        batch_format="pyarrow") \
-            .to_pandas()
+        pairs = keyed(hashes.map_batches(bands, batch_format="pyarrow"),
+                      "bucket", bucket_pairs_multi)
+        df = keyed(pairs, "ref_a", merge_pairs).to_pandas()
     if df.empty:
         return pd.DataFrame({"ref_a": pd.Series(dtype="object"),
                              "ref_b": pd.Series(dtype="object"),
@@ -644,13 +627,13 @@ def _phash_neardup_pairs(sf_dir: str):
     return df.sort_values(["ref_a", "ref_b"]).reset_index(drop=True)
 
 
-def _curation_funnel(sf_dir: str, n_buckets: int = 256):
+def _curation_funnel(sf_dir: str):
     """The complete curation story in ONE streaming lineage: extract
     the interleaved corpus → assemble per-doc text → C4-style quality
     gate → exact dedup among survivors → deterministic 50% subsample —
     returning the per-stage funnel counts a curation run reports.  No
-    intermediate materialization; the ONLY shuffle is the fingerprint
-    bucket exchange the dedup stage needs (same plan as
+    intermediate materialization; the ONLY shuffle is the keyed
+    fingerprint exchange the dedup stage needs (same plan as
     functions/dedup.d_exact_dedup); every other stage is map-only with
     batch-local partials, so the funnel costs one pass over the corpus
     regardless of how many gates it reports."""
@@ -660,8 +643,8 @@ def _curation_funnel(sf_dir: str, n_buckets: int = 256):
     import pandas as pd
     import pyarrow as pa
 
+    from pdf_parse_new_ray.functions.joins import keyed
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
-    from pdf_parse_new_ray.state import checkpoint as ckpt
 
     base = _corpus_for(sf_dir)
     docs = extract_documents(f"{base}/documents_interleaved",
@@ -685,12 +668,10 @@ def _curation_funnel(sf_dir: str, n_buckets: int = 256):
             fps.append(hashlib.md5(text.encode("utf-8")).hexdigest())
             ok.append(n_words >= 30 and distinct_ratio >= 0.05
                       and "{" not in plain)
-        fpa = pa.array(fps, pa.string())
         return pa.table({
             "doc_id": pa.array(ids, pa.string()),
-            "fingerprint": fpa,
+            "fingerprint": pa.array(fps, pa.string()),
             "q_pass": pa.array(ok, pa.bool_()),
-            "__bk": ckpt.partition_column(fpa, n_buckets),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -713,9 +694,8 @@ def _curation_funnel(sf_dir: str, n_buckets: int = 256):
             "n_sampled": pa.array([samp], pa.int64()),
         })
 
-    part = docs.map_batches(prep, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(per_bucket, batch_format="pyarrow") \
-        .to_pandas()
+    part = keyed(docs.map_batches(prep, batch_format="pyarrow"),
+                 "fingerprint", per_bucket).to_pandas()
     return pd.DataFrame({
         "stage": ["extracted", "quality_pass", "after_dedup", "sampled"],
         "n_docs": [int(part["n_docs"].sum()), int(part["n_q_pass"].sum()),

@@ -154,22 +154,18 @@ def oracle_ctes(threshold: float) -> str:
 # exact dedup: hash → groupby(hash) → keep min(doc_id)
 # ---------------------------------------------------------------------------
 
-def d_exact_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def d_exact_dedup(sf_dir: str) -> pd.DataFrame:
     """One surviving doc_id per distinct content hash (keep smallest id).
-    ONE shuffle on hash-of-fingerprint buckets; the per-fingerprint
+    ONE keyed exchange on the fingerprint; the per-fingerprint
     min/count runs as a vectorized Arrow group_by inside each bucket — a
     per-fingerprint Ray aggregate would be one accumulator per document
     (measured ~12 s for 147k groups; unusable at 10^12 docs)."""
-    from ..state import checkpoint as ckpt
+    from .joins import keyed
 
     def fp(t: pa.Table) -> pa.Table:
         fps = pa.array([_content_hash(x) for x in t.column("text").to_pylist()],
                        pa.string())
-        return pa.table({
-            "fingerprint": fps,
-            "doc_id": t.column("doc_id"),
-            "__bk": ckpt.partition_column(fps, n_buckets),
-        })
+        return pa.table({"fingerprint": fps, "doc_id": t.column("doc_id")})
 
     def per_bucket(g: pa.Table) -> pa.Table:
         from .joins import rename_agg
@@ -190,8 +186,7 @@ def d_exact_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                  group_size=("doc_id", "count"))
         out["group_size"] = out["group_size"].astype("int64")
     else:
-        out = parts.groupby("__bk").map_groups(
-            per_bucket, batch_format="pyarrow").to_pandas()
+        out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
 
 
@@ -368,26 +363,16 @@ def _bucket_pairs(group: pa.Table) -> pa.Table:
 # LSH bucket keys are near-uniform 64-bit hashes; at corpus scale the
 # number of DISTINCT keys grows linearly with docs (×bands) and most are
 # singletons, so a groupby(bucket).map_groups pays one Python interpreter
-# dispatch per key doing nothing.  Route rows through this many COARSE
-# buckets instead and walk every fine bucket inside one vectorized call.
-N_COARSE_BUCKETS = 256
-
-
-def _coarse_bucket(t: pa.Table) -> pa.Table:
-    """Append `__bk` = fibonacci-mixed top bits of the fine bucket key, so
-    the coarse shuffle stays balanced even when the fine keyspace is small
-    (the embedding LSH uses table_idx*2^planes + code < 2^10)."""
-    b = t.column("bucket").to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        k = ((b * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(56)).astype(np.int32)
-    return t.append_column("__bk", pa.array(k % N_COARSE_BUCKETS, pa.int32()))
+# dispatch per key doing nothing.  lsh_pairs instead runs a keyed fold
+# on the fine key and walks every fine bucket of a call in one
+# vectorized pass.
 
 
 def _bucket_pairs_multi(group: pa.Table) -> pa.Table:
-    """Vectorized multi-bucket pair emission: ONE Python call per coarse
-    bucket (256 total across the whole corpus) that walks every fine LSH
-    bucket inside it as sorted segments.  Emits exactly the pair set of
-    mapping `_bucket_pairs` over each distinct `bucket`
+    """Vectorized multi-bucket pair emission: ONE Python call per keyed
+    exchange bucket (joins.keyed on the fine LSH key) that walks every
+    fine LSH bucket inside it as sorted segments.  Emits exactly the
+    pair set of mapping `_bucket_pairs` over each distinct `bucket`
     (test_dedup.py::test_lsh_dispatch_equivalence forces both paths):
     per-segment (a < b) triu pairs via shift-k masks for cool buckets,
     star pairs against the segment's min doc_id past BUCKET_PAIR_CAP."""
@@ -441,24 +426,23 @@ def lsh_pairs(bands: rd.Dataset, *, legacy: bool = False) -> rd.Dataset:
     """Shared LSH pair stage: bands(doc_id:int64, bucket:uint64) → deduped
     (a, b, capped) candidate pairs.  `legacy=True` forces the per-fine-
     bucket dispatch (test-only semantic reference)."""
+    from .joins import keyed
+
     if legacy:
         pairs = bands.groupby("bucket").map_groups(
             _bucket_pairs, batch_format="pyarrow")
     else:
-        pairs = bands.map_batches(_coarse_bucket, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(_bucket_pairs_multi, batch_format="pyarrow")
+        pairs = keyed(bands, "bucket", _bucket_pairs_multi)
     # a pair can surface from several bands: dedupe keeping capped=True if
-    # any band capped it.  ONE pair-bucketed shuffle + an Arrow group_by
-    # per bucket — the Ray-native groupby(["a","b"]).aggregate(Max) this
-    # replaces paid one combine per DISTINCT pair (measured 6.6 s of the
-    # 8 s d_embedding_neardup_lsh wall on 57k pairs at sf0.1; the same
+    # any band capped it.  ONE keyed exchange on the pair + an Arrow
+    # group_by per bucket — the Ray-native groupby(["a","b"]).aggregate(Max)
+    # this replaces paid one combine per DISTINCT pair (measured 6.6 s of
+    # the 8 s d_embedding_neardup_lsh wall on 57k pairs at sf0.1; the same
     # per-key pattern d_exact_dedup's docstring quantifies at ~12 s/147k).
-    from .joins import _bucket_of
-
-    def tag_pair(t: pa.Table) -> pa.Table:
+    def pair_key(t: pa.Table) -> pa.Table:
         key = pc.add(pc.multiply(t["a"], pa.scalar(1_000_003, pa.int64())),
                      t["b"])
-        return t.append_column("__pb", _bucket_of(key, 256))
+        return t.append_column("__pk", key)
 
     def merge_pairs(g: pa.Table) -> pa.Table:
         f = pa.table({"a": g["a"], "b": g["b"],
@@ -468,8 +452,8 @@ def lsh_pairs(bands: rd.Dataset, *, legacy: bool = False) -> rd.Dataset:
             "a": f["a"], "b": f["b"],
             "capped": pc.cast(f["c_max"], pa.bool_())})
 
-    return pairs.map_batches(tag_pair, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(merge_pairs, batch_format="pyarrow")
+    return keyed(pairs.map_batches(pair_key, batch_format="pyarrow"),
+                 "__pk", merge_pairs)
 
 
 from .joins import attach_value as _attach_value  # shared cogroup attach
@@ -993,18 +977,18 @@ def _embedding_neardup_lsh(sf_dir: str, threshold: float,
 
 
 # ---------------------------------------------------------------------------
-# paragraph-level exact dedup: explode → ONE bucketed shuffle → Arrow
+# paragraph-level exact dedup: explode → ONE keyed exchange → Arrow
 # group_by per bucket (same scale shape as d_exact_dedup, but the unit
 # is the paragraph — sub-document dedup a 100 TB curation pipeline runs
 # before training)
 # ---------------------------------------------------------------------------
 
-def d_paragraph_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def d_paragraph_dedup(sf_dir: str) -> pd.DataFrame:
     """Cross-document duplicated paragraphs: documents split on blank
     lines, whitespace-trimmed, empties dropped; one row per paragraph
     occurring more than once with (para_md5, n_docs, n_occurrences).
     SQL-oracled (string_split + unnest in DuckDB)."""
-    from ..state import checkpoint as ckpt
+    from .joins import keyed
 
     def explode(t: pa.Table) -> pa.Table:
         doc_ids, md5s = [], []
@@ -1016,11 +1000,9 @@ def d_paragraph_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                     continue
                 doc_ids.append(doc_id)
                 md5s.append(hashlib.md5(para.encode("utf-8")).hexdigest())
-        md5_arr = pa.array(md5s, pa.string())
         return pa.table({
-            "para_md5": md5_arr,
+            "para_md5": pa.array(md5s, pa.string()),
             "doc_id": pa.array(doc_ids, pa.int64()),
-            "__bk": ckpt.partition_column(md5_arr, n_buckets),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -1046,8 +1028,7 @@ def d_paragraph_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         out["n_docs"] = out["n_docs"].astype("int64")
         out["n_occurrences"] = out["n_occurrences"].astype("int64")
     else:
-        out = parts.groupby("__bk").map_groups(
-            per_bucket, batch_format="pyarrow").to_pandas()
+        out = keyed(parts, "para_md5", per_bucket).to_pandas()
     if out.empty:  # no cross-document paragraph reuse in this corpus
         return pd.DataFrame({"para_md5": pd.Series(dtype="object"),
                              "n_docs": pd.Series(dtype="int64"),
@@ -1061,7 +1042,8 @@ def d_paragraph_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 # per component).  Size-gated: driver union-find while the edge set is
 # small (near-dup edges are a sliver of the corpus after LSH+verify);
 # past the gate, distributed min-label propagation — each round is ONE
-# bucketed shuffle over symmetric edges plus a tiny aggregate, and
+# map over the symmetric edges against the broadcast labels plus a tiny
+# driver aggregate, and
 # convergence is detected by the strictly-decreasing label sum (no
 # extra join).  Rounds are bounded by component diameter.
 # ---------------------------------------------------------------------------
@@ -1069,7 +1051,7 @@ def d_paragraph_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 CLUSTER_BROADCAST_EDGES = 2_000_000
 
 
-def cluster_edges(edges: pd.DataFrame, n_buckets: int = 64,
+def cluster_edges(edges: pd.DataFrame,
                   max_rounds: int = 64) -> pd.DataFrame:
     """edges: DataFrame with int64 columns (a, b) → DataFrame
     (doc_id, cluster) where cluster = min doc_id of the component."""
@@ -1097,22 +1079,17 @@ def cluster_edges(edges: pd.DataFrame, n_buckets: int = 64,
         rows = sorted((n, find(n)) for n in parent)
         return pd.DataFrame({"doc_id": [r[0] for r in rows],
                              "cluster": [r[1] for r in rows]})
-    # distributed: symmetric edges bucketed by source node; labels ride
-    # along in the same buckets so each round is one shuffle
+    # distributed: each round maps the symmetric edges against the
+    # broadcast label table (min label over in-edges), then min-merges
     import pyarrow.compute as pc
 
     import ray
-
-    from ..state import checkpoint as ckpt
 
     sym = pa.table({
         "u": pa.array(pd.concat([edges["a"], edges["b"]]), pa.int64()),
         "v": pa.array(pd.concat([edges["b"], edges["a"]]), pa.int64()),
     })
-    edge_ds = rd.from_arrow(sym).map_batches(
-        lambda t: t.append_column(
-            "__bk", ckpt.partition_column(t["u"], n_buckets)),
-        batch_format="pyarrow").materialize()
+    edge_ds = rd.from_arrow(sym)
     nodes = pc.unique(sym["u"])
     labels = pa.table({"node": nodes, "label": nodes})
     prev_sum = None
@@ -1149,16 +1126,16 @@ def d_dup_clusters(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     return cluster_edges(pairs[["a", "b"]])
 
 
-def d_dedup_keep_longest(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def d_dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
     """Exact dedup with a content-quality keep policy: per fingerprint
     keep the LONGEST document (ties → smallest doc_id) — the policy a
     curation pipeline actually wants when near-identical crawls differ
-    by truncation.  Same scale shape as d_exact_dedup: ONE bucketed
-    shuffle, per-bucket Arrow sort + hash 'first' (argmax without any
+    by truncation.  Same scale shape as d_exact_dedup: ONE keyed
+    exchange, per-bucket Arrow sort + hash 'first' (argmax without any
     per-group Python)."""
     import pyarrow.compute as pc
 
-    from ..state import checkpoint as ckpt
+    from .joins import keyed
 
     def fp(t: pa.Table) -> pa.Table:
         fps = pa.array([_content_hash(x) for x in t.column("text").to_pylist()],
@@ -1167,7 +1144,6 @@ def d_dedup_keep_longest(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             "fingerprint": fps,
             "doc_id": t.column("doc_id"),
             "n_chars": t.column("n_chars"),
-            "__bk": ckpt.partition_column(fps, n_buckets),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -1198,8 +1174,7 @@ def d_dedup_keep_longest(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             group_size=("doc_id", "count"))
         out["group_size"] = out["group_size"].astype("int64")
     else:
-        out = parts.groupby("__bk").map_groups(
-            per_bucket, batch_format="pyarrow").to_pandas()
+        out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
 
 
@@ -1208,8 +1183,7 @@ def d_dedup_keep_longest(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
-                        n_shards: int = 16,
-                        n_buckets: int = 64) -> pd.DataFrame:
+                        n_shards: int = 16) -> pd.DataFrame:
     """Rolling-ingestion dedup: the corpus arrives as ``n_batches``
     ordered batches (batch = doc_id % n_batches here); a document is
     ACCEPTED iff its fingerprint was never accepted in ANY earlier
@@ -1217,7 +1191,7 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
     sharded-actor index (state/dedup_index.py), the brief's
     "shared mutable index" case, probed once per DISTINCT fingerprint:
     each batch first collapses to (fingerprint, min doc_id)
-    representatives via the same ONE-bucket-shuffle Arrow combine as
+    representatives via the same keyed Arrow combine as
     d_exact_dedup (so acceptance is deterministic — no first-wins race
     between parallel workers), then a map-only probe pass batches its
     fingerprints per shard (one RPC per shard per map batch).
@@ -1226,9 +1200,8 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
     the monitoring surface of a streaming dedup stage."""
     import ray
 
-    from ..state.checkpoint import partition_column
     from ..state.dedup_index import ShardedDedupIndex
-    from .joins import rename_agg
+    from .joins import keyed, rename_agg
 
     idx = ShardedDedupIndex(n_shards=n_shards)
     rows = []
@@ -1238,10 +1211,8 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
             sub = t.filter(pa.array(ids % n_batches == b))
             fps = pa.array([_content_hash(x) for x in
                             sub.column("text").to_pylist()], pa.string())
-            return pa.table({
-                "doc_id": sub.column("doc_id"), "fingerprint": fps,
-                "__bk": partition_column(fps, n_buckets),
-            })
+            return pa.table({"doc_id": sub.column("doc_id"),
+                             "fingerprint": fps})
 
         def reps(g: pa.Table) -> pa.Table:
             out = g.group_by("fingerprint").aggregate(
@@ -1250,9 +1221,8 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
                                     "doc_id_count": "n_docs"},
                               ["fingerprint", "keep_doc_id", "n_docs"])
 
-        batch_reps = _docs(sf_dir).map_batches(
-            pick, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(reps, batch_format="pyarrow")
+        batch_reps = keyed(_docs(sf_dir).map_batches(
+            pick, batch_format="pyarrow"), "fingerprint", reps)
 
         def probe(t: pa.Table) -> pa.Table:
             fps = t.column("fingerprint").to_pylist()
@@ -1286,7 +1256,7 @@ SUBSTR_GRAM_N = 15
 SUBSTR_BROADCAST_ROWS = 5_000_000
 
 
-def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
     """Exact-substring duplication census — the suffix-array dedup of
     Lee et al. 2022 / RefinedWeb re-expressed as ONE gram shuffle:
     every 15-word shingle (stride 1) of every document is hashed to 64
@@ -1296,7 +1266,7 @@ def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     spans from a training corpus.
 
     Scale plan: 16-byte (hash, doc_id) rows with per-doc set-dedupe at
-    the map side; hash-bucket shuffle co-locates equal shingles, and
+    the map side; a keyed exchange on the hash co-locates equal shingles, and
     each bucket computes BOTH the df>=2 hash set and the per-doc
     partial counts in a single Arrow group_by pass (vectorized is_in
     semi-join, no second scan of the gram stream); the final per-doc
@@ -1307,7 +1277,7 @@ def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 
     from ray.data.aggregate import Sum
 
-    from .joins import rename_agg
+    from .joins import keyed, rename_agg
 
     n = SUBSTR_GRAM_N
 
@@ -1327,8 +1297,6 @@ def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         return pa.table({
             "h": pa.array(h, pa.uint64()),
             "doc_id": pa.array(d, pa.int64()),
-            "__bk": pa.array((h & np.uint64(n_buckets - 1))
-                             .astype(np.int32)),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -1336,7 +1304,6 @@ def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "n_grams": pa.array([], pa.int64()),
                              "n_dup": pa.array([], pa.int64())})
-        g = g.drop_columns(["__bk"])
         # each (h, doc_id) row is one distinct doc for that h, so the
         # row count per h IS its document frequency
         df = rename_agg(g.group_by("h").aggregate([("doc_id", "count")]),
@@ -1400,24 +1367,14 @@ def d_substring_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         out.columns = ["doc_id", "n_grams", "n_dup"]
     else:
         def merge_docs(g: pa.Table) -> pa.Table:
-            t = g.drop_columns(["__dbk"]).group_by("doc_id").aggregate(
+            t = g.group_by("doc_id").aggregate(
                 [("n_grams", "sum"), ("n_dup", "sum")])
             return rename_agg(t, {"n_grams_sum": "n_grams",
                                   "n_dup_sum": "n_dup"},
                               ["doc_id", "n_grams", "n_dup"])
 
-        def tag_dbk(t: pa.Table) -> pa.Table:
-            return t.append_column("__dbk", pc.cast(
-                pc.bit_wise_and(t.column("doc_id"),
-                                pa.scalar(63, pa.int64())), pa.int32()))
-
-        out = gds \
-            .groupby("__bk").map_groups(per_bucket,
-                                        batch_format="pyarrow") \
-            .map_batches(tag_dbk, batch_format="pyarrow") \
-            .groupby("__dbk").map_groups(merge_docs,
-                                         batch_format="pyarrow") \
-            .to_pandas()
+        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
+                    merge_docs).to_pandas()
     out["n_grams"] = out["n_grams"].astype("int64")
     out["n_dup"] = out["n_dup"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1469,20 +1426,6 @@ def _levenshtein_many(a_list: list[np.ndarray],
             res[at] = cur[at, lb[at]]
         prev = cur
     return res
-
-
-def _coarse_block_str(t: pa.Table, col: str = "block") -> pa.Table:
-    """Append `__bk` = md5-derived coarse bucket of a STRING blocking key
-    (per-batch dictionary encode keeps the md5 count at distinct-values,
-    not rows) — the string-key analogue of `_coarse_bucket`."""
-    dec = t.column(col).combine_chunks().dictionary_encode()
-    uniq = dec.dictionary.to_pylist()
-    coarse = np.fromiter(
-        (int.from_bytes(hashlib.md5(u.encode()).digest()[:4], "big")
-         % N_COARSE_BUCKETS for u in uniq),
-        dtype=np.int32, count=len(uniq))
-    idx = dec.indices.to_numpy(zero_copy_only=False)
-    return t.append_column("__bk", pa.array(coarse[idx], pa.int32()))
 
 
 def d_levenshtein_pairs(sf_dir: str, *, legacy: bool = False) -> pd.DataFrame:
@@ -1603,9 +1546,9 @@ def d_levenshtein_pairs(sf_dir: str, *, legacy: bool = False) -> pd.DataFrame:
         verified = prepped.groupby("block").map_groups(
             verify, batch_format="pyarrow")
     else:
-        verified = prepped.map_batches(_coarse_block_str,
-                                       batch_format="pyarrow") \
-            .groupby("__bk").map_groups(verify_multi, batch_format="pyarrow")
+        from .joins import keyed
+
+        verified = keyed(prepped, "block", verify_multi)
     df = verified.to_pandas()
     if df.empty:
         return pd.DataFrame({c: pd.Series(dtype="int64")
@@ -1813,8 +1756,7 @@ def d_semdedup(sf_dir: str, eps: float = SEMDEDUP_EPS,
     return out.sort_values("vec_id").reset_index(drop=True)
 
 
-def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5,
-                        n_buckets: int = 256) -> pd.DataFrame:
+def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     """End-to-end near-dup curation: MinHash pair edges → connected-
     component clusters (d_dup_clusters) → keep the LONGEST document per
     cluster (ties → smallest doc_id; singletons survive by definition)
@@ -1825,12 +1767,12 @@ def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5,
 
     Scale shape: the cluster map covers only documents that appear in a
     duplicate pair (a small fraction of any real corpus), broadcast via
-    ray.put; survivors fold per cluster inside ONE doc-bucketed shuffle
-    (sort + hash-'first', the d_dedup_keep_longest argmax), and the
+    ray.put; survivors fold per cluster inside ONE keyed exchange on the
+    cluster (sort + hash-'first', the d_dedup_keep_longest argmax), and the
     per-lang counts pre-aggregate per bucket before the driver merge."""
     import ray
 
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     clus = d_dup_clusters(sf_dir, threshold=threshold)
 
@@ -1873,9 +1815,8 @@ def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5,
         idx = pc.index_in(t["doc_id"], value_set=ids)
         cl = pc.if_else(pc.is_valid(idx),
                         pc.take(cl_arr, idx), t["doc_id"])
-        out = pa.table({"doc_id": t["doc_id"], "cluster": cl,
-                        "n_chars": t["n_chars"], "lang": t["lang"]})
-        return out.append_column("__bk", _bucket_of(cl, n_buckets))
+        return pa.table({"doc_id": t["doc_id"], "cluster": cl,
+                         "n_chars": t["n_chars"], "lang": t["lang"]})
 
     def survivors(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[
@@ -1889,13 +1830,10 @@ def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5,
 
     from .joins import broadcast_map
 
-    out = broadcast_map(
+    out = keyed(broadcast_map(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["doc_id", "n_chars", "lang"]),
-        assign_cluster, ref) \
-        .groupby("__bk").map_groups(
-            lambda g: survivors(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+        assign_cluster, ref), "cluster", survivors).to_pandas()
     out = out.groupby("lang", as_index=False).agg(
         n_survivors=("n", "sum"))
     out["n_survivors"] = out["n_survivors"].astype("int64")

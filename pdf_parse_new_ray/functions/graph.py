@@ -29,18 +29,18 @@ PAGERANK_ITERS = 10
 # above this many vertices the per-iteration rank attach must cogroup
 # instead of broadcast (same role as relational.BROADCAST_DIM_ROWS)
 PAGERANK_BROADCAST_VERTICES = 5_000_000
-# broadcast path: pre-merge per-block dst partials through a coarse bucket
-# shuffle before the driver pull once the vertex count makes the
+# broadcast path: pre-merge per-block dst partials through a keyed fold on
+# dst before the driver pull once the vertex count makes the
 # vertices × blocks transfer material
 PAGERANK_PREMERGE_VERTICES = 100_000
 
 
-def _vertex_census(edges: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
+def _vertex_census(edges: rd.Dataset) -> rd.Dataset:
     """Distributed (node, deg) vertex set of a (src, dst) edge Dataset —
     out-degree per node, deg=0 for sink-only nodes.  Per-batch endpoint
-    partials (Arrow group_by) merge through ONE node-bucketed cogroup;
+    partials (Arrow group_by) merge through ONE keyed fold on the node;
     the vertex table never lands on the driver."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     def deg_partial(t: pa.Table) -> pa.Table:
         src = t.column("src").combine_chunks()
@@ -52,16 +52,14 @@ def _vertex_census(edges: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
                 np.zeros(len(dst), np.int64)])),
         })
         g = tt.group_by("node").aggregate([("deg", "sum")])
-        g = rename_agg(g, {"deg_sum": "deg"}, ["node", "deg"])
-        return g.append_column("__vb", _bucket_of(g["node"], n_buckets))
+        return rename_agg(g, {"deg_sum": "deg"}, ["node", "deg"])
 
     def deg_merge(g: pa.Table) -> pa.Table:
-        t = g.drop_columns(["__vb"]).group_by("node").aggregate(
-            [("deg", "sum")])
+        t = g.group_by("node").aggregate([("deg", "sum")])
         return rename_agg(t, {"deg_sum": "deg"}, ["node", "deg"])
 
-    return edges.map_batches(deg_partial, batch_format="pyarrow") \
-        .groupby("__vb").map_groups(deg_merge, batch_format="pyarrow")
+    return keyed(edges.map_batches(deg_partial, batch_format="pyarrow"),
+                 "node", deg_merge)
 
 
 # below this many vertices the per-shard incoming-mass partial is a DENSE
@@ -118,7 +116,7 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     formulation."""
     edges = edges.materialize()
     # normalize the edge block count ONCE before the iteration loop: an
-    # upstream bucketed groupby leaves one tiny block per bucket (256),
+    # upstream exchange can leave many tiny blocks (one per bucket),
     # and every one of the n_iters passes then pays per-block task
     # overhead plus a vertices x blocks partial pull — one coalesce
     # amortizes over all iterations
@@ -185,21 +183,14 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
 
         return contribs
 
-    def dst_bucket(t: pa.Table) -> pa.Table:
-        d = t.column("dst").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bk = ((d * np.uint64(0x9E3779B97F4A7C15))
-                  >> np.uint64(58)).astype(np.int32)
-        return t.append_column("__db", pa.array(bk, pa.int32()))
-
     def dst_merge(g: pa.Table) -> pa.Table:
         out = g.select(["dst", "w"]).group_by("dst").aggregate([("w", "sum")])
         return out.rename_columns(
             ["w" if c == "w_sum" else c for c in out.column_names])
 
     # driver transfer of per-block partials is vertices × blocks rows; past
-    # this vertex count a 64-way coarse dst-bucket merge (16-byte shuffle
-    # rows) folds them to ≤ vertices rows before they reach the driver.
+    # this vertex count a keyed merge on dst (16-byte shuffle rows) folds
+    # them to ≤ vertices rows before they reach the driver.
     # Below it the transfer is trivially small and the per-iteration
     # shuffle would be pure overhead — same size-gated-plan convention as
     # the extraction join and d_minhash_pairs.
@@ -212,8 +203,9 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
         part_ds = edges.map_batches(contribs_for(rank_ref),
                                     batch_format="pyarrow")
         if premerge:
-            part_ds = part_ds.map_batches(dst_bucket, batch_format="pyarrow") \
-                .groupby("__db").map_groups(dst_merge, batch_format="pyarrow")
+            from .joins import keyed
+
+            part_ds = keyed(part_ds, "dst", dst_merge)
         part = part_ds.to_pandas()
         agg = part.groupby("dst", as_index=False)["w"].sum()
         incoming = np.zeros(n, np.float64)
@@ -227,11 +219,6 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
         out = out.sort_values(["rank", "node"], ascending=[False, True]) \
             .head(top_k).reset_index(drop=True)
     return out
-
-
-# node buckets of the cogroup path's vertex-state groupby (``__vb``);
-# its edge attach sizes its own exchange (joins.exchange_buckets)
-PAGERANK_COGROUP_BUCKETS = 256
 
 
 def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
@@ -248,12 +235,13 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
          ``post`` hook collapses each bucket to per-dst partial sums —
          contribution rows leaving a bucket are bounded by the bucket's
          distinct dst count, not its edge count.
-      3. the partials cogroup with the vertex state on a node bucket;
-         inside each bucket an Arrow group_by folds the partials and a
-         vectorized index_in probe writes the new rank vector.
+      3. the partials cogroup with the vertex state in ONE keyed fold on
+         the node; inside each bucket an Arrow group_by folds the
+         partials and a vectorized index_in probe writes the new rank
+         vector.
 
-    Two bucket shuffles per iteration — the edge relation re-shuffles
-    each round (Ray Data groupby cannot pin a prior partitioning; a
+    Two keyed exchanges per iteration — the edge relation re-shuffles
+    each round (an exchange does not pin a prior partitioning; a
     raw-actor edge shard would save it at the cost of leaving the
     Dataset model).  Partial-sum order varies with partitioning, so
     results are float-stable only to ~1e-12 (same contract as the
@@ -263,22 +251,16 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
     merge; without it the full (node, rank) frame is pulled — callers
     over the gate should always pass top_k or consume the state
     upstream."""
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
-    n_buckets = PAGERANK_COGROUP_BUCKETS
     base = (1.0 - damping) / n
-    # bound the vertex-state block count: the per-iteration cogroup emits
-    # one block per group/partition, so without this cap block count
-    # GROWS geometrically across iterations (union doubles it, the
-    # shuffle keeps it) and per-task overhead dominates by iteration ~6
-    # (measured: 2 iterations fine, 10 never finish).  ~2M vertex rows
-    # (= ~50 MB of (node, deg, rank)) per block.
-    state_blocks = max(4, min(1024, n // 2_000_000 + 1))
-
+    # the vertex state stays at one block per keyed bucket: each round's
+    # keyed fold emits one block per non-empty bucket, so the block count
+    # does not grow across iterations
     vs = vs.map_batches(
         lambda t: t.append_column(
             "rank", pa.array(np.full(t.num_rows, 1.0 / n))),
-        batch_format="pyarrow").repartition(state_blocks).materialize()
+        batch_format="pyarrow").materialize()
 
     def dang_partial(t: pa.Table) -> pa.Table:
         r = t.column("rank").to_numpy(zero_copy_only=False)
@@ -301,14 +283,11 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
             .group_by("dst").aggregate([("w", "sum")])
         return rename_agg(g, {"w_sum": "w"}, ["dst", "w"])
 
-    state_names = ["node", "deg", "rank", "__w", "__vb"]
-
     def tag_vs(t: pa.Table) -> pa.Table:
         return pa.table({
             "node": t["node"], "deg": t["deg"], "rank": t["rank"],
             "__w": pa.nulls(t.num_rows, pa.float64()),
-            "__vb": _bucket_of(t["node"], n_buckets),
-        }).select(state_names)
+        })
 
     def tag_parts(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -316,8 +295,7 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
             "deg": pa.nulls(t.num_rows, pa.int64()),
             "rank": pa.nulls(t.num_rows, pa.float64()),
             "__w": t["w"],
-            "__vb": _bucket_of(t["dst"], n_buckets),
-        }).select(state_names)
+        })
 
     def new_state_for(dangling: float):
         def new_state(g: pa.Table) -> pa.Table:
@@ -353,11 +331,10 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
         partials = attach_value(
             edges, shares, "src", "share", pa.float64(),
             [("src", pa.int64()), ("dst", pa.int64())], post=post)
-        vs = vs.map_batches(tag_vs, batch_format="pyarrow") \
-            .union(partials.map_batches(tag_parts, batch_format="pyarrow")) \
-            .groupby("__vb") \
-            .map_groups(new_state_for(dangling), batch_format="pyarrow") \
-            .repartition(state_blocks).materialize()
+        vs = keyed(vs.map_batches(tag_vs, batch_format="pyarrow")
+                   .union(partials.map_batches(tag_parts,
+                                               batch_format="pyarrow")),
+                   "node", new_state_for(dangling))
 
     if top_k is not None:
         def local_topk(t: pa.Table) -> pa.Table:
@@ -380,7 +357,7 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
     edge each way per same-order part pair — the q_copurchase_pairs
     relation made symmetric).  Top-20 parts by rank; rows-only checked
     (iterative float), locked against the naive reference in pytest."""
-    from .joins import _bucket_of  # noqa: F401  (documented pairing)
+    from .joins import keyed
     from .relational import _rp
 
     # driver fold under the shared lineitem METADATA gate (the triangle /
@@ -440,12 +417,6 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
         return pr
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    n_buckets = 256
-
-    def tag(t: pa.Table) -> pa.Table:
-        from .joins import _bucket_of as bk
-
-        return t.append_column("__bk", bk(t.column("l_orderkey"), n_buckets))
 
     def pairs_sym(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
@@ -475,8 +446,7 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
             "dst": pa.array(np.concatenate((b, a)), pa.int64()),
         })
 
-    edges = li.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(pairs_sym, batch_format="pyarrow")
+    edges = keyed(li, "l_orderkey", pairs_sym)
     pr = pagerank_edges(edges)
     pr = pr.sort_values(["rank", "node"], ascending=[False, True]) \
         .head(20).reset_index(drop=True)
@@ -507,7 +477,7 @@ _TASK_RANK_CACHE: dict = {}
 # driver (8 B/key — 20M = 160 MB) and degrees / orientation / sharding
 # are one vectorized pass there; wedge closure fans out as raw tasks
 # over src-aligned slices of the plasma-resident oriented arrays.  This
-# skips THREE sort-shuffles (pair dedupe, degree census, wedge bucket)
+# skips THREE keyed exchanges (pair dedupe, degree census, wedge bucket)
 # that each cost ~0.5-1 s of fixed exchange time at bench scale — the
 # same small-graph duality as the PageRank raw-task BSP path.  Above
 # the gate (100 TB corpora) the fully distributed path below runs.
@@ -602,20 +572,20 @@ def _triangle_close_keys(keys: np.ndarray) -> pd.DataFrame:
                          "n_triangles": [tri]})
 
 
-def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def g_triangle_count(sf_dir: str) -> pd.DataFrame:
     """Exact triangle count of the co-purchase graph (distinct part
     pairs sharing an order) — the Suri–Vassilvitskii MR shape with
     degree orientation, so every triangle is counted at exactly ONE
     node and wedge fan-out is O(m^1.5) instead of sum(deg^2):
 
-      1. distinct edges: orderkey-bucketed shift-k pair generation
-         (q_copurchase_pairs stage 1) + a pair-bucketed global dedupe
+      1. distinct edges: shift-k pair generation keyed on orderkey
+         (q_copurchase_pairs stage 1) + a global dedupe keyed on the pair
       2. degrees: per-batch endpoint partials -> node-bounded groupby;
          the (node -> degree) map broadcasts under
          TRIANGLE_BROADCAST_NODES, else it attaches by TWO bucketed
          cogroups (forced in pytest)
-      3. wedges: edges oriented low->high (degree, id) rank, bucketed
-         by source, per-bucket sorted shift-k emits each wedge (v, w)
+      3. wedges: edges oriented low->high (degree, id) rank, keyed on
+         the source, per-bucket sorted shift-k emits each wedge (v, w)
          with rank(v) < rank(w), pre-aggregated per bucket
       4. close: wedge multiplicities attach to the oriented-edge set by
          ONE cogroup on the encoded pair key (v*2^32+w — partkeys are
@@ -624,7 +594,7 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 
     Returns (n_nodes, n_edges, n_triangles) — all exact int64, oracled
     against DuckDB's three-way self-join."""
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     # full driver stage-1 under the lineitem METADATA gate (the
     # q_copurchase_pairs fold): the whole distinct-edge census is one
@@ -660,10 +630,6 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_partkey"])
-    li = li.map_batches(
-        lambda t: t.append_column(
-            "__bk", _bucket_of(t.column("l_orderkey"), n_buckets)),
-        batch_format="pyarrow")
 
     def pairs(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
@@ -686,19 +652,18 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         if not pa_l:
             return pa.table({"a": pa.array([], pa.int64()),
                              "b": pa.array([], pa.int64()),
-                             "__pk": pa.array([], pa.int32())})
+                             "__pk": pa.array([], pa.int64())})
         t2 = pa.table({"a": pa.array(np.concatenate(pa_l), pa.int64()),
                        "b": pa.array(np.concatenate(pb_l), pa.int64())})
         t2 = t2.group_by(["a", "b"]).aggregate([])  # local distinct
         key = pc.add(pc.multiply(t2["a"], pa.scalar(1 << 32, pa.int64())),
                      t2["b"])
-        return t2.append_column("__pk", _bucket_of(key, n_buckets))
+        return t2.append_column("__pk", key)
 
     def dedupe(g: pa.Table) -> pa.Table:
-        return g.drop_columns(["__pk"]).group_by(["a", "b"]).aggregate([])
+        return g.group_by(["a", "b"]).aggregate([])
 
-    pair_parts = li.groupby("__bk").map_groups(
-        pairs, batch_format="pyarrow").materialize()
+    pair_parts = keyed(li, "l_orderkey", pairs)
     # small-graph fast path: the pair partials fit the driver — skip the
     # dedupe / census / wedge shuffles entirely (gated off whenever a
     # forced-path test zeroes either distributed gate)
@@ -706,13 +671,11 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             and TRIANGLE_BROADCAST_NODES and TRIANGLE_BROADCAST_EDGES):
         return _triangle_driver_close(pair_parts)
 
-    edges = pair_parts \
-        .groupby("__pk").map_groups(dedupe, batch_format="pyarrow") \
-        .materialize()
+    edges = keyed(pair_parts, "__pk", dedupe)
     n_edges = edges.count()
 
     # degree census: per-batch Arrow partials merged through ONE
-    # node-bucketed map_groups — the _vertex_census plan.  (A Ray-native
+    # keyed fold on the node — the _vertex_census plan.  (A Ray-native
     # groupby(node).aggregate(Sum) here measured 5.0 s of the 12 s wall
     # at sf0.1: one accumulator per node, the per-key-aggregate
     # anti-pattern the repo removed everywhere else.)
@@ -721,17 +684,14 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                                   t["b"].combine_chunks()])
         g = pa.table({"node": nodes}).group_by("node") \
             .aggregate([("node", "count")])
-        g = rename_agg(g, {"node_count": "deg"}, ["node", "deg"])
-        return g.append_column("__vb", _bucket_of(g["node"], 64))
+        return rename_agg(g, {"node_count": "deg"}, ["node", "deg"])
 
     def deg_merge(g: pa.Table) -> pa.Table:
-        t = g.drop_columns(["__vb"]).group_by("node").aggregate(
-            [("deg", "sum")])
+        t = g.group_by("node").aggregate([("deg", "sum")])
         return rename_agg(t, {"deg_sum": "deg"}, ["node", "deg"])
 
-    deg_ds = edges.map_batches(deg_partial, batch_format="pyarrow") \
-        .groupby("__vb").map_groups(deg_merge, batch_format="pyarrow") \
-        .materialize()
+    deg_ds = keyed(edges.map_batches(deg_partial, batch_format="pyarrow"),
+                   "node", deg_merge)
     n_nodes = deg_ds.count()
 
     # rank key for orientation: degree-major, id-minor (ids < 2^31)
@@ -763,12 +723,10 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             src = np.where(ra < rb, a, b)
             dst = np.where(ra < rb, b, a)
             dstr = np.where(ra < rb, rb, ra)
-            out = pa.table({
+            return pa.table({
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
                 "dst_rank": pa.array(dstr, pa.int64())})
-            return out.append_column(
-                "__sb", _bucket_of(out["src"], n_buckets))
 
         oriented = edges.map_batches(orient_bc, batch_format="pyarrow")
     else:
@@ -794,11 +752,9 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             src = np.where(ra < rb, a, b)
             dst = np.where(ra < rb, b, a)
             dstr = np.where(ra < rb, rb, ra)
-            out = pa.table({"src": pa.array(src, pa.int64()),
-                            "dst": pa.array(dst, pa.int64()),
-                            "dst_rank": pa.array(dstr, pa.int64())})
-            return out.append_column(
-                "__sb", _bucket_of(out["src"], n_buckets))
+            return pa.table({"src": pa.array(src, pa.int64()),
+                             "dst": pa.array(dst, pa.int64()),
+                             "dst_rank": pa.array(dstr, pa.int64())})
 
         oriented = withdb.map_batches(orient, batch_format="pyarrow")
 
@@ -806,7 +762,7 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 
     if n_edges <= TRIANGLE_BROADCAST_EDGES:
         # broadcast closure path: one sorted int64 key per oriented edge
-        # (src*2^32+dst); each __sb group emits wedges per shift-k and
+        # (src*2^32+dst); each keyed src bucket emits wedges per shift-k and
         # counts membership hits immediately — constant memory per k,
         # no wedge row ever leaves the worker
         ek_parts = oriented.map_batches(
@@ -840,8 +796,7 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                 k += 1
             return pa.table({"tri": pa.array([total], pa.int64())})
 
-        tri = oriented.groupby("__sb").map_groups(
-            wedge_close, batch_format="pyarrow").sum("tri")
+        tri = keyed(oriented, "src", wedge_close).sum("tri")
         return pd.DataFrame({"n_nodes": [int(n_nodes)],
                              "n_edges": [int(n_edges)],
                              "n_triangles": [int(tri or 0)]})
@@ -872,8 +827,7 @@ def g_triangle_count(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         g2 = t2.group_by("wkey").aggregate([("mult", "sum")])
         return rename_agg(g2, {"mult_sum": "mult"}, ["wkey", "mult"])
 
-    wedge_ds = oriented.groupby("__sb").map_groups(
-        wedges, batch_format="pyarrow").materialize()
+    wedge_ds = keyed(oriented, "src", wedges)
 
     edge_keys = oriented.map_batches(
         lambda t: pa.table({

@@ -1,23 +1,42 @@
-"""Shared distributed-join building block: bucketed keyed cogroup attach.
+"""The keyed exchange of ``functions/``: one raw-task hash shuffle and the
+operators built on it.
 
-One hash shuffle per attach, no driver materialization — the pattern the
-extraction hash path uses (pipelines/extraction.py cogroup join), packaged
-for the relational/dedup operators.  Used where a broadcast would ship a
-fact-table-size lookup (round-1 judge finding on q5_nation_revenue).
+* :func:`keyed` ``(ds, key_col, fold)`` -- the keyed fold.  Rows are
+  hash-bucketed on ``key_col`` and ``fold`` runs once per non-empty
+  bucket over ALL rows of that bucket's keys, so a fold that handles many
+  keys per call stays one VECTORIZED pass (grouping by the raw key would
+  cost one Python call per key -- measured 10x slower at sf0.1).  A
+  two-sided cogroup is ``keyed(a.union(b), key, fold)``.
+* :func:`attach_value` / :func:`attach_value_salted` -- the keyed lookup
+  join (one index_in/take probe per bucket, optional hot-key salting),
+  used where a broadcast would ship a fact-table-size lookup.
 
-Keys are hashed into cogroup buckets so the per-group probe is a
-VECTORIZED index_in/take over thousands of rows — grouping by the raw key
-would cost one Python call per key (measured 10x slower at sf0.1).
+Both run on :func:`hash_exchange`, the canonical Ray map-reduce shuffle:
+each input block splits into one shard object per bucket, and one reduce
+task per bucket folds that bucket's shards.  Ray Data's
+``groupby().map_groups`` sort shuffle pays a sampling pass, a sort-map and
+an ordered sort-reduce for the same colocation, so hash-keyed folds do not
+use it.
 
-The exchange, not its caller, picks the bucket count (FP-Hadoop's split
-of the reduce function from how its input is partitioned):
-:func:`exchange_buckets` is the one rule, the largest power of two
-<= min(4096, max(cluster CPUs, input_rows // 250_000)).  An exchange
-costs map blocks x buckets shard objects plus one reduce task per bucket
-whatever the data, so fixed counts were pure overhead on small clusters.
-On a 4-vCPU host one lineitem x orders attach at sf0.01 (both reads
-included, 8 runs each after warm-up) took 0.47-1.5 s at the old fixed 64
-buckets and 0.20-0.28 s at 4.
+* **Bucket count.**  The exchange, not its caller, picks it (FP-Hadoop's
+  split of the reduce function from how its input is partitioned):
+  :func:`exchange_buckets` is the one rule, the largest power of two
+  <= min(4096, max(cluster CPUs, input_rows // 250_000)).  An exchange
+  costs map blocks x buckets shard objects plus one reduce task per bucket
+  whatever the data, so fixed counts were pure overhead on small clusters
+  (one lineitem x orders attach at sf0.01 on a 4-vCPU host, reads
+  included: 0.47-1.5 s at a fixed 64 buckets, 0.20-0.28 s at 4).
+* **Reducers take their shards as top-level task arguments.**  Ray
+  resolves those before the task starts.  A reducer that fetched them
+  itself with a nested ``ray.get`` would block inside the task, give its
+  CPU back to the scheduler and let Ray start extra worker processes.
+  Only non-empty shards are passed (each split task also returns its
+  per-bucket row counts), and a bucket empty on every side gets no
+  reduce task.
+* **Block bundling.**  Driver-side metadata is O(split tasks x buckets)
+  object refs.  Past ``_EXCHANGE_MAX_BLOCKS`` blocks on a side, each split
+  task takes a contiguous run of block refs instead of one block, so the
+  split count stays capped and one path runs at every size.
 """
 
 from __future__ import annotations
@@ -68,13 +87,14 @@ def broadcast_map(ds: rd.Dataset, fn, ref, **mb_kwargs) -> rd.Dataset:
 
 
 def _bucket_of(keys: pa.ChunkedArray, n_buckets: int) -> pa.Array:
-    """Low-bits hash bucket for int64 keys (n_buckets is a power of two)."""
+    """Low-bits hash bucket for integer keys (n_buckets is a power of two;
+    negative keys hash as their two's-complement bits)."""
     import pyarrow.compute as pc
 
     k = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
     # multiply by an odd constant to decorrelate sequential keys, then mask
     # (plain multiply wraps mod 2^64 — the _checked variant would raise)
-    mixed = pc.multiply(pc.cast(k, pa.uint64()),
+    mixed = pc.multiply(pc.cast(k, pa.uint64(), safe=False),
                         pa.scalar(0x9E3779B97F4A7C15, pa.uint64()))
     return pc.cast(pc.bit_wise_and(mixed, pa.scalar(n_buckets - 1, pa.uint64())),
                    pa.int32())
@@ -82,21 +102,6 @@ def _bucket_of(keys: pa.ChunkedArray, n_buckets: int) -> pa.Array:
 
 # ---------------------------------------------------------------------------
 # Raw-task keyed exchange (map-reduce hash shuffle)
-#
-# Ray Data's groupby()/sort() all-to-all pays a sampling pass, a sort-map
-# and an ordered sort-reduce over O(in_blocks x out_blocks) shard objects —
-# pure overhead when the consumer only needs hash-bucket colocation, never
-# global order.  This is the canonical Ray map-reduce shuffle instead: each
-# block splits into n_buckets shards (``num_returns=n_buckets`` — each shard
-# is its own plasma object, so a reducer fetches ONLY its column), one
-# reduce task per bucket.  No sampling, no sort, no union schema-padding.
-#
-# Scale note: driver-side metadata is O(map_blocks x n_buckets) object refs —
-# the simple-shuffle regime Ray Data itself uses below its push-based
-# threshold.  exchange_buckets grows n_buckets with the rows, and past
-# _EXCHANGE_MAX_BLOCKS map blocks on a side hash_exchange hands the executed
-# sides to the Dataset-native sort exchange instead; the two paths are
-# result-identical (forced-path equality pytest).
 # ---------------------------------------------------------------------------
 
 _EXCHANGE_MAX_BLOCKS = 4096
@@ -150,17 +155,29 @@ def _ensure_table(t) -> pa.Table:
     return t
 
 
-def key_split(key_col: str, columns: list[str]):
-    """Standard per-block split: hash ``key_col`` into the bucket id,
-    keep ``columns``."""
+def _key_buckets(keys, n_buckets: int):
+    """Bucket id (int64 numpy) of each key: integers through
+    :func:`_bucket_of`, anything else (strings, bytes) through the
+    checkpoint store's stable siphash ``partition_column``."""
     import pyarrow.compute as pc
 
-    def _split(t, n_buckets: int):
-        t = _ensure_table(t)
-        keys = t.column(key_col)
-        bk = pc.cast(_bucket_of(keys, n_buckets), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return _slice_by_bucket(t.select(columns), bk, n_buckets)
+    if pa.types.is_integer(keys.type):
+        bk = _bucket_of(keys, n_buckets)
+    else:
+        from ..state.checkpoint import partition_column
+
+        bk = partition_column(keys, n_buckets)
+    return pc.cast(bk, pa.int64()).to_numpy(zero_copy_only=False)
+
+
+def key_split(key_col: str, columns: list[str] | None = None):
+    """Standard per-block split: hash ``key_col`` into the bucket id,
+    keep ``columns`` (all columns when None)."""
+
+    def _split(t: pa.Table, n_buckets: int):
+        bk = _key_buckets(t.column(key_col), n_buckets)
+        return _slice_by_bucket(t if columns is None else t.select(columns),
+                                bk, n_buckets)
 
     return _split
 
@@ -171,13 +188,9 @@ def salted_fact_split(key_col: str, columns: list[str], n_salts: int):
     ``salted_dim_split`` on the other side; the total bucket count is a
     multiple of n_salts (:func:`salted_buckets`)."""
     import numpy as np
-    import pyarrow.compute as pc
 
-    def _split(t, n_total: int):
-        t = _ensure_table(t)
-        n_buckets = n_total // n_salts
-        bk = pc.cast(_bucket_of(t.column(key_col), n_buckets),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+    def _split(t: pa.Table, n_total: int):
+        bk = _key_buckets(t.column(key_col), n_total // n_salts)
         salt = np.arange(t.num_rows, dtype=np.int64) % n_salts
         return _slice_by_bucket(t.select(columns), bk * n_salts + salt,
                                 n_total)
@@ -190,16 +203,12 @@ def salted_dim_split(key_col: str, columns: list[str], n_salts: int):
     sub-buckets of its key's bucket (dim replication is n_salts x dim
     size — cheap, the dim is the small side by construction)."""
     import numpy as np
-    import pyarrow.compute as pc
 
-    def _split(t, n_total: int):
-        t = _ensure_table(t)
-        n_buckets = n_total // n_salts
+    def _split(t: pa.Table, n_total: int):
         n = t.num_rows
         rep = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64),
                                         n_salts)))
-        bk = pc.cast(_bucket_of(rep.column(key_col), n_buckets),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+        bk = _key_buckets(rep.column(key_col), n_total // n_salts)
         salt = np.tile(np.arange(n_salts, dtype=np.int64), n)
         return _slice_by_bucket(rep.select(columns), bk * n_salts + salt,
                                 n_total)
@@ -207,77 +216,101 @@ def salted_dim_split(key_col: str, columns: list[str], n_salts: int):
     return _split
 
 
-def _run_split(t, split_fn, n_buckets: int):
-    t = _ensure_table(t)
-    if t.num_rows == 0:
-        # Ray Data passes empty blocks through map_batches UNMAPPED, so an
-        # empty block may still carry an upstream schema (even lack the
-        # key column).  Emit zero-row shards as-is; reducers must skip
-        # zero-row shards before concat (the attach reducer does).
-        shards = (t,) * n_buckets
-    else:
-        shards = split_fn(t, n_buckets)
-    # num_returns=1 stores the return value itself, not a 1-tuple
-    return shards if n_buckets > 1 else shards[0]
+def _concat(tables: list) -> pa.Table:
+    return pa.concat_tables(tables, promote_options="default") \
+        if len(tables) > 1 else tables[0]
 
 
-# When True (default), hash_exchange runs the raw-task map-reduce shuffle
-# and hands over to its sort fallback only past _EXCHANGE_MAX_BLOCKS; tests
-# flip it to force the fallback and assert result equality.
-USE_HASH_EXCHANGE = True
+def _run_split(split_fn, n_buckets: int, *blocks):
+    """Split task over a contiguous run of blocks: returns the per-bucket
+    row counts, then one shard per bucket."""
+    import numpy as np
+
+    # Ray Data passes empty blocks through map_batches UNMAPPED, so an
+    # empty block may carry an upstream schema (even lack the key column):
+    # drop it before splitting.
+    tables = [t for t in map(_ensure_table, blocks) if t.num_rows]
+    if not tables:
+        return (np.zeros(n_buckets, np.int64),) + (pa.table({}),) * n_buckets
+    shards = split_fn(_concat(tables), n_buckets)
+    return (np.array([s.num_rows for s in shards], np.int64),) + tuple(shards)
 
 
-def hash_exchange(sides: list, reduce_fn, fallback, n_salts: int = 1,
-                  num_cpus: float = 1.0) -> rd.Dataset:
+def _run_reduce(fn, sizes: list[int], *tables):
+    it = iter(tables)
+    return fn(*[[next(it) for _ in range(n)] for n in sizes])
+
+
+def hash_exchange(sides: list, reduce_fn, n_salts: int = 1) -> rd.Dataset:
     """Generic keyed cogroup: ``sides = [(dataset, split_fn), ...]`` where
-    ``split_fn(block, n_buckets) -> tuple[pa.Table] * n_buckets`` (build
+    ``split_fn(table, n_buckets) -> tuple[pa.Table] * n_buckets`` (build
     one with :func:`key_split`).  The sides are executed first; their
     total row count from block metadata sizes the exchange
     (:func:`exchange_buckets`, widened by :func:`salted_buckets` when
     ``n_salts > 1``).  Each side is then hash-partitioned into that many
     aligned buckets; ``reduce_fn(tables_side0, tables_side1, ...) ->
-    pa.Table`` runs once per bucket over that bucket's shard lists
-    (possibly empty).  Returns the reduced buckets as a new Dataset
-    (blocks stay in plasma).
+    pa.Table`` runs once per bucket that has rows on some side, over that
+    bucket's non-empty shards (a side's list may be empty).  When every
+    bucket is empty it runs once, on the driver, over empty lists.
+    Returns the reduced buckets as a new Dataset (blocks stay in plasma).
 
-    When a side has more than ``_EXCHANGE_MAX_BLOCKS`` blocks, or
-    ``USE_HASH_EXCHANGE`` is off, returns ``fallback(*executed_sides,
-    n_buckets)`` instead: the caller's Dataset-native sort exchange over
-    the same executed sides with the same bucket count."""
+    A side of more than ``_EXCHANGE_MAX_BLOCKS`` blocks is split in
+    contiguous runs of blocks, one split task per run."""
     import ray
 
-    executed, side_refs, rows = [], [], 0
+    side_refs, rows = [], 0
     for ds, _ in sides:
-        ds = ds.materialize()
-        bundles = list(ds.iter_internal_ref_bundles())
-        executed.append(ds)
+        bundles = list(ds.materialize().iter_internal_ref_bundles())
         side_refs.append([r for b in bundles for r in b.block_refs])
         rows += sum(b.num_rows() or 0 for b in bundles)
     n_buckets = exchange_buckets(rows)
     if n_salts > 1:
         n_buckets = salted_buckets(n_buckets, n_salts)
-    if not USE_HASH_EXCHANGE or \
-            max(map(len, side_refs)) > _EXCHANGE_MAX_BLOCKS:
-        return fallback(*executed, n_buckets)
 
-    split = ray.remote(_run_split).options(num_returns=n_buckets)
-    shard_cols = []
+    split = ray.remote(_run_split).options(num_returns=n_buckets + 1)
+    outs = []  # per side, per split task: [row counts, *shards] refs
     for refs, (_, split_fn) in zip(side_refs, sides):
-        shards = [split.remote(r, split_fn, n_buckets) for r in refs]
-        shard_cols.append(shards if n_buckets > 1 else [[s] for s in shards])
+        split_ref = ray.put(split_fn)
+        step = max(1, -(-len(refs) // _EXCHANGE_MAX_BLOCKS))
+        outs.append([split.remote(split_ref, n_buckets, *refs[i:i + step])
+                     for i in range(0, len(refs), step)])
+    all_counts = iter(ray.get([o[0] for side in outs for o in side]))
+    splits = [[(next(all_counts), o[1:]) for o in side] for side in outs]
 
-    def _reduce(fn, *side_ref_lists):
-        import ray as _ray
-
-        tables = [_ray.get(list(refs)) if refs else [] for refs in side_ref_lists]
-        return fn(*tables)
-
-    reduce = ray.remote(_reduce).options(num_cpus=num_cpus)
-    out_refs = [
-        reduce.remote(reduce_fn,
-                      *[[s[j] for s in col] for col in shard_cols])
-        for j in range(n_buckets)]
+    reduce = ray.remote(_run_reduce)
+    fn_ref = ray.put(reduce_fn)
+    out_refs = []
+    for j in range(n_buckets):
+        per_side = [[shards[j] for counts, shards in side if counts[j]]
+                    for side in splits]
+        if any(per_side):
+            out_refs.append(reduce.remote(
+                fn_ref, [len(p) for p in per_side],
+                *[r for p in per_side for r in p]))
+    if not out_refs:
+        return rd.from_arrow(reduce_fn(*[[] for _ in sides]))
     return rd.from_arrow_refs(out_refs)
+
+
+def keyed(ds: rd.Dataset, key_col: str, fold) -> rd.Dataset:
+    """The keyed fold: hash-partition ``ds`` on ``key_col`` (integers
+    through :func:`_bucket_of`, strings through ``partition_column``) with
+    :func:`hash_exchange` and run ``fold(table) -> Table | DataFrame`` once
+    per non-empty bucket.  Each call gets every row of its keys (all
+    columns of ``ds``, in no particular order) and typically many keys, so
+    ``fold`` must handle a multi-key table.  A pandas return is converted
+    to Arrow.  A zero-row input calls no fold and returns no rows.
+
+    Two-sided cogroup: ``keyed(a.union(b), key, fold)`` with both sides
+    projected to one schema (the fold tells the sides apart by a column)."""
+
+    def _reduce(tables):
+        if not tables:
+            return pa.table({})
+        out = fold(_concat(tables))
+        return out if isinstance(out, pa.Table) else _ensure_table(out)
+
+    return hash_exchange([(ds, key_split(key_col))], _reduce)
 
 
 def _empty_attach_out(pair_cols, out_name, vtype) -> pa.Table:
@@ -289,20 +322,16 @@ def _empty_attach_out(pair_cols, out_name, vtype) -> pa.Table:
 def _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post):
     """Per-bucket reducer for the hash_exchange attach: concat each side,
     one vectorized index_in/take probe, inner-join semantics, ``post``
-    map-side-combine hook — identical semantics to the sort path's
-    per-group merge."""
+    map-side-combine hook."""
     import pyarrow.compute as pc
 
     out_names = [n for n, _ in pair_cols] + [out_name]
 
     def _reduce(pair_tabs, val_tabs):
-        pair_tabs = [t for t in pair_tabs if t.num_rows]
-        val_tabs = [t for t in val_tabs if t.num_rows]
         if not pair_tabs or not val_tabs:
             out = _empty_attach_out(pair_cols, out_name, vtype)
             return post(out) if post is not None else out
-        prs = pa.concat_tables(pair_tabs) if len(pair_tabs) > 1 else pair_tabs[0]
-        vals = pa.concat_tables(val_tabs) if len(val_tabs) > 1 else val_tabs[0]
+        prs, vals = _concat(pair_tabs), _concat(val_tabs)
         idx = pc.index_in(prs.column(key_col),
                           value_set=vals.column("doc_id").combine_chunks())
         hit = pc.is_valid(idx)
@@ -337,10 +366,7 @@ def attach_value(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
     cores, more only past 250k rows per bucket; a 4-vCPU host gets 4
     buckets, about half the wall of the old fixed 64 on one sf0.01
     attach — see the module docstring).  The count changes only the layout:
-    every bucket and ``post`` call sees all rows of its keys.  Past the
-    block gate, or with ``USE_HASH_EXCHANGE`` off, the Dataset-native
-    sort exchange runs with the same count (forced-path equality pytest
-    covers both)."""
+    every bucket and ``post`` call sees all rows of its keys."""
     return attach_value_salted(pairs, values, key_col, out_name, vtype,
                                pair_cols, n_salts=1, post=post)
 
@@ -369,73 +395,8 @@ def attach_value_salted(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
         splits = (key_split(key_col, pcols),
                   key_split("doc_id", ["doc_id", "value"]))
 
-    def sort_fallback(pairs, values, n_buckets):
-        return _attach_value_sort(pairs, values, key_col, out_name, vtype,
-                                  pair_cols, n_buckets, n_salts, post)
-
     return hash_exchange(
         [(pairs, splits[0]), (values, splits[1])],
         _attach_probe_reduce(key_col, out_name, vtype, pair_cols, post),
-        sort_fallback, n_salts=n_salts)
+        n_salts=n_salts)
 
-
-def _attach_value_sort(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
-                       out_name: str, vtype: pa.DataType,
-                       pair_cols: list[tuple[str, pa.DataType]],
-                       n_buckets: int, n_salts: int, post) -> rd.Dataset:
-    """Dataset-native fallback exchange: tag both sides with the bucket
-    :func:`hash_exchange` would use (salted as in ``salted_*_split`` when
-    ``n_salts > 1``), union, ONE groupby cogroup on it, vectorized
-    index_in/take probe inside each bucket."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    n_key_buckets = n_buckets // n_salts
-    names = [n for n, _ in pair_cols] + [out_name, "__key", "__jkey"]
-
-    def jkey(keys, salt) -> pa.Array:
-        bk = pc.cast(_bucket_of(keys, n_key_buckets), pa.int64())
-        return pc.add(pc.multiply(bk, pa.scalar(n_salts, pa.int64())),
-                      pa.array(salt))
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        cols = {n: t.column(n) for n, _ in pair_cols}
-        cols[out_name] = pa.nulls(t.num_rows, vtype)
-        cols["__key"] = t.column(key_col)
-        cols["__jkey"] = jkey(t.column(key_col),
-                              np.arange(t.num_rows, dtype=np.int64) % n_salts)
-        return pa.table({n: cols[n] for n in names})
-
-    def tag_values(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n_salts > 1:
-            t = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64),
-                                          n_salts)))
-        cols = {nm: pa.nulls(t.num_rows, ty) for nm, ty in pair_cols}
-        cols[out_name] = t.column("value")
-        cols["__key"] = t.column("doc_id")
-        cols["__jkey"] = jkey(t.column("doc_id"),
-                              np.tile(np.arange(n_salts, dtype=np.int64), n))
-        return pa.table({nm: cols[nm] for nm in names})
-
-    out_names = [n for n, _ in pair_cols] + [out_name]
-
-    def merge(g: pa.Table) -> pa.Table:
-        is_val = pc.is_valid(g.column(out_name))
-        vals = g.filter(is_val)
-        prs = g.filter(pc.invert(is_val))
-        if prs.num_rows == 0 or vals.num_rows == 0:
-            out = g.slice(0, 0).select(out_names)
-            return post(out) if post is not None else out
-        idx = pc.index_in(prs.column("__key"),
-                          value_set=vals.column("__key").combine_chunks())
-        hit = pc.is_valid(idx)
-        picked = pc.take(vals.column(out_name).combine_chunks(),
-                         idx.filter(hit))
-        out = prs.filter(hit).drop_columns([out_name, "__key", "__jkey"])
-        out = out.append_column(out_name, picked)
-        return post(out) if post is not None else out
-
-    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        values.map_batches(tag_values, batch_format="pyarrow"))
-    return tagged.groupby("__jkey").map_groups(merge, batch_format="pyarrow")

@@ -353,9 +353,9 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
       lineitem --batch pre-agg--> (orderkey, rev) partials
         --bucketed cogroup w/ orders, combine--> (custkey, rev) partials
         --bucketed cogroup w/ customer, combine--> (nationkey, rev) partials
-        --driver: sum ~25 x n_buckets partials, map nation names (25 rows)
+        --driver: sum ~25 x buckets partials, map nation names (25 rows)
 
-    TWO bucket shuffles total; each cogroup both probes (index_in/take)
+    TWO keyed exchanges total; each cogroup both probes (index_in/take)
     and combines (Arrow group_by) inside the bucket, so no
     high-cardinality Ray aggregate ever runs.  The only broadcast is the
     25-row nation table at the driver."""
@@ -542,13 +542,13 @@ def q_events_daily(sf_dir: str) -> pd.DataFrame:
 # events: per-user session stats via map_groups (running/window analogue)
 # ---------------------------------------------------------------------------
 
-def q_user_event_stats(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
-    """Per-user stats via a bucketed multi-user fold (one hash-bucket
-    shuffle + reduceat inside the bucket — no per-user Python call)."""
+def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
+    """Per-user stats via a keyed multi-user fold (one keyed exchange on
+    user_id + reduceat inside each bucket — no per-user Python call)."""
     import numpy as np
     import pyarrow as pa
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def per_bucket(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -580,10 +580,8 @@ def q_user_event_stats(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     if folded is not None:
         return folded
 
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
-    out = ev.groupby("__bk").map_groups(per_bucket, batch_format="pyarrow").to_pandas()
+    ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
+    out = keyed(ev, "user_id", per_bucket).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -646,19 +644,18 @@ def q_distinct_order_statuses(sf_dir: str) -> pd.DataFrame:
 
 
 def q_sessionization(sf_dir: str, gap_minutes: int = 30,
-                     n_buckets: int = 256,
                      write_dir: str | None = None) -> pd.DataFrame:
     """Gap-based session windows per user — the streaming-window custom
-    operator: ONE shuffle on hash(user_id) buckets, then a vectorized
-    MULTI-user fold inside each bucket (sort by (user, ts) → session
+    operator: ONE keyed exchange on user_id (:func:`joins.keyed`), then a
+    vectorized MULTI-user fold per bucket (sort by (user, ts) → session
     boundary = gap OR user change → reduceat aggregates).  State never
-    leaves the bucket, and the per-group Python cost scales with buckets,
-    not users (a per-user map_groups would pay one interpreter call per
+    leaves the bucket, and the Python cost is one call per bucket, not
+    per user (a per-user map_groups would pay one interpreter call per
     user — 10^8 calls at web scale)."""
     import numpy as np
     import pyarrow as pa
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     gap_us = gap_minutes * 60 * 1_000_000
 
@@ -709,10 +706,7 @@ def q_sessionization(sf_dir: str, gap_minutes: int = 30,
                 .reset_index(drop=True)
 
     ev = _rp(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
-    ds = ev.groupby("__bk").map_groups(sessions, batch_format="pyarrow")
+    ds = keyed(ev, "user_id", sessions)
     if write_dir is not None:
         # scale hatch: per-session rows are corpus-sized — stream them to
         # partitioned parquet (one file per cogroup block) and return only
@@ -736,19 +730,19 @@ def _write_windowed(ds: rd.Dataset, write_dir: str) -> pd.DataFrame:
                          "write_dir": [write_dir]})
 
 
-def q_asof_view_before_click(sf_dir: str, n_buckets: int = 256,
+def q_asof_view_before_click(sf_dir: str,
                              write_dir: str | None = None) -> pd.DataFrame:
     """As-of join: each 'click' event picks the most recent 'view' event of
     the same user at-or-before its timestamp — the temporal lookup Ray Data
-    has no native operator for.  ONE shuffle on hash(user_id) buckets;
-    inside each bucket a fully vectorized MULTI-user prefix walk: rows
-    sorted by (user, ts, view-before-click), last-view index via
-    maximum.accumulate, per-user reset by run starts.  Python cost scales
-    with buckets, not users."""
+    has no native operator for.  ONE keyed exchange on user_id; inside
+    each bucket a fully vectorized MULTI-user prefix walk: rows sorted by
+    (user, ts, view-before-click), last-view index via maximum.accumulate,
+    per-user reset by run starts.  One Python call per bucket, not per
+    user."""
     import numpy as np
     import pyarrow as pa
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def asof(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -801,26 +795,23 @@ def q_asof_view_before_click(sf_dir: str, n_buckets: int = 256,
 
     ev = _rp(sf_dir, "events",
              columns=["event_id", "ts", "user_id", "event_type", "value"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
-    ds = ev.groupby("__bk").map_groups(asof, batch_format="pyarrow")
+    ds = keyed(ev, "user_id", asof)
     if write_dir is not None:
         return _write_windowed(ds, write_dir)  # see q_sessionization
     df = pd.DataFrame(ds.take_all())
     return df.sort_values("event_id").reset_index(drop=True)
 
 
-def q_customers_without_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
     """Anti-join: customers that placed no orders — the missing join
-    variant (inner/semi are covered elsewhere).  ONE bucketed cogroup on
+    variant (inner/semi are covered elsewhere).  ONE keyed cogroup on
     custkey: customer rows and distinct order-custkey rows land in the
     same bucket; the probe keeps customers whose key misses the order-key
     set (vectorized is_in + invert).  Scales like the other cogroups —
     no broadcast of either side."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     cd = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_name"])
     if cd is not None and pq.read_metadata(
@@ -841,7 +832,6 @@ def q_customers_without_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame
             "key": t["c_custkey"],
             "c_name": t["c_name"],
             "is_cust": pa.array([True] * t.num_rows, pa.bool_()),
-            "__bk": _bucket_of(t.column("c_custkey"), n_buckets),
         })
 
     def tag_orders(t: pa.Table) -> pa.Table:
@@ -852,7 +842,6 @@ def q_customers_without_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame
             "key": keys,
             "c_name": pa.nulls(n, pa.string()),
             "is_cust": pa.array([False] * n, pa.bool_()),
-            "__bk": _bucket_of(keys, n_buckets),
         })
 
     def anti(g: pa.Table) -> pa.Table:
@@ -869,9 +858,9 @@ def q_customers_without_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame
         return pa.table({"c_custkey": keep.column("key"),
                          "c_name": keep.column("c_name")})
 
-    out = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")) \
-        .groupby("__bk").map_groups(anti, batch_format="pyarrow").to_pandas()
+    out = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
+        orders.map_batches(tag_orders, batch_format="pyarrow")),
+        "key", anti).to_pandas()
     if out.empty:  # empty datasets lose their schema through to_pandas
         return pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
                              "c_name": pd.Series(dtype="object")})
@@ -933,16 +922,15 @@ def q_price_band_join(sf_dir: str) -> pd.DataFrame:
 # windowed rank: top-N rows per group (row_number() OVER PARTITION BY)
 # ---------------------------------------------------------------------------
 
-def q_top_orders_per_customer(sf_dir: str, n: int = 2,
-                              n_buckets: int = 256) -> pd.DataFrame:
+def q_top_orders_per_customer(sf_dir: str, n: int = 2) -> pd.DataFrame:
     """Top-``n`` orders by total price per customer with their rank — the
-    row_number() window operator.  ONE shuffle on hash(custkey) buckets;
-    inside each bucket a vectorized MULTI-customer fold: sort by
-    (custkey, price desc, orderkey), rank = position − customer's run
-    start (no per-customer Python call; cost scales with buckets)."""
+    row_number() window operator.  ONE keyed exchange on custkey; inside
+    each bucket a vectorized MULTI-customer fold: sort by (custkey, price
+    desc, orderkey), rank = position − customer's run start (one Python
+    call per bucket, none per customer)."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def per_bucket(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[
@@ -978,11 +966,8 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 2,
     if folded is not None:
         return folded
 
-    ds = _rp(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"]) \
-        .map_batches(
-            lambda t: t.append_column("__bk", _bucket_of(t.column("o_custkey"), n_buckets)),
-            batch_format="pyarrow")
-    out = ds.groupby("__bk").map_groups(per_bucket, batch_format="pyarrow").to_pandas()
+    ds = _rp(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
+    out = keyed(ds, "o_custkey", per_bucket).to_pandas()
     return _finish(pa.Table.from_pandas(out, preserve_index=False))
 
 
@@ -1083,20 +1068,20 @@ def q_rollup_revenue(sf_dir: str) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
-def q_running_balance(sf_dir: str, n_buckets: int = 256,
+def q_running_balance(sf_dir: str,
                       write_dir: str | None = None) -> pd.DataFrame:
     """Per-customer running order total (the prefix-sum window operator:
     SUM() OVER (PARTITION BY custkey ORDER BY date, key)).
 
-    ONE shuffle on hash(o_custkey) buckets, then a vectorized MULTI-
+    ONE keyed exchange on o_custkey, then a vectorized MULTI-
     customer fold per bucket: sort by (cust, date, key), accumulate in
     INTEGER CENTS (int64 cumsum minus each customer's base — exact, so it
     equals the oracle's sequential window sum bit-for-bit where a float
     cumsum-difference could flip a rounding digit), divide once at the
-    end.  Python cost scales with buckets, not customers."""
+    end.  One Python call per bucket, not per customer."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1134,10 +1119,7 @@ def q_running_balance(sf_dir: str, n_buckets: int = 256,
 
     orders = _rp(sf_dir, "orders",
                  ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-    orders = orders.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("o_custkey"), n_buckets)),
-        batch_format="pyarrow")
-    ds = orders.groupby("__bk").map_groups(fold, batch_format="pyarrow")
+    ds = keyed(orders, "o_custkey", fold)
     if write_dir is not None:
         return _write_windowed(ds, write_dir)
     df = pd.DataFrame(ds.take_all())
@@ -1145,13 +1127,13 @@ def q_running_balance(sf_dir: str, n_buckets: int = 256,
         .reset_index(drop=True)
 
 
-def q_rolling_avg(sf_dir: str, window: int = 5, n_buckets: int = 256,
+def q_rolling_avg(sf_dir: str, window: int = 5,
                   write_dir: str | None = None) -> pd.DataFrame:
     """Per-user rolling mean of event values over the last `window` events
     (ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW) — the bounded-frame
     windowed aggregate.
 
-    Same shape as q_sessionization: ONE shuffle on hash(user_id), then a
+    Same shape as q_sessionization: ONE keyed exchange on user_id, then a
     vectorized multi-user fold per bucket.  Values accumulate as exact
     int64 MICROUNITS (round(value*1e6)) with the sliding sum taken as a
     cumsum difference clamped at each user's first row — integer math, so
@@ -1159,7 +1141,7 @@ def q_rolling_avg(sf_dir: str, window: int = 5, n_buckets: int = 256,
     once at the end against the per-row frame length."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1197,10 +1179,7 @@ def q_rolling_avg(sf_dir: str, window: int = 5, n_buckets: int = 256,
                 .reset_index(drop=True)
 
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
-    ds = ev.groupby("__bk").map_groups(fold, batch_format="pyarrow")
+    ds = keyed(ev, "user_id", fold)
     if write_dir is not None:
         return _write_windowed(ds, write_dir)
     df = pd.DataFrame(ds.take_all())
@@ -1220,7 +1199,7 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
     matches the oracle's window-order-independent SUM bit-for-bit."""
     import numpy as np
 
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     sum_cols = [f"n_{ty}" for ty in EVENT_TYPES] + ["purchase_micro"]
 
@@ -1237,26 +1216,24 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
         # sees one row per (batch, user), never one per event row
         g = pa.table(cols).group_by("user_id").aggregate(
             [(c, "sum") for c in sum_cols])
-        g = rename_agg(g, {f"{c}_sum": c for c in sum_cols},
-                       ["user_id"] + sum_cols)
-        return g.append_column("__ub", _bucket_of(g["user_id"], 256))
+        return rename_agg(g, {f"{c}_sum": c for c in sum_cols},
+                          ["user_id"] + sum_cols)
 
     ev = _rp(sf_dir, "events", ["user_id", "event_type", "value"])
     parts = ev.map_batches(partial, batch_format="pyarrow")
     if ev.count() <= EVENTS_DRIVER_ROWS:
         # per-user partials are keyed-mergeable — fold on the driver
         # below the events gate instead of a per-distinct-user exchange
-        out = parts.to_pandas().drop(columns=["__ub"]) \
+        out = parts.to_pandas() \
             .groupby("user_id", as_index=False)[sum_cols].sum()
     else:
         def merge(g: pa.Table) -> pa.Table:
-            t = g.drop_columns(["__ub"]).group_by("user_id").aggregate(
+            t = g.group_by("user_id").aggregate(
                 [(c, "sum") for c in sum_cols])
             return rename_agg(t, {f"{c}_sum": c for c in sum_cols},
                               ["user_id"] + sum_cols)
 
-        out = parts.groupby("__ub").map_groups(
-            merge, batch_format="pyarrow").to_pandas()
+        out = keyed(parts, "user_id", merge).to_pandas()
     out["purchase_value"] = out["purchase_micro"] / 1e6
     out = out.drop(columns=["purchase_micro"])
     return out.sort_values("user_id").reset_index(drop=True)
@@ -1264,19 +1241,19 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
 
 # ---------------------------------------------------------------------------
 # lead/lag, first/last, semi join, correlated filter, calendar rollups —
-# the remaining window/join variants (same ONE-bucketed-shuffle shape as
-# q_sessionization / q_running_balance: Python cost scales with buckets,
-# all per-row work is numpy/Arrow kernels)
+# the remaining window/join variants (same ONE keyed exchange as
+# q_sessionization / q_running_balance: one Python call per bucket, all
+# per-row work is numpy/Arrow kernels)
 # ---------------------------------------------------------------------------
 
-def q_event_lag(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_event_lag(sf_dir: str) -> pd.DataFrame:
     """LAG window: for every event, the previous event's type and the
     microseconds elapsed since it, per user ordered by (ts, event_id) —
-    NULLs on each user's first event.  ONE shuffle on hash(user_id)
-    buckets, then a vectorized multi-user shift per bucket."""
+    NULLs on each user's first event.  ONE keyed exchange on user_id,
+    then a vectorized multi-user shift per bucket."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1310,21 +1287,18 @@ def q_event_lag(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             .reset_index(drop=True)
 
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
     df = pd.DataFrame(
-        ev.groupby("__bk").map_groups(fold, batch_format="pyarrow").take_all())
+        keyed(ev, "user_id", fold).take_all())
     return df.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
 
 
-def q_user_first_last(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_user_first_last(sf_dir: str) -> pd.DataFrame:
     """first_value/last_value window collapse: each user's first and last
     event type by (ts, event_id) plus their event count.  Same bucketed
     fold; per bucket the user boundaries come from one sorted mask."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1353,20 +1327,17 @@ def q_user_first_last(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         return t.to_pandas().sort_values("user_id").reset_index(drop=True)
 
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
     df = pd.DataFrame(
-        ev.groupby("__bk").map_groups(fold, batch_format="pyarrow").take_all())
+        keyed(ev, "user_id", fold).take_all())
     return df.sort_values("user_id").reset_index(drop=True)
 
 
-def q_customers_with_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q_customers_with_orders(sf_dir: str) -> pd.DataFrame:
     """Semi-join: customers that placed at least one order (EXISTS) —
-    the mirror of q_customers_without_orders, same ONE bucketed cogroup
-    on custkey with batch-local key dedupe before the shuffle; the probe
+    the mirror of q_customers_without_orders, same ONE keyed cogroup on
+    custkey with batch-local key dedupe before the shuffle; the probe
     keeps hits instead of misses."""
-    from .joins import _bucket_of
+    from .joins import keyed
 
     cd = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_name"])
     if cd is not None and pq.read_metadata(
@@ -1386,7 +1357,6 @@ def q_customers_with_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             "key": t["c_custkey"],
             "c_name": t["c_name"],
             "is_cust": pa.array([True] * t.num_rows, pa.bool_()),
-            "__bk": _bucket_of(t.column("c_custkey"), n_buckets),
         })
 
     def tag_orders(t: pa.Table) -> pa.Table:
@@ -1396,7 +1366,6 @@ def q_customers_with_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             "key": keys,
             "c_name": pa.nulls(n, pa.string()),
             "is_cust": pa.array([False] * n, pa.bool_()),
-            "__bk": _bucket_of(keys, n_buckets),
         })
 
     def semi(g: pa.Table) -> pa.Table:
@@ -1413,26 +1382,25 @@ def q_customers_with_orders(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
         return pa.table({"c_custkey": keep.column("key"),
                          "c_name": keep.column("c_name")})
 
-    out = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")) \
-        .groupby("__bk").map_groups(semi, batch_format="pyarrow").to_pandas()
+    out = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
+        orders.map_batches(tag_orders, batch_format="pyarrow")),
+        "key", semi).to_pandas()
     if out.empty:
         return pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
                              "c_name": pd.Series(dtype="object")})
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
-def q_orders_above_customer_avg(sf_dir: str,
-                                n_buckets: int = 256) -> pd.DataFrame:
+def q_orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
     """Correlated filter: orders strictly pricier than their customer's
     average order value.  No separate aggregate table or second pass —
-    ONE shuffle on hash(o_custkey) co-locates each customer's orders, and
+    ONE keyed exchange on o_custkey co-locates each customer's orders, and
     the per-bucket fold computes segment sums (exact int64 cents) and
     compares each row against sum/(100·count), the identical float
     expression the oracle's window AVG evaluates."""
     import numpy as np
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[("o_custkey", "ascending")])
@@ -1466,11 +1434,8 @@ def q_orders_above_customer_avg(sf_dir: str,
         return t.to_pandas().sort_values("o_orderkey").reset_index(drop=True)
 
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    orders = orders.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("o_custkey"), n_buckets)),
-        batch_format="pyarrow")
     df = pd.DataFrame(
-        orders.groupby("__bk").map_groups(fold, batch_format="pyarrow").take_all())
+        keyed(orders, "o_custkey", fold).take_all())
     return df.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -1531,12 +1496,12 @@ def q_daily_distinct_users(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("day").reset_index(drop=True)
 
 
-def q_funnel(sf_dir: str, n_buckets: int = 256,
+def q_funnel(sf_dir: str,
              stages: tuple = ("view", "click", "purchase")) -> pd.DataFrame:
     """Ordered conversion funnel over the events stream: a user reaches
     stage k when they have a stage-k event STRICTLY after their first
-    stage-(k-1) completion time (min-ts chaining).  ONE shuffle on
-    hash(user_id) buckets — each user's whole history lands in one
+    stage-(k-1) completion time (min-ts chaining).  ONE keyed exchange on
+    user_id — each user's whole history lands in one
     bucket, where the per-stage completion times resolve with three
     Arrow group_by/min passes and a vectorized index_in probe; only ONE
     partial-count row per bucket reaches the driver."""
@@ -1544,7 +1509,7 @@ def q_funnel(sf_dir: str, n_buckets: int = 256,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     def funnel(group: pa.Table) -> pa.Table:
         etype = group.column("event_type")
@@ -1572,11 +1537,7 @@ def q_funnel(sf_dir: str, n_buckets: int = 256,
         })
 
     ev = _rp(sf_dir, "events", columns=["ts", "user_id", "event_type"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"),
-                                                     n_buckets)),
-        batch_format="pyarrow")
-    parts = ev.groupby("__bk").map_groups(funnel, batch_format="pyarrow") \
+    parts = keyed(ev, "user_id", funnel) \
         .to_pandas()
     out = parts.groupby(["step", "stage"], as_index=False)["n_users"].sum()
     return out.sort_values("step").reset_index(drop=True)[
@@ -1616,11 +1577,11 @@ def q_train_test_split(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("split").reset_index(drop=True)
 
 
-def q_cohort_retention(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     """Weekly cohort retention: users are cohorted by the ISO week of
     their FIRST event; each (cohort_week, week_offset) cell counts
-    distinct users active that many weeks later.  ONE shuffle on
-    hash(user_id) — a user's whole history lands in one bucket, so the
+    distinct users active that many weeks later.  ONE keyed exchange on
+    user_id — a user's whole history lands in one bucket, so the
     cohort assignment, the distinct (user, week) activity pairs and the
     cell counts are all bucket-local Arrow kernels; buckets partition
     users, so per-bucket counts sum exactly (no distinct-merge)."""
@@ -1628,7 +1589,7 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .joins import _bucket_of
+    from .joins import keyed
 
     week_us = 7 * 86400 * 1_000_000
 
@@ -1667,11 +1628,7 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         return folded
 
     ev = _rp(sf_dir, "events", columns=["ts", "user_id"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t.column("user_id"),
-                                                     n_buckets)),
-        batch_format="pyarrow")
-    parts = ev.groupby("__bk").map_groups(cells, batch_format="pyarrow") \
+    parts = keyed(ev, "user_id", cells) \
         .to_pandas()
     return _finish(parts)
 
@@ -1681,13 +1638,12 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 # (distributed prefix sum: range-partition + bucket-local cumsum + offsets)
 # ---------------------------------------------------------------------------
 
-def q_pareto_customers(sf_dir: str, n_buckets: int = 256,
-                       n_range_buckets: int = 64,
+def q_pareto_customers(sf_dir: str, n_range_buckets: int = 64,
                        write_dir: str | None = None) -> pd.DataFrame:
     """Customers that make up the first HALF of total revenue,
     with each one's cumulative revenue share — a global running sum
     over a DESCENDING sort, done scale-safe: (1) per-customer cents via
-    ONE hash-bucket shuffle + in-bucket Arrow group_by; (2) range-
+    ONE keyed exchange + in-bucket Arrow group_by; (2) range-
     partition customers by revenue value (sampled boundaries — only
     placement depends on the sample, never values); (3) per-range-bucket
     totals (tiny) give exclusive prefix offsets on the driver; (4) each
@@ -1699,7 +1655,7 @@ def q_pareto_customers(sf_dir: str, n_buckets: int = 256,
     the whole prefix-sum runs on the driver — one pandas fold of a
     driver-sized table beats three exchanges; the distributed
     prefix-sum plan above the gate is unchanged."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     if write_dir is None:
         od = _dim_pandas(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -1728,11 +1684,8 @@ def q_pareto_customers(sf_dir: str, n_buckets: int = 256,
             .group_by("o_custkey").aggregate([("cents", "sum")])
         return rename_agg(t, {"cents_sum": "cents"}, ["o_custkey", "cents"])
 
-    cust = _rp(sf_dir, "orders", ["o_custkey", "o_totalprice"]) \
-        .map_batches(lambda t: t.append_column(
-            "__bk", _bucket_of(t.column("o_custkey"), n_buckets)),
-            batch_format="pyarrow") \
-        .groupby("__bk").map_groups(per_bucket_cents, batch_format="pyarrow")
+    cust = keyed(_rp(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                 "o_custkey", per_bucket_cents)
 
     # sampled range boundaries (ascending cents). Sample size is bounded
     # (~64 per block); boundary quality affects only balance, not values.
@@ -1741,8 +1694,8 @@ def q_pareto_customers(sf_dir: str, n_buckets: int = 256,
         step = max(1, len(c) // 64)
         return pa.table({"cents": pa.array(np.sort(c)[::step], pa.int64())})
 
-    cust_m = cust.materialize()  # consumed three times below
-    samp = np.sort(cust_m.map_batches(
+    # keyed returns a materialized dataset: consumed three times below
+    samp = np.sort(cust.map_batches(
         sample_cents, batch_format="pyarrow").to_pandas()["cents"].to_numpy())
     step = max(1, len(samp) // n_range_buckets)
     bounds = np.unique(samp[step::step]).astype(np.int64)
@@ -1752,7 +1705,7 @@ def q_pareto_customers(sf_dir: str, n_buckets: int = 256,
         rb = np.searchsorted(bounds, c, side="left").astype(np.int32)
         return t.append_column("__rb", pa.array(rb, pa.int32()))
 
-    tagged = cust_m.map_batches(tag_range, batch_format="pyarrow")
+    tagged = cust.map_batches(tag_range, batch_format="pyarrow")
 
     def bucket_totals(t: pa.Table) -> pa.Table:
         g = t.select(["__rb", "cents"]).group_by("__rb") \
@@ -1966,14 +1919,14 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
 # event-type transition counts (per-user Markov matrix)
 # ---------------------------------------------------------------------------
 
-def q_event_transitions(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     """Counts of consecutive event-type transitions (prev_type →
     event_type) across all users, ordered per user by (ts, event_id) —
-    the session-flow / Markov-chain primitive.  ONE shuffle on
-    hash(user_id) buckets; inside each bucket a vectorized multi-user
+    the session-flow / Markov-chain primitive.  ONE keyed exchange on
+    user_id; inside each bucket a vectorized multi-user
     shift (no per-user Python) collapses straight to partial transition
     counts, so the final groupby is |types|^2-bounded."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -2003,11 +1956,7 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     else:
         ev = _rp(sf_dir, "events",
                  ["event_id", "ts", "user_id", "event_type"])
-        ev = ev.map_batches(
-            lambda t: t.append_column(
-                "__bk", _bucket_of(t.column("user_id"), n_buckets)),
-            batch_format="pyarrow")
-        out = ev.groupby("__bk").map_groups(fold, batch_format="pyarrow") \
+        out = keyed(ev, "user_id", fold) \
             .groupby(["prev_type", "event_type"]) \
             .aggregate(Sum("n", alias_name="n")).to_pandas()
     out["n"] = out["n"].astype("int64")
@@ -2022,7 +1971,7 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
 LATE_ALLOWED_US = 10 * 60 * 1_000_000   # allowed lateness: 10 minutes
 
 
-def q_late_data_drop(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_late_data_drop(sf_dir: str) -> pd.DataFrame:
     """Streaming-window semantics over a batch table: events arrive per
     user in event_id order; a per-user WATERMARK trails the running max
     event time by the allowed lateness, and an event older than the
@@ -2030,12 +1979,12 @@ def q_late_data_drop(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     rule, keyed per user so it partitions).  Surviving and dropped
     events roll into tumbling 1-hour windows.
 
-    ONE shuffle on hash(user_id) buckets; the per-user running max is a
+    ONE keyed exchange on user_id; the per-user running max is a
     vectorized grouped cummax (the K-offset trick: cummax(ts + K*seg) -
     K*seg equals the per-segment cummax when K exceeds any in-bucket
     time span — exact in int64, with a guard that widens to a
     per-segment fallback if a bucket ever got big enough to overflow)."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -2088,11 +2037,7 @@ def q_late_data_drop(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         out = t.to_pandas()
     else:
         ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-        ev = ev.map_batches(
-            lambda t: t.append_column(
-                "__bk", _bucket_of(t.column("user_id"), n_buckets)),
-            batch_format="pyarrow")
-        out = ev.groupby("__bk").map_groups(fold, batch_format="pyarrow") \
+        out = keyed(ev, "user_id", fold) \
             .groupby("window_start").aggregate(
                 Sum("n_on_time", alias_name="n_on_time"),
                 Sum("n_late_dropped", alias_name="n_late_dropped")) \
@@ -2181,21 +2126,22 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
 # interval-overlap join: session windows x event points, time-partitioned
 # ---------------------------------------------------------------------------
 
-def q_session_overlap_counts(sf_dir: str, gap_minutes: int = 30,
-                             n_buckets: int = 256) -> pd.DataFrame:
+def q_session_overlap_counts(sf_dir: str,
+                             gap_minutes: int = 30) -> pd.DataFrame:
     """Interval join: for every gap-based session window, count ALL
     events (any user) whose timestamp falls inside [start, end] — the
     cross-key overlap query no per-user partitioning can serve.  The
     partitioning key is TIME: events hash to their hour bucket
     (disjoint), session intervals REPLICATE to every hour they span,
-    and each bucket resolves its point-in-interval counts with two
+    and each keyed bucket resolves its point-in-interval counts with two
     vectorized searchsorted probes against the bucket's sorted event
-    times; summing the per-bucket partials per session is exact
-    because the event buckets are disjoint.  Two shuffles total (user
-    buckets to build sessions, time buckets to join); replication is
-    bounded by interval length / bucket width, the interval-join knob
-    to document at scale."""
-    from .joins import _bucket_of
+    times, each interval copy clipped to its own hour (a keyed bucket
+    holds many hours); summing the per-hour partials per session is
+    exact because the hours are disjoint.  Two keyed exchanges total
+    (users to build sessions, hours to join); replication is bounded by
+    interval length / hour width, the interval-join knob to document at
+    scale."""
+    from .joins import keyed
 
     gap_us = gap_minutes * 60 * 1_000_000
     hour_us = 3_600_000_000
@@ -2257,11 +2203,7 @@ def q_session_overlap_counts(sf_dir: str, gap_minutes: int = 30,
         return folded
 
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    sess = ev.map_batches(
-        lambda t: t.append_column(
-            "__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow") \
-        .groupby("__bk").map_groups(sessions, batch_format="pyarrow")
+    sess = keyed(ev, "user_id", sessions)
 
     # replicate each interval to every hour bucket it spans; events
     # land in exactly one bucket.  kind 0 = event point, 1 = interval.
@@ -2306,8 +2248,13 @@ def q_session_overlap_counts(sf_dir: str, gap_minutes: int = 30,
                              "s": pa.array([], pa.int64()),
                              "e": pa.array([], pa.int64()),
                              "n_overlap": pa.array([], pa.int64())})
-        s = iv.column("s").to_numpy(zero_copy_only=False)
-        e = iv.column("e").to_numpy(zero_copy_only=False)
+        # clip each copy to its hour: the bucket's other hours' events
+        # fall outside the clipped range
+        tb = iv.column("__tb").to_numpy(zero_copy_only=False)
+        s = np.maximum(iv.column("s").to_numpy(zero_copy_only=False),
+                       tb * hour_us)
+        e = np.minimum(iv.column("e").to_numpy(zero_copy_only=False),
+                       (tb + 1) * hour_us - 1)
         cnt = (np.searchsorted(ev_ts, e, side="right")
                - np.searchsorted(ev_ts, s, side="left")).astype(np.int64)
         return pa.table({"user_id": iv.column("user_id"),
@@ -2315,9 +2262,10 @@ def q_session_overlap_counts(sf_dir: str, gap_minutes: int = 30,
                          "s": iv.column("s"), "e": iv.column("e"),
                          "n_overlap": pa.array(cnt)})
 
-    joined = sess.map_batches(rep_sessions, batch_format="pyarrow") \
-        .union(ev.map_batches(rep_events, batch_format="pyarrow")) \
-        .groupby("__tb").map_groups(per_bucket, batch_format="pyarrow") \
+    joined = keyed(
+        sess.map_batches(rep_sessions, batch_format="pyarrow")
+        .union(ev.map_batches(rep_events, batch_format="pyarrow")),
+        "__tb", per_bucket) \
         .groupby(["user_id", "session_id", "s", "e"]).aggregate(
             Sum("n_overlap", alias_name="n_overlap")) \
         .to_pandas()
@@ -2349,19 +2297,18 @@ def _ranges(reps: np.ndarray) -> np.ndarray:
 # Q13-shape: customer order-count distribution (left join + double aggregate)
 # ---------------------------------------------------------------------------
 
-def q13_order_count_distribution(sf_dir: str,
-                                 n_buckets: int = 64) -> pd.DataFrame:
+def q13_order_count_distribution(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q13 shape: distribution of customers by how many orders they
     placed, INCLUDING zero-order customers (the left-join subtlety).  ONE
-    bucketed shuffle on hash(custkey): orders pre-aggregate to per-batch
+    keyed exchange on custkey: orders pre-aggregate to per-batch
     (custkey, partial count) rows before the exchange, so the shuffle
     carries at most one row per distinct custkey per batch, never the fact
     table; each bucket folds its partial counts with an Arrow group_by,
     probes customers with index_in (absent -> 0), and emits a PARTIAL
     distribution (n_orders, n_customers) — the driver merges ~22 distinct
-    count values x n_buckets tiny rows.  The second aggregate (the
+    count values x buckets tiny rows.  The second aggregate (the
     distribution) therefore never shuffles at all."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     cust = _rp(sf_dir, "customer", ["c_custkey"])
     orders = _rp(sf_dir, "orders", ["o_custkey"])
@@ -2370,7 +2317,6 @@ def q13_order_count_distribution(sf_dir: str,
         return pa.table({
             "key": t["c_custkey"],
             "cnt": pa.nulls(t.num_rows, pa.int64()),
-            "__bk": _bucket_of(t.column("c_custkey"), n_buckets),
         })
 
     def tag_orders(t: pa.Table) -> pa.Table:
@@ -2380,7 +2326,6 @@ def q13_order_count_distribution(sf_dir: str,
         return pa.table({
             "key": part["o_custkey"],
             "cnt": pc.cast(part["cnt"], pa.int64()),
-            "__bk": _bucket_of(part.column("o_custkey"), n_buckets),
         })
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -2399,10 +2344,9 @@ def q13_order_count_distribution(sf_dir: str,
         return pa.table({"n_orders": pa.array(uniq, pa.int64()),
                          "n_customers": pa.array(n, pa.int64())})
 
-    part = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")) \
-        .groupby("__bk").map_groups(per_bucket, batch_format="pyarrow") \
-        .to_pandas()
+    part = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
+        orders.map_batches(tag_orders, batch_format="pyarrow")),
+        "key", per_bucket).to_pandas()
     if part.empty:
         return pd.DataFrame({"n_orders": pd.Series(dtype="int64"),
                              "n_customers": pd.Series(dtype="int64")})
@@ -2418,8 +2362,7 @@ def q13_order_count_distribution(sf_dir: str,
 Q18_MIN_QTY = 300.0
 
 
-def q18_large_volume_customers(sf_dir: str,
-                               n_buckets: int = 256) -> pd.DataFrame:
+def q18_large_volume_customers(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q18 shape: orders whose total lineitem quantity exceeds
     Q18_MIN_QTY, joined back to orders + customer, top-100 by price.
     The only shuffle is the per-orderkey quantity fold (per-batch Arrow
@@ -2428,24 +2371,21 @@ def q18_large_volume_customers(sf_dir: str,
     back-joins are broadcast is_in filters over orders and customer —
     map-only, no second shuffle.  Quantities are integer-valued doubles,
     so partial-sum order cannot change the float result."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def partial(t: pa.Table) -> pa.Table:
         part = t.group_by("l_orderkey").aggregate([("l_quantity", "sum")])
-        part = rename_agg(part, {"l_quantity_sum": "q"}, ["l_orderkey", "q"])
-        return part.append_column(
-            "__bk", _bucket_of(part.column("l_orderkey"), n_buckets))
+        return rename_agg(part, {"l_quantity_sum": "q"}, ["l_orderkey", "q"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         agg = g.group_by("l_orderkey").aggregate([("q", "sum")])
         agg = rename_agg(agg, {"q_sum": "q"}, ["l_orderkey", "q"])
         return agg.filter(pc.greater(agg["q"], pa.scalar(Q18_MIN_QTY)))
 
-    big = li.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(per_bucket, batch_format="pyarrow") \
-        .to_pandas()
+    big = keyed(li.map_batches(partial, batch_format="pyarrow"),
+                "l_orderkey", per_bucket).to_pandas()
     if big.empty:
         cols = ["c_custkey", "c_name", "o_orderkey", "o_orderdate",
                 "o_totalprice", "sum_qty"]
@@ -2597,7 +2537,7 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
     lineitem pre-aggregates per batch keyed by (orderkey, supp_nation,
     year) BEFORE any exchange, the orders and customer attaches are the
     shared bucketed cogroup with an in-bucket combine, and the driver
-    merges <= 25 x 25 x 2 x n_buckets partials.  The supplier nation map
+    merges <= 25 x 25 x 2 x buckets partials.  The supplier nation map
     is the only broadcast (size-gated like q5's customer path)."""
     import pyarrow.parquet as pq_
 
@@ -2771,9 +2711,9 @@ def q_histogram_quantiles(sf_dir: str) -> pd.DataFrame:
 COPURCHASE_TOP_K = 20
 
 
-def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_copurchase_pairs(sf_dir: str) -> pd.DataFrame:
     """Market-basket co-occurrence: the top-K part pairs appearing in the
-    same order (the lineitem self-join shape).  Two bucketed shuffles,
+    same order (the lineitem self-join shape).  Two keyed exchanges,
     both slim: (1) hash(orderkey) co-locates each order's items; pairs
     are generated WITHOUT a join — after an in-bucket sort, shift-k
     alignment (orders hold <= ~7 items, so <= max_items passes of pure
@@ -2781,8 +2721,8 @@ def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     SQL self-join does, then an in-bucket Arrow group_by collapses them
     to partial supports; (2) hash(pair) re-buckets the partials for the
     exact global count, each bucket forwarding only its local top-K.
-    The driver merges K x n_buckets candidate rows."""
-    from .joins import _bucket_of, rename_agg
+    The driver merges K x buckets candidate rows."""
+    from .joins import keyed, rename_agg
 
     if pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows \
             <= EVENTS_DRIVER_ROWS:
@@ -2827,10 +2767,6 @@ def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         return df
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    li = li.map_batches(
-        lambda t: t.append_column(
-            "__bk", _bucket_of(t.column("l_orderkey"), n_buckets)),
-        batch_format="pyarrow")
 
     def pairs(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
@@ -2854,7 +2790,7 @@ def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             return pa.table({"p_a": pa.array([], pa.int64()),
                              "p_b": pa.array([], pa.int64()),
                              "support": pa.array([], pa.int64()),
-                             "__pk": pa.array([], pa.int32())})
+                             "__pk": pa.array([], pa.int64())})
         p_a = np.concatenate(pa_l)
         p_b = np.concatenate(pb_l)
         g2 = pa.table({"p_a": pa.array(p_a, pa.int64()),
@@ -2866,7 +2802,7 @@ def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         pair_key = pc.add(pc.multiply(g2["p_a"],
                                       pa.scalar(1_000_003, pa.int64())),
                           g2["p_b"])
-        return g2.append_column("__pk", _bucket_of(pair_key, n_buckets))
+        return g2.append_column("__pk", pair_key)
 
     def topk(g: pa.Table) -> pa.Table:
         agg = g.group_by(["p_a", "p_b"]).aggregate([("support", "sum")])
@@ -2877,19 +2813,15 @@ def q_copurchase_pairs(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             ("p_b", "ascending")])
         return agg.take(order).slice(0, COPURCHASE_TOP_K)
 
-    # materialize boundary between the two keyed shuffles (the executor-
-    # deadlock avoidance documented at dedup._candidate_pairs; the stage-1
-    # output is pair partials, far smaller than the fact table)
-    partials = li.groupby("__bk").map_groups(
-        pairs, batch_format="pyarrow").materialize()
+    # stage-1 output is pair partials, far smaller than the fact table
+    partials = keyed(li, "l_orderkey", pairs)
     if partials.count() <= EVENTS_DRIVER_ROWS:
         # pair partials fit the driver (triangle-count gate shape):
         # pandas fold + global top-K replaces the second exchange
         df = partials.to_pandas() \
             .groupby(["p_a", "p_b"], as_index=False)["support"].sum()
     else:
-        df = partials.groupby("__pk") \
-            .map_groups(topk, batch_format="pyarrow").to_pandas()
+        df = keyed(partials, "__pk", topk).to_pandas()
     df = df.drop(columns=[c for c in ("__pk",) if c in df.columns])
     df = df.sort_values(["support", "p_a", "p_b"],
                         ascending=[False, True, True]) \
@@ -3111,24 +3043,18 @@ TRAIL_WINDOW_US = 3_600_000_000  # 1 hour
 _TRAIL_BAND_MAX = 1 << 62        # int64 headroom guard (tests force 0)
 
 
-def q_trailing_hour_sum(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_trailing_hour_sum(sf_dir: str) -> pd.DataFrame:
     """Per-event trailing 1-hour value sum for the same user — a RANGE
     frame (all rows with ts in [ts_i - 1h, ts_i], INCLUDING ts peers),
     the semantics a ROWS frame like q_rolling_avg cannot express.  ONE
-    bucketed shuffle on hash(user); inside each bucket every user's
+    keyed exchange on user_id; inside each bucket every user's
     window bounds come from two GLOBAL searchsorted probes over a
     disjoint-offset key (user_rank * OFFSET + ts_rel, the K-offset trick
     test_property.py locks) — no per-user Python loop; a guarded exact
     fallback handles the (corpus-scale) case where rank*OFFSET would
     overflow int64.  Sums are micro-unit int64, so partial order can
     never change the rounded result."""
-    from .joins import _bucket_of
-
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    ev = ev.map_batches(
-        lambda t: t.append_column(
-            "__bk", _bucket_of(t.column("user_id"), n_buckets)),
-        batch_format="pyarrow")
+    from .joins import keyed
 
     def fold(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[
@@ -3176,8 +3102,8 @@ def q_trailing_hour_sum(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     if t is not None:
         df = t.to_pandas()
     else:
-        df = ev.groupby("__bk").map_groups(fold, batch_format="pyarrow") \
-            .to_pandas()
+        ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
+        df = keyed(ev, "user_id", fold).to_pandas()
     return df.sort_values(["user_id", "ts", "event_id"]) \
         .reset_index(drop=True)
 
@@ -3427,7 +3353,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
       lineitem --batch: returnflag filter + pre-agg (orderkey)--> partials
         --bucketed cogroup w/ date-filtered orders--> (custkey, sub)
         --re-bucket BY CUSTKEY, per-bucket final sum + local top-20-->
-        --driver merges 20 x n_buckets rows, global top-20, then a
+        --driver merges 20 x buckets rows, global top-20, then a
           20-key semi-filtered customer read attaches name/acctbal/nation
 
     Custkeys are bucket-exclusive after the re-bucket, so the per-bucket
@@ -3439,7 +3365,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
     the (orderkey -> custkey) map broadcasts and the attach fuses into
     the lineitem scan (one searchsorted per batch) — the whole query
     then pays ONE shuffle (the custkey re-bucket) instead of two."""
-    from .joins import _bucket_of, attach_value, broadcast_map, rename_agg
+    from .joins import attach_value, broadcast_map, keyed, rename_agg
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_returnflag",
                                   "l_extendedprice", "l_discount"])
@@ -3472,9 +3398,6 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
         g = t.group_by("o_custkey").aggregate([("sub", "sum")])
         return rename_agg(g, {"sub_sum": "sub"}, ["o_custkey", "sub"])
 
-    def add_bk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["o_custkey"], 256))
-
     if od is not None:
         ok = od["o_orderkey"].to_numpy().astype(np.int64)
         o = np.argsort(ok)
@@ -3486,17 +3409,16 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
             k = t.column("l_orderkey").combine_chunks() \
                 .to_numpy(zero_copy_only=False)
             if len(ok_w) == 0:
-                return add_bk(combine_cust(pa.table(
+                return combine_cust(pa.table(
                     {"o_custkey": pa.array([], pa.int64()),
-                     "sub": pa.array([], pa.int64())})))
+                     "sub": pa.array([], pa.int64())}))
             idx = np.searchsorted(ok_w, k)
             idx[idx == len(ok_w)] = 0
             hit = ok_w[idx] == k
             f = t.filter(pa.array(hit))
-            part = combine_cust(pa.table({
+            return combine_cust(pa.table({
                 "o_custkey": pa.array(ck_w[idx[hit]], pa.int64()),
                 "sub": f["sub"]}))
-            return add_bk(part)
 
         by_cust = broadcast_map(partials, probe, ref).materialize()
         if by_cust.count() <= BROADCAST_DIM_ROWS:
@@ -3515,8 +3437,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
         by_cust = attach_value(
             partials, orders, "l_orderkey", "o_custkey", pa.int64(),
             [("l_orderkey", pa.int64()), ("sub", pa.int64())],
-            post=combine_cust).map_batches(add_bk,
-                                           batch_format="pyarrow")
+            post=combine_cust)
 
     def bucket_topk(g: pa.Table) -> pa.Table:
         f = g.group_by("o_custkey").aggregate([("sub", "sum")])
@@ -3525,9 +3446,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
                                               ("o_custkey", "ascending")])
         return f.take(order.slice(0, Q10_TOP_K))
 
-    cand = by_cust \
-        .groupby("__bk").map_groups(bucket_topk, batch_format="pyarrow") \
-        .to_pandas()
+    cand = keyed(by_cust, "o_custkey", bucket_topk).to_pandas()
     top = cand.sort_values(["sub", "o_custkey"],
                            ascending=[False, True]).head(Q10_TOP_K)
     return _q10_attach_winners(sf_dir, top)
@@ -3783,13 +3702,14 @@ Q15_DATE_HI = "1996-04-01"   # exclusive
 
 def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q15: the supplier(s) whose 1996Q1 revenue equals the global
-    maximum.  Per-batch partials by suppkey, ONE bucket shuffle (suppkeys
+    maximum.  Per-batch partials by suppkey, ONE keyed exchange (suppkeys
     bucket-exclusive so in-bucket sums are final), each bucket emits only
     its rows TIED AT ITS LOCAL MAX — the global winners are a subset of
     those candidates by exhaustivity of the max over bucket maxima.  The
-    driver filters n_buckets-ish candidates to the global max and attaches
-    s_name with a winner-key semi-filtered read (never a supplier dict)."""
-    from .joins import _bucket_of, rename_agg
+    driver filters a few candidates per bucket to the global max and
+    attaches s_name with a winner-key semi-filtered read (never a
+    supplier dict)."""
+    from .joins import keyed, rename_agg
 
     lo = pa.scalar(pd.Timestamp(Q15_DATE_LO))
     hi = pa.scalar(pd.Timestamp(Q15_DATE_HI))
@@ -3802,8 +3722,7 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
         g = pa.table({"l_suppkey": t["l_suppkey"],
                       "sub": _rev_subcents(t)}) \
             .group_by("l_suppkey").aggregate([("sub", "sum")])
-        g = rename_agg(g, {"sub_sum": "sub"}, ["l_suppkey", "sub"])
-        return g.append_column("__bk", _bucket_of(g["l_suppkey"], 256))
+        return rename_agg(g, {"sub_sum": "sub"}, ["l_suppkey", "sub"])
 
     def bucket_max(g: pa.Table) -> pa.Table:
         f = g.group_by("l_suppkey").aggregate([("sub", "sum")])
@@ -3813,10 +3732,9 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
         m = pc.max(f["sub"])
         return f.filter(pc.equal(f["sub"], m))
 
-    cand = li.map_batches(rev_partial, batch_format="pyarrow",
-                          batch_size=65536) \
-        .groupby("__bk").map_groups(bucket_max, batch_format="pyarrow") \
-        .to_pandas()
+    cand = keyed(li.map_batches(rev_partial, batch_format="pyarrow",
+                                batch_size=65536),
+                 "l_suppkey", bucket_max).to_pandas()
     best = int(cand["sub"].max())
     winners = cand[cand["sub"] == best].copy()
 
@@ -3847,7 +3765,7 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     encode lossless to ~2^31 rows per part)."""
     import pyarrow.parquet as pq_
 
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     part_src = _rp(sf_dir, "part", ["p_partkey", "p_brand"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
@@ -3871,9 +3789,6 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
             return rename_agg(g, {"qty_sum": "qsum", "qty_count": "cnt"},
                               ["l_partkey", "qsum", "cnt"])
 
-        def add_bk(t: pa.Table) -> pa.Table:
-            return t.append_column("__bk", _bucket_of(t["l_partkey"], 256))
-
         def bucket_final(g: pa.Table) -> pa.Table:
             f = g.group_by("l_partkey").aggregate([("qsum", "sum"),
                                                    ("cnt", "sum")])
@@ -3882,11 +3797,8 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
 
         from .joins import broadcast_map
 
-        stats = broadcast_map(li, qty_partial, bref, batch_size=65536) \
-            .map_batches(add_bk, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(bucket_final,
-                                        batch_format="pyarrow") \
-            .take_all()
+        stats = keyed(broadcast_map(li, qty_partial, bref, batch_size=65536),
+                      "l_partkey", bucket_final).take_all()
         skeys = pa.array([r["l_partkey"] for r in stats], pa.int64())
         sqsum = pa.array([r["qsum"] for r in stats], pa.int64())
         scnt = pa.array([r["cnt"] for r in stats], pa.int64())
@@ -3921,14 +3833,14 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
                                  pa.int64())}),
             batch_format="pyarrow")
 
-        def keyed(t: pa.Table) -> pa.Table:
+        def to_rows(t: pa.Table) -> pa.Table:
             return pa.table({
                 "l_partkey": t["l_partkey"],
                 "qty": pc.cast(t["l_quantity"], pa.int64()),
                 "cents": pc.cast(pc.round(pc.multiply(
                     t["l_extendedprice"], pa.scalar(100.0))), pa.int64())})
 
-        rows = li.map_batches(keyed, batch_format="pyarrow",
+        rows = li.map_batches(to_rows, batch_format="pyarrow",
                               batch_size=65536)
 
         def keep_brand(t: pa.Table) -> pa.Table:
@@ -3961,17 +3873,9 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
                          f["cnt"])
             return pa.table({"doc_id": f["doc_id"], "value": enc})
 
-        from .joins import _bucket_of as _bk
-
-        def add_bk2(t: pa.Table) -> pa.Table:
-            return t.append_column("__bk", _bk(t["doc_id"], 256))
-
-        stats_ds = brand_rows.map_batches(stats_partial,
-                                          batch_format="pyarrow") \
-            .map_batches(add_bk2, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(
-                lambda g: stats_final(g.drop_columns(["__bk"])),
-                batch_format="pyarrow")
+        stats_ds = keyed(brand_rows.map_batches(stats_partial,
+                                                batch_format="pyarrow"),
+                         "doc_id", stats_final)
 
         def small_sum(t: pa.Table) -> pa.Table:
             qsum = pc.divide(t["enc"], pa.scalar(1 << 32, pa.int64()))
@@ -3984,7 +3888,7 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
                                                pa.int64())})
 
         total = attach_value(
-            brand_rows, stats_ds.materialize(), "l_partkey", "enc",
+            brand_rows, stats_ds, "l_partkey", "enc",
             pa.int64(),
             [("l_partkey", pa.int64()), ("qty", pa.int64()),
              ("cents", pa.int64())],
@@ -4364,22 +4268,21 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("wstart_us").reset_index(drop=True)
 
 
-def q_user_mode_event(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_user_mode_event(sf_dir: str) -> pd.DataFrame:
     """Per-user modal event type (ties → lexicographically smallest
-    type): per-batch (user, type) partial counts, ONE user-bucketed
-    shuffle, per-bucket final counts + vectorized argmax (sort by
+    type): per-batch (user, type) partial counts, ONE keyed exchange on
+    user_id, per-bucket final counts + vectorized argmax (sort by
     count desc / type asc, hash-'first' per user) — the grouped-mode
     shape with no per-user Python call."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["user_id", "event_type"]) \
             .aggregate([("user_id", "count")])
-        g = rename_agg(g, {"user_id_count": "n"},
-                       ["user_id", "event_type", "n"])
-        return g.append_column("__bk", _bucket_of(g["user_id"], n_buckets))
+        return rename_agg(g, {"user_id_count": "n"},
+                          ["user_id", "event_type", "n"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         f = g.group_by(["user_id", "event_type"]).aggregate([("n", "sum")])
@@ -4394,11 +4297,9 @@ def q_user_mode_event(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                                 "n_first": "n"},
                           ["user_id", "mode_event_type", "n"])
 
-    out = ev.map_batches(partial, batch_format="pyarrow",
-                         batch_size=65536) \
-        .groupby("__bk").map_groups(
-            lambda g: per_bucket(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    out = keyed(ev.map_batches(partial, batch_format="pyarrow",
+                               batch_size=65536),
+                "user_id", per_bucket).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -4589,8 +4490,7 @@ def t_column_profile(sf_dir: str) -> pd.DataFrame:
 KMV_JOIN_K = 128
 
 
-def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K,
-                       n_buckets: int = 64) -> pd.DataFrame:
+def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K) -> pd.DataFrame:
     """Join-cardinality estimation by SKETCH COMPOSITION: how many
     distinct orderkeys do the high-value orders (o_totalprice >
     BLOOM_PRICE_MIN) share with the returned lineitems (returnflag R)?
@@ -4598,13 +4498,13 @@ def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K,
     B-sketch ∩ union-K| / |union-K| and est_intersection = jaccard x
     KMV-union-estimate — the planner-style answer that costs two
     sketch passes instead of a key exchange.  The EXACT intersection
-    rides along on one key-bucketed shuffle (batch-local dedupe first)
+    rides along on one keyed exchange (batch-local dedupe first)
     for the honesty column.  Everything is md5-hash + exact-int
     arithmetic with fixed float expression trees, so the DuckDB
     oracle matches bit-for-bit."""
     import hashlib
 
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     def _h64(keys: np.ndarray) -> np.ndarray:
         return np.array(
@@ -4646,16 +4546,14 @@ def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K,
         else 0.0
     est_intersection = est_jaccard * est_union
 
-    # exact intersection: tagged key rows, ONE bucketed shuffle,
+    # exact intersection: tagged key rows, ONE keyed exchange,
     # per-bucket both-sides count
     def tag(side_bit: int):
         def fn(t: pa.Table) -> pa.Table:
             keys = pc.unique(t["k"].combine_chunks())
-            out = pa.table({
+            return pa.table({
                 "k": keys,
                 "bit": pa.array(np.full(len(keys), side_bit, np.int64))})
-            return out.append_column("__bk", _bucket_of(out["k"],
-                                                        n_buckets))
         return fn
 
     def both(g: pa.Table) -> pa.Table:
@@ -4667,8 +4565,7 @@ def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K,
 
     tagged = orders.map_batches(tag(1), batch_format="pyarrow") \
         .union(returned.map_batches(tag(2), batch_format="pyarrow"))
-    exact = tagged.groupby("__bk").map_groups(
-        both, batch_format="pyarrow").sum("n")
+    exact = keyed(tagged, "k", both).sum("n")
 
     return pd.DataFrame({
         "n_union_sketch": [int(nu)],
@@ -4738,16 +4635,15 @@ def q4_priority_with_returns(sf_dir: str) -> pd.DataFrame:
 _DAY_US = 86_400_000_000
 
 
-def q_cumulative_distinct_users(sf_dir: str,
-                                n_buckets: int = 256) -> pd.DataFrame:
+def q_cumulative_distinct_users(sf_dir: str) -> pd.DataFrame:
     """Cumulative distinct users per day — the growth-curve query whose
     naive form (COUNT(DISTINCT) per expanding window) re-scans
     everything per day.  Exact one-pass plan: each user's FIRST day is
-    a per-user min (batch partials + one user-bucketed combine, users
+    a per-user min (batch partials + one keyed combine on user_id, users
     bucket-exclusive so the in-bucket min is global), daily new-user
     counts fold in the same bucket task, and the driver prefix-sums a
     days-long vector.  All int64 until the final frame."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["user_id", "ts"])
 
@@ -4757,8 +4653,7 @@ def q_cumulative_distinct_users(sf_dir: str,
                           pa.scalar(_DAY_US, pa.int64()))
         g = pa.table({"user_id": t["user_id"], "day": day}) \
             .group_by("user_id").aggregate([("day", "min")])
-        g = rename_agg(g, {"day_min": "day"}, ["user_id", "day"])
-        return g.append_column("__bk", _bucket_of(g["user_id"], n_buckets))
+        return rename_agg(g, {"day_min": "day"}, ["user_id", "day"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         f = g.group_by("user_id").aggregate([("day", "min")])
@@ -4767,11 +4662,9 @@ def q_cumulative_distinct_users(sf_dir: str,
         return rename_agg(out, {"day_count": "new_users"},
                           ["day", "new_users"])
 
-    days = ev.map_batches(partial, batch_format="pyarrow",
-                          batch_size=65536) \
-        .groupby("__bk").map_groups(
-            lambda g: per_bucket(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    days = keyed(ev.map_batches(partial, batch_format="pyarrow",
+                                batch_size=65536),
+                 "user_id", per_bucket).to_pandas()
     out = days.groupby("day", as_index=False).agg(
         new_users=("new_users", "sum")).sort_values("day")
     out["new_users"] = out["new_users"].astype("int64")
@@ -4783,24 +4676,20 @@ def q_cumulative_distinct_users(sf_dir: str,
 DEDUP_WINDOW_US = 5_000_000   # 5-second repeat window
 
 
-def d_event_window_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def d_event_window_dedup(sf_dir: str) -> pd.DataFrame:
     """Temporal event dedup (bot/double-fire filtering): collapse each
     BURST — a run of same-(user, type) events where every consecutive
     gap is <= DEDUP_WINDOW_US — to its first event.  An event survives
     iff it starts a (user, type) segment or its gap to the immediately
     preceding event of that key exceeds the window (the LAG semantics,
     fully vectorizable; the alternative kept-anchor chain is inherently
-    sequential and is NOT what this operator implements).  One shuffle
-    on hash(user) buckets, vectorized multi-key diff fold per bucket
+    sequential and is NOT what this operator implements).  One keyed
+    exchange on user_id, vectorized multi-key diff fold per bucket
     (the q_sessionization shape).  Returns per-(user, type) kept and
     dropped counts — exact int64, LAG-window SQL oracle."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-    ev = ev.map_batches(
-        lambda t: t.append_column("__bk", _bucket_of(t["user_id"],
-                                                     n_buckets)),
-        batch_format="pyarrow")
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -4830,23 +4719,21 @@ def d_event_window_dedup(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                               "dropped_sum": "n_dropped"},
                           ["user_id", "event_type", "n_kept", "n_dropped"])
 
-    out = ev.groupby("__bk").map_groups(
-        lambda g: fold(g.drop_columns(["__bk"])),
-        batch_format="pyarrow").to_pandas()
+    out = keyed(ev, "user_id", fold).to_pandas()
     out["n_kept"] = out["n_kept"].astype("int64")
     out["n_dropped"] = out["n_dropped"].astype("int64")
     return out.sort_values(["user_id", "event_type"]).reset_index(drop=True)
 
 
-def q_window_trending(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q_window_trending(sf_dir: str) -> pd.DataFrame:
     """Trending event type per hopping window (1h window / 30min hop):
     the 'what's hot right now' query.  Vectorized 2x window fan-out
     with per-batch (window, type) pre-agg (the q_hopping_window_counts
     exchange — no event row ever shuffles), then per-window argmax via
-    ONE window-bucketed fold (windows are bucket-exclusive, so the
-    in-bucket sort + hash-'first' is the global winner); ties break to
-    the lexicographically smallest type."""
-    from .joins import _bucket_of, rename_agg
+    ONE keyed fold on the window start (windows are bucket-exclusive, so
+    the in-bucket sort + hash-'first' is the global winner); ties break
+    to the lexicographically smallest type."""
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["ts", "event_type"])
     fan = HOP_WINDOW_US // HOP_US
@@ -4864,10 +4751,8 @@ def q_window_trending(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             "n": pa.array(np.ones(len(starts), np.int64))})
         out = tbl.group_by(["wstart_us", "event_type"]) \
             .aggregate([("n", "sum")])
-        out = rename_agg(out, {"n_sum": "n"},
-                         ["wstart_us", "event_type", "n"])
-        return out.append_column("__bk", _bucket_of(out["wstart_us"],
-                                                    n_buckets))
+        return rename_agg(out, {"n_sum": "n"},
+                          ["wstart_us", "event_type", "n"])
 
     def winner(g: pa.Table) -> pa.Table:
         f = g.group_by(["wstart_us", "event_type"]).aggregate([("n", "sum")])
@@ -4882,11 +4767,9 @@ def q_window_trending(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                                 "n_first": "n"},
                           ["wstart_us", "top_event_type", "n"])
 
-    out = ev.map_batches(partial, batch_format="pyarrow",
-                         batch_size=65536) \
-        .groupby("__bk").map_groups(
-            lambda g: winner(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    out = keyed(ev.map_batches(partial, batch_format="pyarrow",
+                               batch_size=65536),
+                "wstart_us", winner).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values("wstart_us").reset_index(drop=True)
 
@@ -4961,18 +4844,18 @@ def _nation_table(sf_dir: str) -> pa.Table:
     return pq_.read_table(f"{sf_dir}/nation.parquet")
 
 
-def q2_min_cost_supplier(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
     """For every STANDARD part of size 10-30, the EUROPE supplier(s) tied
     at the minimum observed price.  Plan: batch-partial min per (partkey,
     suppkey) pair, size-gated part/supplier attachment (broadcast key
     arrays under BROADCAST_DIM_ROWS, else attach_value cogroups), ONE
-    partkey-bucketed shuffle finalizes pair minima AND the per-part argmin
+    keyed exchange on partkey finalizes pair minima AND the per-part argmin
     in the same task (partkeys are bucket-exclusive, so the in-bucket min
     is global).  Winners are bounded by the candidate-part count; names
     attach via semi-filtered dimension reads, never a full driver pull."""
     import pyarrow.parquet as pq_
 
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     nat = _nation_table(sf_dir)
     eu_nk = pc.cast(nat.filter(pc.equal(nat["n_regionkey"],
@@ -5057,9 +4940,6 @@ def q2_min_cost_supplier(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
         pairs = attach_value(pairs.materialize(), nks, "l_suppkey",
                              "__nk", pa.int64(), pair_cols, post=keep_eu)
 
-    def add_bk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["l_partkey"], n_buckets))
-
     def bucket_argmin(g: pa.Table) -> pa.Table:
         empty = pa.table({"l_partkey": pa.array([], pa.int64()),
                           "l_suppkey": pa.array([], pa.int64()),
@@ -5078,10 +4958,7 @@ def q2_min_cost_supplier(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
                         pc.take(pm["pmin"].combine_chunks(), idx))
         return f.filter(keep)
 
-    win = pairs.map_batches(add_bk, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(
-            lambda g: bucket_argmin(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    win = keyed(pairs, "l_partkey", bucket_argmin).to_pandas()
     if win.empty:
         return pd.DataFrame({"s_acctbal": pd.Series(dtype="float64"),
                              "s_name": pd.Series(dtype="object"),
@@ -5254,14 +5131,14 @@ Q11_REGION_KEY = 0         # AFRICA
 Q11_MULT = 2               # keep parts with value > 2x the mean part value
 
 
-def q11_important_parts(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def q11_important_parts(sf_dir: str) -> pd.DataFrame:
     """Per-part value of AFRICA-supplied lineitems, keeping parts with
     value*N > MULT*total (exact int64 cross-multiplication — never a
-    float mean).  Plan: batch partials -> ONE partkey-bucketed shuffle
+    float mean).  Plan: batch partials -> ONE keyed exchange on partkey
     finalizes per-part sums -> the filter scalar pair (total, N) comes
     from a driver-side sum/count of the SMALL finals dataset -> a second
     streaming pass filters.  Supplier side size-gated like q2/q9."""
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     nat = _nation_table(sf_dir)
     reg_nk = pc.cast(nat.filter(pc.equal(
@@ -5322,17 +5199,11 @@ def q11_important_parts(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
              ("sub", pa.int64())],
             post=keep_region)
 
-    def add_bk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["l_partkey"], n_buckets))
-
     def bucket_final(g: pa.Table) -> pa.Table:
         f = g.group_by("l_partkey").aggregate([("sub", "sum")])
         return rename_agg(f, {"sub_sum": "sub"}, ["l_partkey", "sub"])
 
-    finals = rows.map_batches(add_bk, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(
-            lambda g: bucket_final(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").materialize()
+    finals = keyed(rows, "l_partkey", bucket_final).materialize()
     total = int(finals.sum("sub") or 0)
     nparts = finals.count()
     if nparts == 0:
@@ -5385,17 +5256,17 @@ def _q16_encode(t: pa.Table) -> pa.Table:
     return pa.table({"doc_id": f["p_partkey"], "value": enc})
 
 
-def q16_supplier_cnt(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
     """COUNT(DISTINCT suppkey) per (brand, type, size): batch-local pair
     dedupe -> size-gated part-attr attach (broadcast arrays / cogroup)
     and supplier exclusion (broadcast set / 0-1 flag cogroup over ALL
     suppliers, filtered ==0 — attach-and-drop can't express NOT IN) ->
-    ONE enc-bucketed shuffle where in-bucket distinct is global (enc is
+    ONE keyed exchange on enc where in-bucket distinct is global (enc is
     bucket-exclusive).  Attr strings decode on the driver from the
     bounded group table."""
     import pyarrow.parquet as pq_
 
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     part_src = _rp(sf_dir, "part", ["p_partkey", "p_brand", "p_type",
                                     "p_size"])
@@ -5471,19 +5342,13 @@ def q16_supplier_cnt(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
                               ("l_suppkey", pa.int64())],
                              post=drop_excluded)
 
-    def add_bk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["enc"], n_buckets))
-
     def bucket_count(g: pa.Table) -> pa.Table:
         d = g.group_by(["enc", "l_suppkey"]).aggregate([])
         f = d.group_by("enc").aggregate([("l_suppkey", "count")])
         return rename_agg(f, {"l_suppkey_count": "supplier_cnt"},
                           ["enc", "supplier_cnt"])
 
-    out = pairs.map_batches(add_bk, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(
-            lambda g: bucket_count(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    out = keyed(pairs, "enc", bucket_count).to_pandas()
     if out.empty:
         return pd.DataFrame({
             "p_brand": pd.Series(dtype="object"),
@@ -5513,16 +5378,16 @@ Q20_REGION_KEY = 1         # AMERICA
 Q20_MULT = 2
 
 
-def q20_dominant_suppliers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     """Per-(part, supplier) quantity sums and the per-part total + supplier
-    count finalize in the SAME partkey-bucketed task (partkeys are
+    count finalize in the SAME keyed task on partkey (partkeys are
     bucket-exclusive); dominance is the exact cross-multiplication
     q*ns > MULT*tot.  Each bucket forwards only its DISTINCT dominant
     suppkeys; the driver merge is bounded by the supplier count.  The
     region/name attach is a semi-filtered dimension read of the winners."""
     import pyarrow.parquet as pq_
 
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     nat = _nation_table(sf_dir)
     reg_nk = pc.cast(nat.filter(pc.equal(
@@ -5570,9 +5435,6 @@ def q20_dominant_suppliers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
              ("q", pa.int64())],
             post=lambda t: t.drop_columns(["__c"]))
 
-    def add_bk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["l_partkey"], n_buckets))
-
     def bucket_dominant(g: pa.Table) -> pa.Table:
         empty = pa.table({"l_suppkey": pa.array([], pa.int64())})
         if g.num_rows == 0:
@@ -5593,10 +5455,7 @@ def q20_dominant_suppliers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
         return pa.table({"l_suppkey": pc.unique(
             win["l_suppkey"].combine_chunks())})
 
-    win = pairs.map_batches(add_bk, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(
-            lambda g: bucket_dominant(g.drop_columns(["__bk"])),
-            batch_format="pyarrow").to_pandas()
+    win = keyed(pairs, "l_partkey", bucket_dominant).to_pandas()
     if win.empty:
         return pd.DataFrame({"s_suppkey": pd.Series(dtype="int64"),
                              "s_name": pd.Series(dtype="object")})
@@ -5624,7 +5483,7 @@ Q22_REGION_KEYS = (0, 2)   # AFRICA + ASIA
 Q22_RECENT = "2000-01-01"  # customers with no order on/after this date
 
 
-def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
     """Customers in AFRICA/ASIA whose balance beats the positive-balance
     average (exact: cents*N > sum_cents) and who placed no order since
     Q22_RECENT.  Pass 1 reduces customer batches to (sum_cents, count)
@@ -5632,7 +5491,7 @@ def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     q_customers_without_orders union-cogroup anti-join on custkey, with
     per-bucket partial (nation -> count, sum) folds so only 25-ish rows
     per bucket reach the driver."""
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     nat = _nation_table(sf_dir)
     reg_nk = pc.cast(nat.filter(pc.is_in(
@@ -5678,8 +5537,7 @@ def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             "key": t["c_custkey"],
             "nk": pc.cast(t["c_nationkey"], pa.int64()),
             "cents": cents,
-            "is_cust": pa.array([True] * t.num_rows, pa.bool_()),
-            "__bk": _bucket_of(t["c_custkey"], n_buckets)})
+            "is_cust": pa.array([True] * t.num_rows, pa.bool_())})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["o_orderdate"], cutoff))
@@ -5689,8 +5547,7 @@ def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             "key": keys,
             "nk": pa.nulls(n, pa.int64()),
             "cents": pa.nulls(n, pa.int64()),
-            "is_cust": pa.array([False] * n, pa.bool_()),
-            "__bk": _bucket_of(keys, n_buckets)})
+            "is_cust": pa.array([False] * n, pa.bool_())})
 
     def anti_fold(g: pa.Table) -> pa.Table:
         is_cust = g["is_cust"]
@@ -5715,10 +5572,9 @@ def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
                           ["nk", "numcust", "cents"])
 
     orders = _rp(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    folds = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")) \
-        .groupby("__bk").map_groups(anti_fold,
-                                    batch_format="pyarrow").to_pandas()
+    folds = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
+        orders.map_batches(tag_orders, batch_format="pyarrow")),
+        "key", anti_fold).to_pandas()
     if folds.empty:
         return pd.DataFrame({"n_name": pd.Series(dtype="object"),
                              "numcust": pd.Series(dtype="int64"),
@@ -5741,16 +5597,16 @@ def q22_idle_rich_customers(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
 Q21_TOP_K = 20
 
 
-def q21_waiting_suppliers(sf_dir: str, n_buckets: int = 256,
+def q21_waiting_suppliers(sf_dir: str,
                           k: int = Q21_TOP_K) -> pd.DataFrame:
     """Batch partials collapse lineitems to (orderkey, suppkey,
-    returned?) pairs; ONE orderkey-bucketed shuffle resolves both
+    returned?) pairs; ONE keyed exchange on orderkey resolves both
     quantifiers in-task (orderkeys are bucket-exclusive): an order
     credits its supplier iff it has >=2 distinct suppliers and exactly
     one of them returned.  Per-bucket per-supplier partial counts then
     ride the q_top_suppliers attach (suppkey cogroup + in-bucket final
     sum + exact per-bucket top-k); the driver merges k x buckets rows."""
-    from .joins import _bucket_of, attach_value, rename_agg
+    from .joins import attach_value, keyed, rename_agg
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
                                   "l_returnflag"])
@@ -5761,10 +5617,8 @@ def q21_waiting_suppliers(sf_dir: str, n_buckets: int = 256,
                       "l_suppkey": t["l_suppkey"], "ret": ret}) \
             .group_by(["l_orderkey", "l_suppkey"]) \
             .aggregate([("ret", "max")])
-        g = rename_agg(g, {"ret_max": "ret"},
-                       ["l_orderkey", "l_suppkey", "ret"])
-        return g.append_column("__bk", _bucket_of(g["l_orderkey"],
-                                                  n_buckets))
+        return rename_agg(g, {"ret_max": "ret"},
+                          ["l_orderkey", "l_suppkey", "ret"])
 
     def bucket_credit(g: pa.Table) -> pa.Table:
         empty = pa.table({"l_suppkey": pa.array([], pa.int64()),
@@ -5796,11 +5650,9 @@ def q21_waiting_suppliers(sf_dir: str, n_buckets: int = 256,
             .group_by("l_suppkey").aggregate([("cnt", "sum")])
         return rename_agg(c, {"cnt_sum": "cnt"}, ["l_suppkey", "cnt"])
 
-    partials = li.map_batches(pair_partial, batch_format="pyarrow",
-                              batch_size=65536) \
-        .groupby("__bk").map_groups(
-            lambda g: bucket_credit(g.drop_columns(["__bk"])),
-            batch_format="pyarrow")
+    partials = keyed(li.map_batches(pair_partial, batch_format="pyarrow",
+                                    batch_size=65536),
+                     "l_orderkey", bucket_credit)
 
     names = _rp(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
         lambda t: pa.table({"doc_id": t["s_suppkey"],

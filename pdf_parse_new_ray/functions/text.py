@@ -235,17 +235,17 @@ def t_repetition_signals(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def t_tfidf_top_terms(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def t_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     """Per-document top TF-IDF term (tfidf = tf * ln(N/df)).
 
-    Scale plan — TWO bucketed shuffles, no broadcast of the vocabulary:
-    (1) per-doc term counts explode to (doc, term, tf) rows bucketed by
+    Scale plan — TWO keyed exchanges, no broadcast of the vocabulary:
+    (1) per-doc term counts explode to (doc, term, tf) rows keyed on the
     term; inside each term-bucket the df is computed AND attached with
     one Arrow group_by + index_in (df never leaves its bucket);
-    (2) scored rows re-bucket by doc_id and each bucket emits the argmax
+    (2) scored rows re-key on doc_id and each bucket emits the argmax
     row per document (tfidf DESC, term ASC tie-break)."""
-    from ..state import checkpoint as ckpt
     from .dedup import DOCS_DRIVER_ROWS, _docs_meta_rows
+    from .joins import keyed
 
     n_docs = _docs_meta_rows(sf_dir)  # == docs.count(), metadata only
     word = re.compile(r"[a-z]+")
@@ -260,12 +260,10 @@ def t_tfidf_top_terms(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                 doc_ids.append(doc_id)
                 terms.append(term)
                 tfs.append(tf)
-        terms_arr = pa.array(terms, pa.string())
         return pa.table({
             "doc_id": pa.array(doc_ids, pa.int64()),
-            "term": terms_arr,
+            "term": pa.array(terms, pa.string()),
             "tf": pa.array(tfs, pa.int64()),
-            "__bk": ckpt.partition_column(terms_arr, n_buckets),
         })
 
     def score_bucket(g: pa.Table) -> pa.Table:
@@ -276,14 +274,12 @@ def t_tfidf_top_terms(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         df = pc.take(dfs["doc_id_count"].combine_chunks(), idx)
         tfidf = g["tf"].to_numpy(zero_copy_only=False) * \
             np.log(n_docs / df.to_numpy(zero_copy_only=False))
-        doc_arr = g["doc_id"]
         return pa.table({
-            "doc_id": doc_arr,
+            "doc_id": g["doc_id"],
             "term": g["term"],
             "tf": g["tf"],
             "df": df,
             "tfidf": pa.array(tfidf, pa.float64()),
-            "__dbk": ckpt.partition_column(doc_arr, n_buckets),
         })
 
     def top_per_doc(g: pa.Table) -> pa.Table:
@@ -306,10 +302,9 @@ def t_tfidf_top_terms(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
         out = top_per_doc(score_bucket(explode(t))).to_pandas()
     else:
         docs = _docs(sf_dir, ["doc_id", "text"])
-        out = docs.map_batches(explode, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(score_bucket, batch_format="pyarrow") \
-            .groupby("__dbk").map_groups(top_per_doc, batch_format="pyarrow") \
-            .to_pandas()
+        scored = keyed(docs.map_batches(explode, batch_format="pyarrow"),
+                       "term", score_bucket)
+        out = keyed(scored, "doc_id", top_per_doc).to_pandas()
     out["tfidf"] = out["tfidf"].round(6)
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -357,13 +352,12 @@ def t_top_bigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
     Scale plan: per-batch Counter partials collapse each batch to its
     DISTINCT grams before the only shuffle; under a 5M-partial-row gate
     the mergeable (gram, n) partials fold on the driver, above it they
-    merge through ONE gram-bucketed map_groups (Arrow group_by + local
+    merge through ONE keyed fold on the gram (Arrow group_by + local
     top-k per bucket — never a Ray-native per-distinct-gram aggregate),
-    so driver traffic is k x n_buckets rows."""
+    so driver traffic is k x buckets rows."""
     from collections import Counter
 
-    from .dedup import _gram_hash64
-    from .joins import rename_agg
+    from .joins import keyed, rename_agg
 
     word = re.compile(r"[a-z]+")
 
@@ -372,12 +366,9 @@ def t_top_bigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         for text in t.column("text").to_pylist():
             ws = word.findall((text or "").lower())
             c.update(f"{a} {b}" for a, b in zip(ws, ws[1:]))
-        grams = list(c.keys())
         return pa.table({
-            "gram": pa.array(grams, pa.string()),
+            "gram": pa.array(list(c.keys()), pa.string()),
             "n": pa.array(list(c.values()), pa.int64()),
-            "__gb": pa.array([_gram_hash64(g) & 255 for g in grams],
-                             pa.int32()),
         })
 
     parts = _docs(sf_dir, ["text"]).map_batches(
@@ -386,15 +377,13 @@ def t_top_bigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         df = parts.to_pandas().groupby("gram", as_index=False)["n"].sum()
     else:
         def bucket_merge(g: pa.Table) -> pa.Table:
-            t = g.drop_columns(["__gb"]).group_by("gram") \
-                .aggregate([("n", "sum")])
+            t = g.group_by("gram").aggregate([("n", "sum")])
             t = rename_agg(t, {"n_sum": "n"}, ["gram", "n"])
             order = pc.sort_indices(t, sort_keys=[("n", "descending"),
                                                   ("gram", "ascending")])
             return t.take(order[:k])
 
-        df = parts.groupby("__gb").map_groups(
-            bucket_merge, batch_format="pyarrow").to_pandas()
+        df = keyed(parts, "gram", bucket_merge).to_pandas()
     df = df.sort_values(["n", "gram"], ascending=[False, True]).head(k)
     return df.reset_index(drop=True)[["gram", "n"]]
 
@@ -713,7 +702,7 @@ def t_lang_mix_sample(sf_dir: str) -> pd.DataFrame:
 BIGRAM_BROADCAST_ROWS = 5_000_000
 
 
-def t_bigram_lm_score(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
+def t_bigram_lm_score(sf_dir: str) -> pd.DataFrame:
     """Corpus-LM document scoring (the CCNet idea with an integer-exact
     statistic): build the corpus-wide bigram frequency table, then
     score every document by the total and mean corpus frequency of its
@@ -724,13 +713,13 @@ def t_bigram_lm_score(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
     the materialized (h, doc_id, occ) gram rows yield the corpus
     frequency table in one driver fold of per-batch Arrow partials;
     scoring is then a shuffle-free broadcast_map searchsorted pass —
-    zero exchanges.  Scale path: ONE hash-bucket shuffle computes the
-    global counts AND the per-row occ x corpus_count products per
-    bucket, and the per-doc merge rides a doc-bucketed map_groups
-    (never a per-distinct-doc Ray-native aggregate).  All counting in
-    int64 — no float drift."""
+    zero exchanges.  Scale path: ONE keyed exchange on the gram hash
+    computes the global counts AND the per-row occ x corpus_count
+    products per bucket, and the per-doc merge rides a keyed fold on
+    doc_id (never a per-distinct-doc Ray-native aggregate).  All
+    counting in int64 — no float drift."""
     from .dedup import _gram_hash64
-    from .joins import broadcast_map
+    from .joins import broadcast_map, keyed
 
     word = re.compile(r"[a-z0-9]+")
 
@@ -755,8 +744,6 @@ def t_bigram_lm_score(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             "h": pa.array(h, pa.uint64()),
             "doc_id": pa.array(d, pa.int64()),
             "occ": pa.array(o, pa.int64()),
-            "__bk": pa.array((h & np.uint64(n_buckets - 1))
-                             .astype(np.int32)),
         })
 
     gds = _docs(sf_dir, ["doc_id", "text"]) \
@@ -800,8 +787,7 @@ def t_bigram_lm_score(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
             if g.num_rows == 0:
                 return pa.table({"doc_id": pa.array([], pa.int64()),
                                  "n_bigrams": pa.array([], pa.int64()),
-                                 "total_freq": pa.array([], pa.int64()),
-                                 "__dbk": pa.array([], pa.int32())})
+                                 "total_freq": pa.array([], pa.int64())})
             cnt = rename_agg(g.group_by("h").aggregate([("occ", "sum")]),
                              {"occ_sum": "c"})
             # vectorized corpus-count attach: position of each row's h in
@@ -815,28 +801,21 @@ def t_bigram_lm_score(sf_dir: str, n_buckets: int = 256) -> pd.DataFrame:
                             "occ": g.column("occ"), "part": score}) \
                 .group_by("doc_id").aggregate([("occ", "sum"),
                                                ("part", "sum")])
-            per = rename_agg(per, {"occ_sum": "n_bigrams",
-                                   "part_sum": "total_freq"},
-                             ["doc_id", "n_bigrams", "total_freq"])
-            return per.append_column("__dbk", pc.cast(
-                pc.bit_wise_and(per.column("doc_id"),
-                                pa.scalar(63, pa.int64())), pa.int32()))
+            return rename_agg(per, {"occ_sum": "n_bigrams",
+                                    "part_sum": "total_freq"},
+                              ["doc_id", "n_bigrams", "total_freq"])
 
         def merge_docs(g: pa.Table) -> pa.Table:
             from .joins import rename_agg
 
-            t = g.drop_columns(["__dbk"]).group_by("doc_id").aggregate(
+            t = g.group_by("doc_id").aggregate(
                 [("n_bigrams", "sum"), ("total_freq", "sum")])
             return rename_agg(t, {"n_bigrams_sum": "n_bigrams",
                                   "total_freq_sum": "total_freq"},
                               ["doc_id", "n_bigrams", "total_freq"])
 
-        out = gds \
-            .groupby("__bk").map_groups(per_bucket,
-                                        batch_format="pyarrow") \
-            .groupby("__dbk").map_groups(merge_docs,
-                                         batch_format="pyarrow") \
-            .to_pandas()
+        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
+                    merge_docs).to_pandas()
     out["n_bigrams"] = out["n_bigrams"].astype("int64")
     out["total_freq"] = out["total_freq"].astype("int64")
     # no rounded-division column: total_freq / n_bigrams is derivable,
@@ -1007,7 +986,7 @@ DSIR_BROADCAST_ROWS = 5_000_000
 DSIR_TARGET_LANG = "en"    # target distribution = the English slice
 
 
-def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
+def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
     """Data Selection via Importance Resampling (Xie et al. 2023) with an
     integer-exact statistic: word bigrams hash into DSIR_BUCKETS buckets;
     the target distribution is the DSIR_TARGET_LANG slice.  Instead of
@@ -1023,13 +1002,13 @@ def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
     slice.  All masses are int64, so ONE float64 division pair at the
     end is the only float; the oracle reproduces it bit-for-bit.
 
-    ONE shuffle total (the t_bigram_lm_score layout): every occurrence
-    row lands in its feature bucket's shuffle group, so bucket-local
-    counts ARE the global tcnt/rcnt and the per-doc partial masses fold
-    in the same pass; the per-doc merge is doc-bucketed (doc-exclusive),
-    never a high-cardinality Ray aggregate."""
+    ONE keyed exchange on the feature (the t_bigram_lm_score layout):
+    every occurrence row of a feature lands in one keyed bucket, so
+    bucket-local counts ARE the global tcnt/rcnt and the per-doc partial
+    masses fold in the same pass; the per-doc merge is a keyed fold on
+    doc_id (doc-exclusive), never a high-cardinality Ray aggregate."""
     from .dedup import _gram_hash64
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     word = re.compile(r"[a-z0-9]+")
 
@@ -1064,7 +1043,6 @@ def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
             "is_tgt": pa.array(
                 np.concatenate(tgt_all) if tgt_all
                 else np.empty(0, np.int64), pa.int64()),
-            "__bk": pa.array((h % np.uint64(n_shuffle)).astype(np.int32)),
         })
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -1075,8 +1053,8 @@ def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
     def per_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return empty
-        # global per-feature counts (all rows of a feature bucket are
-        # in this shuffle group by construction)
+        # global per-feature counts (all rows of a feature are in this
+        # keyed bucket by construction)
         tocc = pc.multiply(g["occ"], g["is_tgt"])
         cnt = pa.table({"b": g["b"], "r": g["occ"], "t": tocc}) \
             .group_by("b").aggregate([("r", "sum"), ("t", "sum")])
@@ -1136,13 +1114,6 @@ def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
             .groupby("doc_id", as_index=False).sum()
         out.columns = ["doc_id", "n_occ", "tmass", "rmass"]
     else:
-        partials = gds.groupby("__bk").map_groups(
-            lambda g: per_bucket(g.drop_columns(["__bk"])),
-            batch_format="pyarrow")
-
-        def add_dbk(t: pa.Table) -> pa.Table:
-            return t.append_column("__bk", _bucket_of(t["doc_id"], 256))
-
         def per_doc(g: pa.Table) -> pa.Table:
             f = g.group_by("doc_id").aggregate([
                 ("n_occ", "sum"), ("tmass", "sum"), ("rmass", "sum")])
@@ -1151,10 +1122,8 @@ def t_dsir_importance(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
                                   "rmass_sum": "rmass"},
                               ["doc_id", "n_occ", "tmass", "rmass"])
 
-        out = partials.map_batches(add_dbk, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(
-                lambda g: per_doc(g.drop_columns(["__bk"])),
-                batch_format="pyarrow").to_pandas()
+        out = keyed(keyed(gds, "b", per_bucket), "doc_id",
+                    per_doc).to_pandas()
 
     # global totals: R = all bigram occurrences, T = the target slice's
     # (per-doc n_occ split by lang — a tiny column-pruned read)
@@ -1236,19 +1205,19 @@ def t_lm_perplexity_buckets(sf_dir: str) -> pd.DataFrame:
 NOVELTY_GRAM_N = 3
 
 
-def t_gram_novelty(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
+def t_gram_novelty(sf_dir: str) -> pd.DataFrame:
     """Corpus novelty per document: the fraction of its distinct
     NOVELTY_GRAM_N-grams whose FIRST occurrence (min doc_id) is this
     document — near-1 for original text, near-0 for recombinations of
     earlier content; the RefinedWeb-style signal for ordering a crawl
-    by contribution.  ONE gram-hash-bucketed shuffle resolves global
+    by contribution.  ONE keyed exchange on the gram hash resolves global
     first-occurrence AND folds the per-doc partials in the same pass
     (every row of a gram lands in one bucket, so the bucket-local
-    min(doc_id) IS global); the per-doc merge is doc-bucketed.  Both
+    min(doc_id) IS global); the per-doc merge is keyed on doc_id.  Both
     engines hash grams with the shared md5-64 so even hash collisions
     (which would re-assign credit) are identical."""
     from .dedup import _gram_hash64
-    from .joins import _bucket_of, rename_agg
+    from .joins import keyed, rename_agg
 
     word = re.compile(r"[a-z0-9]+")
     n = NOVELTY_GRAM_N
@@ -1270,7 +1239,6 @@ def t_gram_novelty(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
         return pa.table({
             "h": pa.array(h, pa.uint64()),
             "doc_id": pa.array(d, pa.int64()),
-            "__bk": pa.array((h % np.uint64(n_shuffle)).astype(np.int32)),
         })
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -1293,9 +1261,6 @@ def t_gram_novelty(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
                               "n_novel_sum": "n_novel"},
                           ["doc_id", "n_grams", "n_novel"])
 
-    def add_dbk(t: pa.Table) -> pa.Table:
-        return t.append_column("__bk", _bucket_of(t["doc_id"], 256))
-
     def per_doc(g: pa.Table) -> pa.Table:
         f = g.group_by("doc_id").aggregate([("n_grams", "sum"),
                                             ("n_novel", "sum")])
@@ -1313,19 +1278,13 @@ def t_gram_novelty(sf_dir: str, n_shuffle: int = 256) -> pd.DataFrame:
 
         t = _pq.read_table(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-        out = per_bucket(grams(t).drop_columns(["__bk"])).to_pandas()
+        out = per_bucket(grams(t)).to_pandas()
     else:
-        out = rd.read_parquet(f"{sf_dir}/documents.parquet",
+        gds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"]) \
-            .map_batches(grams, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(
-                lambda g: per_bucket(g.drop_columns(["__bk"])),
-                batch_format="pyarrow") \
-            .materialize() \
-            .map_batches(add_dbk, batch_format="pyarrow") \
-            .groupby("__bk").map_groups(
-                lambda g: per_doc(g.drop_columns(["__bk"])),
-                batch_format="pyarrow").to_pandas()
+            .map_batches(grams, batch_format="pyarrow")
+        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
+                    per_doc).to_pandas()
     out["novelty"] = out["n_novel"].to_numpy().astype(np.float64) \
         / out["n_grams"].to_numpy().astype(np.float64)
     return out.sort_values("doc_id").reset_index(drop=True)

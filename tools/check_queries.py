@@ -2,7 +2,10 @@
 via Ray and its oracle_sql() via DuckDB on the same sf dir; compare row
 count, column names, and values (columns sorted by name, rows sorted).
 
-Usage: python tools/check_queries.py [sf_dir] [query ...]
+Usage: python tools/check_queries.py [--forced] [sf_dir] [query ...]
+
+--forced zeroes every driver-fold size gate (bench._force_distributed_gates)
+so each query runs its distributed plan; the gates are restored afterwards.
 """
 
 from __future__ import annotations
@@ -94,11 +97,28 @@ def compare_planted(mine: pd.DataFrame, exp: pd.DataFrame,
 
 
 def run_checks(sf_dir: str, only: set[str] | None = None,
-               verbose: bool = True) -> tuple[int, int, list[str]]:
+               verbose: bool = True,
+               forced: bool = False) -> tuple[int, int, list[str]]:
     """Run every queries() entry vs its oracle on sf_dir using the
     CALLER's Ray session.  Returns (n_ok, n_bad, failure lines) — the
     importable core of the driver-gate mimic, also exercised end-to-end
-    by the slow pytest node test_all_oracles_green."""
+    by the slow pytest nodes test_all_oracles_green and
+    test_all_oracles_green_forced.  ``forced`` zeroes every driver-fold
+    gate for the run (restored on return), so every query takes its
+    distributed route."""
+    if not forced:
+        return _run_checks(sf_dir, only, verbose)
+    import bench
+
+    saved = bench._force_distributed_gates()
+    try:
+        return _run_checks(sf_dir, only, verbose)
+    finally:
+        bench._restore_gates(saved)
+
+
+def _run_checks(sf_dir: str, only: set[str] | None,
+                verbose: bool) -> tuple[int, int, list[str]]:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -158,15 +178,19 @@ def run_checks(sf_dir: str, only: set[str] | None = None,
 
 
 def main() -> None:
+    forced = "--forced" in sys.argv
+    if forced:
+        sys.argv.remove("--forced")
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
-    n_ok, n_bad, _ = run_checks(sf_dir, only)
+        # keyed exchanges size their buckets from the session's CPUs
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False, logging_level="ERROR")
+    n_ok, n_bad, _ = run_checks(sf_dir, only, forced=forced)
     print(f"\n{n_ok} ok, {n_bad} bad")
     ray.shutdown()
 
