@@ -145,18 +145,6 @@ def run_bench(num_cpus: int, headline_only: bool = False,
         ray.shutdown()
         return result
 
-    # at 10^12 docs the media table exceeds any broadcast budget, so the
-    # bucketed-shuffle join is the production path — measure it too
-    out_dir_h = f"/tmp/bench_out/sf{sf}_cpus{num_cpus}_hash"
-    shutil.rmtree(out_dir_h, ignore_errors=True)
-    t0 = time.time()
-    extract_documents(
-        f"{base}/documents_interleaved", f"{base}/media",
-        out_dir=out_dir_h, n_partitions=max(16, num_cpus * 2),
-        join_strategy="hash",
-    ).take_all()
-    result["queries"]["extract_hash_join"] = round(time.time() - t0, 3)
-
     from pdf_parse_new_ray.functions import ann, dedup, relational, text as tfn
 
     bench_queries = {

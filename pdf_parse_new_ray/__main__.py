@@ -6,7 +6,7 @@ Commands mirror how a user of the reference library consumes it
   parse   <file.pdf> [--max-pages N]         → text to stdout (Result to stderr)
   probe   <file.pdf>                         → page count only (fast path)
   extract <docs_dir> <media_dir> <out_dir>   → distributed corpus extraction
-          [--partitions N] [--join auto|broadcast|hash] [--no-resume]
+          [--partitions N] [--no-resume]
   bench   [--scaling]                        → delegates to bench.py
 
 The `extract` command owns its Ray session (library code never calls
@@ -57,8 +57,7 @@ def _cmd_extract(args) -> int:
 
     metrics = extract_documents(
         args.docs, args.media, out_dir=args.out,
-        n_partitions=args.partitions, join_strategy=args.join,
-        resume=not args.no_resume,
+        n_partitions=args.partitions, resume=not args.no_resume,
     ).take_all()
     total = {
         "partitions": len(metrics),
@@ -87,7 +86,6 @@ def main(argv=None) -> int:
     sp.add_argument("media")
     sp.add_argument("out")
     sp.add_argument("--partitions", type=int, default=32)
-    sp.add_argument("--join", choices=("auto", "broadcast", "hash"), default="auto")
     sp.add_argument("--no-resume", action="store_true")
 
     sub.add_parser("bench", help="run bench.py (accepts --scaling via extra args)")

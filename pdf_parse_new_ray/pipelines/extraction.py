@@ -1,33 +1,25 @@
 """The flagship pipeline: interleaved docs + media → extracted docs.
 
-Ray-Data-first design (SURVEY §7, north_rule), two physical plans chosen by
-the size of the extracted-media side:
+Ray-Data-first design (SURVEY §7, north_rule), one physical plan at every
+size:
 
-broadcast (media ≤ BROADCAST_MEDIA_ROWS):
-  read media (ref+bytes, fine-grained blocks) → split units → extract
-  (warm per-worker kernel state) → chunk table collected once, multi-chunk
-  docs merged, ray.put → read docs → ONE fused map_batches attaches text +
-  assembles each doc (offset sort within its spans list) — zero span
-  shuffles; write mode streams each batch's docs out as per-partition
-  fragments, and the driver commits each partition with the fragment names
-  carried in the metric rows it consumed.
+  extract: read media (ref+bytes, fine-grained blocks) → split units →
+    extract (warm per-worker kernel state), materialized once.  Meanwhile a
+    background thread explodes the docs to span rows carrying the stable
+    lineage partition key.
+  media cogroup: chunk rows and pdf/html span rows, projected to one schema,
+    meet in ``joins.keyed`` on media_ref; each bucket reassembles its
+    page-split chunks and attaches the text to its spans with one
+    vectorized index_in/take.  Text spans bypass the join.
+  partition regroup: ``joins.keyed`` on the partition key; each bucket
+    assembles its docs (offset-keyed sort within doc_id) and, in write mode,
+    writes one fragment per partition and commits it (state.checkpoint's
+    write_fragment + commit_partition) inside the same task.
 
-hash (media too big to broadcast):
-  docs exploded to span rows (+stable partition key); extracted chunk rows
-  and pdf span rows both tagged jkey = hash(media_ref) % P and cogrouped by
-  ONE sort shuffle — the vectorized probe attaches text and reassembles
-  page-split chunks inside the cogroup; text spans bypass the join; the
-  final groupby(part) assembles docs and, in write mode, writes one
-  fragment per partition and commits it inside the same task.
-
-Both plans write through state.checkpoint's one layout and lineage writer
-(write_fragment + commit_partition), so a corpus gets the same files and
-the same per-partition content_hash whichever plan the gate picks.
-
-Shuffle budget: in hash mode only, the media_ref cogroup plus the
-doc-partition groupby.  All per-batch work is Arrow-vectorized
+``joins.exchange_buckets`` sizes both exchanges, so a bucket may hold many
+media refs and many partitions.  All per-batch work is Arrow-vectorized
 (index_in/take, run-length list assembly) or amortized warm state; media
-BYTES never pass through any shuffle — only extracted text does.
+BYTES never pass through an exchange — only extracted text does.
 """
 
 from __future__ import annotations
@@ -44,28 +36,11 @@ import ray
 import ray.data as rd
 
 from ..fixtures.corpus import SPAN_TYPE
+from ..functions.joins import keyed
 from ..stages.extractor import make_extract_task
 from ..stages.split import make_split_units
 from ..stages.spans import explode_spans
 from ..state import checkpoint as ckpt
-
-# broadcast the extracted-media map when it is smaller than BOTH bounds;
-# otherwise use a distributed hash join on media_ref.  The byte bound is
-# the driver-memory cap of the broadcast plan (the chunk table is pulled
-# to the driver for assembly + ray.put): rows alone would let 200k long
-# documents pull tens of GB driver-side (round-1 judge finding #9).
-BROADCAST_MEDIA_ROWS = 200_000
-BROADCAST_MEDIA_BYTES = 1 << 30
-
-
-def choose_join_strategy(rows: int, est_bytes: int) -> str:
-    """Broadcast only when the extracted chunk table fits BOTH bounds —
-    the byte bound is the driver-memory cap of the broadcast plan.  The
-    bounds are read at call time, so setting the module constants takes
-    effect."""
-    if rows <= BROADCAST_MEDIA_ROWS and est_bytes <= BROADCAST_MEDIA_BYTES:
-        return "broadcast"
-    return "hash"
 
 
 def _explode_with_partition(n_partitions: int):
@@ -87,94 +62,6 @@ def _filter_done_docs(n_partitions: int, done: set):
         return batch.filter(mask)
 
     return fn
-
-
-class _AttachAssembleDocs:
-    """Fused broadcast attach + per-doc assembly over INTACT doc rows: no
-    span explode and no span shuffle.  One vectorized pass per block —
-    index_in/take against the broadcast media table, then an offset sort
-    within each spans list (parent-major, offset-minor).  Output is the
-    final documents schema plus the lineage partition key."""
-
-    def __init__(self, media_map_ref, n_partitions: int):
-        obj = media_map_ref
-        if isinstance(obj, ray.ObjectRef):
-            obj = ray.get(obj)  # zero-copy view of the plasma buffer
-        self._refs = obj.column("media_ref").combine_chunks()
-        self._text = obj.column("text").combine_chunks()
-        self._numpages = obj.column("numpages").combine_chunks()
-        self._error = obj.column("error").combine_chunks()
-        self._n_partitions = n_partitions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if batch.num_rows == 0:
-            return pa.table({
-                "doc_id": pa.array([], pa.string()),
-                "spans": pa.array([], pa.list_(SPAN_TYPE)),
-                "n_spans": pa.array([], pa.int32()),
-                "numpages": pa.array([], pa.int32()),
-                "n_errors": pa.array([], pa.int32()),
-                "part": pa.array([], pa.int32()),
-            })
-        spans_col = batch.column("spans")
-        if isinstance(spans_col, pa.ChunkedArray):
-            spans_col = spans_col.combine_chunks()
-        flat = spans_col.flatten()
-        kind = flat.field("kind")
-        # media spans (pdf or html) attach extracted text; doc-level
-        # numpages counts only pdf pages (html is a single logical page
-        # outside the reference's numpages semantics)
-        is_pdf = pc.equal(kind, "pdf")
-        is_media = pc.or_(is_pdf, pc.equal(kind, "html"))
-        idx = pc.index_in(flat.field("media_ref"), value_set=self._refs)
-        picked_text = pc.take(self._text, idx)
-        picked_np = pc.take(self._numpages, idx)
-        picked_err = pc.take(self._error, idx)
-        empty = pa.scalar("", pa.string())
-        text_out = pc.if_else(is_media, pc.coalesce(picked_text, empty),
-                              pc.coalesce(flat.field("text"), empty))
-        np_out = pc.if_else(is_pdf, pc.coalesce(picked_np, pa.scalar(0, pa.int32())),
-                            pa.scalar(0, pa.int32()))
-        not_found = pc.and_(is_media, pc.is_null(idx))
-        err_out = pc.if_else(not_found, pa.scalar("media_ref not found", pa.string()),
-                             pc.if_else(is_media, picked_err, pa.scalar(None, pa.string())))
-        # offset-keyed sort WITHIN each doc's list (north rule): stable
-        # because parent indices are the major key
-        parents = pc.list_parent_indices(spans_col)
-        offsets_f = flat.field("offset")
-        order = pc.sort_indices(
-            pa.table({"p": parents, "o": offsets_f}),
-            sort_keys=[("p", "ascending"), ("o", "ascending")],
-        )
-        struct = pa.StructArray.from_arrays(
-            [pc.take(kind, order), pc.take(text_out, order),
-             pc.take(pc.coalesce(flat.field("media_ref"), empty), order),
-             pc.take(offsets_f, order)],
-            fields=list(SPAN_TYPE),
-        )
-        counts = pc.list_value_length(spans_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        spans_list = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), struct)
-        # per-doc aggregates via cumsum differences (robust to empty lists)
-        np_vals = np_out.to_numpy(zero_copy_only=False).astype(np.int64)
-        err_flags = pc.and_(pc.is_valid(err_out),
-                            pc.not_equal(pc.coalesce(err_out, empty), empty))
-        err_vals = err_flags.to_numpy(zero_copy_only=False).astype(np.int64)
-        cs_np = np.concatenate(([0], np.cumsum(np_vals)))
-        cs_err = np.concatenate(([0], np.cumsum(err_vals)))
-        doc_np = cs_np[bounds[1:]] - cs_np[bounds[:-1]]
-        doc_err = cs_err[bounds[1:]] - cs_err[bounds[:-1]]
-        doc_ids = batch.column("doc_id").combine_chunks()
-        return pa.table({
-            "doc_id": doc_ids,
-            "spans": spans_list,
-            "n_spans": pa.array(counts.astype(np.int32), pa.int32()),
-            "numpages": pa.array(doc_np.astype(np.int32), pa.int32()),
-            "n_errors": pa.array(doc_err.astype(np.int32), pa.int32()),
-            "part": ckpt.partition_column(doc_ids, self._n_partitions),
-        })
 
 
 def _doc_metrics(docs: pa.Table) -> dict:
@@ -202,109 +89,19 @@ def _metric_rows(recs: list[dict]) -> pa.Table:
     })
 
 
-_FRAGMENT_ROW = pa.schema([
-    ("partition", pa.int32()), ("file", pa.string()),
-    ("rows", pa.int64()), ("n_docs", pa.int64()), ("n_spans", pa.int64()),
-    ("pages", pa.int64()), ("errors", pa.int64()),
-    ("content_hash", pa.string()), ("wall_s", pa.float64()),
-])
-
-
-def _stream_write_docs(out_dir: str, run_id: str):
-    """Streaming fragment writer: one map_batches stage that splits each
-    assembled batch by lineage partition and writes one fragment per
-    partition (state.checkpoint.write_fragment), emitting one tiny metric
-    row per fragment that names its file.  The driver commits each
-    partition with exactly the fragments named in the rows it consumed —
-    a failed or crashed task attempt leaves only ignorable orphans."""
-    import numpy as np
-
-    def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _FRAGMENT_ROW.empty_table()
-        parts = batch.column("part").to_numpy(zero_copy_only=False)
-        order = np.argsort(parts, kind="stable")
-        sb = batch.take(pa.array(order))
-        sp = sb.column("part").to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-        ends = np.r_[starts[1:], len(sp)]
-        rows = []
-        for s, e in zip(starts, ends):
-            t0 = time.time()
-            k = int(sp[s])
-            sub = sb.slice(s, int(e - s)).drop_columns(["part"])
-            name = ckpt.write_fragment(out_dir, k, run_id, sub)
-            rows.append({"partition": k, "file": name, **_doc_metrics(sub),
-                         "wall_s": time.time() - t0})
-        return pa.Table.from_pylist(rows, schema=_FRAGMENT_ROW)
-
-    return fn
-
-
-def _commit_fragments(out_dir: str, frag_rows: list[dict]) -> list[dict]:
-    """Driver-side commit of the streamed fragments: one lineage record
-    per partition listing the fragments its metric rows named, with the
-    per-fragment metrics summed and content hashes folded.  O(fragments)
-    work, independent of data volume."""
-    by_part: dict[int, list[dict]] = {}
-    for r in frag_rows:
-        by_part.setdefault(int(r["partition"]), []).append(r)
-    return [
-        ckpt.commit_partition(out_dir, k, [f["file"] for f in fs], {
-            **{m: sum(f[m] for f in fs)
-               for m in ("rows", "n_docs", "n_spans", "pages", "errors",
-                         "wall_s")},
-            "content_hash": ckpt.xor_hashes(f["content_hash"] for f in fs),
-        })
-        for k, fs in sorted(by_part.items())]
-
-
-# per-worker-process cache of broadcast lookup maps (keyed by ObjectRef
-# hex): the 'resolved once per worker, not per batch' guarantee for the
-# task-based broadcast join
-_MEDIA_MAP_CACHE: dict = {}
-
-
-def _cached_broadcast_helper(cls, media_ref_obj, *args):
-    """Task-mode wrapper: materialize the broadcast helper once per worker
-    process (keyed by ObjectRef hex), not once per batch."""
-    ref_key = (cls.__name__,
-               media_ref_obj.hex() if isinstance(media_ref_obj, ray.ObjectRef) else id(media_ref_obj),
-               args)
-
-    def run(batch: pa.Table) -> pa.Table:
-        helper = _MEDIA_MAP_CACHE.get(ref_key)
-        if helper is None:
-            helper = _MEDIA_MAP_CACHE[ref_key] = cls(media_ref_obj, *args)
-            if len(_MEDIA_MAP_CACHE) > 4:
-                for k in list(_MEDIA_MAP_CACHE)[:-2]:
-                    if k != ref_key:
-                        _MEDIA_MAP_CACHE.pop(k, None)
-        return helper(batch)
-
-    return run
-
-
 def _assemble_partition(out_dir: Optional[str], run_id: str):
-    """groupby('part') → map_groups: assemble every doc in the partition
-    (offset-keyed sort within doc_id) and, in write mode, write it as one
-    fragment and commit the partition's lineage in this same task,
-    emitting a metrics row instead of the data."""
+    """The partition-regroup fold: assemble every doc of the bucket's
+    partitions (offset-keyed sort within doc_id) in one vectorized pass
+    and, in write mode, write each partition as one fragment and commit
+    its lineage in this same task, emitting one metrics row per partition
+    instead of the data."""
 
     def fn(group: pa.Table) -> pa.Table:
-        t0 = time.time()
-        if group.num_rows == 0:
-            return _metric_rows([]) if out_dir is not None else pa.table({
-                "doc_id": pa.array([], pa.string()),
-                "spans": pa.array([], pa.list_(SPAN_TYPE)),
-                "n_spans": pa.array([], pa.int32()),
-                "numpages": pa.array([], pa.int32()),
-                "n_errors": pa.array([], pa.int32()),
-            })
         import numpy as np
 
-        k = group.column("part")[0].as_py()
-        order = pc.sort_indices(group, sort_keys=[("doc_id", "ascending"), ("offset", "ascending")])
+        t0 = time.time()
+        order = pc.sort_indices(group, sort_keys=[
+            ("part", "ascending"), ("doc_id", "ascending"), ("offset", "ascending")])
         g = group.take(order)
         n = g.num_rows
         doc_arr = g.column("doc_id").combine_chunks()
@@ -320,32 +117,43 @@ def _assemble_partition(out_dir: Optional[str], run_id: str):
             fields=list(SPAN_TYPE),
         )
         # doc boundaries via run-length of the dictionary-encoded doc ids
+        # (a doc id fixes its partition, so each doc's rows are contiguous)
         codes = pc.dictionary_encode(doc_arr).indices.to_numpy(zero_copy_only=False)
         starts = np.concatenate(([0], np.nonzero(np.diff(codes))[0] + 1))
         offsets = np.concatenate((starts, [n])).astype(np.int32)
         spans_list = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), struct)
-        doc_ids_out = pc.take(doc_arr, pa.array(starts, pa.int64()))
+        starts_arr = pa.array(starts, pa.int64())
         is_pdf = pc.equal(g.column("kind"), "pdf")
         np_vals = pc.if_else(is_pdf, pc.coalesce(g.column("numpages"), pa.scalar(0, pa.int32())),
                              pa.scalar(0, pa.int32())).combine_chunks().to_numpy(zero_copy_only=False)
         err_vals = pc.and_(pc.is_valid(g.column("error")),
                            pc.not_equal(pc.coalesce(g.column("error"), empty), empty))
         err_vals = err_vals.combine_chunks().to_numpy(zero_copy_only=False).astype(np.int32)
-        doc_np = np.add.reduceat(np_vals, starts)
-        doc_err = np.add.reduceat(err_vals, starts)
-        n_spans = np.diff(offsets)
         out = pa.table({
-            "doc_id": doc_ids_out,
+            "doc_id": pc.take(doc_arr, starts_arr),
             "spans": spans_list,
-            "n_spans": pa.array(n_spans, pa.int32()),
-            "numpages": pa.array(doc_np, pa.int32()),
-            "n_errors": pa.array(doc_err, pa.int32()),
+            "n_spans": pa.array(np.diff(offsets), pa.int32()),
+            "numpages": pa.array(np.add.reduceat(np_vals, starts), pa.int32()),
+            "n_errors": pa.array(np.add.reduceat(err_vals, starts), pa.int32()),
         })
         if out_dir is None:
             return out
-        name = ckpt.write_fragment(out_dir, k, run_id, out)
-        return _metric_rows([ckpt.commit_partition(out_dir, k, [name], {
-            **_doc_metrics(out), "wall_s": time.time() - t0})])
+        parts = pc.take(g.column("part"), starts_arr).to_numpy(zero_copy_only=False)
+        p_starts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
+        p_ends = np.r_[p_starts[1:], len(parts)]
+        # each partition's wall: its write + commit plus a row share of
+        # the bucket's assembly
+        assemble_s = time.time() - t0
+        recs = []
+        for s, e in zip(p_starts, p_ends):
+            t1 = time.time()
+            k = int(parts[s])
+            sub = out.slice(s, int(e - s))
+            name = ckpt.write_fragment(out_dir, k, run_id, sub)
+            recs.append(ckpt.commit_partition(out_dir, k, [name], {
+                **_doc_metrics(sub),
+                "wall_s": time.time() - t1 + assemble_s * (e - s) / len(parts)}))
+        return _metric_rows(recs)
 
     return fn
 
@@ -369,7 +177,9 @@ def extract_media_chunks(
     the media bytes).
 
     Skew path: docs > page_threshold pages are split into page-range
-    units, so one 10k-page doc becomes many independent tasks."""
+    units of page_chunk pages, each extracted on its own.  Ray fuses the
+    split and extract maps, so a split doc's units stay in the task that
+    cut them."""
     units = media.map_batches(
         make_split_units(size_threshold, page_threshold, page_chunk),
         batch_format="pyarrow", batch_size=64,
@@ -385,8 +195,7 @@ def extract_media_chunks(
 
 
 def assemble_media_chunk_table(tbl: pa.Table) -> pa.Table:
-    """The one chunk reassembly (broadcast path, cogroup probe,
-    extract_media_text): chunk order is restored by page_start and chunk
+    """The one chunk reassembly (media cogroup, extract_media_text): chunk order is restored by page_start and chunk
     texts carry their own leading separators, so a doc's text is their
     direct concatenation.  The single-chunk majority is a vectorized
     projection; only multi-chunk (page-split) docs — rare by
@@ -440,8 +249,8 @@ def extract_media_text(
 ) -> rd.Dataset:
     """media (media_ref, bytes) → (media_ref, text, numpages, error).
 
-    Distributed chunk reassembly: the groupby(media_ref) only ever sees
-    page-split (multi-chunk) docs, a tiny minority by construction."""
+    Distributed chunk reassembly: the keyed media_ref exchange only ever
+    sees page-split (multi-chunk) docs, a tiny minority by construction."""
     extracted = extract_media_chunks(
         media, size_threshold=size_threshold, page_threshold=page_threshold,
         page_chunk=page_chunk, batch_size=batch_size,
@@ -449,8 +258,8 @@ def extract_media_text(
     )
     singles = extracted.filter(expr="n_chunks == 1").map_batches(
         assemble_media_chunk_table, batch_format="pyarrow")
-    multis = extracted.filter(expr="n_chunks > 1").groupby("media_ref") \
-        .map_groups(assemble_media_chunk_table, batch_format="pyarrow")
+    multis = keyed(extracted.filter(expr="n_chunks > 1"), "media_ref",
+                   assemble_media_chunk_table)
     return singles.union(multis)
 
 
@@ -464,7 +273,7 @@ def extract_documents(
     page_threshold: int = 200,
     page_chunk: int = 100,
     batch_size: int = 64,
-    join_strategy: str = "auto",  # auto | broadcast | hash
+    join_strategy: str = "hash",  # the one plan; any other value raises
     resume: bool = True,
     page_render=None,  # None or 'module:fn'
     max_pages: int = 0,
@@ -474,10 +283,12 @@ def extract_documents(
     """Full interleaved-corpus extraction.
 
     Returns the assembled documents Dataset (out_dir=None) or the
-    per-partition metrics Dataset (write mode with lineage + resume).  A
-    reader that wants one file per partition runs
-    ``state.checkpoint.compact_partitions_inplace(out_dir)`` after the
-    job."""
+    per-partition metrics Dataset (write mode with lineage + resume; each
+    partition is committed as one fragment).  ``join_strategy`` accepts
+    only ``"hash"``, the one plan."""
+    if join_strategy != "hash":
+        raise ValueError(f"join_strategy={join_strategy!r}: the hash plan "
+                         f"is the only extraction plan")
     from ..sources.interleaved import read_table
 
     docs = read_table(docs_path, columns=["doc_id", "spans"])
@@ -520,225 +331,108 @@ def extract_documents(
             batch_format="pyarrow",
         )
 
-    # explicit hash strategy: the exploded-span side is independent of the
-    # extraction side — materialize it on a background thread so the two
-    # cluster jobs overlap (measured ~3 s at sf0.1; in auto mode the
-    # explode is deferred until the gate picks hash, since broadcast mode
-    # never needs span rows)
-    spans_future = None
-    if join_strategy == "hash":
-        import concurrent.futures
+    # the exploded-span side is independent of the extraction side:
+    # materialize it on a background thread so the two cluster jobs
+    # overlap (measured ~3 s at sf0.1).  Span rows are pinned once — they
+    # feed both the join side and the text-span pass-through, and Ray
+    # re-executes shared upstream per consumer; they are text-only (never
+    # media bytes) and spill
+    from concurrent.futures import ThreadPoolExecutor
 
-        _spans_pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-        spans_future = _spans_pool.submit(
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        spans_future = pool.submit(
             lambda: docs.map_batches(_explode_with_partition(n_partitions),
                                      batch_format="pyarrow").materialize())
-        _spans_pool.shutdown(wait=False)
-
-    # plan pre-sizing (VERDICT r3 item 3): a RE-RUN whose manifest already
-    # records measured gate stats decides the physical plan up front.  This
-    # also PINS the plan across resumes — re-measuring the gate on the
-    # remaining subset of a partially-done run could flip broadcast↔hash
-    # mid-store.  (A lazy chunk stage for pre-decided plans was tried and
-    # REVERTED: streaming the heavy extract into the union+repartition
-    # barrier measured 15.8-16.3 s vs 9.5-9.9 s materialized at sf0.1/32
-    # CPUs — the shuffle barrier forfeits the overlap while losing the
-    # dedicated-cluster extraction phase.)
-    strategy = join_strategy
-    if strategy == "auto" and out_dir is not None and resume:
-        mf = ckpt.manifest(out_dir)
-        if "gate_rows" in mf and "gate_bytes" in mf:
-            strategy = choose_join_strategy(int(mf["gate_rows"]),
-                                            int(mf["gate_bytes"]))
-
-    # the heavy extraction materializes before the plan choice: it runs
-    # exactly once, both physical plans consume the same chunk dataset,
-    # and the auto gate sees REAL extracted-text bytes instead of guessing
-    # from input rows
-    chunks = extract_media_chunks(
-        media, size_threshold=size_threshold, page_threshold=page_threshold,
-        page_chunk=page_chunk, batch_size=batch_size,
-        page_render=page_render, max_pages=max_pages,
-        progress=progress, verbosity=verbosity,
-    )
-
-    if strategy == "auto":
-        # gate on rows AND extracted bytes: chunks is materialized, so
-        # size_bytes() is exact metadata — a corpus of few-but-huge
-        # documents correctly falls through to the hash path
-        gate_rows, gate_bytes = chunks.count(), chunks.size_bytes() or 0
-        strategy = choose_join_strategy(gate_rows, gate_bytes)
-        if out_dir is not None and resume and not done:
-            # record the measured stats so the next run over this store
-            # pre-sizes the plan without the materialize barrier
-            ckpt.update_manifest(out_dir, gate_rows=int(gate_rows),
-                                 gate_bytes=int(gate_bytes))
-
-    run_id = uuid.uuid4().hex[:12]
-    if strategy == "broadcast":
-        # chunk-level results straight off the extract stage; assembly of
-        # the few multi-chunk (page-split) docs happens driver-side — the
-        # table is bounded by BROADCAST_MEDIA_BYTES (driver-memory bound of
-        # this plan), and this avoids scheduling filter/groupby/union
-        # stages over tiny blocks
-        tables = [ray.get(r) for r in chunks.to_arrow_refs()]
-        tables = [t for t in tables if t.num_rows > 0]  # skip schemaless empties
-        if tables:
-            media_tbl = assemble_media_chunk_table(pa.concat_tables(tables))
-        else:
-            media_tbl = pa.table({
-                "media_ref": pa.array([], pa.string()),
-                "text": pa.array([], pa.string()),
-                "numpages": pa.array([], pa.int32()),
-                "error": pa.array([], pa.string()),
-            })
-        media_ref_obj = ray.put(media_tbl)
-        # fused attach+assemble over intact doc rows: this path runs no
-        # shuffle at all
-        assembled = docs.map_batches(
-            _cached_broadcast_helper(_AttachAssembleDocs, media_ref_obj, n_partitions),
-            batch_format="pyarrow", zero_copy_batch=True,
+        # the heavy extraction runs exactly once, materialized, so the
+        # media cogroup sees only extracted text
+        chunks = extract_media_chunks(
+            media, size_threshold=size_threshold,
+            page_threshold=page_threshold, page_chunk=page_chunk,
+            batch_size=batch_size, page_render=page_render,
+            max_pages=max_pages, progress=progress, verbosity=verbosity,
         )
-        if out_dir is None:
-            return assembled.drop_columns(["part"])
-        # STREAMING write (VERDICT r3 item 3): each attach batch splits by
-        # partition and writes fragment files directly — no output groupby
-        # shuffle, so the write overlaps extraction+attach block by block.
-        # The driver tail is one O(fragments) lineage commit over the tiny
-        # per-fragment metric rows.  batch_size bounds the fragment count
-        # at ~n_docs/2048 files per partition (compact_partitions_inplace
-        # is the post-job hygiene step when a reader wants fewer).
-        frag_rows = assembled.map_batches(
-            _stream_write_docs(out_dir, run_id),
-            batch_format="pyarrow", batch_size=2048,
-        ).take_all()
-        return rd.from_arrow(_metric_rows(_commit_fragments(out_dir, frag_rows)))
-    else:
-        # pin the exploded span rows once — they feed both the join side and
-        # the text-span pass-through, and Ray re-executes shared upstream per
-        # consumer; span rows are text-only (never media bytes) and spill
-        if spans_future is not None:
-            spans = spans_future.result()
-        else:
-            spans = docs.map_batches(_explode_with_partition(n_partitions),
-                                     batch_format="pyarrow").materialize()
-        # bucketed shuffle join: both sides carry jkey = hash(media_ref) % P;
-        # ONE sort shuffle co-locates each media's chunks with its pdf spans,
-        # and the cogroup probe is a vectorized index_in/take.  Chunk
-        # reassembly of page-split docs happens inside the cogroup (no
-        # pre-join filter/groupby/union pass).  Salting a hot media_ref
-        # means raising P — the classic skew lever.
-        # partition count: the larger of a DATA target (~5k media rows per
-        # cogroup partition — must grow with the corpus or reduce tasks
-        # degenerate into thousands of tiny objects) and a CLUSTER floor
-        # (2 x CPUs — the cogroup probe parallelism is bounded by distinct
-        # jkeys, so fewer buckets than cores idles the cluster; measured
-        # 8 buckets on 32 CPUs cost ~2s at sf0.1), capped at 4096
-        try:
-            media_rows = media.count()
-        except Exception:
-            media_rows = 0
-        join_parts = min(4096, max(cpus * 2, (media_rows // 5000) + 1))
+        spans = spans_future.result()
 
-        def _tag_media(t: pa.Table) -> pa.Table:
-            refs = t.column("media_ref").combine_chunks()
-            n = t.num_rows
-            return pa.table({
-                "jkey": ckpt.partition_column(refs, join_parts),
-                "is_media": pa.array([True] * n, pa.bool_()),
-                "media_ref": refs,
-                "doc_id": pa.nulls(n, pa.string()),
-                "kind": pa.nulls(n, pa.string()),
-                "offset": pa.nulls(n, pa.int32()),
-                "part": pa.nulls(n, pa.int32()),
-                "chunk_text": t.column("chunk_text"),
-                "page_start": t.column("page_start"),
-                "n_chunks": t.column("n_chunks"),
-                "numpages": t.column("numpages"),
-                "error": t.column("error"),
-            })
+    def _tag_media(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        return pa.table({
+            "is_media": pa.array([True] * n, pa.bool_()),
+            "media_ref": t.column("media_ref"),
+            "doc_id": pa.nulls(n, pa.string()),
+            "kind": pa.nulls(n, pa.string()),
+            "offset": pa.nulls(n, pa.int32()),
+            "part": pa.nulls(n, pa.int32()),
+            "chunk_text": t.column("chunk_text"),
+            "page_start": t.column("page_start"),
+            "n_chunks": t.column("n_chunks"),
+            "numpages": t.column("numpages"),
+            "error": t.column("error"),
+        })
 
-        def _tag_spans(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.is_in(t.column("kind"),
-                                  value_set=pa.array(["pdf", "html"])))
-            refs = t.column("media_ref").combine_chunks()
-            n = t.num_rows
-            return pa.table({
-                "jkey": ckpt.partition_column(refs, join_parts),
-                "is_media": pa.array([False] * n, pa.bool_()),
-                "media_ref": refs,
-                "doc_id": t.column("doc_id"),
-                "kind": t.column("kind"),
-                "offset": t.column("offset"),
-                "part": t.column("part"),
-                "chunk_text": pa.nulls(n, pa.string()),
-                "page_start": pa.nulls(n, pa.int32()),
-                "n_chunks": pa.nulls(n, pa.int32()),
-                "numpages": pa.nulls(n, pa.int32()),
-                "error": pa.nulls(n, pa.string()),
-            })
+    def _tag_spans(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t.column("kind"),
+                              value_set=pa.array(["pdf", "html"])))
+        n = t.num_rows
+        return pa.table({
+            "is_media": pa.array([False] * n, pa.bool_()),
+            "media_ref": t.column("media_ref"),
+            "doc_id": t.column("doc_id"),
+            "kind": t.column("kind"),
+            "offset": t.column("offset"),
+            "part": t.column("part"),
+            "chunk_text": pa.nulls(n, pa.string()),
+            "page_start": pa.nulls(n, pa.int32()),
+            "n_chunks": pa.nulls(n, pa.int32()),
+            "numpages": pa.nulls(n, pa.int32()),
+            "error": pa.nulls(n, pa.string()),
+        })
 
-        def _cogroup_attach(group: pa.Table) -> pa.Table:
-            is_media = group.column("is_media")
-            media_side = group.filter(is_media)
-            span_side = group.filter(pc.invert(is_media))
-            lookup = assemble_media_chunk_table(pa.table({
-                "media_ref": media_side.column("media_ref"),
-                "chunk_text": media_side.column("chunk_text"),
-                "page_start": media_side.column("page_start"),
-                "n_chunks": media_side.column("n_chunks"),
-                "numpages": media_side.column("numpages"),
-                "error": media_side.column("error"),
-            }))
-            refs = lookup.column("media_ref")
-            idx = pc.index_in(span_side.column("media_ref"), value_set=refs)
-            empty = pa.scalar("", pa.string())
-            n = span_side.num_rows
-            return pa.table({
-                "doc_id": span_side.column("doc_id"),
-                "kind": span_side.column("kind"),
-                "text": pc.coalesce(pc.take(lookup.column("text"), idx), empty),
-                "media_ref": span_side.column("media_ref"),
-                "offset": span_side.column("offset"),
-                "part": span_side.column("part"),
-                "numpages": pc.coalesce(pc.take(lookup.column("numpages"), idx),
-                                        pa.scalar(0, pa.int32())),
-                "error": pc.if_else(pc.is_null(idx),
-                                    pa.scalar("media_ref not found", pa.string()),
-                                    pc.take(lookup.column("error"), idx)),
-            })
+    def _cogroup_attach(group: pa.Table) -> pa.Table:
+        # a bucket holds many media refs; a span whose ref has no media
+        # row gets empty text and a counted "media_ref not found" error
+        is_media = group.column("is_media")
+        media_side = group.filter(is_media)
+        span_side = group.filter(pc.invert(is_media))
+        lookup = assemble_media_chunk_table(media_side.select(
+            ["media_ref", "chunk_text", "page_start", "n_chunks", "numpages",
+             "error"]))
+        idx = pc.index_in(span_side.column("media_ref"),
+                          value_set=lookup.column("media_ref"))
+        return pa.table({
+            "doc_id": span_side.column("doc_id"),
+            "kind": span_side.column("kind"),
+            "text": pc.coalesce(pc.take(lookup.column("text"), idx),
+                                pa.scalar("", pa.string())),
+            "media_ref": span_side.column("media_ref"),
+            "offset": span_side.column("offset"),
+            "part": span_side.column("part"),
+            "numpages": pc.coalesce(pc.take(lookup.column("numpages"), idx),
+                                    pa.scalar(0, pa.int32())),
+            "error": pc.if_else(pc.is_null(idx),
+                                pa.scalar("media_ref not found", pa.string()),
+                                pc.take(lookup.column("error"), idx)),
+        })
 
-        # block-bundled tag stages: the extract/explode materializations
-        # leave hundreds of tiny blocks and Ray's sort pays per-(block x
-        # partition) task overhead.  A batch_size on the slim tag maps
-        # makes the operator BUNDLE many input blocks per task (one output
-        # block per batch) — the same block-count fix a repartition()
-        # bought previously, minus the extra all-to-all pass (measured
-        # 8.0 s -> 7.1 s at sf0.1/32 CPUs for the whole hash path)
-        tagged = chunks.map_batches(
-            _tag_media, batch_format="pyarrow", batch_size=4096,
-            zero_copy_batch=True,
-        ).union(spans.map_batches(
-            _tag_spans, batch_format="pyarrow", batch_size=16384,
-            zero_copy_batch=True))
-        joined = tagged.groupby("jkey").map_groups(_cogroup_attach,
-                                                   batch_format="pyarrow")
-        text_spans = spans.filter(expr="kind == 'text'").map_batches(
-            lambda t: pa.table({
-                "doc_id": t.column("doc_id"), "kind": t.column("kind"),
-                "text": t.column("text"), "media_ref": t.column("media_ref"),
-                "offset": t.column("offset"), "part": t.column("part"),
-                "numpages": pa.array([0] * t.num_rows, pa.int32()),
-                "error": pa.array([None] * t.num_rows, pa.string()),
-            }),
-            batch_format="pyarrow", batch_size=16384,
-        )
-        # same block-bundling coalesce before the partition groupby: the
-        # cogroup emits ~join_parts blocks and the bundled text-span map a
-        # handful more, so the final sort's task fan stays small without
-        # another repartition exchange
-        merged = joined.union(text_spans)
-
-    return merged.groupby("part").map_groups(
-        _assemble_partition(out_dir, run_id), batch_format="pyarrow"
+    # block-bundled tag stages: the extract/explode materializations leave
+    # many tiny blocks and the exchange runs one split task per block, so
+    # a batch_size on the slim tag maps BUNDLES many input blocks per task
+    # (one output block per batch)
+    tagged = chunks.map_batches(
+        _tag_media, batch_format="pyarrow", batch_size=4096,
+        zero_copy_batch=True,
+    ).union(spans.map_batches(
+        _tag_spans, batch_format="pyarrow", batch_size=16384,
+        zero_copy_batch=True))
+    joined = keyed(tagged, "media_ref", _cogroup_attach)
+    text_spans = spans.filter(expr="kind == 'text'").map_batches(
+        lambda t: pa.table({
+            "doc_id": t.column("doc_id"), "kind": t.column("kind"),
+            "text": t.column("text"), "media_ref": t.column("media_ref"),
+            "offset": t.column("offset"), "part": t.column("part"),
+            "numpages": pa.array([0] * t.num_rows, pa.int32()),
+            "error": pa.array([None] * t.num_rows, pa.string()),
+        }),
+        batch_format="pyarrow", batch_size=16384,
     )
+    return keyed(joined.union(text_spans), "part",
+                 _assemble_partition(out_dir, uuid.uuid4().hex[:12]))

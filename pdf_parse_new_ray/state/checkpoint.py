@@ -92,30 +92,6 @@ def ensure_manifest(out_dir: str, meta: dict) -> dict:
     return meta
 
 
-def update_manifest(out_dir: str, **extra) -> dict:
-    """Merge extra keys into the run manifest (atomic rewrite).  Used to
-    record measured gate stats (extracted rows/bytes) so a RE-RUN can
-    pre-size its physical plan without re-materializing the chunk
-    dataset."""
-    path = manifest_path(out_dir)
-    with open(path) as f:
-        meta = json.load(f)
-    meta.update(extra)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, path)
-    return meta
-
-
-def manifest(out_dir: str) -> dict:
-    try:
-        with open(manifest_path(out_dir)) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return {}
-
-
 def _load_record(path: str) -> Optional[dict]:
     """The committed lineage record at ``path``, or None when it is
     unreadable, not complete, or lists no data files (a record of the

@@ -103,7 +103,7 @@ def test_write_mode_and_resume(ray_session, small_corpus, tmp_path):
 
 
 def test_compact_inplace_then_resume(ray_session, small_corpus, tmp_path):
-    """VERDICT r4 item 6: streamed-fragment write -> in-place compaction
+    """VERDICT r4 item 6: multi-fragment store -> in-place compaction
     -> reader sees identical rows, each partition is ONE file, and a
     resume still skips every completed partition (lineage preserved)."""
     import glob
@@ -114,8 +114,19 @@ def test_compact_inplace_then_resume(ray_session, small_corpus, tmp_path):
     out = str(tmp_path / "outc")
     extract_documents(
         f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=out, n_partitions=8, batch_size=4,  # small batches: many fragments
+        out_dir=out, n_partitions=8,
     ).take_all()
+    # the pipeline commits one fragment per partition: re-commit each
+    # partition as two fragments to give compaction something to merge
+    for rec in ckpt.lineage_records(out):
+        k = int(rec["partition"])
+        (path,) = ckpt.partition_files(out, k)
+        t = pq.read_table(path)
+        half = t.num_rows // 2
+        names = [ckpt.write_fragment(out, k, "split", t.slice(0, half)),
+                 ckpt.write_fragment(out, k, "split", t.slice(half))]
+        ckpt.commit_partition(out, k, names, rec)
+        os.remove(path)
     before = ckpt.read_output(out).sort_by("doc_id")
     n_files_before = len(glob.glob(os.path.join(out, "part=*", "*.parquet")))
 
@@ -221,6 +232,54 @@ def test_error_rows_surface_not_fail(ray_session, tmp_path):
     assert spans[2]["text"] == good_text
 
 
+def test_join_strategy_accepts_only_hash():
+    """The hash plan is the only plan: asking for any other fails loudly
+    instead of silently running something else."""
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+
+    for strategy in ("broadcast", "auto"):
+        with pytest.raises(ValueError, match="only extraction plan"):
+            extract_documents("docs", "media", join_strategy=strategy)
+
+
+def test_missing_media_ref_gets_empty_text(ray_session, tmp_path):
+    """A span whose media_ref has no media row lands in a cogroup bucket
+    with no media side for it: it gets empty text and one counted error,
+    and the doc's other spans are intact."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures import pdfgen
+    from pdf_parse_new_ray.fixtures.corpus import DOCS_SCHEMA, MEDIA_SCHEMA
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+
+    base = str(tmp_path / "corpus")
+    os.makedirs(f"{base}/documents_interleaved")
+    os.makedirs(f"{base}/media")
+    good_pdf, good_text = pdfgen.make_text_pdf([["present"]])
+    docs = pa.Table.from_pylist([
+        {"doc_id": "d0", "spans": [
+            {"kind": "text", "text": "intro", "media_ref": "", "offset": 0},
+            {"kind": "pdf", "text": "", "media_ref": "m-good", "offset": 1},
+            {"kind": "pdf", "text": "", "media_ref": "m-missing", "offset": 2},
+        ]},
+    ], schema=DOCS_SCHEMA)
+    media = pa.Table.from_pylist([
+        {"media_ref": "m-good", "bytes": good_pdf, "numpages": 1},
+    ], schema=MEDIA_SCHEMA)
+    pq.write_table(docs, f"{base}/documents_interleaved/part-0.parquet")
+    pq.write_table(media, f"{base}/media/part-0.parquet")
+
+    out = extract_documents(f"{base}/documents_interleaved", f"{base}/media",
+                            out_dir=None, n_partitions=2).take_all()
+    assert len(out) == 1
+    d = out[0]
+    assert [s["offset"] for s in d["spans"]] == [0, 1, 2]
+    assert [s["text"] for s in d["spans"]] == ["intro", good_text, ""]
+    assert [s["media_ref"] for s in d["spans"]] == ["", "m-good", "m-missing"]
+    assert d["n_errors"] == 1
+    assert d["numpages"] == 1
+
+
 def test_default_config_splits_large_doc(ray_session, tmp_path):
     """A 250-page doc exceeds the DEFAULT page_threshold (200): the skew
     path (probe -> page-range units -> reassembly) must engage without any
@@ -241,33 +300,6 @@ def test_default_config_splits_large_doc(ray_session, tmp_path):
         f"{base}/documents_interleaved", f"{base}/media",
     ).take_all()
     _check(docs, _oracle(base))
-
-
-def test_join_strategy_gate_is_byte_aware():
-    """The broadcast gate must bound driver memory: few-but-huge extracted
-    documents pick the hash path even with a tiny row count."""
-    from pdf_parse_new_ray.pipelines.extraction import (
-        BROADCAST_MEDIA_BYTES, BROADCAST_MEDIA_ROWS, choose_join_strategy)
-
-    assert choose_join_strategy(1000, 10 << 20) == "broadcast"
-    assert choose_join_strategy(BROADCAST_MEDIA_ROWS + 1, 10 << 20) == "hash"
-    # 100 docs x 100 MB of extracted text: rows tiny, bytes huge -> hash
-    assert choose_join_strategy(100, BROADCAST_MEDIA_BYTES + 1) == "hash"
-
-
-def test_auto_gate_falls_back_to_hash_on_bytes(ray_session, small_corpus,
-                                               monkeypatch):
-    """auto + a 1-byte broadcast budget must run the hash plan and still
-    produce span-sequence-identical output."""
-    from pdf_parse_new_ray.pipelines import extraction
-
-    monkeypatch.setattr(extraction, "BROADCAST_MEDIA_BYTES", 1)
-    assert extraction.choose_join_strategy(1, 2) == "hash"
-    docs = extraction.extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=None, n_partitions=8, join_strategy="auto", resume=False,
-    ).take_all()
-    _check(docs, _oracle(small_corpus))
 
 
 def test_extract_documents_progress(ray_session, small_corpus):
@@ -397,16 +429,11 @@ def test_curation_funnel_composition(ray_session):
     assert list(again["n_docs"]) == list(out["n_docs"])
 
 
-def test_streaming_fragments_commit_and_presize(ray_session, small_corpus, tmp_path):
-    """The broadcast write path streams fragment files (no output groupby):
-    lineage lists exactly the committing run's fragments, orphan fragments
-    from a crashed run are invisible to readers, and the measured gate
-    stats land in the manifest so a re-run pre-sizes its plan without the
-    chunk materialize barrier (VERDICT r3 item 3)."""
-    import glob
+def test_fragments_commit_and_orphans_ignored(ray_session, small_corpus, tmp_path):
+    """Lineage lists exactly the committing run's fragments, and orphan
+    fragments from a crashed run are invisible to readers."""
     import json
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
@@ -430,26 +457,6 @@ def test_streaming_fragments_commit_and_presize(ray_session, small_corpus, tmp_p
     pq.write_table(base.slice(0, 1), orphan)
     again = ckpt.read_output(out)
     assert again.num_rows == base.num_rows
-
-    # gate stats recorded -> a fresh store re-run can pre-size the plan
-    mf = ckpt.manifest(out)
-    assert mf["gate_rows"] > 0 and mf["gate_bytes"] > 0
-
-    # pre-sized re-run over a NEW store seeded with the same gate stats:
-    # the plan is decided from the manifest, the output is identical
-    out2 = str(tmp_path / "out2")
-    ckpt.ensure_manifest(out2, {
-        "docs_path": f"{small_corpus}/documents_interleaved",
-        "media_path": f"{small_corpus}/media", "n_partitions": 4})
-    ckpt.update_manifest(out2, gate_rows=mf["gate_rows"],
-                         gate_bytes=mf["gate_bytes"])
-    extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=out2, n_partitions=4,
-    ).take_all()
-    a = base.sort_by("doc_id").to_pylist()
-    b = ckpt.read_output(out2).sort_by("doc_id").to_pylist()
-    assert a == b
 
 
 def test_verbosity_logs_absorbed_errors(ray_session, tmp_path, caplog):
@@ -556,40 +563,17 @@ def test_task_extract_cache_checks_bytes():
 
 def test_failed_attempt_fragment_is_not_committed(tmp_path):
     """Ray Data retries a failed task; an attempt that died after writing
-    its fragment leaves a frag-<run_id>-* file of the SAME run.  Both
-    plans commit exactly the fragments of the attempt whose output was
-    consumed, so the stray is never committed and readers never see its
-    rows twice."""
+    its fragment leaves a frag-<run_id>-* file of the SAME run.  Each
+    partition-regroup task commits exactly the fragments it wrote, so the
+    stray is never committed and readers never see its rows twice."""
     import glob
 
     import pyarrow as pa
 
-    from pdf_parse_new_ray.fixtures.corpus import SPAN_TYPE
     from pdf_parse_new_ray.pipelines import extraction
     from pdf_parse_new_ray.state import checkpoint as ckpt
 
-    # broadcast plan: streamed fragments, committed by the driver
-    docs = pa.table({
-        "doc_id": ["d0", "d1", "d2"],
-        "spans": pa.array([[{"kind": "text", "text": t, "media_ref": "",
-                             "offset": 0}] for t in "abc"],
-                          pa.list_(SPAN_TYPE)),
-        "n_spans": pa.array([1, 1, 1], pa.int32()),
-        "numpages": pa.array([0, 0, 0], pa.int32()),
-        "n_errors": pa.array([0, 0, 0], pa.int32()),
-        "part": pa.array([0, 1, 0], pa.int32()),
-    })
-    out = str(tmp_path / "broadcast")
-    write = extraction._stream_write_docs(out, "run1")
-    write(docs)  # the failed attempt: fragments on disk, rows lost
-    rows = write(docs).to_pylist()  # the retry, whose rows are consumed
-    extraction._commit_fragments(out, rows)
-    assert len(glob.glob(os.path.join(out, "part=*", "frag-run1-*"))) == 4
-    assert all(len(ckpt.partition_files(out, k)) == 1 for k in (0, 1))
-    got = ckpt.read_output(out)
-    assert sorted(got.column("doc_id").to_pylist()) == ["d0", "d1", "d2"]
-
-    # hash plan: each map_groups task writes and commits its partition
+    # each regroup task writes and commits its partitions
     group = pa.table({
         "doc_id": ["d0", "d0"], "kind": ["text", "pdf"], "text": ["a", "b"],
         "media_ref": ["", "m0"], "offset": pa.array([0, 1], pa.int32()),
@@ -609,33 +593,56 @@ def test_failed_attempt_fragment_is_not_committed(tmp_path):
 
 
 def test_both_plans_write_one_layout(ray_session, small_corpus, tmp_path):
-    """Write-mode broadcast and hash plans commit the same store: equal
-    read_output rows, equal per-partition content_hash and row counts,
-    and every lineage record lists only frag-* files."""
+    """Two write-mode runs of the one plan into two stores commit the same
+    store: equal read_output rows (the oracle's), equal per-partition
+    content_hash and counts, and every lineage record lists only frag-*
+    files."""
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
     from pdf_parse_new_ray.state import checkpoint as ckpt
 
     recs = {}
     rows = {}
-    for strategy in ("broadcast", "hash"):
-        out = str(tmp_path / strategy)
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
         extract_documents(
             f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-            out_dir=out, n_partitions=4, join_strategy=strategy,
+            out_dir=out, n_partitions=4,
         ).take_all()
-        rows[strategy] = ckpt.read_output(out).sort_by("doc_id")
-        recs[strategy] = {r["partition"]: r for r in ckpt.lineage_records(out)}
-    assert rows["broadcast"].to_pylist() == rows["hash"].to_pylist()
-    _check(rows["hash"].to_pylist(), _oracle(small_corpus))
-    assert set(recs["broadcast"]) == set(recs["hash"]) == set(range(4))
+        rows[run] = ckpt.read_output(out).sort_by("doc_id")
+        recs[run] = {r["partition"]: r for r in ckpt.lineage_records(out)}
+    assert rows["a"].to_pylist() == rows["b"].to_pylist()
+    _check(rows["a"].to_pylist(), _oracle(small_corpus))
+    assert set(recs["a"]) == set(recs["b"]) == set(range(4))
     for k in range(4):
-        b, h = recs["broadcast"][k], recs["hash"][k]
-        assert b["content_hash"] == h["content_hash"]
+        a, b = recs["a"][k], recs["b"][k]
+        assert a["content_hash"] == b["content_hash"]
         for m in ("rows", "n_docs", "n_spans", "pages", "errors"):
-            assert b[m] == h[m], (k, m)
+            assert a[m] == b[m], (k, m)
     for by_part in recs.values():
         for r in by_part.values():
             assert r["files"] and all(f.startswith("frag-") for f in r["files"])
+
+
+def test_write_many_partitions_per_bucket(ray_session, small_corpus, tmp_path):
+    """16 partitions on a 4-CPU session: each bucket of the partition
+    regroup holds several partitions, and every partition is still
+    committed with exactly one fragment of the oracle's rows."""
+    from pdf_parse_new_ray.functions.joins import exchange_buckets
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    assert exchange_buckets(0) < 16
+    out = str(tmp_path / "out")
+    metrics = extract_documents(
+        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+        out_dir=out, n_partitions=16,
+    ).take_all()
+    assert sorted(m["partition"] for m in metrics) == list(range(16))
+    assert ckpt.completed_partitions(out) == set(range(16))
+    for k in range(16):
+        files = ckpt.partition_files(out, k)
+        assert len(files) == 1 and os.path.basename(files[0]).startswith("frag-")
+    _check(ckpt.read_output(out).to_pylist(), _oracle(small_corpus))
 
 
 def test_lineage_without_files_is_redone(ray_session, small_corpus, tmp_path):

@@ -5,8 +5,7 @@ generates (sf1.0 = 200,000 docs, 10x the bench corpus) with EVERY
 driver-fold / broadcast gate zeroed, so the plans measured are the exact
 distributed plans a 100x cluster run would execute:
 
-  1. ``extract_documents`` with ``join_strategy="hash"`` (the at-scale
-     media cogroup — the broadcast plan is gate-disallowed here), streaming
+  1. ``extract_documents`` (keyed media cogroup + partition regroup),
      partitioned parquet writes + per-partition lineage;
   2. a FULL-corpus span-sequence equality verify vs the generator oracle,
      done distributed: per-doc blake2b digest of the ordered
@@ -35,7 +34,8 @@ import shutil
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 MOD = (1 << 61) - 1
 
@@ -101,6 +101,19 @@ def _digest_dataset(path: str) -> tuple[int, int]:
     return n, dig
 
 
+def _corpus_in_child(sf: float) -> str:
+    """Generate/cache the corpus in a child process and return its path, so
+    this process's RSS figures measure the engine, not fixture
+    generation."""
+    import subprocess
+
+    code = ("import sys; from pdf_parse_new_ray.fixtures.corpus import "
+            "corpus_dir_for; print(corpus_dir_for(float(sys.argv[1])))")
+    res = subprocess.run([sys.executable, "-c", code, repr(sf)], cwd=ROOT,
+                         check=True, capture_output=True, text=True)
+    return res.stdout.strip().splitlines()[-1]
+
+
 def main() -> int:
     sf = 1.0
     cpus = 32
@@ -122,21 +135,20 @@ def main() -> int:
 
     _force_distributed_gates()  # zeroed for the whole proof run
 
-    from pdf_parse_new_ray.fixtures.corpus import corpus_dir_for
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
 
-    base = corpus_dir_for(sf)
+    base = _corpus_in_child(sf)
     out: dict = {"metric": "sf1.0 memory-bounded scale proof",
                  "sf": sf, "num_cpus": cpus,
                  "rss_mb_after_init": _vm_now_mb()}
 
-    # 1. flagship extraction, forced hash join, streaming partitioned writes
+    # 1. flagship extraction, partitioned writes
     out_dir = f"/tmp/scale_proof/sf{sf:g}"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()
     metrics = extract_documents(
         f"{base}/documents_interleaved", f"{base}/media",
-        out_dir=out_dir, n_partitions=256, join_strategy="hash",
+        out_dir=out_dir, n_partitions=256,
     ).take_all()
     wall = time.time() - t0
     n_docs = int(sum(m["n_docs"] for m in metrics))
