@@ -3,10 +3,14 @@
 Ray-Data-first design (SURVEY §7, north_rule), one physical plan at every
 size:
 
-  extract: read media (ref+bytes, fine-grained blocks) → split units →
-    extract (warm per-worker kernel state), materialized once.  Meanwhile a
-    background thread explodes the docs to span rows carrying the stable
-    lineage partition key.
+  extract, one wave of equal-cost bins: read media (ref+bytes) → split
+    units, each costed in bytes, materialized → the driver packs the units
+    into one contiguous bin of equal cost per CPU, each assembled as one
+    block (a split doc's bytes stored once per bin that holds one of its
+    units) → one extract task per bin (warm per-worker kernel state), all
+    started at once, materialized once.  Meanwhile a background thread
+    explodes the docs to span rows carrying the stable lineage partition
+    key.
   media cogroup: chunk rows and pdf/html span rows, projected to one schema,
     meet in ``joins.keyed`` on media_ref; each bucket reassembles its
     page-split chunks and attaches the text to its spans with one
@@ -17,9 +21,11 @@ size:
     write_fragment + commit_partition) inside the same task.
 
 ``joins.exchange_buckets`` sizes both exchanges, so a bucket may hold many
-media refs and many partitions.  All per-batch work is Arrow-vectorized
-(index_in/take, run-length list assembly) or amortized warm state; media
-BYTES never pass through an exchange — only extracted text does.
+media refs and many partitions.  Every Dataset the pipeline builds starts
+its operators' tasks together (``_own_start``, set on the Dataset's own
+context).  All per-batch work is Arrow-vectorized (index_in/take,
+run-length list assembly) or amortized warm state; media BYTES never pass
+through an exchange — only extracted text does.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import time
 import uuid
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -38,7 +45,7 @@ import ray.data as rd
 from ..fixtures.corpus import SPAN_TYPE
 from ..functions.joins import keyed
 from ..stages.extractor import make_extract_task
-from ..stages.split import make_split_units
+from ..stages.split import assemble_bin, make_split_units, pack_bins
 from ..stages.spans import explode_spans
 from ..state import checkpoint as ckpt
 
@@ -158,13 +165,68 @@ def _assemble_partition(out_dir: Optional[str], run_id: str):
     return fn
 
 
+def _cluster_cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 4))
+    except Exception:
+        return 4
+
+
+def _own_start(ds: rd.Dataset) -> rd.Dataset:
+    """Let ``ds``'s operators start all their tasks at once.  Ray 2.49's
+    op-resource reservation budgets a new task's output at
+    ``target_max_block_size`` until the operator's first task ends, so
+    when the object store is small against that size × CPUs (768 MB on 4
+    CPUs, say) a map operator runs one task alone before the rest.  The
+    switch is set on the Dataset's own context (which Ray shares along a
+    chain of Datasets derived from it), never on the global DataContext."""
+    ds.context.op_resource_reservation_enabled = False
+    return ds
+
+
+def _unit_costs(units: pa.Table):
+    return units.column("cost").to_numpy()
+
+
+def _assemble_bin(bounds, *blocks):
+    return assemble_bin([b.slice(s, e - s) for b, (s, e) in zip(blocks, bounds)])
+
+
+def _cost_bins(units: rd.Dataset, cpus: int) -> list:
+    """Block refs of the extract wave: ``units`` packed into ``cpus x
+    waves`` bins of equal cost (``pack_bins``, from the cost column only),
+    each assembled as one block.  ``waves`` stays 1 until a bin would pass
+    Ray Data's ``target_max_block_size``."""
+    refs = [ref for b in units.iter_internal_ref_bundles()
+            for ref, meta in b.blocks if meta.num_rows]
+    if not refs:  # no media rows: an empty wave
+        return []
+    unit_costs = ray.remote(_unit_costs)
+    costs = ray.get([unit_costs.remote(r) for r in refs])
+    total = int(sum(int(c.sum()) for c in costs))
+    waves = max(1, -(-total // (cpus * units.context.target_max_block_size)))
+    bin_of = pack_bins(np.concatenate(costs), cpus * waves)
+    # each bin is a contiguous run of units: per bin, the (block, row
+    # range) slices it covers
+    slices: dict[int, list] = {}
+    pos = 0
+    for ref, c in zip(refs, costs):
+        b = bin_of[pos:pos + len(c)]
+        cuts = np.flatnonzero(np.diff(b)) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(c)]):
+            slices.setdefault(int(b[s]), []).append((ref, (int(s), int(e))))
+        pos += len(c)
+    assemble = ray.remote(_assemble_bin)
+    return [assemble.remote([r for _, r in sl], *[ref for ref, _ in sl])
+            for _, sl in sorted(slices.items())]
+
+
 def extract_media_chunks(
     media: rd.Dataset,
     *,
     size_threshold: int = 100 * 1024,
     page_threshold: int = 200,
     page_chunk: int = 100,
-    batch_size: int = 64,
     page_render=None,  # None or 'module:fn'
     max_pages: int = 0,
     progress=None,  # name of a state.progress actor (optional)
@@ -176,21 +238,27 @@ def extract_media_chunks(
     consumers see only extracted text, orders of magnitude smaller than
     the media bytes).
 
-    Skew path: docs > page_threshold pages are split into page-range
-    units of page_chunk pages, each extracted on its own.  Ray fuses the
-    split and extract maps, so a split doc's units stay in the task that
-    cut them."""
-    units = media.map_batches(
+    One wave of equal-cost bins: the split map cuts docs > page_threshold
+    pages into page-range units of page_chunk pages and costs every unit
+    in bytes; the units are materialized, packed on the driver into one
+    contiguous bin per CPU (``stages.split.pack_bins``), and extracted by
+    one ``map_batches(extract_batch)`` task per bin, all started at once.
+    A split doc's units spread over the bins its cost span crosses.  The
+    split map shares its context with ``media`` (Ray's rule for derived
+    Datasets), so ``media`` also starts its tasks together afterwards."""
+    units = _own_start(media.map_batches(
         make_split_units(size_threshold, page_threshold, page_chunk),
         batch_format="pyarrow", batch_size=64,
-    )
+    )).materialize()
+    bins = _cost_bins(units, _cluster_cpus())
+    del units  # the bins hold the units' rows from here on
     # warm parser state lives per worker process (module-level cache in
     # stages.extractor) — measured ~2x faster than an actor pool on this
     # workload because map tasks reuse already-warm Ray workers
-    return units.map_batches(
+    return _own_start(rd.from_arrow_refs(bins)).map_batches(
         make_extract_task(page_render=page_render, max_pages=max_pages,
                           progress=progress, verbosity=verbosity),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True,
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
     ).materialize()
 
 
@@ -242,7 +310,6 @@ def extract_media_text(
     size_threshold: int = 100 * 1024,
     page_threshold: int = 200,
     page_chunk: int = 100,
-    batch_size: int = 64,
     page_render=None,  # None or 'module:fn'
     max_pages: int = 0,
     progress=None,  # name of a state.progress actor (optional)
@@ -253,8 +320,8 @@ def extract_media_text(
     sees page-split (multi-chunk) docs, a tiny minority by construction."""
     extracted = extract_media_chunks(
         media, size_threshold=size_threshold, page_threshold=page_threshold,
-        page_chunk=page_chunk, batch_size=batch_size,
-        page_render=page_render, max_pages=max_pages, progress=progress,
+        page_chunk=page_chunk, page_render=page_render, max_pages=max_pages,
+        progress=progress,
     )
     singles = extracted.filter(expr="n_chunks == 1").map_batches(
         assemble_media_chunk_table, batch_format="pyarrow")
@@ -272,7 +339,6 @@ def extract_documents(
     size_threshold: int = 100 * 1024,
     page_threshold: int = 200,
     page_chunk: int = 100,
-    batch_size: int = 64,
     join_strategy: str = "hash",  # the one plan; any other value raises
     resume: bool = True,
     page_render=None,  # None or 'module:fn'
@@ -291,7 +357,7 @@ def extract_documents(
                          f"is the only extraction plan")
     from ..sources.interleaved import read_table
 
-    docs = read_table(docs_path, columns=["doc_id", "spans"])
+    docs = _own_start(read_table(docs_path, columns=["doc_id", "spans"]))
     done: set[int] = set()
     if out_dir is not None and resume:
         ckpt.ensure_manifest(out_dir, {
@@ -305,20 +371,17 @@ def extract_documents(
             docs = docs.map_batches(_filter_done_docs(n_partitions, done),
                                     batch_format="pyarrow")
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    # ~4 read tasks per CPU directly at the read (no repartition exchange):
-    # fine-grained blocks keep the extract stage free of stragglers while
-    # the bytes still stream straight from storage into the extract tasks.
-    # Columns pruned at the read: the pipeline needs only ref + payload.
-    # GRAFT_MEDIA_BLOCKS pins the block count so a scaling comparison can
-    # run the IDENTICAL job at two cluster sizes (bench.py --scaling).
+    # ~4 read tasks per CPU directly at the read (no repartition
+    # exchange), fused with the split map; the extract stage's balance
+    # comes from its cost bins, not from the read's block count.  Columns
+    # pruned at the read: the pipeline needs only ref + payload.
+    # GRAFT_MEDIA_BLOCKS pins the read's block count so a scaling
+    # comparison reads the same blocks at two cluster sizes (bench.py
+    # --scaling).
     blocks_env = os.environ.get("GRAFT_MEDIA_BLOCKS")
     media = read_table(media_path, columns=["media_ref", "bytes"],
                        override_num_blocks=(int(blocks_env) if blocks_env
-                                            else max(16, cpus * 4)))
+                                            else max(16, _cluster_cpus() * 4)))
     if done:
         # resume: only extract media still referenced by remaining docs
         ref_ds = docs.map_batches(
@@ -348,8 +411,8 @@ def extract_documents(
         chunks = extract_media_chunks(
             media, size_threshold=size_threshold,
             page_threshold=page_threshold, page_chunk=page_chunk,
-            batch_size=batch_size, page_render=page_render,
-            max_pages=max_pages, progress=progress, verbosity=verbosity,
+            page_render=page_render, max_pages=max_pages, progress=progress,
+            verbosity=verbosity,
         )
         spans = spans_future.result()
 
@@ -434,5 +497,5 @@ def extract_documents(
         }),
         batch_format="pyarrow", batch_size=16384,
     )
-    return keyed(joined.union(text_spans), "part",
+    return keyed(_own_start(joined.union(text_spans)), "part",
                  _assemble_partition(out_dir, uuid.uuid4().hex[:12]))

@@ -8,7 +8,7 @@ worker process across batches and jobs — setup cost is paid once per
 (worker, document), not once per page-range unit.
 
 Used as:
-    ds.map_batches(make_extract_task(), batch_size=B,
+    ds.map_batches(make_extract_task(), batch_size=None,
                    batch_format="pyarrow", zero_copy_batch=True)
 or in-process as ``PdfExtractor()(batch)``.
 """
@@ -108,6 +108,13 @@ class PdfExtractor:
         blob_col = batch.column("bytes")
         if isinstance(blob_col, pa.ChunkedArray):
             blob_col = blob_col.combine_chunks()
+        # split units name their doc's bytes by dictionary index
+        # (stages.split), so a doc's bytes are stored once per block
+        if isinstance(blob_col, pa.DictionaryArray):
+            blob_rows = blob_col.indices.to_numpy(zero_copy_only=False)
+            blob_col = blob_col.dictionary
+        else:
+            blob_rows = range(batch.num_rows)
         starts = batch.column("page_start").to_pylist()
         ends = batch.column("page_end").to_pylist()
         chunks = batch.column("n_chunks").to_pylist()
@@ -118,7 +125,7 @@ class PdfExtractor:
         render = self._page_render or render_page_text
         for i, (ref, p0, p1, _nc) in enumerate(zip(refs, starts, ends, chunks)):
             try:
-                doc, ext = self._get_doc(ref, blob_col, i)
+                doc, ext = self._get_doc(ref, blob_col, int(blob_rows[i]))
                 if ext is None:  # HTML media: one logical page, main
                     # content only (htmlkernel), no page separators
                     out_text.append(doc.main_text if p0 == 0 else "")

@@ -206,37 +206,3 @@ def read_output(out_dir: str) -> pa.Table:
     if not parts:
         raise FileNotFoundError(f"no completed partitions under {out_dir}")
     return pa.concat_tables(parts)
-
-
-def compact_partitions_inplace(out_dir: str, min_files: int = 2) -> dict:
-    """Opt-in post-job hygiene (VERDICT r4 item 6): rewrite each completed
-    partition's fragment files as ONE fragment, atomically repointing the
-    partition's LINEAGE record at it through commit_partition — completion
-    status, metrics and content_hash survive, so a resume still skips the
-    partition and readers see identical rows.  Crash-safe ordering: new
-    fragment first, atomic lineage rename second (readers switch here),
-    fragment deletes last — a crash at any point leaves only orphan files
-    that every reader already ignores.  Driver-side, one partition in
-    memory at a time; O(completed partitions) work."""
-    n_compacted = files_removed = 0
-    rows = 0
-    run_id = uuid.uuid4().hex[:12]
-    for rec in lineage_records(out_dir):
-        files = _files_of(out_dir, rec)
-        if len(files) < min_files:
-            continue
-        k = int(rec["partition"])
-        t = pa.concat_tables([pq.read_table(p) for p in files])
-        name = write_fragment(out_dir, k, run_id, t)
-        commit_partition(out_dir, k, [name], {
-            **rec, "compacted_from": rec.get("compacted_from", 0) + len(files)})
-        for p in files:
-            try:
-                os.remove(p)
-                files_removed += 1
-            except OSError:
-                pass  # orphan — ignored by readers
-        rows += t.num_rows
-        n_compacted += 1
-    return {"n_partitions_compacted": n_compacted,
-            "n_files_removed": files_removed, "rows": rows}

@@ -49,28 +49,6 @@ def test_extraction_forced_split_consistency(ray_session, small_corpus):
     _check(docs, _oracle(small_corpus))
 
 
-def test_extraction_hash_join(ray_session, small_corpus):
-    from pdf_parse_new_ray.pipelines.extraction import extract_documents
-
-    docs = extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=None, n_partitions=8, join_strategy="hash",
-    ).take_all()
-    _check(docs, _oracle(small_corpus))
-
-
-def test_extraction_hash_join_with_splits(ray_session, small_corpus):
-    # bucketed shuffle join + multi-chunk reassembly INSIDE the cogroup
-    from pdf_parse_new_ray.pipelines.extraction import extract_documents
-
-    docs = extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=None, n_partitions=8, join_strategy="hash",
-        size_threshold=0, page_threshold=2, page_chunk=1,
-    ).take_all()
-    _check(docs, _oracle(small_corpus))
-
-
 def test_write_mode_and_resume(ray_session, small_corpus, tmp_path):
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
     from pdf_parse_new_ray.state import checkpoint as ckpt
@@ -100,52 +78,6 @@ def test_write_mode_and_resume(ray_session, small_corpus, tmp_path):
         out_dir=out, n_partitions=8,
     ).take_all()
     assert metrics3 == []
-
-
-def test_compact_inplace_then_resume(ray_session, small_corpus, tmp_path):
-    """VERDICT r4 item 6: multi-fragment store -> in-place compaction
-    -> reader sees identical rows, each partition is ONE file, and a
-    resume still skips every completed partition (lineage preserved)."""
-    import glob
-
-    from pdf_parse_new_ray.pipelines.extraction import extract_documents
-    from pdf_parse_new_ray.state import checkpoint as ckpt
-
-    out = str(tmp_path / "outc")
-    extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=out, n_partitions=8,
-    ).take_all()
-    # the pipeline commits one fragment per partition: re-commit each
-    # partition as two fragments to give compaction something to merge
-    for rec in ckpt.lineage_records(out):
-        k = int(rec["partition"])
-        (path,) = ckpt.partition_files(out, k)
-        t = pq.read_table(path)
-        half = t.num_rows // 2
-        names = [ckpt.write_fragment(out, k, "split", t.slice(0, half)),
-                 ckpt.write_fragment(out, k, "split", t.slice(half))]
-        ckpt.commit_partition(out, k, names, rec)
-        os.remove(path)
-    before = ckpt.read_output(out).sort_by("doc_id")
-    n_files_before = len(glob.glob(os.path.join(out, "part=*", "*.parquet")))
-
-    stats = ckpt.compact_partitions_inplace(out)
-    after = ckpt.read_output(out).sort_by("doc_id")
-    assert after.equals(before)                      # identical rows
-    n_files_after = len(glob.glob(os.path.join(out, "part=*", "*.parquet")))
-    assert n_files_after == 8 <= n_files_before      # one file per partition
-    assert stats["n_files_removed"] >= stats["n_partitions_compacted"] * 2 \
-        or stats["n_partitions_compacted"] == 0
-    assert ckpt.completed_partitions(out) == set(range(8))
-
-    # resume after compaction is a no-op: all partitions still complete
-    metrics = extract_documents(
-        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
-        out_dir=out, n_partitions=8,
-    ).take_all()
-    assert metrics == []
-    assert ckpt.read_output(out).sort_by("doc_id").equals(before)
 
 
 def test_resume_config_mismatch_raises(ray_session, small_corpus, tmp_path):
@@ -678,3 +610,132 @@ def test_lineage_without_files_is_redone(ray_session, small_corpus, tmp_path):
     ).take_all()
     assert [m["partition"] for m in metrics] == [2]
     _check(ckpt.read_output(out).to_pylist(), _oracle(small_corpus))
+
+
+def _big_doc_units():
+    """Units of one 600-page PDF (6 units of 100 pages) between small
+    docs, in two blocks: small docs, then the big doc and one more."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures import pdfgen
+    from pdf_parse_new_ray.stages.split import make_split_units
+
+    big, _ = pdfgen.make_text_pdf([[f"page {i}"] for i in range(600)])
+    small = [pdfgen.make_text_pdf([[f"doc {i}"]])[0] for i in range(4)]
+    split = make_split_units(100 * 1024, 200, 100)
+
+    def media(refs, blobs):
+        return pa.table({"media_ref": pa.array(refs, pa.string()),
+                         "bytes": pa.array(blobs, pa.binary())})
+
+    blocks = [split(media(["s0", "s1", "s2"], small[:3])),
+              split(media(["big", "s3"], [big, small[3]]))]
+    assert blocks[1].num_rows == 7
+    return big, blocks
+
+
+def test_bins_store_doc_bytes_once(ray_session):
+    """A split doc's bytes are stored once per bin that holds one of its
+    units: 6 units over B bins leave at most min(6, B) copies in the bin
+    blocks, and a bin holds no bytes of a doc it has no unit of."""
+    import ray
+    import ray.data as rd
+
+    from pdf_parse_new_ray.pipelines.extraction import _cost_bins
+
+    big, blocks = _big_doc_units()
+    for n_bins in (4, 8):
+        bins = ray.get(_cost_bins(rd.from_arrow(blocks), n_bins))
+        assert sum(b.num_rows for b in bins) == 3 + 7
+        copies = 0
+        for b in bins:
+            col = b.column("bytes").combine_chunks()
+            stored = col.dictionary.to_pylist()
+            assert len(stored) == len(set(stored))  # each doc once a bin
+            assert sorted(set(col.indices.to_pylist())) == list(range(len(stored)))
+            copies += stored.count(big)
+            assert (big in stored) == ("big" in b.column("media_ref").to_pylist())
+        assert 1 <= copies <= min(6, n_bins)
+
+
+def test_extract_documents_leaves_global_context(ray_session, small_corpus):
+    """The pipeline starts its operators' tasks together through its own
+    Datasets' contexts; the global DataContext is left as it was."""
+    from ray.data import DataContext
+
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+
+    def state(ctx):  # ExecutionOptions has no value equality: compare reprs
+        return {k: repr(v) for k, v in vars(ctx).items()}
+
+    ctx = DataContext.get_current()
+    before = state(ctx)
+    assert ctx.op_resource_reservation_enabled
+    docs = extract_documents(
+        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+        out_dir=None, n_partitions=4,
+    ).take_all()
+    _check(docs, _oracle(small_corpus))
+    assert DataContext.get_current() is ctx
+    assert state(ctx) == before
+
+
+def test_text_only_corpus_runs_an_empty_wave(ray_session, tmp_path):
+    """No media rows (a text-only corpus, or a resume whose remaining
+    docs reference none): the extract wave has no bins and the docs still
+    assemble."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures.corpus import SPAN_TYPE
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+
+    base = tmp_path / "textonly"
+    (base / "docs").mkdir(parents=True)
+    (base / "media").mkdir()
+    spans = pa.array([[{"kind": "text", "text": t, "media_ref": "", "offset": 0}]
+                      for t in ("a", "b")], pa.list_(SPAN_TYPE))
+    pq.write_table(pa.table({"doc_id": ["d0", "d1"], "spans": spans}),
+                   str(base / "docs" / "part-0.parquet"))
+    pq.write_table(pa.table({"media_ref": pa.array([], pa.string()),
+                             "bytes": pa.array([], pa.binary())}),
+                   str(base / "media" / "part-0.parquet"))
+    docs = extract_documents(str(base / "docs"), str(base / "media"),
+                             n_partitions=2).take_all()
+    assert sorted((d["doc_id"], _spans(d)) for d in docs) == [
+        ("d0", [("text", "a", "", 0)]), ("d1", [("text", "b", "", 0)])]
+
+
+@pytest.mark.slow
+def test_skew_drill_one_wave_balances(ray_session, tmp_path):
+    """The skew drill: one 10,000-page PDF among small docs on the 4-CPU
+    session.  The text is oracle-exact, and the extract operator's
+    slowest task takes at most 1.5x its mean task wall (Dataset.stats())."""
+    import ray
+    import ray.data as rd
+
+    from pdf_parse_new_ray.fixtures.corpus import generate_corpus
+    from pdf_parse_new_ray.pipelines.extraction import (extract_documents,
+                                                        extract_media_chunks)
+
+    base = str(tmp_path / "skew10k")
+    generate_corpus(base, n_docs=150, seed=11, skew_doc_every=100,
+                    skew_pages=10_000)
+    media = pq.read_table(f"{base}/media")
+    assert max(media.column("numpages").to_pylist()) == 10_000
+    docs = extract_documents(
+        f"{base}/documents_interleaved", f"{base}/media").take_all()
+    _check(docs, _oracle(base))
+
+    chunks = extract_media_chunks(
+        rd.read_parquet(f"{base}/media", columns=["media_ref", "bytes"]))
+    summary, ops = chunks._get_stats_summary(), []
+    todo = [summary]
+    while todo:
+        s = todo.pop()
+        ops.extend(o for o in s.operators_stats if "extract" in o.operator_name)
+        todo.extend(s.parents)
+    (op,) = ops
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert op.task_rows["count"] == cpus  # one wave, one task per CPU
+    wall = op.wall_time
+    assert wall["max"] <= 1.5 * wall["mean"], wall

@@ -105,25 +105,93 @@ def test_render_hook_module_path_distributed(ray_session, small_corpus):
         assert "--- PAGE ---" in got[ref]
 
 
+def _tiles(units):
+    """Each media_ref's page ranges tile [0, numpages) exactly."""
+    by_ref = {}
+    for ref, s, e, n in zip(units.column("media_ref").to_pylist(),
+                            units.column("page_start").to_pylist(),
+                            units.column("page_end").to_pylist(),
+                            units.column("n_chunks").to_pylist()):
+        by_ref.setdefault(ref, []).append((s, e, n))
+    pages = {}
+    for ref, spans in by_ref.items():
+        spans.sort()
+        assert len(spans) == spans[0][2], ref
+        assert spans[0][0] == 0, ref
+        for (s0, e0, _), (s1, _, _) in zip(spans, spans[1:]):
+            assert e0 == s1, ref
+        pages[ref] = spans[-1][1]
+    return pages
+
+
 def test_split_unit_cap(ray_session, small_corpus):
-    # every unit row duplicates the doc bytes, so fan-out must be bounded
+    # a split doc's units name its bytes by dictionary index: the bytes
+    # are stored once, however many units the doc is cut into
     import pyarrow.parquet as pq
 
-    from pdf_parse_new_ray.stages.split import MAX_UNITS_PER_DOC, make_split_units
+    from pdf_parse_new_ray.stages.split import make_split_units
 
     media = pq.read_table(f"{small_corpus}/media")
     big_idx = max(range(media.num_rows),
                   key=lambda i: media.column("numpages")[i].as_py())
     one = media.slice(big_idx, 1).select(["media_ref", "bytes"])
-    units = make_split_units(0, 2, 1)(one)  # page_chunk=1 would explode
+    units = make_split_units(0, 2, 1)(one)  # page_chunk=1: one unit a page
     npages = media.column("numpages")[big_idx].as_py()
-    assert 2 <= units.num_rows <= MAX_UNITS_PER_DOC
+    assert 2 <= units.num_rows == npages
     # ranges tile [0, npages) exactly
     spans = sorted(zip(units.column("page_start").to_pylist(),
                        units.column("page_end").to_pylist()))
     assert spans[0][0] == 0 and spans[-1][1] == npages
     for (s0, e0), (s1, _) in zip(spans, spans[1:]):
         assert e0 == s1
+    blob = one.column("bytes")[0].as_py()
+    col = units.column("bytes").combine_chunks()
+    assert col.dictionary.to_pylist() == [blob]
+    assert col.indices.to_pylist() == [0] * npages
+    # unit costs are page shares of the doc's bytes
+    assert sum(units.column("cost").to_pylist()) <= len(blob)
+    assert min(units.column("cost").to_pylist()) >= len(blob) // npages - 1
+
+
+def test_pack_bins_covers_tiles_and_bounds(small_corpus):
+    """The packer: every unit lands in exactly one bin, each split doc's
+    page ranges still tile [0, numpages) over the bins, the largest bin
+    costs at most the target plus the largest unit, bins are contiguous,
+    and the same input gives the same bins."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_parse_new_ray.stages.split import (assemble_bin,
+                                                make_split_units, pack_bins)
+
+    media = pq.read_table(f"{small_corpus}/media").select(["media_ref", "bytes"])
+    units = make_split_units(0, 4, 3)(media)
+    pages = _tiles(units)
+    assert any(n > 1 for n in units.column("n_chunks").to_pylist())
+    costs = np.array(units.column("cost").to_pylist())
+    for n_bins in (1, 3, 4, 7, 64):
+        bin_of = pack_bins(costs, n_bins)
+        assert len(bin_of) == units.num_rows
+        assert np.array_equal(bin_of, pack_bins(costs, n_bins))
+        assert (np.diff(bin_of) >= 0).all() and 0 <= bin_of.min() <= bin_of.max() < n_bins
+        per_bin = np.bincount(bin_of, weights=costs, minlength=n_bins)
+        assert per_bin.max() <= costs.sum() / n_bins + costs.max()
+        bins = [assemble_bin([units.filter(pa.array(bin_of == b))])
+                for b in range(n_bins) if (bin_of == b).any()]
+        rows = pa.concat_tables([b.drop(["bytes"]) for b in bins])
+        key = ["media_ref", "page_start"]
+        assert sorted(zip(*(rows.column(k).to_pylist() for k in key))) == \
+            sorted(zip(*(units.column(k).to_pylist() for k in key)))
+        assert _tiles(rows) == pages
+    # random costs: the same bound, and zero costs fill by count
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 50, 500):
+        c = rng.integers(0, 10_000, n)
+        b = pack_bins(c, 8)
+        assert np.bincount(b, weights=c).max() <= c.sum() / 8 + c.max()
+    assert set(pack_bins(np.zeros(16), 4)) == {0, 1, 2, 3}
+    assert len(pack_bins(np.zeros(0), 4)) == 0
 
 
 def test_progress_actor_reports_inflight(ray_session, small_corpus):
