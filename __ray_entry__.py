@@ -418,40 +418,14 @@ def _phash_dup_groups(sf_dir: str):
         import pyarrow.compute as pc
         return out.filter(pc.greater(out["group_size"], pa.scalar(1)))
 
-    if _media_meta_rows(base) <= MEDIA_DRIVER_ROWS:
-        # driver fold: the per-phash min/count groups on the collected
-        # (ref, phash) rows — the keyed exchange is overhead here
-        hp = hashes.to_pandas()
-        hp = hp[hp["decoded"]]
-        df = hp.groupby("phash", as_index=False).agg(
-            keep_ref=("media_ref", "min"),
-            group_size=("media_ref", "count"))
-        df = df[df["group_size"] > 1]
-    else:
-        df = keyed(hashes.map_batches(prep, batch_format="pyarrow"),
-                   "phash", per_bucket).to_pandas()
+    df = keyed(hashes.map_batches(prep, batch_format="pyarrow"),
+               "phash", per_bucket).to_pandas()
     if df.empty:
         return pd.DataFrame({"phash": pd.Series(dtype="object"),
                              "keep_ref": pd.Series(dtype="object"),
                              "group_size": pd.Series(dtype="int64")})
     df["group_size"] = df["group_size"].astype("int64")
     return df.sort_values("phash").reset_index(drop=True)
-
-
-# media metadata gate for the phash-tail driver folds (the phash SCAN
-# always stays distributed; only the grouping/banding tails fold)
-MEDIA_DRIVER_ROWS = 2_000_000
-
-
-def _media_meta_rows(base: str) -> int:
-    import glob as _glob
-    import os as _os
-
-    import pyarrow.parquet as _pq
-
-    files = sorted(_glob.glob(f"{base}/*.parquet")) \
-        if _os.path.isdir(base) else [base]
-    return sum(_pq.read_metadata(f).num_rows for f in files)
 
 
 PHASH_NEARDUP_MAX_HAMMING = 6
@@ -596,24 +570,9 @@ def _phash_neardup_pairs(sf_dir: str):
             "hamming": f["hamming_min"],
             "capped": pc.cast(f["c_max"], pa.bool_())})
 
-    if _media_meta_rows(base) <= MEDIA_DRIVER_ROWS:
-        # driver fold under the media metadata gate: the phash scan
-        # stays distributed; banding, the fine-bucket segment walk and
-        # the pair dedupe run once on the collected (ref, phash) rows —
-        # both keyed exchanges are pure overhead at this size
-        ht = pa.Table.from_pandas(hashes.to_pandas(),
-                                  preserve_index=False)
-        p = bucket_pairs_multi(bands(ht))
-        if p.num_rows == 0:
-            df = pd.DataFrame()
-        else:
-            df = p.to_pandas().groupby(["ref_a", "ref_b"],
-                                       as_index=False) \
-                .agg(hamming=("hamming", "min"), capped=("capped", "max"))
-    else:
-        pairs = keyed(hashes.map_batches(bands, batch_format="pyarrow"),
-                      "bucket", bucket_pairs_multi)
-        df = keyed(pairs, "ref_a", merge_pairs).to_pandas()
+    pairs = keyed(hashes.map_batches(bands, batch_format="pyarrow"),
+                  "bucket", bucket_pairs_multi)
+    df = keyed(pairs, "ref_a", merge_pairs).to_pandas()
     if df.empty:
         return pd.DataFrame({"ref_a": pd.Series(dtype="object"),
                              "ref_b": pd.Series(dtype="object"),

@@ -34,25 +34,29 @@ def _sf_of(sf_dir: str) -> float:
     return float(m.group(1)) if m else 0.1
 
 
-# Driver-fold / broadcast gates (module constants) that pick the small-data
-# fast path below a parquet-metadata row threshold.  The distributed bench
-# leg zeroes ALL of them so the exchange plans that would execute at 100x —
-# bucketed shuffles, cogroup joins, banded LSH exchanges, BSP-free cogroup
-# pagerank — regain tracked wall times (round-4 verdict item #1: at sf0.1
-# every gated query otherwise times the driver fold).
+# Size gates (module constants) that pick a small-data plan below a row
+# threshold.  The distributed bench leg zeroes ALL of them so the exchange
+# plans that would execute at 100x — bucketed shuffles, cogroup joins,
+# banded LSH exchanges, BSP-free cogroup pagerank — regain tracked wall
+# times (round-4 verdict item #1: at sf0.1 every gated query otherwise
+# times a driver fold).  joins.LOCAL_FOLD_ROWS is the one gate of every
+# keyed fold and attach (hash_exchange folds in-process at or below it);
+# zeroed, each of them runs its split and reduce tasks.  t_sequence_pack's
+# driver prefix sum reads it too.
 _DISTRIBUTED_GATES = {
-    "pdf_parse_new_ray.functions.relational": [
-        "EVENTS_DRIVER_ROWS", "BROADCAST_DIM_ROWS"],
+    "pdf_parse_new_ray.functions.joins": ["LOCAL_FOLD_ROWS"],
+    "pdf_parse_new_ray.functions.relational": ["BROADCAST_DIM_ROWS"],
     "pdf_parse_new_ray.functions.dedup": [
-        "DOCS_DRIVER_ROWS", "MINHASH_DRIVER_DOCS", "EMBED_LSH_DRIVER_ROWS"],
+        "MINHASH_DRIVER_DOCS", "EMBED_LSH_DRIVER_ROWS"],
     "pdf_parse_new_ray.functions.graph": ["TRIANGLE_DRIVER_ROWS"],
-    "__ray_entry__": ["MEDIA_DRIVER_ROWS"],
 }
 # NOT zeroed: gates that choose AMONG distributed strategies by actual data
 # size (TRIANGLE/PAGERANK broadcast-vs-cogroup-vs-task-BSP, pair-table and
 # gram-table broadcast attach).  Those pick the same strategy a 100x run
 # would pick for the same relative shapes; zeroing them forces routes no
 # planner would choose (e.g. cogroup triangle over a 20k-vertex graph).
+# Exchanges that pass local=False (the extraction pipeline's, and
+# d_levenshtein_pairs') never fold on the driver and need no entry here.
 
 
 def _force_distributed_gates() -> list:

@@ -33,11 +33,6 @@ def _docs(sf_dir: str) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
 
-# documents metadata gate for driver folds of per-doc mergeable partials
-# (fingerprints, paragraph hashes): ~60 B/row → 10M docs ≈ 600 MB
-DOCS_DRIVER_ROWS = 10_000_000
-
-
 def _docs_meta_rows(sf_dir: str) -> int:
     import pyarrow.parquet as _pq
 
@@ -177,16 +172,7 @@ def d_exact_dedup(sf_dir: str) -> pd.DataFrame:
                           ["fingerprint", "keep_doc_id", "group_size"])
 
     parts = _docs(sf_dir).map_batches(fp, batch_format="pyarrow")
-    if _docs_meta_rows(sf_dir) <= DOCS_DRIVER_ROWS:
-        # one 16-byte-ish row per doc: below the documents metadata gate
-        # the fingerprint fold runs on the driver — the bucketed
-        # exchange only earns its cost past driver memory
-        out = parts.to_pandas().groupby("fingerprint", as_index=False) \
-            .agg(keep_doc_id=("doc_id", "min"),
-                 group_size=("doc_id", "count"))
-        out["group_size"] = out["group_size"].astype("int64")
-    else:
-        out = keyed(parts, "fingerprint", per_bucket).to_pandas()
+    out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
 
 
@@ -332,34 +318,6 @@ def _band_rows(t: pa.Table) -> pa.Table:
 BUCKET_PAIR_CAP = 256
 
 
-def _bucket_pairs(group: pa.Table) -> pa.Table:
-    """Within one LSH bucket: emit candidate (a < b) pairs.  Hot buckets
-    (usually exact-duplicate floods) degrade to star pairs + capped flag.
-    LEGACY dispatch (one Python call per distinct bucket key) — kept only
-    as the semantic reference for the forced-path comparison test; the
-    live plan is `_bucket_pairs_multi` below."""
-    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                      "capped": pa.array([], pa.bool_())})
-    uniq = sorted(set(group.column("doc_id").to_pylist()))
-    n = len(uniq)
-    if n < 2:
-        return empty
-    if n > BUCKET_PAIR_CAP:
-        root = uniq[0]
-        return pa.table({
-            "a": pa.array([root] * (n - 1), pa.int64()),
-            "b": pa.array(uniq[1:], pa.int64()),
-            "capped": pa.array([True] * (n - 1), pa.bool_()),
-        })
-    ids = np.asarray(uniq, dtype=np.int64)
-    ai, bi = np.triu_indices(n, k=1)
-    return pa.table({
-        "a": pa.array(ids[ai], pa.int64()),
-        "b": pa.array(ids[bi], pa.int64()),
-        "capped": pa.array(np.zeros(len(ai), dtype=bool)),
-    })
-
-
 # LSH bucket keys are near-uniform 64-bit hashes; at corpus scale the
 # number of DISTINCT keys grows linearly with docs (×bands) and most are
 # singletons, so a groupby(bucket).map_groups pays one Python interpreter
@@ -372,10 +330,11 @@ def _bucket_pairs_multi(group: pa.Table) -> pa.Table:
     """Vectorized multi-bucket pair emission: ONE Python call per keyed
     exchange bucket (joins.keyed on the fine LSH key) that walks every
     fine LSH bucket inside it as sorted segments.  Emits exactly the
-    pair set of mapping `_bucket_pairs` over each distinct `bucket`
-    (test_dedup.py::test_lsh_dispatch_equivalence forces both paths):
-    per-segment (a < b) triu pairs via shift-k masks for cool buckets,
-    star pairs against the segment's min doc_id past BUCKET_PAIR_CAP."""
+    pair set of a per-bucket dispatch over each distinct `bucket`
+    (tests/dedup_refs.py, compared in test_lsh_dispatch_equivalence and
+    test_property.py): per-segment (a < b) triu pairs via shift-k masks
+    for cool buckets, star pairs against the segment's min doc_id past
+    BUCKET_PAIR_CAP (hot buckets, usually exact-duplicate floods)."""
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
                       "capped": pa.array([], pa.bool_())})
     if group.num_rows == 0:
@@ -422,17 +381,12 @@ def _bucket_pairs_multi(group: pa.Table) -> pa.Table:
     })
 
 
-def lsh_pairs(bands: rd.Dataset, *, legacy: bool = False) -> rd.Dataset:
+def lsh_pairs(bands: rd.Dataset) -> rd.Dataset:
     """Shared LSH pair stage: bands(doc_id:int64, bucket:uint64) → deduped
-    (a, b, capped) candidate pairs.  `legacy=True` forces the per-fine-
-    bucket dispatch (test-only semantic reference)."""
+    (a, b, capped) candidate pairs."""
     from .joins import keyed
 
-    if legacy:
-        pairs = bands.groupby("bucket").map_groups(
-            _bucket_pairs, batch_format="pyarrow")
-    else:
-        pairs = keyed(bands, "bucket", _bucket_pairs_multi)
+    pairs = keyed(bands, "bucket", _bucket_pairs_multi)
     # a pair can surface from several bands: dedupe keeping capped=True if
     # any band capped it.  ONE keyed exchange on the pair + an Arrow
     # group_by per bucket — the Ray-native groupby(["a","b"]).aggregate(Max)
@@ -1018,17 +972,7 @@ def d_paragraph_dedup(sf_dir: str) -> pd.DataFrame:
         return out.filter(pc.greater(out["n_occurrences"], pa.scalar(1)))
 
     parts = _docs(sf_dir).map_batches(explode, batch_format="pyarrow")
-    if _docs_meta_rows(sf_dir) * 8 <= DOCS_DRIVER_ROWS:
-        # paragraphs ≈ docs × small factor: fold the hash rows on the
-        # driver below the gate instead of the md5-bucketed exchange
-        pdf = parts.to_pandas()
-        out = pdf.groupby("para_md5", as_index=False).agg(
-            n_docs=("doc_id", "nunique"), n_occurrences=("doc_id", "count"))
-        out = out[out["n_occurrences"] > 1]
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["n_occurrences"] = out["n_occurrences"].astype("int64")
-    else:
-        out = keyed(parts, "para_md5", per_bucket).to_pandas()
+    out = keyed(parts, "para_md5", per_bucket).to_pandas()
     if out.empty:  # no cross-document paragraph reuse in this corpus
         return pd.DataFrame({"para_md5": pd.Series(dtype="object"),
                              "n_docs": pd.Series(dtype="int64"),
@@ -1164,17 +1108,7 @@ def d_dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
     parts = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text", "n_chars"]) \
         .map_batches(fp, batch_format="pyarrow")
-    if _docs_meta_rows(sf_dir) <= DOCS_DRIVER_ROWS:
-        pdf = parts.to_pandas().sort_values(
-            ["fingerprint", "n_chars", "doc_id"],
-            ascending=[True, False, True])
-        out = pdf.groupby("fingerprint", as_index=False).agg(
-            keep_doc_id=("doc_id", "first"),
-            keep_n_chars=("n_chars", "first"),
-            group_size=("doc_id", "count"))
-        out["group_size"] = out["group_size"].astype("int64")
-    else:
-        out = keyed(parts, "fingerprint", per_bucket).to_pandas()
+    out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
 
 
@@ -1428,7 +1362,7 @@ def _levenshtein_many(a_list: list[np.ndarray],
     return res
 
 
-def d_levenshtein_pairs(sf_dir: str, *, legacy: bool = False) -> pd.DataFrame:
+def d_levenshtein_pairs(sf_dir: str) -> pd.DataFrame:
     """Blocked edit-distance verify — the classic entity-resolution
     blocking + pairwise-verify shape: documents block on
     (lang, n_chars // LEV_BLOCK_CHARS), each block keeps its
@@ -1468,32 +1402,13 @@ def d_levenshtein_pairs(sf_dir: str, *, legacy: bool = False) -> pd.DataFrame:
             np.where(new, np.arange(len(blk)), -1))
         return part.filter(pa.array(rank < LEV_BLOCK_CAP))
 
-    def verify(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("doc_id", "ascending")])
-        g = g.take(order).slice(0, LEV_BLOCK_CAP)
-        ids = g.column("doc_id").to_numpy(zero_copy_only=False)
-        prefixes = [s.encode("utf-8") if s is not None else b""
-                    for s in g.column("prefix").to_pylist()]
-        m = len(ids)
-        if m < 2:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "dist": pa.array([], pa.int64())})
-        ia, ib = np.triu_indices(m, 1)
-        bufs = [np.frombuffer(p, np.uint8) for p in prefixes]
-        dist = _levenshtein_many([bufs[i] for i in ia],
-                                 [bufs[j] for j in ib])
-        return pa.table({"id_a": pa.array(ids[ia], pa.int64()),
-                         "id_b": pa.array(ids[ib], pa.int64()),
-                         "dist": pa.array(dist, pa.int64())})
-
     def verify_multi(g: pa.Table) -> pa.Table:
         """ONE Python call per coarse bucket: every fine block inside it
         is a sorted segment; per-segment cap, shift-k same-segment masks
         emit ALL blocks' (i, i+k) row pairs at once, and the byte-DP runs
         over the whole coarse bucket's pair list in bounded chunks —
-        exactly the pair set of mapping `verify` per distinct block
-        (test_levenshtein_dispatch_equivalence forces both paths)."""
+        exactly the pair set of a per-block verify (tests/dedup_refs.py,
+        compared in test_levenshtein_dispatch_equivalence)."""
         empty = pa.table({"id_a": pa.array([], pa.int64()),
                           "id_b": pa.array([], pa.int64()),
                           "dist": pa.array([], pa.int64())})
@@ -1541,15 +1456,14 @@ def d_levenshtein_pairs(sf_dir: str, *, legacy: bool = False) -> pd.DataFrame:
                          "id_b": pa.array(ids[ib], pa.int64()),
                          "dist": pa.array(dist, pa.int64())})
 
-    prepped = docs.map_batches(prep, batch_format="pyarrow")
-    if legacy:
-        verified = prepped.groupby("block").map_groups(
-            verify, batch_format="pyarrow")
-    else:
-        from .joins import keyed
+    from .joins import keyed
 
-        verified = keyed(prepped, "block", verify_multi)
-    df = verified.to_pandas()
+    # local=False: the verify is CPU-bound (a byte DP per pair, not one
+    # vectorized pass), so even a small input pays to spread over the
+    # cluster's cores — folded in-process it took 2.4-2.6 s at sf0.1 on a
+    # 4-vCPU host against 1.1-1.2 s through the exchange
+    df = keyed(docs.map_batches(prep, batch_format="pyarrow"), "block",
+               verify_multi, local=False).to_pandas()
     if df.empty:
         return pd.DataFrame({c: pd.Series(dtype="int64")
                              for c in ("id_a", "id_b", "dist")})
@@ -1775,36 +1689,6 @@ def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     from .joins import keyed, rename_agg
 
     clus = d_dup_clusters(sf_dir, threshold=threshold)
-
-    if _docs_meta_rows(sf_dir) <= DOCS_DRIVER_ROWS:
-        # driver fold: cluster assign (sorted-probe), the keep-longest
-        # argmax and the per-lang census are one lexsort pass — the
-        # broadcast scan + cluster-bucketed exchange only earn their
-        # cost past driver memory
-        import pyarrow.parquet as _pq
-
-        t = _pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "n_chars", "lang"])
-        did = t["doc_id"].to_numpy().astype(np.int64)
-        nch = t["n_chars"].to_numpy().astype(np.int64)
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        mids = clus["doc_id"].to_numpy().astype(np.int64)
-        mcl = clus["cluster"].to_numpy().astype(np.int64)
-        o = np.argsort(mids)
-        mids, mcl = mids[o], mcl[o]
-        pos = np.searchsorted(mids, did)
-        pos[pos == len(mids)] = 0
-        hit = (mids[pos] == did) if len(mids) else np.zeros(len(did), bool)
-        cl = np.where(hit, mcl[pos] if len(mids) else 0, did)
-        order = np.lexsort((did, -nch, cl))
-        cl_s, lang_s = cl[order], lang[order]
-        win = np.ones(len(cl_s), dtype=bool)
-        win[1:] = cl_s[1:] != cl_s[:-1]
-        out = pd.DataFrame({"lang": lang_s[win]}) \
-            .groupby("lang", as_index=False).size() \
-            .rename(columns={"size": "n_survivors"})
-        out["n_survivors"] = out["n_survivors"].astype("int64")
-        return out.sort_values("lang").reset_index(drop=True)
 
     cmap_ids = pa.array(clus["doc_id"].to_numpy(), pa.int64())
     cmap_cl = pa.array(clus["cluster"].to_numpy(), pa.int64())

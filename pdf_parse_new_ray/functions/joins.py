@@ -37,6 +37,22 @@ use it.
   object refs.  Past ``_EXCHANGE_MAX_BLOCKS`` blocks on a side, each split
   task takes a contiguous run of block refs instead of one block, so the
   split count stays capped and one path runs at every size.
+* **Local fold.**  Whether to partition at all is the exchange's call
+  too, made once here instead of in every query: when the sides' total
+  row count (from the block metadata it already sums for the bucket
+  count) is at most ``LOCAL_FOLD_ROWS``, the reduce runs once, in the
+  driver process, over every block of each side, with no split or reduce
+  task.  Below that size the exchange of a vectorized fold is all
+  overhead: its split and reduce tasks and one shard object per block
+  and bucket cost more than the fold, and the caller lands the rows on
+  the driver anyway.  The bound trades driver memory for fewer tasks,
+  and it is read when called, so a test or the bench's forced leg sets
+  it to 0 to run the exchange.  The result comes back in as many blocks
+  as the exchange would have had buckets, so maps after the fold run as
+  widely.  Two callers pass ``local=False``: the extraction pipeline
+  (document text stays off the driver, fragment writes stay parallel)
+  and ``dedup.d_levenshtein_pairs`` (a CPU-bound per-pair fold that pays
+  to spread over the cores at any size).
 """
 
 from __future__ import annotations
@@ -105,6 +121,9 @@ def _bucket_of(keys: pa.ChunkedArray, n_buckets: int) -> pa.Array:
 # ---------------------------------------------------------------------------
 
 _EXCHANGE_MAX_BLOCKS = 4096
+# inputs of at most this many rows (all sides together) fold in-process
+# on the driver instead of exchanging; 0 exchanges every non-empty input
+LOCAL_FOLD_ROWS = 2_000_000
 EXCHANGE_ROWS_PER_BUCKET = 250_000
 _EXCHANGE_MAX_BUCKETS = 4096
 
@@ -241,7 +260,8 @@ def _run_reduce(fn, sizes: list[int], *tables):
     return fn(*[[next(it) for _ in range(n)] for n in sizes])
 
 
-def hash_exchange(sides: list, reduce_fn, n_salts: int = 1) -> rd.Dataset:
+def hash_exchange(sides: list, reduce_fn, n_salts: int = 1,
+                  local: bool = True) -> rd.Dataset:
     """Generic keyed cogroup: ``sides = [(dataset, split_fn), ...]`` where
     ``split_fn(table, n_buckets) -> tuple[pa.Table] * n_buckets`` (build
     one with :func:`key_split`).  The sides are executed first; their
@@ -250,9 +270,12 @@ def hash_exchange(sides: list, reduce_fn, n_salts: int = 1) -> rd.Dataset:
     ``n_salts > 1``).  Each side is then hash-partitioned into that many
     aligned buckets; ``reduce_fn(tables_side0, tables_side1, ...) ->
     pa.Table`` runs once per bucket that has rows on some side, over that
-    bucket's non-empty shards (a side's list may be empty).  When every
-    bucket is empty it runs once, on the driver, over empty lists.
-    Returns the reduced buckets as a new Dataset (blocks stay in plasma).
+    bucket's non-empty shards (a side's list may be empty).  When the
+    input has at most ``LOCAL_FOLD_ROWS`` rows it runs once instead, on
+    the driver, over each side's non-empty blocks, unsplit; ``local=False``
+    keeps the rows off the driver at any size (every bucket empty still
+    folds there, over empty lists).  Returns the reduced buckets as a new
+    Dataset (blocks stay in plasma).
 
     A side of more than ``_EXCHANGE_MAX_BLOCKS`` blocks is split in
     contiguous runs of blocks, one split task per run."""
@@ -264,6 +287,15 @@ def hash_exchange(sides: list, reduce_fn, n_salts: int = 1) -> rd.Dataset:
         side_refs.append([r for b in bundles for r in b.block_refs])
         rows += sum(b.num_rows() or 0 for b in bundles)
     n_buckets = exchange_buckets(rows)
+    if local and rows <= LOCAL_FOLD_ROWS:
+        out = reduce_fn(*[
+            [t for t in map(_ensure_table, ray.get(refs)) if t.num_rows]
+            for refs in side_refs])
+        # one block per bucket the exchange would have made, so maps
+        # downstream of the fold keep the exchange's parallelism
+        step = max(1, -(-out.num_rows // n_buckets))
+        return rd.from_arrow([out.slice(i, step) for i in
+                              range(0, max(1, out.num_rows), step)])
     if n_salts > 1:
         n_buckets = salted_buckets(n_buckets, n_salts)
 
@@ -292,14 +324,17 @@ def hash_exchange(sides: list, reduce_fn, n_salts: int = 1) -> rd.Dataset:
     return rd.from_arrow_refs(out_refs)
 
 
-def keyed(ds: rd.Dataset, key_col: str, fold) -> rd.Dataset:
+def keyed(ds: rd.Dataset, key_col: str, fold,
+          local: bool = True) -> rd.Dataset:
     """The keyed fold: hash-partition ``ds`` on ``key_col`` (integers
     through :func:`_bucket_of`, strings through ``partition_column``) with
     :func:`hash_exchange` and run ``fold(table) -> Table | DataFrame`` once
     per non-empty bucket.  Each call gets every row of its keys (all
     columns of ``ds``, in no particular order) and typically many keys, so
     ``fold`` must handle a multi-key table.  A pandas return is converted
-    to Arrow.  A zero-row input calls no fold and returns no rows.
+    to Arrow.  A zero-row input calls no fold and returns no rows.  An
+    input of at most ``LOCAL_FOLD_ROWS`` rows folds once, on the driver,
+    unless ``local=False`` (see :func:`hash_exchange`).
 
     Two-sided cogroup: ``keyed(a.union(b), key, fold)`` with both sides
     projected to one schema (the fold tells the sides apart by a column)."""
@@ -310,7 +345,7 @@ def keyed(ds: rd.Dataset, key_col: str, fold) -> rd.Dataset:
         out = fold(_concat(tables))
         return out if isinstance(out, pa.Table) else _ensure_table(out)
 
-    return hash_exchange([(ds, key_split(key_col))], _reduce)
+    return hash_exchange([(ds, key_split(key_col))], _reduce, local=local)
 
 
 def _empty_attach_out(pair_cols, out_name, vtype) -> pa.Table:

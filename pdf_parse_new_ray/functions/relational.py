@@ -40,23 +40,6 @@ def _dim_pandas(sf_dir: str, table: str, columns=None, filters=None):
                           filters=filters).to_pandas()
 
 
-def _fact_fold_driver(sf_dir: str, table: str, columns, fold):
-    """Driver fast path for the one-bucketed-shuffle window family
-    (sessionization / as-of / LAG / rolling / trailing-RANGE / first-last
-    / transitions / watermark): each fold is already a vectorized
-    MULTI-key pass whose per-key segments are independent, and the caller
-    lands every output row on the driver anyway — so under the fact
-    metadata gate the keyed exchange that co-locates each key's rows is
-    pure overhead.  Run the SAME fold once over the whole driver-read
-    table (identical sort keys → identical per-key segments → identical
-    rows).  Returns None above the gate; callers keep their bucketed
-    cogroup, and the `write_dir` scale hatch never takes this path."""
-    path = f"{sf_dir}/{table}.parquet"
-    if pq.read_metadata(path).num_rows > EVENTS_DRIVER_ROWS:
-        return None
-    return fold(pq.read_table(path, columns=columns))
-
-
 def _orders_custkey_ref(sf_dir: str):
     """Size-gated broadcast of the (o_orderkey -> o_custkey) map: sorted
     key array + aligned custkeys in plasma, or None above the gate (the
@@ -98,23 +81,20 @@ def _custkey_probe(extra_cols: list, combine, out_name="o_custkey"):
 
 def _nation_map(sf_dir: str) -> dict:
     """(n_nationkey -> n_name) lookup — 25 rows at every TPC-H SF, so
-    the driver read always wins; Ray fallback kept for the gate."""
-    nat = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
-    if nat is not None:
-        return dict(zip(nat["n_nationkey"], nat["n_name"]))
-    return {r["n_nationkey"]: r["n_name"]
-            for r in _rp(sf_dir, "nation").take_all()}
+    the driver always reads it directly, whatever the broadcast gate."""
+    nat = pq.read_table(f"{sf_dir}/nation.parquet",
+                        columns=["n_nationkey", "n_name"])
+    return dict(zip(nat["n_nationkey"].to_pylist(),
+                    nat["n_name"].to_pylist()))
 
 
 # dimension tables at or below this row count broadcast (value_set /
 # index_in arrays); above it the bucketed cogroup (functions/joins.py)
 # runs.  One knob so tests can force the distributed path on small data.
+# Whether a keyed fold runs on the driver or exchanges is not decided
+# here: joins.hash_exchange folds in-process at or below
+# joins.LOCAL_FOLD_ROWS input rows, so each query below has one plan.
 BROADCAST_DIM_ROWS = 2_000_000
-
-# fact tables at or below this row count let mergeable per-batch partials
-# (sketch cells, bounded count tables) fold on the driver instead of a
-# Ray-native keyed aggregate; above it the distributed merge runs
-EVENTS_DRIVER_ROWS = 20_000_000
 
 # task-mode warm broadcast state for q3's gated small-scale path (keyed by
 # the ObjectRef hex so distinct queries/inputs never share state)
@@ -126,6 +106,21 @@ def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
         if c in df.columns:
             df[c] = df[c].astype(float).round(nd)
     return df
+
+
+def _keyed_frame(ds: rd.Dataset, key_col: str, fold) -> pd.DataFrame:
+    """``joins.keyed(ds, key_col, fold)`` as a driver DataFrame that keeps
+    the fold's columns when it has no rows.  Ray's to_pandas drops the
+    columns of an all-empty Dataset, and keyed calls no fold on a
+    zero-row input, so an empty result is rebuilt by running the fold
+    once over an empty table of the input's schema."""
+    from .joins import keyed
+
+    out = keyed(ds, key_col, fold).to_pandas()
+    if len(out.columns):
+        return out
+    out = fold(ds.schema().base_schema.empty_table())
+    return out.to_pandas() if isinstance(out, pa.Table) else out
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +543,6 @@ def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
     import numpy as np
     import pyarrow as pa
 
-    from .joins import keyed
-
     def per_bucket(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -573,15 +566,8 @@ def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
             "span_seconds": pa.array(np.round(span, 1), pa.float64()),
         })
 
-    folded = _fact_fold_driver(
-        sf_dir, "events", ["user_id", "ts", "value"],
-        lambda t: per_bucket(t).to_pandas().sort_values("user_id")
-        .reset_index(drop=True))
-    if folded is not None:
-        return folded
-
     ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
-    out = keyed(ev, "user_id", per_bucket).to_pandas()
+    out = _keyed_frame(ev, "user_id", per_bucket)
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -696,24 +682,14 @@ def q_sessionization(sf_dir: str, gap_minutes: int = 30,
             "sum_value": pa.array(np.round(sums, 4), pa.float64()),
         })
 
-    if write_dir is None:
-        t = _fact_fold_driver(sf_dir, "events",
-                              ["event_id", "ts", "user_id", "value"],
-                              sessions)
-        if t is not None:
-            return t.to_pandas() \
-                .sort_values(["user_id", "session_id"]) \
-                .reset_index(drop=True)
-
     ev = _rp(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    ds = keyed(ev, "user_id", sessions)
     if write_dir is not None:
         # scale hatch: per-session rows are corpus-sized — stream them to
         # partitioned parquet (one file per cogroup block) and return only
         # metrics; the DataFrame default below exists for the driver's
         # oracle compare at test scale
-        return _write_windowed(ds, write_dir)
-    df = pd.DataFrame(ds.take_all())
+        return _write_windowed(keyed(ev, "user_id", sessions), write_dir)
+    df = _keyed_frame(ev, "user_id", sessions)
     return df.sort_values(["user_id", "session_id"]).reset_index(drop=True)
 
 
@@ -785,86 +761,56 @@ def q_asof_view_before_click(sf_dir: str,
                 [float(v) if h else None for v, h in zip(view_val, ok)], pa.float64()),
         })
 
-    if write_dir is None:
-        t = _fact_fold_driver(
-            sf_dir, "events",
-            ["event_id", "ts", "user_id", "event_type", "value"], asof)
-        if t is not None:
-            return t.to_pandas().sort_values("event_id") \
-                .reset_index(drop=True)
-
     ev = _rp(sf_dir, "events",
              columns=["event_id", "ts", "user_id", "event_type", "value"])
-    ds = keyed(ev, "user_id", asof)
-    if write_dir is not None:
-        return _write_windowed(ds, write_dir)  # see q_sessionization
-    df = pd.DataFrame(ds.take_all())
+    if write_dir is not None:  # see q_sessionization
+        return _write_windowed(keyed(ev, "user_id", asof), write_dir)
+    df = _keyed_frame(ev, "user_id", asof)
     return df.sort_values("event_id").reset_index(drop=True)
 
 
-def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
-    """Anti-join: customers that placed no orders — the missing join
-    variant (inner/semi are covered elsewhere).  ONE keyed cogroup on
-    custkey: customer rows and distinct order-custkey rows land in the
-    same bucket; the probe keeps customers whose key misses the order-key
-    set (vectorized is_in + invert).  Scales like the other cogroups —
-    no broadcast of either side."""
-    import numpy as np
+def _customers_by_orders(sf_dir: str, with_orders: bool) -> pd.DataFrame:
+    """Customers with (semi-join) or without (anti-join) any order.  ONE
+    two-sided keyed cogroup on custkey (:func:`joins.hash_exchange`):
+    customer rows and order custkeys land in the same bucket, and each
+    bucket's probe is one vectorized is_in.  The order side's split keeps
+    only each block's distinct custkeys, so at most one row per (block,
+    customer) rides the exchange.  Scales like the other cogroups — no
+    broadcast of either side."""
+    from .joins import hash_exchange, key_split
 
-    from .joins import keyed
-
-    cd = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_name"])
-    if cd is not None and pq.read_metadata(
-            f"{sf_dir}/orders.parquet").num_rows <= EVENTS_DRIVER_ROWS:
-        # both sides fit the driver gates: one vectorized np.isin
-        ok = np.unique(pq.read_table(f"{sf_dir}/orders.parquet",
-                                     columns=["o_custkey"])
-                       ["o_custkey"].to_numpy())
-        keep = ~np.isin(cd["c_custkey"].to_numpy(), ok)
-        out = cd[keep][["c_custkey", "c_name"]]
-        return out.sort_values("c_custkey").reset_index(drop=True)
-
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _rp(sf_dir, "orders", ["o_custkey"])
-
-    def tag_cust(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["c_custkey"],
-            "c_name": t["c_name"],
-            "is_cust": pa.array([True] * t.num_rows, pa.bool_()),
-        })
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        # batch-local dedupe: only distinct custkeys ride the shuffle
+    def order_keys(t: pa.Table, n_buckets: int):
         keys = pc.unique(t.column("o_custkey").combine_chunks())
-        n = len(keys)
-        return pa.table({
-            "key": keys,
-            "c_name": pa.nulls(n, pa.string()),
-            "is_cust": pa.array([False] * n, pa.bool_()),
-        })
+        return key_split("o_custkey")(pa.table({"o_custkey": keys}),
+                                      n_buckets)
 
-    def anti(g: pa.Table) -> pa.Table:
-        is_cust = g.column("is_cust")
-        custs = g.filter(is_cust)
-        order_keys = g.filter(pc.invert(is_cust)).column("key").combine_chunks()
-        if custs.num_rows == 0:
+    def probe(cust_tabs: list, order_tabs: list) -> pa.Table:
+        if not cust_tabs:
             return pa.table({"c_custkey": pa.array([], pa.int64()),
                              "c_name": pa.array([], pa.string())})
-        miss = pc.invert(pc.coalesce(
-            pc.is_in(custs.column("key"), value_set=order_keys),
-            pa.scalar(False)))
-        keep = custs.filter(miss)
-        return pa.table({"c_custkey": keep.column("key"),
-                         "c_name": keep.column("c_name")})
+        custs = pa.concat_tables(cust_tabs)
+        okeys = pa.array([], pa.int64())
+        if order_tabs:
+            okeys = pa.concat_tables(order_tabs).column("o_custkey") \
+                .combine_chunks()
+        hit = pc.is_in(custs.column("c_custkey"), value_set=okeys)
+        return custs.filter(hit if with_orders else pc.invert(hit))
 
-    out = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")),
-        "key", anti).to_pandas()
+    out = hash_exchange(
+        [(_rp(sf_dir, "customer", ["c_custkey", "c_name"]),
+          key_split("c_custkey")),
+         (_rp(sf_dir, "orders", ["o_custkey"]), order_keys)],
+        probe).to_pandas()
     if out.empty:  # empty datasets lose their schema through to_pandas
         return pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
                              "c_name": pd.Series(dtype="object")})
     return out.sort_values("c_custkey").reset_index(drop=True)
+
+
+def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
+    """Anti-join: customers that placed no orders — the missing join
+    variant (inner/semi are covered elsewhere)."""
+    return _customers_by_orders(sf_dir, with_orders=False)
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +876,6 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 2) -> pd.DataFrame:
     call per bucket, none per customer)."""
     import numpy as np
 
-    from .joins import keyed
-
     def per_bucket(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[
             ("o_custkey", "ascending"), ("o_totalprice", "descending"),
@@ -957,17 +901,8 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 2) -> pd.DataFrame:
             .reset_index(drop=True)
         return _round_cols(out, {"o_totalprice": 2})
 
-    # the fold's per-customer segments are independent, so under the
-    # orders metadata gate the SAME per_bucket pass runs once on the
-    # driver (the _fact_fold_driver window-family shape)
-    folded = _fact_fold_driver(
-        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"],
-        lambda t: _finish(per_bucket(t)))
-    if folded is not None:
-        return folded
-
     ds = _rp(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-    out = keyed(ds, "o_custkey", per_bucket).to_pandas()
+    out = _keyed_frame(ds, "o_custkey", per_bucket)
     return _finish(pa.Table.from_pandas(out, preserve_index=False))
 
 
@@ -1107,22 +1042,11 @@ def q_running_balance(sf_dir: str,
             "running_total": pa.array(run / 100.0, pa.float64()),
         })
 
-    if write_dir is None:
-        t = _fact_fold_driver(
-            sf_dir, "orders",
-            ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
-            fold)
-        if t is not None:
-            return t.to_pandas() \
-                .sort_values(["o_custkey", "o_orderdate", "o_orderkey"]) \
-                .reset_index(drop=True)
-
     orders = _rp(sf_dir, "orders",
                  ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-    ds = keyed(orders, "o_custkey", fold)
     if write_dir is not None:
-        return _write_windowed(ds, write_dir)
-    df = pd.DataFrame(ds.take_all())
+        return _write_windowed(keyed(orders, "o_custkey", fold), write_dir)
+    df = _keyed_frame(orders, "o_custkey", fold)
     return df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"]) \
         .reset_index(drop=True)
 
@@ -1170,19 +1094,10 @@ def q_rolling_avg(sf_dir: str, window: int = 5,
                 frame_sum / (1e6 * frame_len), pa.float64()),
         })
 
-    if write_dir is None:
-        t = _fact_fold_driver(sf_dir, "events",
-                              ["event_id", "ts", "user_id", "value"], fold)
-        if t is not None:
-            return t.to_pandas() \
-                .sort_values(["user_id", "ts", "event_id"]) \
-                .reset_index(drop=True)
-
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    ds = keyed(ev, "user_id", fold)
     if write_dir is not None:
-        return _write_windowed(ds, write_dir)
-    df = pd.DataFrame(ds.take_all())
+        return _write_windowed(keyed(ev, "user_id", fold), write_dir)
+    df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
 
 
@@ -1193,12 +1108,10 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
     """Per-user event-type pivot (conditional aggregation): one count
     column per type plus the purchase-value total.  Map-side the pivot is
     pure Arrow kernels (equal → cast → if_else), so each batch collapses
-    to plain Sum-able columns and the ONLY shuffle is the final
-    user_id groupby of already-partial rows.  Purchase value accumulates
+    to plain Sum-able columns and the ONLY exchange is the final keyed
+    user_id merge of already-partial rows.  Purchase value accumulates
     as exact int64 microunits (divide once at the end) so the result
     matches the oracle's window-order-independent SUM bit-for-bit."""
-    import numpy as np
-
     from .joins import keyed, rename_agg
 
     sum_cols = [f"n_{ty}" for ty in EVENT_TYPES] + ["purchase_micro"]
@@ -1212,28 +1125,21 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
                                              pa.scalar(1e6))), pa.int64())
         cols["purchase_micro"] = pc.if_else(
             pc.equal(et, "purchase"), micro, pa.scalar(0, pa.int64()))
-        # batch-local per-user partials: the exchange (or driver fold)
-        # sees one row per (batch, user), never one per event row
+        # batch-local per-user partials: the keyed merge sees one row
+        # per (batch, user), never one per event row
         g = pa.table(cols).group_by("user_id").aggregate(
             [(c, "sum") for c in sum_cols])
         return rename_agg(g, {f"{c}_sum": c for c in sum_cols},
                           ["user_id"] + sum_cols)
 
-    ev = _rp(sf_dir, "events", ["user_id", "event_type", "value"])
-    parts = ev.map_batches(partial, batch_format="pyarrow")
-    if ev.count() <= EVENTS_DRIVER_ROWS:
-        # per-user partials are keyed-mergeable — fold on the driver
-        # below the events gate instead of a per-distinct-user exchange
-        out = parts.to_pandas() \
-            .groupby("user_id", as_index=False)[sum_cols].sum()
-    else:
-        def merge(g: pa.Table) -> pa.Table:
-            t = g.group_by("user_id").aggregate(
-                [(c, "sum") for c in sum_cols])
-            return rename_agg(t, {f"{c}_sum": c for c in sum_cols},
-                              ["user_id"] + sum_cols)
+    def merge(g: pa.Table) -> pa.Table:
+        t = g.group_by("user_id").aggregate([(c, "sum") for c in sum_cols])
+        return rename_agg(t, {f"{c}_sum": c for c in sum_cols},
+                          ["user_id"] + sum_cols)
 
-        out = keyed(parts, "user_id", merge).to_pandas()
+    ev = _rp(sf_dir, "events", ["user_id", "event_type", "value"])
+    out = keyed(ev.map_batches(partial, batch_format="pyarrow"),
+                "user_id", merge).to_pandas()
     out["purchase_value"] = out["purchase_micro"] / 1e6
     out = out.drop(columns=["purchase_micro"])
     return out.sort_values("user_id").reset_index(drop=True)
@@ -1252,8 +1158,6 @@ def q_event_lag(sf_dir: str) -> pd.DataFrame:
     NULLs on each user's first event.  ONE keyed exchange on user_id,
     then a vectorized multi-user shift per bucket."""
     import numpy as np
-
-    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1280,15 +1184,8 @@ def q_event_lag(sf_dir: str) -> pd.DataFrame:
             "gap_us": gap,
         })
 
-    t = _fact_fold_driver(sf_dir, "events",
-                          ["event_id", "ts", "user_id", "event_type"], fold)
-    if t is not None:
-        return t.to_pandas().sort_values(["user_id", "ts", "event_id"]) \
-            .reset_index(drop=True)
-
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    df = pd.DataFrame(
-        keyed(ev, "user_id", fold).take_all())
+    df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
 
 
@@ -1297,8 +1194,6 @@ def q_user_first_last(sf_dir: str) -> pd.DataFrame:
     event type by (ts, event_id) plus their event count.  Same bucketed
     fold; per bucket the user boundaries come from one sorted mask."""
     import numpy as np
-
-    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1321,74 +1216,16 @@ def q_user_first_last(sf_dir: str) -> pd.DataFrame:
                                  pa.int64()),
         })
 
-    t = _fact_fold_driver(sf_dir, "events",
-                          ["event_id", "ts", "user_id", "event_type"], fold)
-    if t is not None:
-        return t.to_pandas().sort_values("user_id").reset_index(drop=True)
-
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    df = pd.DataFrame(
-        keyed(ev, "user_id", fold).take_all())
+    df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
 def q_customers_with_orders(sf_dir: str) -> pd.DataFrame:
     """Semi-join: customers that placed at least one order (EXISTS) —
-    the mirror of q_customers_without_orders, same ONE keyed cogroup on
-    custkey with batch-local key dedupe before the shuffle; the probe
-    keeps hits instead of misses."""
-    from .joins import keyed
-
-    cd = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_name"])
-    if cd is not None and pq.read_metadata(
-            f"{sf_dir}/orders.parquet").num_rows <= EVENTS_DRIVER_ROWS:
-        ok = np.unique(pq.read_table(f"{sf_dir}/orders.parquet",
-                                     columns=["o_custkey"])
-                       ["o_custkey"].to_numpy())
-        keep = np.isin(cd["c_custkey"].to_numpy(), ok)
-        out = cd[keep][["c_custkey", "c_name"]]
-        return out.sort_values("c_custkey").reset_index(drop=True)
-
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _rp(sf_dir, "orders", ["o_custkey"])
-
-    def tag_cust(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["c_custkey"],
-            "c_name": t["c_name"],
-            "is_cust": pa.array([True] * t.num_rows, pa.bool_()),
-        })
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t.column("o_custkey").combine_chunks())
-        n = len(keys)
-        return pa.table({
-            "key": keys,
-            "c_name": pa.nulls(n, pa.string()),
-            "is_cust": pa.array([False] * n, pa.bool_()),
-        })
-
-    def semi(g: pa.Table) -> pa.Table:
-        is_cust = g.column("is_cust")
-        custs = g.filter(is_cust)
-        order_keys = g.filter(pc.invert(is_cust)).column("key").combine_chunks()
-        if custs.num_rows == 0:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "c_name": pa.array([], pa.string())})
-        hit = pc.coalesce(
-            pc.is_in(custs.column("key"), value_set=order_keys),
-            pa.scalar(False))
-        keep = custs.filter(hit)
-        return pa.table({"c_custkey": keep.column("key"),
-                         "c_name": keep.column("c_name")})
-
-    out = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")),
-        "key", semi).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
-                             "c_name": pd.Series(dtype="object")})
-    return out.sort_values("c_custkey").reset_index(drop=True)
+    the mirror of q_customers_without_orders, same keyed cogroup; the
+    probe keeps hits instead of misses."""
+    return _customers_by_orders(sf_dir, with_orders=True)
 
 
 def q_orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
@@ -1399,8 +1236,6 @@ def q_orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
     compares each row against sum/(100·count), the identical float
     expression the oracle's window AVG evaluates."""
     import numpy as np
-
-    from .joins import keyed
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[("o_custkey", "ascending")])
@@ -1428,14 +1263,8 @@ def q_orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
             "o_totalprice": kept.column("o_totalprice"),
         })
 
-    t = _fact_fold_driver(sf_dir, "orders",
-                          ["o_orderkey", "o_custkey", "o_totalprice"], fold)
-    if t is not None:
-        return t.to_pandas().sort_values("o_orderkey").reset_index(drop=True)
-
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    df = pd.DataFrame(
-        keyed(orders, "o_custkey", fold).take_all())
+    df = _keyed_frame(orders, "o_custkey", fold)
     return df.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -1585,11 +1414,8 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     cohort assignment, the distinct (user, week) activity pairs and the
     cell counts are all bucket-local Arrow kernels; buckets partition
     users, so per-bucket counts sum exactly (no distinct-merge)."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    from .joins import keyed
 
     week_us = 7 * 86400 * 1_000_000
 
@@ -1620,17 +1446,8 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
         return out.sort_values(["cohort_week", "week_offset"]) \
             .reset_index(drop=True)
 
-    # buckets partition users, so the SAME cells pass over the whole
-    # table yields identical cell counts — driver fold under the gate
-    folded = _fact_fold_driver(sf_dir, "events", ["ts", "user_id"],
-                               lambda t: _finish(cells(t).to_pandas()))
-    if folded is not None:
-        return folded
-
     ev = _rp(sf_dir, "events", columns=["ts", "user_id"])
-    parts = keyed(ev, "user_id", cells) \
-        .to_pandas()
-    return _finish(parts)
+    return _finish(_keyed_frame(ev, "user_id", cells))
 
 
 # ---------------------------------------------------------------------------
@@ -1926,7 +1743,7 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     user_id; inside each bucket a vectorized multi-user
     shift (no per-user Python) collapses straight to partial transition
     counts, so the final groupby is |types|^2-bounded."""
-    from .joins import keyed, rename_agg
+    from .joins import rename_agg
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -1948,17 +1765,10 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
         return rename_agg(t, {"n_sum": "n"},
                           ["prev_type", "event_type", "n"])
 
-    t = _fact_fold_driver(sf_dir, "events",
-                          ["event_id", "ts", "user_id", "event_type"], fold)
-    if t is not None:
-        # one global fold already collapses to |types|^2 exact counts
-        out = t.to_pandas()
-    else:
-        ev = _rp(sf_dir, "events",
-                 ["event_id", "ts", "user_id", "event_type"])
-        out = keyed(ev, "user_id", fold) \
-            .groupby(["prev_type", "event_type"]) \
-            .aggregate(Sum("n", alias_name="n")).to_pandas()
+    # per-bucket partials are |types|^2-bounded: sum them on the driver
+    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
+    out = _keyed_frame(ev, "user_id", fold) \
+        .groupby(["prev_type", "event_type"], as_index=False)["n"].sum()
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["prev_type", "event_type"]) \
         .reset_index(drop=True)
@@ -1984,7 +1794,7 @@ def q_late_data_drop(sf_dir: str) -> pd.DataFrame:
     K*seg equals the per-segment cummax when K exceeds any in-bucket
     time span — exact in int64, with a guard that widens to a
     per-segment fallback if a bucket ever got big enough to overflow)."""
-    from .joins import keyed, rename_agg
+    from .joins import rename_agg
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -2029,22 +1839,14 @@ def q_late_data_drop(sf_dir: str) -> pd.DataFrame:
                               "late_sum": "n_late_dropped"},
                           ["window_start", "n_on_time", "n_late_dropped"])
 
-    t = _fact_fold_driver(sf_dir, "events",
-                          ["event_id", "ts", "user_id"], fold)
-    if t is not None:
-        # the global fold's in-table group_by is already the final
-        # per-window count — per-user watermark segments are identical
-        out = t.to_pandas()
-    else:
-        ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-        out = keyed(ev, "user_id", fold) \
-            .groupby("window_start").aggregate(
-                Sum("n_on_time", alias_name="n_on_time"),
-                Sum("n_late_dropped", alias_name="n_late_dropped")) \
-            .to_pandas()
+    # per-bucket partials are one row per (bucket, hour): sum them on
+    # the driver
+    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
+    out = _keyed_frame(ev, "user_id", fold) \
+        .groupby("window_start", as_index=False)[
+            ["n_on_time", "n_late_dropped"]].sum()
     out["n_on_time"] = out["n_on_time"].astype("int64")
     out["n_late_dropped"] = out["n_late_dropped"].astype("int64")
-    # Ray's groupby narrows timestamp[us] to [s]; restore the source unit
     out["window_start"] = out["window_start"].astype("datetime64[us]")
     return out.sort_values("window_start").reset_index(drop=True)
 
@@ -2090,6 +1892,22 @@ def q_props_value_stats(sf_dir: str) -> pd.DataFrame:
 HEAVY_HITTER_K = 100
 
 
+def _user_count_partial(t: pa.Table) -> pa.Table:
+    """Batch-local (user_id, n) event counts: the combiner."""
+    from .joins import rename_agg
+
+    g = t.group_by("user_id").aggregate([("user_id", "count")])
+    return rename_agg(g, {"user_id_count": "n"}, ["user_id", "n"])
+
+
+def _user_count_merge(t: pa.Table) -> pa.Table:
+    """Keyed merge of (user_id, n) partials: one row per user."""
+    from .joins import rename_agg
+
+    g = t.group_by("user_id").aggregate([("n", "sum")])
+    return rename_agg(g, {"n_sum": "n"}, ["user_id", "n"])
+
+
 def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     """Top-K users by event count, skew-safe.  The classic hot-key
     failure is shuffling one row per EVENT and letting a power-law
@@ -2097,25 +1915,13 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     collapses to batch-local (user, count) partials via Arrow group_by
     BEFORE the exchange, so the shuffle moves at most |users| x
     n_blocks rows and a hot key's traffic is bounded by the block
-    count, never by its event count.  The final top-K is a
-    |users|-sized groupby and a tiny driver sort."""
-    from .joins import rename_agg
+    count, never by its event count.  The final top-K is a keyed
+    per-user merge of the partials and a tiny driver sort."""
+    from .joins import keyed
 
     ev = _rp(sf_dir, "events", ["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("user_id").aggregate([("user_id", "count")])
-        return rename_agg(g, {"user_id_count": "n"}, ["user_id", "n"])
-
-    part_ds = ev.map_batches(partial, batch_format="pyarrow")
-    if ev.count() <= EVENTS_DRIVER_ROWS:
-        # |users| x n_blocks partials fit the driver under the gate —
-        # pandas fold instead of a Ray-native per-user aggregate
-        out = part_ds.to_pandas().groupby("user_id",
-                                          as_index=False)["n"].sum()
-    else:
-        out = part_ds.groupby("user_id") \
-            .aggregate(Sum("n", alias_name="n")).to_pandas()
+    out = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
+                "user_id", _user_count_merge).to_pandas()
     out["n"] = out["n"].astype("int64")
     out = out.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(HEAVY_HITTER_K)
@@ -2137,11 +1943,13 @@ def q_session_overlap_counts(sf_dir: str,
     vectorized searchsorted probes against the bucket's sorted event
     times, each interval copy clipped to its own hour (a keyed bucket
     holds many hours); summing the per-hour partials per session is
-    exact because the hours are disjoint.  Two keyed exchanges total
-    (users to build sessions, hours to join); replication is bounded by
-    interval length / hour width, the interval-join knob to document at
-    scale."""
-    from .joins import keyed
+    exact because the hours are disjoint.  Three keyed folds: users
+    (build sessions, replicate each to its hours, and pass the user's
+    events on as points, so no separate event map runs), hours (join),
+    users again (sum each session's per-hour partials); replication is
+    bounded by interval length / hour width, the interval-join knob to
+    document at scale."""
+    from .joins import keyed, rename_agg
 
     gap_us = gap_minutes * 60 * 1_000_000
     hour_us = 3_600_000_000
@@ -2175,36 +1983,6 @@ def q_session_overlap_counts(sf_dir: str,
             "e": pa.array(ts[ends], pa.int64()),
         })
 
-    def fold(t: pa.Table) -> pd.DataFrame:
-        # driver fold: the SAME sessionize pass over the whole table,
-        # then one global sorted-probe point-in-interval count — the
-        # three exchanges (session build, time-bucket join, per-session
-        # partial sum) collapse to two searchsorted calls
-        st = sessions(t)
-        ev_ts = np.sort(pc.cast(t.column("ts"), pa.int64())
-                        .to_numpy(zero_copy_only=False))
-        s = st.column("s").to_numpy(zero_copy_only=False)
-        e = st.column("e").to_numpy(zero_copy_only=False)
-        cnt = (np.searchsorted(ev_ts, e, side="right")
-               - np.searchsorted(ev_ts, s, side="left")).astype(np.int64)
-        df = pd.DataFrame({
-            "user_id": st.column("user_id").to_numpy(),
-            "session_id": st.column("session_id").to_numpy(),
-            "session_start": s.astype("datetime64[us]"),
-            "session_end": e.astype("datetime64[us]"),
-            "n_overlap": cnt,
-        })
-        return df.sort_values(["user_id", "session_id"]) \
-            .reset_index(drop=True)
-
-    folded = _fact_fold_driver(sf_dir, "events",
-                               ["event_id", "ts", "user_id"], fold)
-    if folded is not None:
-        return folded
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    sess = keyed(ev, "user_id", sessions)
-
     # replicate each interval to every hour bucket it spans; events
     # land in exactly one bucket.  kind 0 = event point, 1 = interval.
     def rep_sessions(t: pa.Table) -> pa.Table:
@@ -2237,6 +2015,9 @@ def q_session_overlap_counts(sf_dir: str,
             "s": pa.array(z), "e": pa.array(z),
         })
 
+    def per_user(g: pa.Table) -> pa.Table:
+        return pa.concat_tables([rep_sessions(sessions(g)), rep_events(g)])
+
     def per_bucket(g: pa.Table) -> pa.Table:
         kind = g.column("kind").to_numpy(zero_copy_only=False)
         ev_ts = np.sort(
@@ -2262,13 +2043,18 @@ def q_session_overlap_counts(sf_dir: str,
                          "s": iv.column("s"), "e": iv.column("e"),
                          "n_overlap": pa.array(cnt)})
 
-    joined = keyed(
-        sess.map_batches(rep_sessions, batch_format="pyarrow")
-        .union(ev.map_batches(rep_events, batch_format="pyarrow")),
-        "__tb", per_bucket) \
-        .groupby(["user_id", "session_id", "s", "e"]).aggregate(
-            Sum("n_overlap", alias_name="n_overlap")) \
-        .to_pandas()
+    def per_session(g: pa.Table) -> pa.Table:
+        t = g.group_by(["user_id", "session_id", "s", "e"]) \
+            .aggregate([("n_overlap", "sum")])
+        return rename_agg(t, {"n_overlap_sum": "n_overlap"})
+
+    # the per-hour partials merge per session through a keyed fold on
+    # user_id (a session's copies share it), not a Ray-native 4-key
+    # aggregate: that sort shuffle took 2.0 of the 2.2-2.4 s this query's
+    # exchange route took at sf0.1 on 4 CPUs
+    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
+    joined = keyed(keyed(keyed(ev, "user_id", per_user), "__tb", per_bucket),
+                   "user_id", per_session).to_pandas()
     joined["n_overlap"] = joined["n_overlap"].astype("int64")
     joined["session_start"] = joined["s"].astype("datetime64[us]")
     joined["session_end"] = joined["e"].astype("datetime64[us]")
@@ -2460,7 +2246,7 @@ def q_kmv_distinct(sf_dir: str, k: int = KMV_K) -> pd.DataFrame:
     md5 key hashes — so the DuckDB oracle reproduces it bit-for-bit.
     Distributed plan: each batch dedupes locally and emits at most k
     smallest hashes per event_type (a superset-safe partial sketch), the
-    merge is a tiny groupby over k x n_types x n_batches rows.  Estimate:
+    merge is a keyed fold over k x n_types x n_batches rows.  Estimate:
     exact count when the merged sketch holds < k values, else
     (k-1) * 2^64 / h_k.  At 100 TB the shuffle carries only sketch rows —
     never a distinct-key exchange like exact COUNT DISTINCT needs."""
@@ -2499,27 +2285,22 @@ def q_kmv_distinct(sf_dir: str, k: int = KMV_K) -> pd.DataFrame:
         return n, round(est, 4)
 
     def merge(g: pa.Table) -> pa.Table:
-        ty = g.column("event_type")[0].as_py()
-        n, est = _estimate(g.column("h").to_numpy(zero_copy_only=False))
+        # a keyed bucket holds a few event types: one estimate each
+        et = g.column("event_type").combine_chunks()
+        h = g.column("h").combine_chunks()
+        tys = sorted(pc.unique(et).to_pylist())
+        ests = [_estimate(h.filter(pc.equal(et, ty))
+                          .to_numpy(zero_copy_only=False)) for ty in tys]
         return pa.table({
-            "event_type": pa.array([ty], pa.string()),
-            "n_sketch": pa.array([n], pa.int64()),
-            "est_distinct": pa.array([est], pa.float64()),
+            "event_type": pa.array(tys, pa.string()),
+            "n_sketch": pa.array([n for n, _ in ests], pa.int64()),
+            "est_distinct": pa.array([e for _, e in ests], pa.float64()),
         })
 
-    parts = ev.map_batches(sketch, batch_format="pyarrow")
-    if ev.count() <= EVENTS_DRIVER_ROWS:
-        # the KMV partials are keyed-mergeable and tiny (≤ k × n_types
-        # per batch), so below the events gate they fold on the driver
-        # instead of paying the keyed exchange
-        pdf = parts.to_pandas()
-        rows = [(ty, *_estimate(grp["h"].to_numpy()))
-                for ty, grp in pdf.groupby("event_type", sort=True)]
-        return pd.DataFrame(rows, columns=["event_type", "n_sketch",
-                                           "est_distinct"]) \
-            .reset_index(drop=True)
-    df = parts.groupby("event_type").map_groups(
-        merge, batch_format="pyarrow").to_pandas()
+    from .joins import keyed
+
+    df = keyed(ev.map_batches(sketch, batch_format="pyarrow"),
+               "event_type", merge).to_pandas()
     return df.sort_values("event_type").reset_index(drop=True)
 
 
@@ -2718,53 +2499,13 @@ def q_copurchase_pairs(sf_dir: str) -> pd.DataFrame:
     are generated WITHOUT a join — after an in-bucket sort, shift-k
     alignment (orders hold <= ~7 items, so <= max_items passes of pure
     numpy comparisons) emits each unordered pair exactly as often as the
-    SQL self-join does, then an in-bucket Arrow group_by collapses them
-    to partial supports; (2) hash(pair) re-buckets the partials for the
-    exact global count, each bucket forwarding only its local top-K.
-    The driver merges K x buckets candidate rows."""
-    from .joins import keyed, rename_agg
-
-    if pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows \
-            <= EVENTS_DRIVER_ROWS:
-        # the whole pair census is one lexsort + shift-k walk under the
-        # fact gate (metadata only): skip the orderkey sort-shuffle AND
-        # the partial-support exchange; distributed plan kept above it
-        t = pq.read_table(f"{sf_dir}/lineitem.parquet",
-                          columns=["l_orderkey", "l_partkey"])
-        ok = t["l_orderkey"].to_numpy()
-        pk = t["l_partkey"].to_numpy()
-        o = np.lexsort((pk, ok))
-        ok, pk = ok[o], pk[o]
-        n = len(ok)
-        pa_l, pb_l = [], []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b
-            pa_l.append(a[neq])
-            pb_l.append(b[neq])
-            k += 1
-        if pa_l:
-            a = np.concatenate(pa_l).astype(np.int64)
-            b = np.concatenate(pb_l).astype(np.int64)
-            # packed-key census instead of a pandas 2-key groupby
-            # (partkeys < 2^31, the repo-wide pair-encode convention)
-            key, support = np.unique(a * (1 << 32) + b,
-                                     return_counts=True)
-            df = pd.DataFrame({"p_a": key >> 32,
-                               "p_b": key & 0xFFFFFFFF,
-                               "support": support.astype(np.int64)})
-        else:
-            df = pd.DataFrame({"p_a": pd.Series(dtype="int64"),
-                               "p_b": pd.Series(dtype="int64"),
-                               "support": pd.Series(dtype="int64")})
-        df = df.sort_values(["support", "p_a", "p_b"],
-                            ascending=[False, True, True]) \
-            .head(COPURCHASE_TOP_K).reset_index(drop=True)
-        return df
+    SQL self-join does, then one np.unique over the packed pair key
+    (p_a << 32 | p_b; partkeys < 2^31, the repo-wide pair-encode
+    convention) collapses them to partial supports; (2) hash(pair)
+    re-buckets the partials for the exact global count, each bucket
+    forwarding only its local top-K.  The driver merges K x buckets
+    candidate rows."""
+    from .joins import keyed
 
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -2786,43 +2527,35 @@ def q_copurchase_pairs(sf_dir: str) -> pd.DataFrame:
             pa_l.append(a[neq])
             pb_l.append(b[neq])
             k += 1
-        if not pa_l:
-            return pa.table({"p_a": pa.array([], pa.int64()),
-                             "p_b": pa.array([], pa.int64()),
-                             "support": pa.array([], pa.int64()),
-                             "__pk": pa.array([], pa.int64())})
-        p_a = np.concatenate(pa_l)
-        p_b = np.concatenate(pb_l)
-        g2 = pa.table({"p_a": pa.array(p_a, pa.int64()),
-                       "p_b": pa.array(p_b, pa.int64())}) \
-            .group_by(["p_a", "p_b"]).aggregate([("p_a", "count")])
-        g2 = rename_agg(g2, {"p_a_count": "support"},
-                        ["p_a", "p_b", "support"])
-        g2 = g2.set_column(2, "support", pc.cast(g2["support"], pa.int64()))
-        pair_key = pc.add(pc.multiply(g2["p_a"],
-                                      pa.scalar(1_000_003, pa.int64())),
-                          g2["p_b"])
-        return g2.append_column("__pk", pair_key)
+        key = np.empty(0, np.int64)
+        if pa_l:
+            key = (np.concatenate(pa_l).astype(np.int64) << 32) \
+                | np.concatenate(pb_l).astype(np.int64)
+        key, support = np.unique(key, return_counts=True)
+        return pa.table({"__pk": pa.array(key, pa.int64()),
+                         "support": pa.array(support, pa.int64())})
 
     def topk(g: pa.Table) -> pa.Table:
-        agg = g.group_by(["p_a", "p_b"]).aggregate([("support", "sum")])
-        from .joins import rename_agg as ra
-        agg = ra(agg, {"support_sum": "support"}, ["p_a", "p_b", "support"])
-        order = pc.sort_indices(agg, sort_keys=[
-            ("support", "descending"), ("p_a", "ascending"),
-            ("p_b", "ascending")])
-        return agg.take(order).slice(0, COPURCHASE_TOP_K)
+        key = g.column("__pk").to_numpy(zero_copy_only=False)
+        sup = g.column("support").to_numpy(zero_copy_only=False)
+        order = np.argsort(key, kind="stable")
+        key, sup = key[order], sup[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, sup = key[starts], np.add.reduceat(sup, starts)
+        # top-K by (support desc, pair asc): only pairs at or above the
+        # K-th largest support can make it, so sort just those
+        if len(sup) > COPURCHASE_TOP_K:
+            kth = np.partition(sup, len(sup) - COPURCHASE_TOP_K)[
+                len(sup) - COPURCHASE_TOP_K]
+            key, sup = key[sup >= kth], sup[sup >= kth]
+        sel = np.lexsort((key, -sup))[:COPURCHASE_TOP_K]
+        return pa.table({"p_a": pa.array(key[sel] >> 32, pa.int64()),
+                         "p_b": pa.array(key[sel] & 0xFFFFFFFF, pa.int64()),
+                         "support": pa.array(sup[sel], pa.int64())})
 
     # stage-1 output is pair partials, far smaller than the fact table
     partials = keyed(li, "l_orderkey", pairs)
-    if partials.count() <= EVENTS_DRIVER_ROWS:
-        # pair partials fit the driver (triangle-count gate shape):
-        # pandas fold + global top-K replaces the second exchange
-        df = partials.to_pandas() \
-            .groupby(["p_a", "p_b"], as_index=False)["support"].sum()
-    else:
-        df = keyed(partials, "__pk", topk).to_pandas()
-    df = df.drop(columns=[c for c in ("__pk",) if c in df.columns])
+    df = keyed(partials, "__pk", topk).to_pandas()
     df = df.sort_values(["support", "p_a", "p_b"],
                         ascending=[False, True, True]) \
         .head(COPURCHASE_TOP_K).reset_index(drop=True)
@@ -2974,27 +2707,11 @@ def q_event_age(sf_dir: str, n_salts: int = 8) -> pd.DataFrame:
     n_salts sub-buckets, the tiny per-user dim replicates to all of
     them; identical results, 1/n_salts the per-task hot-key load.  The
     dim itself (per-user min ts) is per-batch partial mins merged by a
-    small groupby — never a raw-event exchange."""
-    from .joins import attach_value_salted, rename_agg
+    keyed fold on user_id — never a raw-event exchange."""
+    from .joins import attach_value_salted, keyed, rename_agg
 
-    def fold(t: pa.Table) -> pd.DataFrame:
-        us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
-                     pa.int64()).to_numpy()
-        df = pd.DataFrame({"event_id": t["event_id"].to_numpy(),
-                           "user_id": t["user_id"].to_numpy(),
-                           "us": us})
-        first = df.groupby("user_id")["us"].transform("min")
-        out = pd.DataFrame({"event_id": df["event_id"],
-                            "user_id": df["user_id"],
-                            "age_us": df["us"] - first})
-        return out.sort_values("event_id").reset_index(drop=True)
-
-    folded = _fact_fold_driver(sf_dir, "events",
-                               ["event_id", "user_id", "ts"], fold)
-    if folded is not None:
-        return folded
-
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
+    # read once: the min partials and the attach's fact side both scan it
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"]).materialize()
 
     def min_partial(t: pa.Table) -> pa.Table:
         g = pa.table({
@@ -3003,35 +2720,30 @@ def q_event_age(sf_dir: str, n_salts: int = 8) -> pd.DataFrame:
         }).group_by("user_id").aggregate([("us", "min")])
         return rename_agg(g, {"us_min": "us"}, ["user_id", "us"])
 
-    dim = ev.map_batches(min_partial, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Min("us", alias_name="first_us")) \
-        .map_batches(lambda t: pa.table({
-            "doc_id": t["user_id"],
-            "value": pc.cast(t["first_us"], pa.int64())}),
-            batch_format="pyarrow")
+    def min_merge(t: pa.Table) -> pa.Table:
+        g = t.group_by("user_id").aggregate([("us", "min")])
+        return rename_agg(g, {"user_id": "doc_id", "us_min": "value"},
+                          ["doc_id", "value"])
 
-    def to_us(t: pa.Table) -> pa.Table:
+    dim = keyed(ev.map_batches(min_partial, batch_format="pyarrow"),
+                "user_id", min_merge)
+
+    def age(t: pa.Table) -> pa.Table:  # per attach bucket, post-probe
+        us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         return pa.table({
             "event_id": t["event_id"],
             "user_id": t["user_id"],
-            "us": pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()),
+            "age_us": pc.subtract(us, t["first_us"]),
         })
 
-    joined = attach_value_salted(
-        ev.map_batches(to_us, batch_format="pyarrow"), dim,
-        "user_id", "first_us", pa.int64(),
+    df = attach_value_salted(
+        ev, dim, "user_id", "first_us", pa.int64(),
         [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("us", pa.int64())],
-        n_salts=n_salts)
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": t["event_id"],
-            "user_id": t["user_id"],
-            "age_us": pc.subtract(t["us"], t["first_us"]),
-        })
-
-    df = joined.map_batches(finish, batch_format="pyarrow").to_pandas()
+         ("ts", pa.timestamp("us"))],
+        n_salts=n_salts, post=age).to_pandas()
+    if df.empty:  # empty datasets lose their schema through to_pandas
+        return pd.DataFrame({c: pd.Series(dtype="int64")
+                             for c in ("event_id", "user_id", "age_us")})
     return df.sort_values("event_id").reset_index(drop=True)
 
 
@@ -3054,8 +2766,6 @@ def q_trailing_hour_sum(sf_dir: str) -> pd.DataFrame:
     fallback handles the (corpus-scale) case where rank*OFFSET would
     overflow int64.  Sums are micro-unit int64, so partial order can
     never change the rounded result."""
-    from .joins import keyed
-
     def fold(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[
             ("user_id", "ascending"), ("ts", "ascending"),
@@ -3097,13 +2807,8 @@ def q_trailing_hour_sum(sf_dir: str) -> pd.DataFrame:
                                      pa.float64()),
         })
 
-    t = _fact_fold_driver(sf_dir, "events",
-                          ["event_id", "user_id", "ts", "value"], fold)
-    if t is not None:
-        df = t.to_pandas()
-    else:
-        ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-        df = keyed(ev, "user_id", fold).to_pandas()
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
+    df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values(["user_id", "ts", "event_id"]) \
         .reset_index(drop=True)
 
@@ -4025,13 +3730,13 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     counts of the true top-CMS_TOP_K users from a CMS_DEPTH x CMS_WIDTH
     sketch built in ONE streaming pass — each batch adds into a local
     numpy matrix and emits sparse (row, bucket, cnt) partials; merging
-    is elementwise-add (the sketch property), done by a 4096-group Ray
-    aggregate, so the sketch never needs a fact-size shuffle and the
-    driver receives CMS_DEPTH*CMS_WIDTH ints.  est_count >= exact_count
+    is elementwise-add (the sketch property), done by a keyed fold on
+    the sketch row, so the sketch never needs a fact-size shuffle and
+    the driver receives CMS_DEPTH*CMS_WIDTH ints.  est_count >= exact_count
     always (CMS one-sided error); equality at small scale, inflation
     under collision.  Everything is integer + the SQL-mirrorable hash
     family, so the oracle reproduces the sketch bit-for-bit."""
-    from .joins import rename_agg
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["user_id"])
 
@@ -4051,37 +3756,20 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
             "cnt": pa.array(np.concatenate(cnts), pa.int64()),
         })
 
-    # the sketch is elementwise-mergeable, so under an events-row gate
-    # (parquet metadata) the per-batch sparse partials fold straight
-    # into the driver's matrix — no keyed exchange at all; above the
-    # gate (where blocks x 16k cells would swamp the driver) the
-    # 4096-group Ray aggregate merges distributed
-    driver_fold = ev.count() <= EVENTS_DRIVER_ROWS
-    part_ds = ev.map_batches(sketch_partial, batch_format="pyarrow",
-                             batch_size=65536)
+    def cell_merge(g: pa.Table) -> pa.Table:
+        t = g.group_by(["row", "bucket"]).aggregate([("cnt", "sum")])
+        return rename_agg(t, {"cnt_sum": "cnt"}, ["row", "bucket", "cnt"])
+
+    cells = keyed(ev.map_batches(sketch_partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  "row", cell_merge).to_pandas()
     cms = np.zeros((CMS_DEPTH, CMS_WIDTH), np.int64)
-    if driver_fold:
-        cdf = part_ds.to_pandas()
-        np.add.at(cms, (cdf["row"].to_numpy(), cdf["bucket"].to_numpy()),
-                  cdf["cnt"].to_numpy())
-    else:
-        cells = part_ds \
-            .groupby(["row", "bucket"]) \
-            .aggregate(Sum("cnt", alias_name="cnt")).take_all()
-        for r in cells:
-            cms[r["row"], r["bucket"]] = r["cnt"]
+    cms[cells["row"].to_numpy(), cells["bucket"].to_numpy()] = \
+        cells["cnt"].to_numpy()
 
     # exact top-k candidates: the q_heavy_hitters combiner shape
-    def count_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("user_id").aggregate([("user_id", "count")])
-        return rename_agg(g, {"user_id_count": "n"}, ["user_id", "n"])
-
-    cnt_ds = ev.map_batches(count_partial, batch_format="pyarrow")
-    if driver_fold:
-        exact = cnt_ds.to_pandas().groupby("user_id", as_index=False)["n"].sum()
-    else:
-        exact = cnt_ds.groupby("user_id") \
-            .aggregate(Sum("n", alias_name="n")).to_pandas()
+    exact = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
+                  "user_id", _user_count_merge).to_pandas()
     exact["n"] = exact["n"].astype("int64")
     top = exact.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(CMS_TOP_K).reset_index(drop=True)
@@ -4122,18 +3810,18 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
 
       pass 1: histogram on the top 20 ORDER-PRESERVING bits of the
               float (one streaming pre-agg, sparse (type, bucket)
-              cells to a small Ray aggregate)
+              cells merged by a keyed fold on the type)
       driver: per-type prefix sums locate, for each target rank, the
               one bucket holding it (+ its in-bucket offset)
       pass 2: ONLY the located buckets' rows (a broadcast set of
-              <= types x quantiles cells) shuffle to their group task,
-              which sorts ~n/2^20 rows and picks the offsets
+              <= types x quantiles cells) fold keyed on the cell, one
+              sort of ~n/2^20 rows per cell, picking the offsets
 
     No sampling, no full sort, two passes; a pathological value
     distribution concentrating mass in one bucket degrades the pass-2
     sort to that bucket's size — the documented knob is _EVQ_SHIFT
     (more bits = smaller buckets = bigger pass-1 histogram)."""
-    from .joins import rename_agg
+    from .joins import keyed, rename_agg
 
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
@@ -4146,18 +3834,13 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
             .group_by(["event_type", "vb"]).aggregate([("cnt", "sum")])
         return rename_agg(g, {"cnt_sum": "cnt"}, ["event_type", "vb", "cnt"])
 
-    driver_fold = ev.count() <= EVENTS_DRIVER_ROWS
-    hist_parts = ev.map_batches(hist_partial, batch_format="pyarrow",
-                                batch_size=65536)
-    if driver_fold:
-        # (type, vb) cells are bounded by rows: pandas fold beats the
-        # Ray-native per-cell aggregate under the gate
-        hist = hist_parts.to_pandas() \
-            .groupby(["event_type", "vb"], as_index=False)["cnt"].sum()
-    else:
-        hist = hist_parts \
-            .groupby(["event_type", "vb"]) \
-            .aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
+    def hist_merge(g: pa.Table) -> pa.Table:
+        t = g.group_by(["event_type", "vb"]).aggregate([("cnt", "sum")])
+        return rename_agg(t, {"cnt_sum": "cnt"}, ["event_type", "vb", "cnt"])
+
+    hist = keyed(ev.map_batches(hist_partial, batch_format="pyarrow",
+                                batch_size=65536),
+                 "event_type", hist_merge).to_pandas()
     hist["cnt"] = hist["cnt"].astype("int64")
     hist = hist.sort_values(["event_type", "vb"]).reset_index(drop=True)
 
@@ -4187,43 +3870,25 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
         return pa.table({"key": key, "value": t["value"]}).filter(keep)
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        key = g.column("key")[0].as_py()
-        etype, vb = key.rsplit("\x00", 1)
-        v = np.sort(g.column("value").combine_chunks()
-                    .to_numpy(zero_copy_only=False))
-        qs, vals = [], []
-        for q, off in need[(etype, int(vb))]:
-            qs.append(q)
-            vals.append(v[off])
-        return pa.table({
-            "event_type": pa.array([etype] * len(qs), pa.string()),
-            "quantile": pa.array(qs, pa.float64()),
-            "value": pa.array(vals, pa.float64())})
-
-    picked_ds = ev.map_batches(pick_rows, batch_format="pyarrow",
-                               batch_size=65536)
-    if driver_fold:
-        # the located buckets hold ~n/2^20 rows each x (types x
-        # quantiles) cells — driver-sized under the gate; sort + pick
-        # per key without the keyed exchange.  NB: pandas' string
-        # hashtable truncates at embedded NUL, so grouping on the raw
-        # "etype\x00vb" key silently collapses buckets — group on the
-        # parsed (etype, vb) columns instead.
-        pk = picked_ds.to_pandas()
-        sp = pk["key"].str.rsplit("\x00", n=1, expand=True)
-        pk["etype"], pk["vb"] = sp[0], sp[1].astype("int64")
+        # a keyed bucket holds a few located cells (<= types x
+        # quantiles in all): sort each cell's values, pick its offsets
+        keys = g.column("key").combine_chunks()
+        vals = g.column("value").combine_chunks()
         rows = []
-        for (etype, vb), g in pk.groupby(["etype", "vb"], sort=False):
-            v = np.sort(g["value"].to_numpy())
-            for q, off in need[(etype, int(vb))]:
-                rows.append((etype, q, float(v[off])))
-        out = pd.DataFrame(rows,
-                           columns=["event_type", "quantile", "value"])
-    else:
-        out = picked_ds \
-            .groupby("key").map_groups(per_bucket,
-                                       batch_format="pyarrow") \
-            .to_pandas()
+        for key in pc.unique(keys).to_pylist():
+            etype, vb = key.rsplit("\x00", 1)
+            v = np.sort(vals.filter(pc.equal(keys, key))
+                        .to_numpy(zero_copy_only=False))
+            rows += [(etype, q, float(v[off]))
+                     for q, off in need[(etype, int(vb))]]
+        return pa.table({
+            "event_type": pa.array([r[0] for r in rows], pa.string()),
+            "quantile": pa.array([r[1] for r in rows], pa.float64()),
+            "value": pa.array([r[2] for r in rows], pa.float64())})
+
+    out = keyed(ev.map_batches(pick_rows, batch_format="pyarrow",
+                               batch_size=65536),
+                "key", per_bucket).to_pandas()
     return out.sort_values(["event_type", "quantile"]).reset_index(drop=True)
 
 
@@ -4369,17 +4034,15 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
             "idx": pa.array(k_f % HLL_M, pa.int64()),
             "rank": pa.array(r_f, pa.int64())})
 
-    parts = ev.map_batches(registers, batch_format="pyarrow",
-                           batch_size=65536)
-    if ev.count() <= EVENTS_DRIVER_ROWS:
-        # register partials are keyed-mergeable (max) and bounded by
-        # types × 1024 per batch — fold on the driver below the gate
-        regs = parts.to_pandas().groupby(
-            ["event_type", "idx"], as_index=False)["rank"].max() \
-            .rename(columns={"rank": "mj"})
-    else:
-        regs = parts.groupby(["event_type", "idx"]) \
-            .aggregate(Max("rank", alias_name="mj")).to_pandas()
+    def merge(g: pa.Table) -> pa.Table:  # idempotent register max
+        t = g.group_by(["event_type", "idx"]).aggregate([("rank", "max")])
+        return rename_agg(t, {"rank_max": "mj"}, ["event_type", "idx", "mj"])
+
+    from .joins import keyed, rename_agg
+
+    regs = keyed(ev.map_batches(registers, batch_format="pyarrow",
+                                batch_size=65536),
+                 "event_type", merge).to_pandas()
 
     rows = []
     for ty, g in regs.groupby("event_type", sort=True):
@@ -4405,19 +4068,14 @@ def q_key_skew_profile(sf_dir: str) -> pd.DataFrame:
     """Skew diagnostics for the events.user_id key — the numbers that
     decide salting/bucketing choices before a big join: distinct keys,
     total rows, max per-key count, and the row share of the top-1 /
-    top-SKEW_TOP_N keys.  One combiner pass (batch-local counts) + a
-    |keys|-bounded groupby; shares are single float divisions of exact
-    int64 sums so the oracle matches bit-for-bit."""
-    from .joins import rename_agg
+    top-SKEW_TOP_N keys.  One combiner pass (batch-local counts) + the
+    q_heavy_hitters keyed per-user merge; shares are single float
+    divisions of exact int64 sums so the oracle matches bit-for-bit."""
+    from .joins import keyed
 
     ev = _rp(sf_dir, "events", ["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("user_id").aggregate([("user_id", "count")])
-        return rename_agg(g, {"user_id_count": "n"}, ["user_id", "n"])
-
-    counts = ev.map_batches(partial, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Sum("n", alias_name="n")).to_pandas()
+    counts = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
+                   "user_id", _user_count_merge).to_pandas()
     counts["n"] = counts["n"].astype("int64")
     counts = counts.sort_values(["n", "user_id"],
                                 ascending=[False, True])

@@ -244,7 +244,7 @@ def t_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     one Arrow group_by + index_in (df never leaves its bucket);
     (2) scored rows re-key on doc_id and each bucket emits the argmax
     row per document (tfidf DESC, term ASC tie-break)."""
-    from .dedup import DOCS_DRIVER_ROWS, _docs_meta_rows
+    from .dedup import _docs_meta_rows
     from .joins import keyed
 
     n_docs = _docs_meta_rows(sf_dir)  # == docs.count(), metadata only
@@ -291,20 +291,10 @@ def t_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
             best[["doc_id", "term", "tf", "df", "tfidf"]],
             preserve_index=False)
 
-    if n_docs <= DOCS_DRIVER_ROWS:
-        # driver fold: the term buckets partition terms, so df computed
-        # over the WHOLE exploded table is the same per-bucket df; both
-        # exchanges collapse to the same three passes run once
-        import pyarrow.parquet as _pq
-
-        t = _pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-        out = top_per_doc(score_bucket(explode(t))).to_pandas()
-    else:
-        docs = _docs(sf_dir, ["doc_id", "text"])
-        scored = keyed(docs.map_batches(explode, batch_format="pyarrow"),
-                       "term", score_bucket)
-        out = keyed(scored, "doc_id", top_per_doc).to_pandas()
+    docs = _docs(sf_dir, ["doc_id", "text"])
+    scored = keyed(docs.map_batches(explode, batch_format="pyarrow"),
+                   "term", score_bucket)
+    out = keyed(scored, "doc_id", top_per_doc).to_pandas()
     out["tfidf"] = out["tfidf"].round(6)
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -908,13 +898,16 @@ def t_sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN,
     counts = docs.map_batches(_warm(CountTokens),
                               batch_format="pyarrow")
 
-    from .dedup import DOCS_DRIVER_ROWS, _docs_meta_rows
+    from . import joins
+    from .dedup import _docs_meta_rows
 
-    if _docs_meta_rows(sf_dir) <= DOCS_DRIVER_ROWS:
-        # driver fold: tokenization stays distributed; the prefix sum
-        # over (doc_id, n_tokens) rows is one driver cumsum — the
+    if _docs_meta_rows(sf_dir) <= joins.LOCAL_FOLD_ROWS:
+        # driver prefix sum: tokenization stays distributed; the prefix
+        # sum over (doc_id, n_tokens) rows is one driver cumsum — the
         # sample/range-totals/per-range exchanges are pure overhead
-        # below the documents gate
+        # below the keyed exchange's local-fold bound.  (The range
+        # exchange is not a keyed fold, so hash_exchange cannot make
+        # this call for it.)
         cdf = counts.to_pandas().sort_values("doc_id") \
             .reset_index(drop=True)
         n = cdf["n_tokens"].to_numpy().astype(np.int64)
@@ -1268,23 +1261,11 @@ def t_gram_novelty(sf_dir: str) -> pd.DataFrame:
                               "n_novel_sum": "n_novel"},
                           ["doc_id", "n_grams", "n_novel"])
 
-    from .dedup import DOCS_DRIVER_ROWS, _docs_meta_rows
-
-    if _docs_meta_rows(sf_dir) <= DOCS_DRIVER_ROWS:
-        # driver fold: per_bucket over the WHOLE gram table computes the
-        # same global first-occurrence (buckets partition grams) and
-        # already emits complete per-doc sums — both exchanges collapse
-        import pyarrow.parquet as _pq
-
-        t = _pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-        out = per_bucket(grams(t)).to_pandas()
-    else:
-        gds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"]) \
-            .map_batches(grams, batch_format="pyarrow")
-        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
-                    per_doc).to_pandas()
+    gds = rd.read_parquet(f"{sf_dir}/documents.parquet",
+                          columns=["doc_id", "text"]) \
+        .map_batches(grams, batch_format="pyarrow")
+    out = keyed(keyed(gds, "h", per_bucket), "doc_id",
+                per_doc).to_pandas()
     out["novelty"] = out["n_novel"].to_numpy().astype(np.float64) \
         / out["n_grams"].to_numpy().astype(np.float64)
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -66,7 +66,7 @@ def test_exact_dedup_groups_planted(ray_session, planted_docs_dir):
 def test_dedup_driver_folds_match_bucketed(ray_session, monkeypatch):
     """The exact-dedup family's driver folds must equal the forced
     md5-bucketed exchanges row for row (sf0.001)."""
-    from pdf_parse_new_ray.functions import dedup
+    from pdf_parse_new_ray.functions import dedup, joins
 
     sf = "/root/testdata/sf0.001"
     from pdf_parse_new_ray.functions import text as tx
@@ -76,7 +76,7 @@ def test_dedup_driver_folds_match_bucketed(ray_session, monkeypatch):
                dedup.x_neardup_keep_best, tx.t_tfidf_top_terms,
                tx.t_gram_novelty, tx.t_sequence_pack]
     fast = [q(sf) for q in queries]
-    monkeypatch.setattr(dedup, "DOCS_DRIVER_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     monkeypatch.setattr(dedup, "MINHASH_DRIVER_DOCS", 0)
     for q, want in zip(queries, fast):
         pd.testing.assert_frame_equal(q(sf), want)
@@ -1420,13 +1420,14 @@ def test_levenshtein_pairs_blocking_and_cap(ray_session, tmp_path):
 
 def test_levenshtein_dispatch_equivalence(ray_session, tmp_path):
     """The vectorized coarse-bucket multi-block verify (live plan) must
-    emit EXACTLY the (id_a, id_b, dist) rows of the legacy per-distinct-
-    block dispatch — planted near-dups, a hot capped block, many small
-    blocks across langs, and docs landing alone in a block."""
+    emit EXACTLY the (id_a, id_b, dist) rows of the per-block reference
+    (tests/dedup_refs.py) — planted near-dups, a hot capped block, many
+    small blocks across langs, and docs landing alone in a block."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    import dedup_refs
     from pdf_parse_new_ray.functions import dedup
 
     rng = np.random.default_rng(23)
@@ -1451,7 +1452,7 @@ def test_levenshtein_dispatch_equivalence(ray_session, tmp_path):
         did += 1
     pq.write_table(pa.table(rows), str(tmp_path / "documents.parquet"))
     live = dedup.d_levenshtein_pairs(str(tmp_path))
-    leg = dedup.d_levenshtein_pairs(str(tmp_path), legacy=True)
+    leg = dedup_refs.levenshtein_pairs(str(tmp_path))
     assert len(live) > 0
     assert live.reset_index(drop=True).equals(leg.reset_index(drop=True))
 
@@ -1550,7 +1551,8 @@ def test_decile_stats_invariants(ray_session):
             <= out["min_price"].to_numpy()[1:]).all()
 
 
-def test_salted_attach_matches_unsalted_on_hot_key(ray_session, tmp_path):
+def test_salted_attach_matches_unsalted_on_hot_key(ray_session, tmp_path,
+                                                   monkeypatch):
     """A pathologically hot key (90% of fact rows) through the salted
     attach must produce EXACTLY the rows the unsalted attach produces —
     salting changes only the exchange layout."""
@@ -1558,8 +1560,11 @@ def test_salted_attach_matches_unsalted_on_hot_key(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.joins import (attach_value,
                                                    attach_value_salted)
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
 
     hot = [7] * 900 + list(range(100))
     pq.write_table(pa.table({
@@ -1588,7 +1593,8 @@ def test_attach_exchange_paths_equal(ray_session, tmp_path, monkeypatch):
     """attach_value (plain and salted, with and without the ``post``
     map-side-combine hook) equals a pandas inner merge, including keys
     with no value row (inner-join drop) and an exchange whose buckets
-    are mostly empty (6 keys over 64 buckets)."""
+    are mostly empty (6 keys over 64 buckets), both through the exchange
+    and folded in-process (the default local-fold bound)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -1620,7 +1626,10 @@ def test_attach_exchange_paths_equal(ray_session, tmp_path, monkeypatch):
 
     # keys 0..2m-1 with values only for 0..m-1 -> half the keys drop;
     # keys 0..5 -> 58 of the 64 buckets are empty
-    for n_keys in (2 * m, 6):
+    cases = [(n_keys, bound) for n_keys in (2 * m, 6)
+             for bound in (0, joins.LOCAL_FOLD_ROWS)]
+    for n_keys, bound in cases:
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
         pairs_df = pd.DataFrame({
             "k": rng.integers(0, n_keys, n).astype(np.int64),
             "row": np.arange(n, dtype=np.int64)})
@@ -1667,15 +1676,21 @@ def _multi_key_fold(key: str):
     return fold
 
 
-def test_keyed_matches_groupby_map_groups(ray_session):
+def test_keyed_matches_groupby_map_groups(ray_session, monkeypatch):
     """keyed(ds, key, fold) returns the rows of a per-key
-    groupby().map_groups reference, for int and string keys."""
+    groupby().map_groups reference, for int and string keys, through
+    the exchange and folded in-process (the default local-fold
+    bound)."""
     import numpy as np
 
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.joins import keyed
 
     ds = _keyed_input(np.random.default_rng(3), 4_000, 6).materialize()
-    for key in ("k", "s"):
+    cases = [(key, bound) for key in ("k", "s")
+             for bound in (0, joins.LOCAL_FOLD_ROWS)]
+    for key, bound in cases:
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
         fold = _multi_key_fold(key)
         got = keyed(ds, key, fold).to_pandas() \
             .sort_values(key).reset_index(drop=True)
@@ -1685,13 +1700,58 @@ def test_keyed_matches_groupby_map_groups(ray_session):
         pd.testing.assert_frame_equal(got, want)
 
 
-def test_keyed_empty_input_calls_no_fold(ray_session):
+def test_keyed_folds_once_at_or_below_the_local_bound(ray_session,
+                                                      monkeypatch):
+    """At or below joins.LOCAL_FOLD_ROWS input rows (all sides together)
+    keyed and attach_value run their fold once, over every row; one row
+    above it, once per non-empty bucket."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins
+
+    ds = _keyed_input(np.random.default_rng(6), 2_000, 4).materialize()
+    vals = rd.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(100, dtype=np.int64)),
+        "value": pa.array(np.arange(100, dtype=np.int64)),
+    })).materialize()
+    monkeypatch.setattr(joins, "exchange_buckets", lambda rows: 64)
+    keys = pa.array(ds.to_pandas()["k"].to_numpy())
+    key_buckets = set(joins._key_buckets(keys, 64).tolist())
+    all_buckets = key_buckets | set(joins._key_buckets(
+        pa.array(np.arange(100, dtype=np.int64)), 64).tolist())
+    assert 1 < len(key_buckets) <= len(all_buckets) <= 64
+
+    def count_call(t):  # one row per call: the rows it saw
+        return pa.table({"n": pa.array([t.num_rows], pa.int64())})
+
+    n = ds.count()
+    for bound, calls in ((n, 1), (n - 1, len(key_buckets))):
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
+        out = joins.keyed(ds, "k", count_call).to_pandas()
+        assert len(out) == calls and out["n"].sum() == n
+
+    cols = [("k", pa.int64()), ("s", pa.string()), ("x", pa.int64())]
+    hits = int(np.isin(keys.to_numpy(), np.arange(100)).sum())
+    total = n + 100
+    for bound, calls in ((total, 1), (total - 1, len(all_buckets))):
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
+        out = joins.attach_value(ds, vals, "k", "v", pa.int64(), cols,
+                                 post=count_call).to_pandas()
+        assert len(out) == calls and out["n"].sum() == hits
+
+
+def test_keyed_empty_input_calls_no_fold(ray_session, monkeypatch):
     """A zero-row input (no blocks, or only empty blocks) calls no fold
     and returns no rows."""
     import pyarrow as pa
     import ray.data as rd
 
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.joins import keyed
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
 
     def boom(t):
         raise AssertionError("fold called on an empty input")
@@ -1703,12 +1763,15 @@ def test_keyed_empty_input_calls_no_fold(ray_session):
     assert keyed(filtered, "id", boom).take_all() == []
 
 
-def test_keyed_pandas_fold(ray_session):
+def test_keyed_pandas_fold(ray_session, monkeypatch):
     """A fold returning a pandas DataFrame is converted to Arrow."""
     import numpy as np
     import ray
 
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.joins import keyed
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
 
     ds = _keyed_input(np.random.default_rng(4), 2_000, 4)
 
@@ -1734,6 +1797,7 @@ def test_exchange_block_bundling_same_rows(ray_session, monkeypatch):
 
     from pdf_parse_new_ray.functions import joins
 
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     ds = _keyed_input(np.random.default_rng(5), 3_000, 9).materialize()
     # values for keys 0..99 of the 150: a third of the keys drop
     vals = rd.from_arrow(pa.table({
@@ -1810,6 +1874,7 @@ def test_attach_bucket_count_only_changes_layout(ray_session, tmp_path,
 
     from pdf_parse_new_ray.functions import joins
 
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     rng = np.random.default_rng(5)
     n, m = 5_000, 300
     pq.write_table(pa.table({
@@ -1932,7 +1997,8 @@ def test_pagerank_matches_naive(ray_session, tmp_path):
     assert list(got["node"]) == nodes
 
 
-def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path):
+def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path,
+                                                      monkeypatch):
     """The over-gate cogroup iteration (vertex state never on the driver)
     produces the same ranks as the broadcast path on the same edges, and
     its per-block top-k merge returns the same top rows."""
@@ -1940,7 +2006,10 @@ def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.graph import pagerank_edges
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
 
     rng = np.random.RandomState(7)
     src = rng.randint(0, 40, 300).astype(np.int64)
@@ -2152,8 +2221,9 @@ def test_triangle_count_cogroup_path_matches_broadcast(ray_session,
     reproduce the broadcast orientation exactly."""
     import pandas as pd
 
-    from pdf_parse_new_ray.functions import graph
+    from pdf_parse_new_ray.functions import graph, joins
 
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     sf = "/root/testdata/sf0.001"
     base = graph.g_triangle_count(sf)  # driver stage-1 at this scale
     # force the distributed stage-1 + collected-pair-partials driver close
@@ -2258,12 +2328,13 @@ def test_tpch_q2_q9_q11_q16_q20_q22_oracled(ray_session, monkeypatch):
 
 def test_lsh_dispatch_equivalence(ray_session):
     """The keyed vectorized pair walk (_bucket_pairs_multi, many fine
-    buckets per call) emits EXACTLY the pair set of the legacy
-    per-fine-bucket dispatch, including hot-bucket star-capping and the
-    multi-band Max(capped) merge (VERDICT r3 'done' criterion for the LSH
-    dispatch rewrite)."""
+    buckets per call) emits EXACTLY the pair set of the per-fine-bucket
+    reference (tests/dedup_refs.py), including hot-bucket star-capping
+    and the multi-band Max(capped) merge (VERDICT r3 'done' criterion for
+    the LSH dispatch rewrite)."""
     import ray.data as rd
 
+    import dedup_refs
     from pdf_parse_new_ray.functions import dedup
 
     rng = np.random.RandomState(3)
@@ -2285,14 +2356,14 @@ def test_lsh_dispatch_equivalence(ray_session):
     # random sprinkle incl. repeated (bucket, doc) rows
     doc_ids += rng.randint(0, next_id, 300).tolist()
     buckets += rng.randint(0, 60, 300).tolist()
-    bands = rd.from_arrow(pa.table({
+    table = pa.table({
         "doc_id": pa.array(doc_ids, pa.int64()),
         "bucket": pa.array(np.asarray(buckets, np.uint64), pa.uint64()),
-    })).repartition(7)
+    })
+    bands = rd.from_arrow(table).repartition(7)
     new = dedup.lsh_pairs(bands).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
-    old = dedup.lsh_pairs(bands, legacy=True).to_pandas() \
-        .sort_values(["a", "b"]).reset_index(drop=True)
+    old = dedup_refs.lsh_pairs(table, dedup.BUCKET_PAIR_CAP)
     pd.testing.assert_frame_equal(new, old)
     assert new["capped"].any() and (~new["capped"]).any()
     assert ((new["a"] == 0) & (new["b"] == 1) & new["capped"]).any()
@@ -2340,17 +2411,17 @@ def test_pagerank_broadcast_premerge_matches(ray_session, tmp_path, monkeypatch)
 
 
 def test_events_driver_fold_forced_paths_equal(ray_session, monkeypatch):
-    """Every EVENTS_DRIVER_ROWS / dim-metadata driver fold must equal its
-    distributed path exactly: force the gates to 0 and re-run the gated
-    queries (heavy hitters, CMS, copurchase top-K, decile ranks, the
-    continuous-quantile two-pass) at sf0.001."""
-    from pdf_parse_new_ray.functions import relational
+    """Every in-process keyed fold (joins.LOCAL_FOLD_ROWS) / dim-metadata
+    driver fold must equal its distributed path exactly: force the gates
+    to 0 and re-run the gated queries (heavy hitters, CMS, copurchase
+    top-K, decile ranks, the continuous-quantile two-pass) at sf0.001."""
+    from pdf_parse_new_ray.functions import joins, relational
 
     sf = "/root/testdata/sf0.001"
     queries = [relational.q_heavy_hitters, relational.q_cms_heavy_hitters,
                relational.q_copurchase_pairs, relational.q_decile_stats,
                relational.q_value_quantiles_by_type,
-               # the _fact_fold_driver window family
+               # the keyed window family
                relational.q_sessionization,
                relational.q_asof_view_before_click,
                relational.q_running_balance, relational.q_rolling_avg,
@@ -2366,7 +2437,7 @@ def test_events_driver_fold_forced_paths_equal(ray_session, monkeypatch):
                relational.q_customers_with_orders,
                relational.q_cohort_retention]
     fast = [q(sf) for q in queries]
-    monkeypatch.setattr(relational, "EVENTS_DRIVER_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
     for q, want in zip(queries, fast):
         got = q(sf)

@@ -137,13 +137,15 @@ def test_winnowing_window_min_matches_naive(n, seed):
 @_settings
 def test_bucket_pairs_multi_equivalence(rows, cap):
     """Property: the vectorized multi-bucket segment walk emits EXACTLY
-    the pair multiset of mapping the legacy per-bucket _bucket_pairs over
-    each distinct key, after the Max(capped) pair merge — across random
-    bucket shapes and a small forced cap so star fallbacks are common."""
+    the pair multiset of mapping the per-bucket reference
+    (tests/dedup_refs.py) over each distinct key, after the Max(capped)
+    pair merge — across random bucket shapes and a small forced cap so
+    star fallbacks are common."""
     from unittest import mock
 
     import pyarrow as pa
 
+    import dedup_refs
     from pdf_parse_new_ray.functions import dedup
 
     t = pa.table({
@@ -164,6 +166,6 @@ def test_bucket_pairs_multi_equivalence(rows, cap):
         legacy = {}
         for bk in set(b for _, b in rows):
             sub = t.filter(pa.compute.equal(t.column("bucket"), bk))
-            for k, v in merged(dedup._bucket_pairs(sub)).items():
+            for k, v in merged(dedup_refs.bucket_pairs(sub, cap)).items():
                 legacy[k] = legacy.get(k, False) or v
     assert multi == legacy

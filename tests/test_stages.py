@@ -315,15 +315,18 @@ def test_phash_neardup_banding_guarantee(ray_session, tmp_path, monkeypatch):
     assert ("orig", "reenc") in pairs
     row = out[(out["ref_a"] == "orig") & (out["ref_b"] == "reenc")]
     assert int(row.iloc[0]["hamming"]) == d
-    # forcing the distributed banding/pair exchanges (media gate at 0)
-    # must reproduce the driver fold exactly
+    # forcing the distributed banding/pair exchanges (local-fold bound
+    # at 0) must reproduce the in-process fold exactly
     import pandas as pd
 
-    monkeypatch.setattr(entry, "MEDIA_DRIVER_ROWS", 0)
+    from pdf_parse_new_ray.functions import joins
+
+    local_rows = joins.LOCAL_FOLD_ROWS
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     dist = entry._phash_neardup_pairs("/root/testdata/sf0.001")
     pd.testing.assert_frame_equal(out, dist)
     grp = entry._phash_dup_groups("/root/testdata/sf0.001")
-    monkeypatch.setattr(entry, "MEDIA_DRIVER_ROWS", 2_000_000)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", local_rows)
     pd.testing.assert_frame_equal(entry._phash_dup_groups(
         "/root/testdata/sf0.001"), grp)
 

@@ -173,7 +173,7 @@ def _run_checks(sf_dir: str, only: set[str] | None,
         if not ok:
             failures.append(f"{name}: {verdict}")
         if verbose:
-            print(f"{name}: {verdict}  [{dt:.1f}s]")
+            print(f"{name}: {verdict}  [{dt:.3f}s]")
     return n_ok, n_bad, failures
 
 
