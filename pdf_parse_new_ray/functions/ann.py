@@ -15,11 +15,8 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
-import ray.data as rd
 
-
-def _emb(sf_dir: str, columns=None) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=columns)
+from ..sources.interleaved import read_table
 
 
 # task-mode per-worker instance cache for the light-state scan stages
@@ -121,7 +118,7 @@ def e_knn_bruteforce(sf_dir: str, n_queries: int = 5, k: int = 5) -> pd.DataFram
     # floats — no state worth an actor pool here (spin-up dominated the
     # 2000-vector bench scan)
     local = broadcast_map(
-        _emb(sf_dir),
+        read_table(f"{sf_dir}/embeddings.parquet"),
         lambda t, state: BruteForceTopK(state, k)(t),
         ref, batch_size=4096,
     ).to_pandas()
@@ -149,7 +146,8 @@ def e_label_centroids(sf_dir: str) -> pd.DataFrame:
                          "vec_sum": sel.sum(axis=0).tolist()})
         return pa.Table.from_pylist(rows)
 
-    parts = _emb(sf_dir).map_batches(partial, batch_format="pyarrow", batch_size=4096).to_pandas()
+    parts = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
+        partial, batch_format="pyarrow", batch_size=4096).to_pandas()
     agg = []
     for lab, g in parts.groupby("label"):
         n = int(g["n"].sum())
@@ -256,7 +254,7 @@ def e_knn_lsh(sf_dir: str, n_queries: int = 5, k: int = 5,
     q_codes = signer.sign(q)
     ref = ray.put((q_ids, q))
 
-    local = _emb(sf_dir).map_batches(
+    local = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
         _warm_stage(LshSigner, ("lshsig", q.shape[1], n_planes, n_tables),
                     {"dim": q.shape[1], "n_planes": n_planes,
                      "n_tables": n_tables}),
@@ -413,7 +411,7 @@ def e_knn_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
     q_ids, q = _query_matrix(sf_dir, n_queries)
     cents = _train_centroids(sf_dir, n_cells)
     ref = ray.put((q_ids, q))
-    local = _emb(sf_dir).map_batches(
+    local = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
         _warm_stage(IvfTopK, ("ivf", ref, n_probe, k),
                     {"queries_ref": ref, "cents": cents,
                      "n_probe": n_probe, "k": k}),
@@ -497,7 +495,8 @@ def e_knn_filtered(sf_dir: str, n_queries: int = 5, k: int = 5) -> pd.DataFrame:
     label (excluding self)."""
     q_ids, q, q_labels = _query_matrix_with_labels(sf_dir, n_queries)
     ref = ray.put((q_ids, q, q_labels))
-    local = _emb(sf_dir, columns=["vec_id", "embedding", "label"]).map_batches(
+    local = read_table(f"{sf_dir}/embeddings.parquet",
+                       ["vec_id", "embedding", "label"]).map_batches(
         _warm_stage(FilteredTopK, ("filt", ref, k),
                     {"queries_ref": ref, "k": k}),
         batch_format="pyarrow", batch_size=4096,
@@ -536,7 +535,7 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
                          "vec_sum": sel.sum(axis=0).tolist()})
         return pa.Table.from_pylist(rows)
 
-    parts = _emb(sf_dir, columns=["label", "embedding"]).map_batches(
+    parts = read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]).map_batches(
         partial, batch_format="pyarrow", batch_size=4096).to_pandas()
     labs, cents = [], []
     for lab, g in sorted(parts.groupby("label"), key=lambda kv: kv[0]):
@@ -569,7 +568,7 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
 
     from ray.data.aggregate import Sum
 
-    out = _emb(sf_dir, columns=["label", "embedding"]).map_batches(
+    out = read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]).map_batches(
         _warm_stage(Assign, ("cent_assign", ref), {}),
         batch_format="pyarrow", batch_size=4096,
     ).groupby(["label", "assigned"]).aggregate(Sum("n", alias_name="n")) \
@@ -694,7 +693,7 @@ def e_knn_pq(sf_dir: str, n_queries: int = 5, k: int = 5,
     q_ids, q = _query_matrix(sf_dir, n_queries)
     books = _train_pq(sf_dir, m_sub=m_sub, n_codes=n_codes)
     ref = ray.put((q_ids, q))
-    local = _emb(sf_dir).map_batches(
+    local = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
         _warm_stage(PqTopK, ("pq", ref, k, shortlist_factor * k),
                     {"queries_ref": ref, "books": books, "k": k,
                      "shortlist": shortlist_factor * k}),
@@ -798,7 +797,7 @@ def e_kmeans_train(sf_dir: str, k: int = KMEANS_K,
     # read + decode the embedding column ONCE; iterations re-stream the
     # materialized blocks from the object store (Ray spills if the table
     # outgrows it) instead of re-reading parquet per iteration
-    emb_ds = _emb(sf_dir, ["embedding"]).materialize()
+    emb_ds = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"]).materialize()
     for _ in range(n_iters):
         ref = ray.put(cents)
         parts = emb_ds.map_batches(
@@ -895,7 +894,7 @@ def e_pca_power_iteration(sf_dir: str,
 
     # read + decode ONCE; the 21 passes below re-stream materialized
     # blocks from the object store instead of re-reading parquet
-    emb_ds = _emb(sf_dir, ["embedding"]).materialize()
+    emb_ds = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"]).materialize()
     parts = emb_ds.map_batches(
         mean_partial, batch_format="pyarrow", batch_size=4096).take_all()
     parts.sort(key=lambda r: r["s"])

@@ -20,6 +20,8 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from ..sources.interleaved import read_table
+
 _WORD = re.compile(r"[A-Za-z0-9]+")
 
 # MinHash parameters (fixed, seeded — results are deterministic)
@@ -27,10 +29,6 @@ N_PERM = 64
 N_BANDS = 16
 ROWS_PER_BAND = N_PERM // N_BANDS
 _MERSENNE = (1 << 61) - 1
-
-
-def _docs(sf_dir: str) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
 
 def _docs_meta_rows(sf_dir: str) -> int:
@@ -171,7 +169,8 @@ def d_exact_dedup(sf_dir: str) -> pd.DataFrame:
                                 "doc_id_count": "group_size"},
                           ["fingerprint", "keep_doc_id", "group_size"])
 
-    parts = _docs(sf_dir).map_batches(fp, batch_format="pyarrow")
+    parts = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+        .map_batches(fp, batch_format="pyarrow")
     out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
 
@@ -436,8 +435,8 @@ def _candidate_pairs(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
     # documented fix for the union+groupby shared-lineage executor
     # deadlock at low parallelism, and signatures are ~64x smaller than
     # the text so the spill cost is trivial
-    sigs = _docs(sf_dir).map_batches(_minhash_batch, batch_format="pyarrow",
-                                     batch_size=256).materialize()
+    sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
+        _minhash_batch, batch_format="pyarrow", batch_size=256).materialize()
     bands = sigs.map_batches(_band_rows, batch_format="pyarrow")
     return lsh_pairs(bands).materialize(), sigs
 
@@ -472,7 +471,7 @@ def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
         # the fine-bucket pair walk, pair dedupe and the est-jaccard
         # compare run vectorized on the collected 520-byte/doc matrix —
         # replacing three keyed exchanges
-        sigs = _docs(sf_dir).map_batches(
+        sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
             _minhash_batch, batch_format="pyarrow",
             batch_size=256).to_pandas()
         ids = sigs["doc_id"].to_numpy().astype(np.int64)
@@ -605,8 +604,8 @@ class SimHasher:
 def d_simhash(sf_dir: str) -> pd.DataFrame:
     from .text import _warm
 
-    out = _docs(sf_dir).map_batches(_warm(SimHasher),
-                                    batch_format="pyarrow").to_pandas()
+    out = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
+        _warm(SimHasher), batch_format="pyarrow").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -681,7 +680,8 @@ def _pair_gram_lists(sf_dir: str, cands: pd.DataFrame, k: int) -> rd.Dataset:
             "value": pa.array([x.tolist() for x in out], pa.list_(pa.uint64())),
         })
 
-    grams = _docs(sf_dir).map_batches(gram_lists, batch_format="pyarrow")
+    grams = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+        .map_batches(gram_lists, batch_format="pyarrow")
     pair_ds = rd.from_arrow(pa.table({
         "a": pa.array(cands["a"], pa.int64()),
         "b": pa.array(cands["b"], pa.int64()),
@@ -748,8 +748,7 @@ def d_embedding_neardup(sf_dir: str, threshold: float = 0.8,
     can miss with prob (1-p^planes)^tables; near-identical vectors are
     found with probability ~1)."""
     if method == "auto":
-        n = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id"]).count()
+        n = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"]).count()
         method = "brute" if n <= EMBED_BRUTE_MAX_ROWS else "lsh"
     if method == "lsh":
         return _embedding_neardup_lsh(sf_dir, threshold)
@@ -765,8 +764,8 @@ def d_embedding_neardup(sf_dir: str, threshold: float = 0.8,
     ref = ray.put((ids, m))
     from .ann import _warm_stage
 
-    pairs = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"]).map_batches(
+    pairs = read_table(f"{sf_dir}/embeddings.parquet",
+                       columns=["vec_id", "embedding"]).map_batches(
         _warm_stage(_CosinePairFinder, ("cospair", ref, threshold),
                     {"all_ref": ref, "threshold": threshold}),
         batch_size=256, batch_format="pyarrow",
@@ -800,8 +799,7 @@ def _embedding_neardup_lsh(sf_dir: str, threshold: float,
     exact."""
     import pyarrow.compute as pc
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     n_rows = emb.count()
     n_planes = max(n_planes,
                    min(24, int(np.ceil(np.log2(max(n_rows, 2) / 4.0)))))
@@ -971,7 +969,8 @@ def d_paragraph_dedup(sf_dir: str) -> pd.DataFrame:
                          ["para_md5", "n_docs", "n_occurrences"])
         return out.filter(pc.greater(out["n_occurrences"], pa.scalar(1)))
 
-    parts = _docs(sf_dir).map_batches(explode, batch_format="pyarrow")
+    parts = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+        .map_batches(explode, batch_format="pyarrow")
     out = keyed(parts, "para_md5", per_bucket).to_pandas()
     if out.empty:  # no cross-document paragraph reuse in this corpus
         return pd.DataFrame({"para_md5": pd.Series(dtype="object"),
@@ -1105,8 +1104,8 @@ def d_dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
                           ["fingerprint", "keep_doc_id", "keep_n_chars",
                            "group_size"])
 
-    parts = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                            columns=["doc_id", "text", "n_chars"]) \
+    parts = read_table(f"{sf_dir}/documents.parquet",
+                       columns=["doc_id", "text", "n_chars"]) \
         .map_batches(fp, batch_format="pyarrow")
     out = keyed(parts, "fingerprint", per_bucket).to_pandas()
     return out.sort_values("fingerprint").reset_index(drop=True)
@@ -1155,8 +1154,9 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
                                     "doc_id_count": "n_docs"},
                               ["fingerprint", "keep_doc_id", "n_docs"])
 
-        batch_reps = keyed(_docs(sf_dir).map_batches(
-            pick, batch_format="pyarrow"), "fingerprint", reps)
+        batch_reps = keyed(read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+                           .map_batches(pick, batch_format="pyarrow"),
+                           "fingerprint", reps)
 
         def probe(t: pa.Table) -> pa.Table:
             fps = t.column("fingerprint").to_pylist()
@@ -1258,8 +1258,8 @@ def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
                                             pa.int64()),
                          "n_dup": pc.cast(nd, pa.int64())})
 
-    gds = _docs(sf_dir).map_batches(grams, batch_format="pyarrow") \
-        .materialize()
+    gds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+        .map_batches(grams, batch_format="pyarrow").materialize()
 
     if gds.count() <= SUBSTR_BROADCAST_ROWS:
         # broadcast path (same template as t_bigram_lm_score): fold
@@ -1375,8 +1375,8 @@ def d_levenshtein_pairs(sf_dir: str) -> pd.DataFrame:
     all-pairs verify is bounded at C(cap, 2) per block; the verify itself
     is the vectorized multi-pair DP above, one numpy pass per DP row for
     the whole block."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang", "n_chars"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text", "lang", "n_chars"])
 
     def prep(t: pa.Table) -> pa.Table:
         prefix = pc.utf8_slice_codeunits(t.column("text"), 0,
@@ -1657,8 +1657,7 @@ def d_semdedup(sf_dir: str, eps: float = SEMDEDUP_EPS,
     from .joins import broadcast_map
 
     out = broadcast_map(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"]),
+        read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]),
         assign, cents_ref, batch_size=4096) \
         .groupby("cluster") \
         .map_groups(_ann_warm_stage(
@@ -1715,8 +1714,8 @@ def x_neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     from .joins import broadcast_map
 
     out = keyed(broadcast_map(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "n_chars", "lang"]),
+        read_table(f"{sf_dir}/documents.parquet",
+                   columns=["doc_id", "n_chars", "lang"]),
         assign_cluster, ref), "cluster", survivors).to_pandas()
     out = out.groupby("lang", as_index=False).agg(
         n_survivors=("n", "sum"))

@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..sources.interleaved import read_table
+
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERS = 10
 
@@ -358,7 +360,6 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
     relation made symmetric).  Top-20 parts by rank; rows-only checked
     (iterative float), locked against the naive reference in pytest."""
     from .joins import keyed
-    from .relational import _rp
 
     # driver fold under the shared lineitem METADATA gate (the triangle /
     # copurchase census fold): the symmetric edge multiset is one lexsort
@@ -416,7 +417,7 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
         pr["rank"] = pr["rank"].round(8)
         return pr
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"])
 
     def pairs_sym(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
@@ -628,8 +629,7 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
                 else np.array([], np.int64))
         return _triangle_close_keys(keys)
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_partkey"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
 
     def pairs(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),

@@ -18,11 +18,9 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Mean, Sum
 
-
-def _rp(sf_dir: str, table: str, columns=None) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+from ..sources.interleaved import read_table
 
 
 def _dim_pandas(sf_dir: str, table: str, columns=None, filters=None):
@@ -30,7 +28,7 @@ def _dim_pandas(sf_dir: str, table: str, columns=None, filters=None):
     row count fits BROADCAST_DIM_ROWS — a Ray read operator costs
     ~0.2-0.3 s of launch per query for a table the driver parses in
     single-digit ms (nation is 25 rows at every SF).  Returns None above
-    the gate; callers fall back to the distributed ``_rp`` read."""
+    the gate; callers fall back to the distributed ``read_table`` read."""
     import pyarrow.parquet as pq_
 
     path = f"{sf_dir}/{table}.parquet"
@@ -108,19 +106,85 @@ def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
     return df
 
 
-def _keyed_frame(ds: rd.Dataset, key_col: str, fold) -> pd.DataFrame:
-    """``joins.keyed(ds, key_col, fold)`` as a driver DataFrame that keeps
-    the fold's columns when it has no rows.  Ray's to_pandas drops the
-    columns of an all-empty Dataset, and keyed calls no fold on a
-    zero-row input, so an empty result is rebuilt by running the fold
-    once over an empty table of the input's schema."""
+def _keyed_frame(ds: rd.Dataset, key_col: str, fold, partial=None,
+                 **map_kw) -> pd.DataFrame:
+    """``joins.keyed(ds.map_batches(partial), key_col, fold)`` as a driver
+    DataFrame that keeps the fold's columns when it has no rows (no map
+    when ``partial`` is None; ``map_kw`` go to the map).  Ray's to_pandas drops the columns of an
+    all-empty Dataset, a map over it has no schema, and keyed calls no
+    fold on a zero-row input, so an empty result is rebuilt by running
+    ``partial`` and the fold once over an empty table of ``ds``'s
+    schema."""
     from .joins import keyed
 
-    out = keyed(ds, key_col, fold).to_pandas()
+    src = ds if partial is None else ds.map_batches(
+        partial, batch_format="pyarrow", **map_kw)
+    out = keyed(src, key_col, fold).to_pandas()
     if len(out.columns):
         return out
-    out = fold(ds.schema().base_schema.empty_table())
+    empty = ds.schema().base_schema.empty_table()
+    out = fold(empty if partial is None else partial(empty))
     return out.to_pandas() if isinstance(out, pa.Table) else out
+
+
+def _run_ends(starts: np.ndarray, n: int) -> np.ndarray:
+    """Last row of each run of ``n`` sorted rows, given each run's first
+    row ``starts`` (none when there are no rows)."""
+    return np.append(starts[1:], n)[:len(starts)] - 1
+
+
+def _fsum_terms(xs: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of ``xs``: ``math.fsum`` of
+    what is left, until nothing is (a few terms: each removes about 53
+    bits of the remainder)."""
+    import math
+
+    terms: list[float] = []
+    while True:
+        s = math.fsum(xs + [-x for x in terms])
+        if not s:
+            return terms
+        terms.append(s)
+
+
+def _exact_sums(ds: rd.Dataset, keys: list[str], sums: list[str]) -> pd.DataFrame:
+    """Per-group sums of the float columns ``sums``, each the correctly
+    rounded exact sum of its rows whatever the block layout, and the row
+    count ``n``.  Each batch collapses its groups to :func:`_fsum_terms`
+    partials, and a ``joins.keyed`` fold on ``keys[0]`` merges them with
+    ``math.fsum``.  A float sum merged in block order can land either
+    side of a rounding tie: q1's ``sum_disc_price`` read 2697140231.62 or
+    .63 at sf0.1 depending on how ``lineitem`` was cut into blocks."""
+    import math
+
+    from .joins import rename_agg
+
+    def partial(t: pa.Table) -> pa.Table:
+        g = rename_agg(t.group_by(keys).aggregate(
+            [(c, "list") for c in sums] + [(keys[0], "count")]),
+            {**{f"{c}_list": c for c in sums}, f"{keys[0]}_count": "n"})
+        for c in sums:
+            g = g.set_column(g.schema.get_field_index(c), c, pa.array(
+                [_fsum_terms(v) for v in g.column(c).to_pylist()],
+                pa.list_(pa.float64())))
+        return g
+
+    def merge(t: pa.Table) -> pa.Table:
+        groups: dict = {}
+        for row in t.to_pylist():
+            acc = groups.setdefault(tuple(row[k] for k in keys),
+                                    {**{c: [] for c in sums}, "n": 0})
+            for c in sums:
+                acc[c] += row[c]
+            acc["n"] += row["n"]
+        return pa.Table.from_pylist(
+            [{**dict(zip(keys, k)), **{c: math.fsum(acc[c]) for c in sums},
+              "n": acc["n"]} for k, acc in groups.items()],
+            pa.schema([t.schema.field(k) for k in keys]
+                      + [pa.field(c, pa.float64()) for c in sums]
+                      + [pa.field("n", pa.int64())]))
+
+    return _keyed_frame(ds, keys[0], merge, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -128,50 +192,33 @@ def _keyed_frame(ds: rd.Dataset, key_col: str, fold) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
-    ds = _rp(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
-                                  "l_extendedprice", "l_discount", "l_tax",
-                                  "l_shipdate"])
+    ds = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+                     "l_discount", "l_tax", "l_shipdate"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch["l_shipdate"],
                                            pa.scalar(pd.Timestamp("1998-09-02"))))
         disc = pc.multiply(batch["l_extendedprice"],
                            pc.subtract(pa.scalar(1.0), batch["l_discount"]))
         charge = pc.multiply(disc, pc.add(pa.scalar(1.0), batch["l_tax"]))
-        t = pa.table({
+        return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
-            "qty": batch["l_quantity"],
-            "price": batch["l_extendedprice"],
-            "disc": batch["l_discount"],
-            "disc_price": disc,
-            "charge": charge,
+            "sum_qty": batch["l_quantity"],
+            "sum_base_price": batch["l_extendedprice"],
+            "sum_disc_price": disc,
+            "sum_charge": charge,
+            "sum_disc": batch["l_discount"],
         })
-        # map-side combine: collapse the batch to one row per group before
-        # the shuffle (the groupby below then merges small partials) —
-        # Arrow-native group_by, no pandas round-trip in the hot stage
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("qty", "sum"), ("price", "sum"), ("disc_price", "sum"),
-            ("charge", "sum"), ("disc", "sum"), ("qty", "count"),
-        ])
-        from .joins import rename_agg
 
-        return rename_agg(g, {
-            "qty_sum": "sum_qty", "price_sum": "sum_base_price",
-            "disc_price_sum": "sum_disc_price", "charge_sum": "sum_charge",
-            "disc_sum": "sum_disc", "qty_count": "count_order",
-        }, ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-            "sum_disc_price", "sum_charge", "sum_disc", "count_order"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("sum_charge", alias_name="sum_charge"),
-        Sum("sum_disc", alias_name="sum_disc"),
-        Sum("count_order", alias_name="count_order"),
-    ).to_pandas()
+    # exact per-group sums: the rounded cents do not depend on how the
+    # table is cut into blocks (see _exact_sums)
+    out = _exact_sums(
+        ds.map_batches(rows, batch_format="pyarrow", batch_size=65536),
+        ["l_returnflag", "l_linestatus"],
+        ["sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
+         "sum_disc"]).rename(columns={"n": "count_order"})
     out["avg_qty"] = out["sum_qty"] / out["count_order"]
     out["avg_price"] = out["sum_base_price"] / out["count_order"]
     out["avg_disc"] = out["sum_disc"] / out["count_order"]
@@ -186,8 +233,8 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q3_top_orders(sf_dir: str) -> pd.DataFrame:
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    cust = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def date_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.less(batch["o_orderdate"],
@@ -230,7 +277,8 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("o_orderdate", odate_type)],
         ).drop_columns(["in_seg"])  # inner-join semantics: only members survive
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
     li = li.map_batches(
         lambda t: pa.table({
             "l_orderkey": t["l_orderkey"],
@@ -356,7 +404,7 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
     25-row nation table at the driver."""
     from .joins import attach_value, rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def rev_partial(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"],
@@ -367,7 +415,7 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
 
     partials = li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536)
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"]).map_batches(
         lambda t: pa.table({"doc_id": t["o_orderkey"], "value": t["o_custkey"]}),
         batch_format="pyarrow")
 
@@ -398,7 +446,7 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
     # gate — broadcast the (custkey -> nationkey) arrays when the customer
     # table is small (count from parquet metadata), bucketed cogroup when
     # it isn't (a TPC-H-scale customer table is NOT broadcastable)
-    cust_src = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
     if cust_src.count() <= BROADCAST_DIM_ROWS:
         import pyarrow.parquet as pq
 
@@ -443,7 +491,8 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q6_forecast(sf_dir: str) -> pd.DataFrame:
-    ds = _rp(sf_dir, "lineitem", ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
+    ds = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
 
     def fil(t: pa.Table) -> pa.Table:
         m = pc.and_(
@@ -464,7 +513,7 @@ def q6_forecast(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_order_priority_counts(sf_dir: str) -> pd.DataFrame:
-    out = _rp(sf_dir, "orders", ["o_orderpriority"]).groupby("o_orderpriority") \
+    out = read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority"]).groupby("o_orderpriority") \
         .aggregate(Count(alias_name="order_count")).to_pandas()
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
@@ -482,7 +531,7 @@ def q_top_suppliers(sf_dir: str, k: int = 5) -> pd.DataFrame:
     TPC-H-sized supplier table)."""
     from .joins import attach_value, rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_suppkey", "l_extendedprice", "l_discount"])
 
     def rev_partial(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"],
@@ -492,7 +541,7 @@ def q_top_suppliers(sf_dir: str, k: int = 5) -> pd.DataFrame:
         return rename_agg(g, {"rev_sum": "rev"}, ["l_suppkey", "rev"])
 
     partials = li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536)
-    names = _rp(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
+    names = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"]).map_batches(
         lambda t: pa.table({"doc_id": t["s_suppkey"], "value": t["s_name"]}),
         batch_format="pyarrow")
 
@@ -518,7 +567,7 @@ def q_top_suppliers(sf_dir: str, k: int = 5) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_events_daily(sf_dir: str) -> pd.DataFrame:
-    ev = _rp(sf_dir, "events", ["ts", "event_type", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["ts", "event_type", "value"])
 
     def day(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -556,7 +605,7 @@ def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
         new_user = np.ones(n, dtype=bool)
         new_user[1:] = uid[1:] != uid[:-1]
         starts = np.nonzero(new_user)[0]
-        ends = np.concatenate((starts[1:], [n])) - 1
+        ends = _run_ends(starts, n)
         sums = np.add.reduceat(val, starts)
         span = (ts[ends] - ts[starts]) / 1e6
         return pa.table({
@@ -566,7 +615,7 @@ def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
             "span_seconds": pa.array(np.round(span, 1), pa.float64()),
         })
 
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts", "value"])
     out = _keyed_frame(ev, "user_id", per_bucket)
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -576,13 +625,21 @@ def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_part_brand_stats(sf_dir: str) -> pd.DataFrame:
-    out = _rp(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"]) \
-        .groupby("p_brand").aggregate(
-            Count(alias_name="n_parts"),
-            Mean("p_retailprice", alias_name="avg_price"),
-            Max("p_size", alias_name="max_size"),
-            Min("p_size", alias_name="min_size"),
-        ).to_pandas()
+    # the oracle's avg adds each brand's prices one by one in table order,
+    # and an exact mean can sit on a rounding tie (sf0.01 Brand#4:
+    # 950.59375, summed in order 950.5937499999995), so the fold adds them
+    # in that order too, whatever the block layout
+    def fold(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["p_brand", "row"])
+        return df.groupby("p_brand", as_index=False, sort=False).agg(
+            n_parts=("row", "size"),
+            avg_price=("p_retailprice",
+                       lambda v: np.cumsum(v.to_numpy())[-1] / len(v)),
+            max_size=("p_size", "max"), min_size=("p_size", "min"))
+
+    out = _keyed_frame(read_table(f"{sf_dir}/part.parquet",
+                                  ["p_brand", "p_retailprice", "p_size"],
+                                  row_index="row"), "p_brand", fold)
     out = out.sort_values("p_brand").reset_index(drop=True)
     return _round_cols(out, {"avg_price": 4})
 
@@ -609,7 +666,7 @@ def q_customer_nation_balance(sf_dir: str) -> pd.DataFrame:
     from .joins import broadcast_map
 
     out = broadcast_map(
-        _rp(sf_dir, "customer", ["c_nationkey", "c_acctbal"]),
+        read_table(f"{sf_dir}/customer.parquet", ["c_nationkey", "c_acctbal"]),
         attach_nation, nref) \
         .groupby("n_name").aggregate(
             Count(alias_name="n_customers"),
@@ -625,7 +682,7 @@ def q_customer_nation_balance(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_distinct_order_statuses(sf_dir: str) -> pd.DataFrame:
-    vals = sorted(_rp(sf_dir, "orders", ["o_orderstatus"]).unique("o_orderstatus"))
+    vals = sorted(read_table(f"{sf_dir}/orders.parquet", ["o_orderstatus"]).unique("o_orderstatus"))
     return pd.DataFrame({"o_orderstatus": vals})
 
 
@@ -668,7 +725,7 @@ def q_sessionization(sf_dir: str, gap_minutes: int = 30,
                          np.diff(np.concatenate((user_starts, [n]))))
         sid = sid - base
         starts = np.nonzero(new_sess)[0]
-        ends = np.concatenate((starts[1:], [n])) - 1
+        ends = _run_ends(starts, n)
         # per-session sums via reduceat: summation order matches a direct
         # left-to-right per-group sum, so the 4-dp rounding is deterministic
         # (a cumsum-difference can flip a boundary digit)
@@ -682,7 +739,7 @@ def q_sessionization(sf_dir: str, gap_minutes: int = 30,
             "sum_value": pa.array(np.round(sums, 4), pa.float64()),
         })
 
-    ev = _rp(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"])
     if write_dir is not None:
         # scale hatch: per-session rows are corpus-sized — stream them to
         # partitioned parquet (one file per cogroup block) and return only
@@ -761,8 +818,8 @@ def q_asof_view_before_click(sf_dir: str,
                 [float(v) if h else None for v, h in zip(view_val, ok)], pa.float64()),
         })
 
-    ev = _rp(sf_dir, "events",
-             columns=["event_id", "ts", "user_id", "event_type", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    columns=["event_id", "ts", "user_id", "event_type", "value"])
     if write_dir is not None:  # see q_sessionization
         return _write_windowed(keyed(ev, "user_id", asof), write_dir)
     df = _keyed_frame(ev, "user_id", asof)
@@ -797,9 +854,9 @@ def _customers_by_orders(sf_dir: str, with_orders: bool) -> pd.DataFrame:
         return custs.filter(hit if with_orders else pc.invert(hit))
 
     out = hash_exchange(
-        [(_rp(sf_dir, "customer", ["c_custkey", "c_name"]),
+        [(read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_name"]),
           key_split("c_custkey")),
-         (_rp(sf_dir, "orders", ["o_custkey"]), order_keys)],
+         (read_table(f"{sf_dir}/orders.parquet", ["o_custkey"]), order_keys)],
         probe).to_pandas()
     if out.empty:  # empty datasets lose their schema through to_pandas
         return pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
@@ -853,7 +910,7 @@ def q_price_band_join(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"n_sum": "n", "price_sum_sum": "price_sum"},
                           ["band", "n", "price_sum"])
 
-    out = _rp(sf_dir, "part", ["p_retailprice"]) \
+    out = read_table(f"{sf_dir}/part.parquet", ["p_retailprice"]) \
         .map_batches(partial, batch_format="pyarrow", batch_size=65536) \
         .groupby("band").aggregate(
             Sum("n", alias_name="n_parts"),
@@ -901,7 +958,7 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 2) -> pd.DataFrame:
             .reset_index(drop=True)
         return _round_cols(out, {"o_totalprice": 2})
 
-    ds = _rp(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
+    ds = read_table(f"{sf_dir}/orders.parquet", ["o_custkey", "o_orderkey", "o_totalprice"])
     out = _keyed_frame(ds, "o_custkey", per_bucket)
     return _finish(pa.Table.from_pandas(out, preserve_index=False))
 
@@ -913,8 +970,8 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 2) -> pd.DataFrame:
 def q_order_price_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact per-group median/p90 of order totals WITHOUT a global sort:
     prices are discrete at cent granularity, so each batch emits
-    (priority, cents) count partials, ONE small groupby merges them, and
-    the driver walks the cumulative counts.  The shuffle is bounded by
+    (priority, cents) count partials, a ``joins.keyed`` fold on the cents
+    merges them, and the driver walks the cumulative counts.  The shuffle is bounded by
     DISTINCT VALUES × groups (≈ price-range cents × 5), not by rows — a
     sort-based quantile would be an all-to-all over the fact table."""
     import numpy as np
@@ -930,10 +987,13 @@ def q_order_price_quantiles(sf_dir: str) -> pd.DataFrame:
         }).group_by(["o_orderpriority", "cents"]).aggregate([("n", "sum")])
         return rename_agg(g, {"n_sum": "n"}, ["o_orderpriority", "cents", "n"])
 
-    counts = _rp(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536) \
-        .groupby(["o_orderpriority", "cents"]) \
-        .aggregate(Sum("n", alias_name="n")).to_pandas()
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.group_by(["o_orderpriority", "cents"]).aggregate([("n", "sum")])
+        return rename_agg(g, {"n_sum": "n"}, ["o_orderpriority", "cents", "n"])
+
+    counts = _keyed_frame(
+        read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"]),
+        "cents", merge, partial, batch_size=65536)
 
     rows = []
     for prio, g in counts.groupby("o_orderpriority"):
@@ -960,9 +1020,8 @@ def q_rollup_revenue(sf_dir: str) -> pd.DataFrame:
     subtotals, and a grand total — all DERIVED from one scan's partials
     (map-side combine → one tiny groupby; the coarser levels re-aggregate
     the fine partials on the driver, never the fact table)."""
-    ds = _rp(sf_dir, "lineitem",
-             ["l_returnflag", "l_linestatus", "l_extendedprice",
-              "l_discount"])
+    ds = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"],
@@ -1042,8 +1101,8 @@ def q_running_balance(sf_dir: str,
             "running_total": pa.array(run / 100.0, pa.float64()),
         })
 
-    orders = _rp(sf_dir, "orders",
-                 ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
     if write_dir is not None:
         return _write_windowed(keyed(orders, "o_custkey", fold), write_dir)
     df = _keyed_frame(orders, "o_custkey", fold)
@@ -1094,7 +1153,7 @@ def q_rolling_avg(sf_dir: str, window: int = 5,
                 frame_sum / (1e6 * frame_len), pa.float64()),
         })
 
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id", "value"])
     if write_dir is not None:
         return _write_windowed(keyed(ev, "user_id", fold), write_dir)
     df = _keyed_frame(ev, "user_id", fold)
@@ -1137,9 +1196,8 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
         return rename_agg(t, {f"{c}_sum": c for c in sum_cols},
                           ["user_id"] + sum_cols)
 
-    ev = _rp(sf_dir, "events", ["user_id", "event_type", "value"])
-    out = keyed(ev.map_batches(partial, batch_format="pyarrow"),
-                "user_id", merge).to_pandas()
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "event_type", "value"])
+    out = _keyed_frame(ev, "user_id", merge, partial)
     out["purchase_value"] = out["purchase_micro"] / 1e6
     out = out.drop(columns=["purchase_micro"])
     return out.sort_values("user_id").reset_index(drop=True)
@@ -1184,7 +1242,7 @@ def q_event_lag(sf_dir: str) -> pd.DataFrame:
             "gap_us": gap,
         })
 
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id", "event_type"])
     df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
 
@@ -1205,7 +1263,7 @@ def q_user_first_last(sf_dir: str) -> pd.DataFrame:
         new_user = np.ones(n, dtype=bool)
         new_user[1:] = uid[1:] != uid[:-1]
         starts = np.nonzero(new_user)[0]
-        ends = np.concatenate((starts[1:], [n])) - 1
+        ends = _run_ends(starts, n)
         types = g.column("event_type").combine_chunks()
         return pa.table({
             "user_id": pc.take(g.column("user_id").combine_chunks(),
@@ -1216,7 +1274,7 @@ def q_user_first_last(sf_dir: str) -> pd.DataFrame:
                                  pa.int64()),
         })
 
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id", "event_type"])
     df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values("user_id").reset_index(drop=True)
 
@@ -1263,7 +1321,7 @@ def q_orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
             "o_totalprice": kept.column("o_totalprice"),
         })
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey", "o_totalprice"])
     df = _keyed_frame(orders, "o_custkey", fold)
     return df.sort_values("o_orderkey").reset_index(drop=True)
 
@@ -1285,7 +1343,7 @@ def q_monthly_revenue(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"cents_sum": "cents", "cents_count": "n_orders"},
                           ["month", "cents", "n_orders"])
 
-    out = _rp(sf_dir, "orders", ["o_orderdate", "o_totalprice"]) \
+    out = read_table(f"{sf_dir}/orders.parquet", ["o_orderdate", "o_totalprice"]) \
         .map_batches(partial, batch_format="pyarrow") \
         .groupby("month").aggregate(
             Sum("cents", alias_name="cents"),
@@ -1318,7 +1376,7 @@ def q_daily_distinct_users(sf_dir: str) -> pd.DataFrame:
             "n_users": pa.array([uniq.as_py()], pa.int64()),
         })
 
-    df = _rp(sf_dir, "events", ["ts", "user_id"]) \
+    df = read_table(f"{sf_dir}/events.parquet", ["ts", "user_id"]) \
         .map_batches(pairs, batch_format="pyarrow") \
         .groupby("day").map_groups(count_unique, batch_format="pyarrow") \
         .to_pandas()
@@ -1365,7 +1423,7 @@ def q_funnel(sf_dir: str,
             "n_users": pa.array(counts, pa.int64()),
         })
 
-    ev = _rp(sf_dir, "events", columns=["ts", "user_id", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", columns=["ts", "user_id", "event_type"])
     parts = keyed(ev, "user_id", funnel) \
         .to_pandas()
     out = parts.groupby(["step", "stage"], as_index=False)["n_users"].sum()
@@ -1400,7 +1458,7 @@ def q_train_test_split(sf_dir: str) -> pd.DataFrame:
                                      int(chars[train].sum())], pa.int64()),
         })
 
-    parts = _rp(sf_dir, "documents", columns=["doc_id", "n_chars"]) \
+    parts = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]) \
         .map_batches(partial, batch_format="pyarrow").to_pandas()
     out = parts.groupby("split", as_index=False).sum()
     return out.sort_values("split").reset_index(drop=True)
@@ -1446,7 +1504,7 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
         return out.sort_values(["cohort_week", "week_offset"]) \
             .reset_index(drop=True)
 
-    ev = _rp(sf_dir, "events", columns=["ts", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
     return _finish(_keyed_frame(ev, "user_id", cells))
 
 
@@ -1501,7 +1559,7 @@ def q_pareto_customers(sf_dir: str, n_range_buckets: int = 64,
             .group_by("o_custkey").aggregate([("cents", "sum")])
         return rename_agg(t, {"cents_sum": "cents"}, ["o_custkey", "cents"])
 
-    cust = keyed(_rp(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+    cust = keyed(read_table(f"{sf_dir}/orders.parquet", ["o_custkey", "o_totalprice"]),
                  "o_custkey", per_bucket_cents)
 
     # sampled range boundaries (ascending cents). Sample size is bounded
@@ -1606,7 +1664,7 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
     combine), so only final groups reach the driver."""
     from .joins import attach_value, broadcast_map, rename_agg
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_totalprice"]) \
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"]) \
         .map_batches(lambda t: t.filter(pc.greater(
             t.column("o_totalprice"), BLOOM_PRICE_MIN)),
             batch_format="pyarrow")
@@ -1665,7 +1723,7 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
             return part
 
         parts_df = broadcast_map(
-            _rp(sf_dir, "lineitem", li_cols), prune_verify,
+            read_table(f"{sf_dir}/lineitem.parquet", li_cols), prune_verify,
             (bloom_ref, keys_ref)).to_pandas()
         out = parts_df.groupby("o_orderkey", as_index=False).sum()
         out.columns = ["o_orderkey", "rev", "n_items"]
@@ -1706,7 +1764,7 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
             return pa.table({"l_orderkey": cand.column("l_orderkey"),
                              "rev": rev})
 
-    cand = _rp(sf_dir, "lineitem", li_cols) \
+    cand = read_table(f"{sf_dir}/lineitem.parquet", li_cols) \
         .map_batches(BloomPrune(), batch_format="pyarrow")
 
     def post(t: pa.Table) -> pa.Table:  # map-side combine inside cogroup
@@ -1766,7 +1824,7 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
                           ["prev_type", "event_type", "n"])
 
     # per-bucket partials are |types|^2-bounded: sum them on the driver
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id", "event_type"])
     out = _keyed_frame(ev, "user_id", fold) \
         .groupby(["prev_type", "event_type"], as_index=False)["n"].sum()
     out["n"] = out["n"].astype("int64")
@@ -1808,7 +1866,7 @@ def q_late_data_drop(sf_dir: str) -> pd.DataFrame:
         new_user = np.ones(n, dtype=bool)
         new_user[1:] = uid[1:] != uid[:-1]
         seg = np.cumsum(new_user) - 1           # 0-based segment ids
-        t0 = tsv.min()
+        t0 = tsv.min() if n else 0
         rel = tsv - t0
         span = int(rel.max()) + 1 if n else 1
         n_seg = int(seg[-1]) + 1 if n else 0
@@ -1841,7 +1899,7 @@ def q_late_data_drop(sf_dir: str) -> pd.DataFrame:
 
     # per-bucket partials are one row per (bucket, hour): sum them on
     # the driver
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id"])
     out = _keyed_frame(ev, "user_id", fold) \
         .groupby("window_start", as_index=False)[
             ["n_on_time", "n_late_dropped"]].sum()
@@ -1863,7 +1921,7 @@ def q_props_value_stats(sf_dir: str) -> pd.DataFrame:
     field stay null and drop out of the counts, matching SQL
     json_extract semantics.  Map-only until a |event_types|-sized
     groupby."""
-    ev = _rp(sf_dir, "events", ["event_type", "props"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "props"])
 
     def ext(t: pa.Table) -> pa.Table:
         m = pc.extract_regex(t.column("props"),
@@ -1919,9 +1977,8 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     per-user merge of the partials and a tiny driver sort."""
     from .joins import keyed
 
-    ev = _rp(sf_dir, "events", ["user_id"])
-    out = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
-                "user_id", _user_count_merge).to_pandas()
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
+    out = _keyed_frame(ev, "user_id", _user_count_merge, _user_count_partial)
     out["n"] = out["n"].astype("int64")
     out = out.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(HEAVY_HITTER_K)
@@ -1975,7 +2032,7 @@ def q_session_overlap_counts(sf_dir: str,
                          np.diff(np.concatenate((user_starts, [n]))))
         sid = sid - base
         starts = np.nonzero(new_sess)[0]
-        ends = np.concatenate((starts[1:], [n])) - 1
+        ends = _run_ends(starts, n)
         return pa.table({
             "user_id": pa.array(uid[starts], pa.int64()),
             "session_id": pa.array(sid[starts], pa.int64()),
@@ -2052,9 +2109,12 @@ def q_session_overlap_counts(sf_dir: str,
     # user_id (a session's copies share it), not a Ray-native 4-key
     # aggregate: that sort shuffle took 2.0 of the 2.2-2.4 s this query's
     # exchange route took at sf0.1 on 4 CPUs
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "ts", "user_id"])
     joined = keyed(keyed(keyed(ev, "user_id", per_user), "__tb", per_bucket),
                    "user_id", per_session).to_pandas()
+    if not len(joined.columns):  # no events: the keyed folds never ran
+        joined = per_session(per_bucket(per_user(
+            ev.schema().base_schema.empty_table()))).to_pandas()
     joined["n_overlap"] = joined["n_overlap"].astype("int64")
     joined["session_start"] = joined["s"].astype("datetime64[us]")
     joined["session_end"] = joined["e"].astype("datetime64[us]")
@@ -2096,8 +2156,8 @@ def q13_order_count_distribution(sf_dir: str) -> pd.DataFrame:
     distribution) therefore never shuffles at all."""
     from .joins import keyed, rename_agg
 
-    cust = _rp(sf_dir, "customer", ["c_custkey"])
-    orders = _rp(sf_dir, "orders", ["o_custkey"])
+    cust = read_table(f"{sf_dir}/customer.parquet", ["c_custkey"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_custkey"])
 
     def tag_cust(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -2159,7 +2219,7 @@ def q18_large_volume_customers(sf_dir: str) -> pd.DataFrame:
     so partial-sum order cannot change the float result."""
     from .joins import keyed, rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_quantity"])
 
     def partial(t: pa.Table) -> pa.Table:
         part = t.group_by("l_orderkey").aggregate([("l_quantity", "sum")])
@@ -2185,8 +2245,8 @@ def q18_large_volume_customers(sf_dir: str) -> pd.DataFrame:
             pc.is_in(t.column("o_orderkey"), value_set=keys),
             pa.scalar(False)))
 
-    ords = _rp(sf_dir, "orders",
-               ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]) \
+    ords = read_table(f"{sf_dir}/orders.parquet",
+                      ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]) \
         .map_batches(keep_orders, batch_format="pyarrow").to_pandas()
     cust_ref = ray.put(pa.array(ords["o_custkey"].unique(), pa.int64()))
 
@@ -2196,7 +2256,7 @@ def q18_large_volume_customers(sf_dir: str) -> pd.DataFrame:
             pc.is_in(t.column("c_custkey"), value_set=keys),
             pa.scalar(False)))
 
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"]) \
+    cust = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_name"]) \
         .map_batches(keep_cust, batch_format="pyarrow").to_pandas()
 
     out = ords.merge(big.rename(columns={"l_orderkey": "o_orderkey"}),
@@ -2250,7 +2310,7 @@ def q_kmv_distinct(sf_dir: str, k: int = KMV_K) -> pd.DataFrame:
     exact count when the merged sketch holds < k values, else
     (k-1) * 2^64 / h_k.  At 100 TB the shuffle carries only sketch rows —
     never a distinct-key exchange like exact COUNT DISTINCT needs."""
-    ev = _rp(sf_dir, "events", ["event_type", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "user_id"])
 
     def sketch(t: pa.Table) -> pa.Table:
         et = t.column("event_type").to_numpy(zero_copy_only=False)
@@ -2299,8 +2359,7 @@ def q_kmv_distinct(sf_dir: str, k: int = KMV_K) -> pd.DataFrame:
 
     from .joins import keyed
 
-    df = keyed(ev.map_batches(sketch, batch_format="pyarrow"),
-               "event_type", merge).to_pandas()
+    df = _keyed_frame(ev, "event_type", merge, sketch)
     return df.sort_values("event_type").reset_index(drop=True)
 
 
@@ -2324,9 +2383,9 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
 
     from .joins import attach_value, rename_agg
 
-    li = _rp(sf_dir, "lineitem",
-             ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
-              "l_shipdate"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
+                     "l_shipdate"])
 
     sup = pq_.read_table(f"{sf_dir}/supplier.parquet",
                          columns=["s_suppkey", "s_nationkey"])
@@ -2367,7 +2426,7 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
 
     partials = broadcast_map(li, rev_partial, sup_ref, batch_size=65536)
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"]).map_batches(
         lambda t: pa.table({"doc_id": t["o_orderkey"],
                             "value": t["o_custkey"]}),
         batch_format="pyarrow")
@@ -2401,7 +2460,7 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"rev_sum": "rev"},
                           ["supp_nk", "cust_nk", "l_year", "rev"])
 
-    cust_src = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
     if cust_src.count() <= BROADCAST_DIM_ROWS:
         ct = pq_.read_table(f"{sf_dir}/customer.parquet",
                             columns=["c_custkey", "c_nationkey"])
@@ -2459,7 +2518,7 @@ def q_histogram_quantiles(sf_dir: str) -> pd.DataFrame:
     ceil(q * N).  Deterministic (integer bins from integer cents), so
     the SQL oracle reproduces it bit-for-bit — unlike t-digest/GK
     sketches whose estimates depend on merge order."""
-    orders = _rp(sf_dir, "orders", ["o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_totalprice"])
 
     def hist(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(t["o_totalprice"],
@@ -2507,7 +2566,7 @@ def q_copurchase_pairs(sf_dir: str) -> pd.DataFrame:
     candidate rows."""
     from .joins import keyed
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"])
 
     def pairs(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
@@ -2611,7 +2670,7 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
         })
         return out.sort_values("decile").reset_index(drop=True)
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"])
 
     def to_cents(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
@@ -2711,7 +2770,7 @@ def q_event_age(sf_dir: str, n_salts: int = 8) -> pd.DataFrame:
     from .joins import attach_value_salted, keyed, rename_agg
 
     # read once: the min partials and the attach's fact side both scan it
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"]).materialize()
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "user_id", "ts"]).materialize()
 
     def min_partial(t: pa.Table) -> pa.Table:
         g = pa.table({
@@ -2781,9 +2840,9 @@ def q_trailing_hour_sum(sf_dir: str) -> pd.DataFrame:
         new = np.ones(n, dtype=bool)
         new[1:] = uid[1:] != uid[:-1]
         rank = np.cumsum(new) - 1
-        ts_rel = us - us.min()
-        offset = int(ts_rel.max()) + TRAIL_WINDOW_US + 2
-        n_users = int(rank[-1]) + 1
+        ts_rel = us - (us.min() if n else 0)
+        offset = (int(ts_rel.max()) if n else 0) + TRAIL_WINDOW_US + 2
+        n_users = int(rank[-1]) + 1 if n else 0
         if n_users * offset < _TRAIL_BAND_MAX:  # disjoint bands fit int64
             key = rank * offset + ts_rel
             lo = np.searchsorted(key, key - TRAIL_WINDOW_US, side="left")
@@ -2807,7 +2866,7 @@ def q_trailing_hour_sum(sf_dir: str) -> pd.DataFrame:
                                      pa.float64()),
         })
 
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_id", "user_id", "ts", "value"])
     df = _keyed_frame(ev, "user_id", fold)
     return df.sort_values(["user_id", "ts", "event_id"]) \
         .reset_index(drop=True)
@@ -2861,7 +2920,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
 
     from .joins import attach_value, rename_agg
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_type"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
     sup = pq_.read_table(f"{sf_dir}/supplier.parquet",
                          columns=["s_suppkey", "s_nationkey"])
     sup_ref = ray.put((sup.column("s_suppkey").combine_chunks(),
@@ -2878,7 +2937,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
 
     li_cols = ["l_orderkey", "l_partkey", "l_suppkey",
                "l_extendedprice", "l_discount"]
-    li = _rp(sf_dir, "lineitem", li_cols)
+    li = read_table(f"{sf_dir}/lineitem.parquet", li_cols)
 
     from .joins import broadcast_map
 
@@ -2942,8 +3001,8 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
     # orders attach: ONE value column encodes (custkey, order year) as
     # custkey*8 + (year-1995) — years span 1995..2001 (<8), so the encode
     # is lossless int64 with headroom to custkey ~1.1e18
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey",
-                                    "o_orderdate"]).map_batches(
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         lambda t: pa.table({
             "doc_id": t["o_orderkey"],
             "value": pc.add(
@@ -2999,7 +3058,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"sub_sum": "sub"},
                           ["o_year", "supp_nk", "sub"])
 
-    cust_src = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
     if cust_src.count() <= BROADCAST_DIM_ROWS:
         ct = pq_.read_table(f"{sf_dir}/customer.parquet",
                             columns=["c_custkey", "c_nationkey"])
@@ -3072,8 +3131,8 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
     then pays ONE shuffle (the custkey re-bucket) instead of two."""
     from .joins import attach_value, broadcast_map, keyed, rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_returnflag",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"])
 
     def rev_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_returnflag"], "R"))
@@ -3136,8 +3195,8 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
                 .head(Q10_TOP_K)
             return _q10_attach_winners(sf_dir, top)
     else:
-        orders = _rp(sf_dir, "orders",
-                     ["o_orderkey", "o_custkey", "o_orderdate"]) \
+        orders = read_table(f"{sf_dir}/orders.parquet",
+                            ["o_orderkey", "o_custkey", "o_orderdate"]) \
             .map_batches(_orders_map, batch_format="pyarrow")
         by_cust = attach_value(
             partials, orders, "l_orderkey", "o_custkey", pa.int64(),
@@ -3166,7 +3225,7 @@ def _q10_attach_winners(sf_dir: str, top: pd.DataFrame) -> pd.DataFrame:
                           filters=[("c_custkey", "in", key_list)])
     if winners is None:
         keys = pa.array(key_list, pa.int64())
-        winners = _rp(sf_dir, "customer", cust_cols) \
+        winners = read_table(f"{sf_dir}/customer.parquet", cust_cols) \
             .map_batches(lambda t: t.filter(pc.is_in(t["c_custkey"],
                                                      value_set=keys)),
                          batch_format="pyarrow").to_pandas()
@@ -3196,9 +3255,9 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
 
     lo = pa.scalar(pd.Timestamp(f"{Q14_YEAR}-01-01"))
     hi = pa.scalar(pd.Timestamp(f"{Q14_YEAR + 1}-01-01"))
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_shipdate",
-                                  "l_extendedprice", "l_discount"])
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_type"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
 
     if part_src.count() <= BROADCAST_DIM_ROWS:
         pt = pq_.read_table(f"{sf_dir}/part.parquet",
@@ -3304,9 +3363,9 @@ def q12_ship_priority(sf_dir: str) -> pd.DataFrame:
 
     lo = pa.scalar(pd.Timestamp(f"{Q12_YEAR}-01-01"))
     hi = pa.scalar(pd.Timestamp(f"{Q12_YEAR + 1}-01-01"))
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    ord_src = _rp(sf_dir, "orders", ["o_orderkey", "o_orderdate",
-                                     "o_orderpriority"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_shipdate"])
+    ord_src = read_table(f"{sf_dir}/orders.parquet",
+                         ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     day_us = 86_400_000_000
 
@@ -3418,8 +3477,8 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
 
     lo = pa.scalar(pd.Timestamp(Q15_DATE_LO))
     hi = pa.scalar(pd.Timestamp(Q15_DATE_HI))
-    li = _rp(sf_dir, "lineitem", ["l_suppkey", "l_shipdate",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"])
 
     def rev_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
@@ -3444,7 +3503,7 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     winners = cand[cand["sub"] == best].copy()
 
     keys = pa.array(sorted(winners["l_suppkey"]), pa.int64())
-    names = _rp(sf_dir, "supplier", ["s_suppkey", "s_name"]) \
+    names = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"]) \
         .map_batches(lambda t: t.filter(pc.is_in(t["s_suppkey"],
                                                  value_set=keys)),
                      batch_format="pyarrow").to_pandas()
@@ -3472,10 +3531,10 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
 
     from .joins import attach_value, keyed, rename_agg
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_brand"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
     if part_small:
         pt = pq_.read_table(f"{sf_dir}/part.parquet",
@@ -3622,9 +3681,9 @@ def q19_disjunct_revenue(sf_dir: str) -> pd.DataFrame:
 
     from .joins import attach_value
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand", "p_size"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
     def part_ranges(t: pa.Table) -> pa.Table:
         enc = pa.nulls(t.num_rows, pa.int64())
@@ -3738,7 +3797,7 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     family, so the oracle reproduces the sketch bit-for-bit."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
 
     def sketch_partial(t: pa.Table) -> pa.Table:
         ids = t.column("user_id").combine_chunks() \
@@ -3760,16 +3819,15 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
         t = g.group_by(["row", "bucket"]).aggregate([("cnt", "sum")])
         return rename_agg(t, {"cnt_sum": "cnt"}, ["row", "bucket", "cnt"])
 
-    cells = keyed(ev.map_batches(sketch_partial, batch_format="pyarrow",
-                                 batch_size=65536),
-                  "row", cell_merge).to_pandas()
+    cells = _keyed_frame(ev, "row", cell_merge, sketch_partial,
+                         batch_size=65536)
     cms = np.zeros((CMS_DEPTH, CMS_WIDTH), np.int64)
     cms[cells["row"].to_numpy(), cells["bucket"].to_numpy()] = \
         cells["cnt"].to_numpy()
 
     # exact top-k candidates: the q_heavy_hitters combiner shape
-    exact = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
-                  "user_id", _user_count_merge).to_pandas()
+    exact = _keyed_frame(ev, "user_id", _user_count_merge,
+                         _user_count_partial)
     exact["n"] = exact["n"].astype("int64")
     top = exact.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(CMS_TOP_K).reset_index(drop=True)
@@ -3823,7 +3881,7 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
     (more bits = smaller buckets = bigger pass-1 histogram)."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["event_type", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "value"])
 
     def hist_partial(t: pa.Table) -> pa.Table:
         v = t.column("value").combine_chunks().to_numpy(zero_copy_only=False)
@@ -3838,9 +3896,8 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
         t = g.group_by(["event_type", "vb"]).aggregate([("cnt", "sum")])
         return rename_agg(t, {"cnt_sum": "cnt"}, ["event_type", "vb", "cnt"])
 
-    hist = keyed(ev.map_batches(hist_partial, batch_format="pyarrow",
-                                batch_size=65536),
-                 "event_type", hist_merge).to_pandas()
+    hist = _keyed_frame(ev, "event_type", hist_merge, hist_partial,
+                        batch_size=65536)
     hist["cnt"] = hist["cnt"].astype("int64")
     hist = hist.sort_values(["event_type", "vb"]).reset_index(drop=True)
 
@@ -3886,9 +3943,7 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
             "quantile": pa.array([r[1] for r in rows], pa.float64()),
             "value": pa.array([r[2] for r in rows], pa.float64())})
 
-    out = keyed(ev.map_batches(pick_rows, batch_format="pyarrow",
-                               batch_size=65536),
-                "key", per_bucket).to_pandas()
+    out = _keyed_frame(ev, "key", per_bucket, pick_rows, batch_size=65536)
     return out.sort_values(["event_type", "quantile"]).reset_index(drop=True)
 
 
@@ -3910,7 +3965,7 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     shape where no event row ever reaches the exchange."""
     from .joins import rename_agg
 
-    ev = _rp(sf_dir, "events", ["ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["ts"])
     fan = HOP_WINDOW_US // HOP_US  # windows covering each event
 
     def partial(t: pa.Table) -> pa.Table:
@@ -3941,7 +3996,7 @@ def q_user_mode_event(sf_dir: str) -> pd.DataFrame:
     shape with no per-user Python call."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["user_id", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["user_id", "event_type"]) \
@@ -4004,7 +4059,7 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
     mergeable sketch; no distinct-key exchange ever happens.  The raw
     estimate is reported uncorrected (no small-range linear counting —
     that branch needs ln(); documented, not hidden)."""
-    ev = _rp(sf_dir, "events", ["event_type", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "user_id"])
 
     def registers(t: pa.Table) -> pa.Table:
         et = t.column("event_type").to_numpy(zero_copy_only=False)
@@ -4026,7 +4081,8 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
         key = ty_idx * HLL_M + idx
         order = np.lexsort((-rank, key))
         k_s, r_s = key[order], rank[order]
-        first = np.r_[True, k_s[1:] != k_s[:-1]]
+        first = np.ones(len(k_s), dtype=bool)
+        first[1:] = k_s[1:] != k_s[:-1]
         k_f, r_f = k_s[first], r_s[first]
         return pa.table({
             "event_type": pa.array(
@@ -4040,9 +4096,8 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
 
     from .joins import keyed, rename_agg
 
-    regs = keyed(ev.map_batches(registers, batch_format="pyarrow",
-                                batch_size=65536),
-                 "event_type", merge).to_pandas()
+    regs = _keyed_frame(ev, "event_type", merge, registers,
+                        batch_size=65536)
 
     rows = []
     for ty, g in regs.groupby("event_type", sort=True):
@@ -4073,7 +4128,7 @@ def q_key_skew_profile(sf_dir: str) -> pd.DataFrame:
     divisions of exact int64 sums so the oracle matches bit-for-bit."""
     from .joins import keyed
 
-    ev = _rp(sf_dir, "events", ["user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
     counts = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
                    "user_id", _user_count_merge).to_pandas()
     counts["n"] = counts["n"].astype("int64")
@@ -4105,7 +4160,7 @@ def t_column_profile(sf_dir: str) -> pd.DataFrame:
     from .joins import rename_agg
 
     cols = list(PROFILE_COLUMNS)
-    ds = _rp(sf_dir, "documents", cols)
+    ds = read_table(f"{sf_dir}/documents.parquet", cols)
 
     _NULLS = "\x00nulls"  # sentinel row carrying the batch null count
 
@@ -4170,11 +4225,11 @@ def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K) -> pd.DataFrame:
                             .digest()[:8], "big") for x in keys],
             dtype=np.uint64)
 
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_totalprice"]) \
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"]) \
         .map_batches(lambda t: pa.table({"k": t.filter(
             pc.greater(t["o_totalprice"], BLOOM_PRICE_MIN))["o_orderkey"]}),
             batch_format="pyarrow")
-    returned = _rp(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]) \
+    returned = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_returnflag"]) \
         .map_batches(lambda t: pa.table({"k": pc.unique(
             t.filter(pc.equal(t["l_returnflag"], "R"))["l_orderkey"]
             .combine_chunks())}), batch_format="pyarrow")
@@ -4258,11 +4313,11 @@ def q4_priority_with_returns(sf_dir: str) -> pd.DataFrame:
         return pa.table({"doc_id": keys,
                          "value": pa.array(np.ones(len(keys), np.int64))})
 
-    returned = _rp(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]) \
+    returned = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_returnflag"]) \
         .map_batches(returned_keys, batch_format="pyarrow")
 
-    orders = _rp(sf_dir, "orders",
-                 ["o_orderkey", "o_orderdate", "o_orderpriority"]) \
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(lambda t: t.filter(
             pc.and_(pc.greater_equal(t["o_orderdate"], lo),
                     pc.less(t["o_orderdate"], hi)))
@@ -4303,7 +4358,7 @@ def q_cumulative_distinct_users(sf_dir: str) -> pd.DataFrame:
     days-long vector.  All int64 until the final frame."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["user_id", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
     def partial(t: pa.Table) -> pa.Table:
         day = pc.multiply(pc.divide(pc.cast(t["ts"], pa.int64()),
@@ -4347,7 +4402,7 @@ def d_event_window_dedup(sf_dir: str) -> pd.DataFrame:
     dropped counts — exact int64, LAG-window SQL oracle."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "event_type", "ts", "event_id"])
 
     def fold(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group, sort_keys=[
@@ -4393,7 +4448,7 @@ def q_window_trending(sf_dir: str) -> pd.DataFrame:
     to the lexicographically smallest type."""
     from .joins import keyed, rename_agg
 
-    ev = _rp(sf_dir, "events", ["ts", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["ts", "event_type"])
     fan = HOP_WINDOW_US // HOP_US
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4447,8 +4502,8 @@ def q_cube_revenue(sf_dir: str) -> pd.DataFrame:
     the frame.  Exact integer sub-cents money."""
     from .joins import rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({"rf": t["l_returnflag"], "ls": t["l_linestatus"],
@@ -4522,12 +4577,12 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
     n_names = dict(zip(nat["n_nationkey"].to_pylist(),
                        nat["n_name"].to_pylist()))
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_type", "p_size"])
-    supp_src = _rp(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type", "p_size"])
+    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
     supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
-                                  "l_extendedprice"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def _part_filter(t: pa.Table) -> pa.Table:
         return t.filter(pc.and_(
@@ -4625,8 +4680,8 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
                              "supply_cost": pd.Series(dtype="float64")})
 
     skeys = pa.array(sorted(set(win["l_suppkey"])), pa.int64())
-    sup = _rp(sf_dir, "supplier",
-              ["s_suppkey", "s_name", "s_acctbal", "s_nationkey"]) \
+    sup = read_table(f"{sf_dir}/supplier.parquet",
+                     ["s_suppkey", "s_name", "s_acctbal", "s_nationkey"]) \
         .map_batches(lambda t: t.filter(pc.is_in(t["s_suppkey"],
                                                  value_set=skeys)),
                      batch_format="pyarrow").to_pandas()
@@ -4667,13 +4722,13 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
     n_names = dict(zip(nat["n_nationkey"].to_pylist(),
                        nat["n_name"].to_pylist()))
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_type", "p_retailprice"])
-    supp_src = _rp(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type", "p_retailprice"])
+    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
     supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity",
-                                  "l_extendedprice", "l_discount",
-                                  "l_shipdate"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
+                     "l_discount", "l_shipdate"])
 
     if part_small and supp_small:
         pt = pq_.read_table(f"{sf_dir}/part.parquet",
@@ -4803,10 +4858,10 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
         nat["n_regionkey"], pa.scalar(Q11_REGION_KEY, pa.int32())))
         .column("n_nationkey"), pa.int64()).combine_chunks()
 
-    supp_src = _rp(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
     supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"])
 
     if supp_small:
         import pyarrow.parquet as pq_
@@ -4926,12 +4981,12 @@ def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
 
     from .joins import attach_value, keyed, rename_agg
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_brand", "p_type",
-                                    "p_size"])
-    supp_src = _rp(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
+    part_src = read_table(f"{sf_dir}/part.parquet",
+                          ["p_partkey", "p_brand", "p_type", "p_size"])
+    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_acctbal"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
     supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey"])
 
     enc_keys = enc_vals = excl = None
     if part_small:
@@ -5052,9 +5107,9 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         nat["n_regionkey"], pa.scalar(Q20_REGION_KEY, pa.int32())))
         .column("n_nationkey"), pa.int64()).combine_chunks()
 
-    part_src = _rp(sf_dir, "part", ["p_partkey", "p_type"])
+    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
     part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    li = _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey", "l_quantity"])
 
     cand = None
     if part_small:
@@ -5118,7 +5173,7 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"s_suppkey": pd.Series(dtype="int64"),
                              "s_name": pd.Series(dtype="object")})
     skeys = pa.array(sorted(set(win["l_suppkey"])), pa.int64())
-    sup = _rp(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"]) \
+    sup = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name", "s_nationkey"]) \
         .map_batches(
             lambda t: t.filter(pc.and_(
                 pc.is_in(t["s_suppkey"], value_set=skeys),
@@ -5160,7 +5215,7 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
                        nat["n_name"].to_pylist()))
     cutoff = pa.scalar(pd.Timestamp(Q22_RECENT))
 
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
+    cust = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def in_region(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(pc.cast(t["c_nationkey"], pa.int64()),
@@ -5229,7 +5284,7 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
                               "cents_sum": "cents"},
                           ["nk", "numcust", "cents"])
 
-    orders = _rp(sf_dir, "orders", ["o_custkey", "o_orderdate"])
+    orders = read_table(f"{sf_dir}/orders.parquet", ["o_custkey", "o_orderdate"])
     folds = keyed(cust.map_batches(tag_cust, batch_format="pyarrow").union(
         orders.map_batches(tag_orders, batch_format="pyarrow")),
         "key", anti_fold).to_pandas()
@@ -5266,8 +5321,8 @@ def q21_waiting_suppliers(sf_dir: str,
     sum + exact per-bucket top-k); the driver merges k x buckets rows."""
     from .joins import attach_value, keyed, rename_agg
 
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
-                                  "l_returnflag"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_suppkey", "l_returnflag"])
 
     def pair_partial(t: pa.Table) -> pa.Table:
         ret = pc.cast(pc.equal(t["l_returnflag"], "R"), pa.int64())
@@ -5312,7 +5367,7 @@ def q21_waiting_suppliers(sf_dir: str,
                                     batch_size=65536),
                      "l_orderkey", bucket_credit)
 
-    names = _rp(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
+    names = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"]).map_batches(
         lambda t: pa.table({"doc_id": t["s_suppkey"],
                             "value": t["s_name"]}),
         batch_format="pyarrow")

@@ -26,11 +26,11 @@ chunk reassembly, pass ``local=False``: the extracted text never lands
 on the driver, whatever the corpus size
 (a driver-local fold measured about +16 MB of driver RSS on the
 perfbench skew corpus, and the fragment writes would run serially).
-Every Dataset the pipeline builds starts
-its operators' tasks together (``_own_start``, set on the Dataset's own
-context).  All per-batch work is Arrow-vectorized (index_in/take,
-run-length list assembly) or amortized warm state; media BYTES never pass
-through an exchange — only extracted text does.
+Every Dataset the pipeline builds starts its operators' tasks together
+(``sources.interleaved.own_start``, set on the Dataset's own context).
+All per-batch work is Arrow-vectorized (index_in/take, run-length list
+assembly) or amortized warm state; media BYTES never pass through an
+exchange — only extracted text does.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import ray.data as rd
 
 from ..fixtures.corpus import SPAN_TYPE
 from ..functions.joins import keyed
+from ..sources.interleaved import own_start, read_table
 from ..stages.extractor import make_extract_task
 from ..stages.split import assemble_bin, make_split_units, pack_bins
 from ..stages.spans import explode_spans
@@ -177,18 +178,6 @@ def _cluster_cpus() -> int:
         return 4
 
 
-def _own_start(ds: rd.Dataset) -> rd.Dataset:
-    """Let ``ds``'s operators start all their tasks at once.  Ray 2.49's
-    op-resource reservation budgets a new task's output at
-    ``target_max_block_size`` until the operator's first task ends, so
-    when the object store is small against that size × CPUs (768 MB on 4
-    CPUs, say) a map operator runs one task alone before the rest.  The
-    switch is set on the Dataset's own context (which Ray shares along a
-    chain of Datasets derived from it), never on the global DataContext."""
-    ds.context.op_resource_reservation_enabled = False
-    return ds
-
-
 def _unit_costs(units: pa.Table):
     return units.column("cost").to_numpy()
 
@@ -251,7 +240,7 @@ def extract_media_chunks(
     A split doc's units spread over the bins its cost span crosses.  The
     split map shares its context with ``media`` (Ray's rule for derived
     Datasets), so ``media`` also starts its tasks together afterwards."""
-    units = _own_start(media.map_batches(
+    units = own_start(media.map_batches(
         make_split_units(size_threshold, page_threshold, page_chunk),
         batch_format="pyarrow", batch_size=64,
     )).materialize()
@@ -260,7 +249,7 @@ def extract_media_chunks(
     # warm parser state lives per worker process (module-level cache in
     # stages.extractor) — measured ~2x faster than an actor pool on this
     # workload because map tasks reuse already-warm Ray workers
-    return _own_start(rd.from_arrow_refs(bins)).map_batches(
+    return own_start(rd.from_arrow_refs(bins)).map_batches(
         make_extract_task(page_render=page_render, max_pages=max_pages,
                           progress=progress, verbosity=verbosity),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
@@ -360,9 +349,7 @@ def extract_documents(
     if join_strategy != "hash":
         raise ValueError(f"join_strategy={join_strategy!r}: the hash plan "
                          f"is the only extraction plan")
-    from ..sources.interleaved import read_table
-
-    docs = _own_start(read_table(docs_path, columns=["doc_id", "spans"]))
+    docs = read_table(docs_path, ["doc_id", "spans"])
     done: set[int] = set()
     if out_dir is not None and resume:
         ckpt.ensure_manifest(out_dir, {
@@ -502,6 +489,6 @@ def extract_documents(
         }),
         batch_format="pyarrow", batch_size=16384,
     )
-    return keyed(_own_start(joined.union(text_spans)), "part",
+    return keyed(own_start(joined.union(text_spans)), "part",
                  _assemble_partition(out_dir, uuid.uuid4().hex[:12]),
                  local=False)

@@ -29,6 +29,11 @@ from ..htmlkernel import HtmlDocument, looks_like_html
 from ..pdfkernel import PDFDocument, PDFError, TextExtractor
 from ..pdfkernel.api import render_page_text
 
+# a progress post goes out after this many finished units or this many
+# seconds since the last one, whichever comes first (and at batch end)
+POST_UNITS = 16
+POST_S = 0.5
+
 
 def _resolve_page_render(page_render) -> Optional[Callable]:
     """Accept a callable or a 'module:function' import path (the picklable
@@ -63,12 +68,15 @@ class PdfExtractor:
         # 0 = errors only (silent absorb), 1 = warn on absorbed doc errors,
         # 5 = info per absorbed page — the pdf.js verbosity scale
         self._verbosity = verbosity
-        # name of a state.progress actor to post per-batch increments to
+        # name of a state.progress actor to post increments to (see _post)
         # (the reference's onProgress/onChunkComplete surface, distributed)
         self._progress = progress
         self.metrics = {"docs_parsed": 0, "cache_hits": 0, "pages": 0, "errors": 0}
         # last metrics already posted to the progress actor (delta tracking)
         self._reported = dict(self.metrics)
+        # units, pages, errors finished since the last post, and its time
+        self._pending = [0, 0, 0]
+        self._posted_at = time.monotonic()
 
     def _get_doc(self, media_ref: str, blob_col: pa.Array,
                  row: int) -> tuple[PDFDocument, TextExtractor]:
@@ -103,6 +111,79 @@ class PdfExtractor:
             self._cache.popitem(last=False)
         return doc, ext
 
+    def _extract_unit(self, ref: str, blob_col: pa.Array, row: int,
+                      p0: int, p1: int, render) -> tuple[str, int, Optional[str]]:
+        """(text, numpages, error) of one unit: pages [p0, p1) of a doc."""
+        try:
+            doc, ext = self._get_doc(ref, blob_col, row)
+            if ext is None:  # HTML media: one logical page, main
+                # content only (htmlkernel), no page separators
+                return (doc.main_text if p0 == 0 else ""), 1, None
+            numpages = doc.num_pages
+            counter = numpages if self._max_pages <= 0 else min(self._max_pages, numpages)
+            try:
+                pages = doc.pages()
+            except PDFError:
+                pages = None
+            # pdf.js getPage-per-index parity (see api.parse_doc): when
+            # the flatten under-counts a truthful /Count (broken
+            # interior sibling), fall back to the targeted descent so
+            # only the broken pages absorb
+            consistent = pages is not None and len(pages) >= numpages
+            hi = min(p1, counter)
+            texts = []
+            for pi in range(p0, hi):  # 0-based [p0, hi)
+                try:
+                    page = pages[pi] if consistent else doc._page_dict_at(pi)
+                    texts.append(render(ext.get_text_content(page)))
+                except Exception:
+                    texts.append("")  # M3 page-error absorb
+                    if self._verbosity >= 5:
+                        _LOG.info("page %d of %s absorbed to ''", pi, ref)
+            # reference sequential-join parity: every page contributes a
+            # LEADING '\n\n' (lib/pdf-parse.js:129-135), so chunk texts
+            # concatenate directly in page order
+            return "".join("\n\n" + t for t in texts), numpages, None
+        except (PDFError, Exception) as e:  # noqa: BLE001 — absorb to error row
+            self.metrics["errors"] += 1
+            if self._verbosity >= 1:
+                _LOG.warning("media %s parse failed: %s", ref, e)
+            return "", 0, f"{type(e).__name__}: {e}"
+
+    def _post(self, pages: int, error: bool, last: bool) -> None:
+        """Count one finished unit toward the progress actor, posting the
+        pending counts every ``POST_UNITS`` units, every ``POST_S``
+        seconds, and at the batch's last unit: an extract bin is one
+        batch, so a post per batch would move progress in at most
+        CPU-count steps."""
+        pend = self._pending
+        pend[0] += 1
+        pend[1] += pages
+        pend[2] += error
+        now = time.monotonic()
+        if not (last or pend[0] >= POST_UNITS or now - self._posted_at >= POST_S):
+            return
+        from ..state.progress import invalidate_reporter, reporter_for
+
+        rep = reporter_for(self._progress)
+        if rep is not None:
+            try:
+                # fire-and-forget: progress must never backpressure
+                # extraction; kernel counters ride along as deltas so the
+                # named actor holds the MERGED per-worker metrics
+                rep.report.remote(
+                    *pend,
+                    docs_parsed=self.metrics["docs_parsed"] - self._reported["docs_parsed"],
+                    cache_hits=self.metrics["cache_hits"] - self._reported["cache_hits"])
+                self._reported["docs_parsed"] = self.metrics["docs_parsed"]
+                self._reported["cache_hits"] = self.metrics["cache_hits"]
+            except Exception:
+                # dead/replaced named actor: drop the handle so the next
+                # post re-resolves instead of silently undercounting
+                invalidate_reporter(self._progress)
+        self._pending = [0, 0, 0]
+        self._posted_at = now
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
         blob_col = batch.column("bytes")
@@ -123,70 +204,16 @@ class PdfExtractor:
         out_pages: list[int] = []
         out_err: list[Optional[str]] = []
         render = self._page_render or render_page_text
-        for i, (ref, p0, p1, _nc) in enumerate(zip(refs, starts, ends, chunks)):
-            try:
-                doc, ext = self._get_doc(ref, blob_col, int(blob_rows[i]))
-                if ext is None:  # HTML media: one logical page, main
-                    # content only (htmlkernel), no page separators
-                    out_text.append(doc.main_text if p0 == 0 else "")
-                    out_pages.append(1)
-                    out_err.append(None)
-                    continue
-                numpages = doc.num_pages
-                counter = numpages if self._max_pages <= 0 else min(self._max_pages, numpages)
-                try:
-                    pages = doc.pages()
-                except PDFError:
-                    pages = None
-                # pdf.js getPage-per-index parity (see api.parse_doc): when
-                # the flatten under-counts a truthful /Count (broken
-                # interior sibling), fall back to the targeted descent so
-                # only the broken pages absorb
-                consistent = pages is not None and len(pages) >= numpages
-                hi = min(p1, counter)
-                texts = []
-                for pi in range(p0, hi):  # 0-based [p0, hi)
-                    try:
-                        page = pages[pi] if consistent else doc._page_dict_at(pi)
-                        texts.append(render(ext.get_text_content(page)))
-                    except Exception:
-                        texts.append("")  # M3 page-error absorb
-                        if self._verbosity >= 5:
-                            _LOG.info("page %d of %s absorbed to ''", pi, ref)
-                # reference sequential-join parity: every page contributes a
-                # LEADING '\n\n' (lib/pdf-parse.js:129-135), so chunk texts
-                # concatenate directly in page order
-                out_text.append("".join("\n\n" + t for t in texts))
-                out_pages.append(numpages)
-                out_err.append(None)
-            except (PDFError, Exception) as e:  # noqa: BLE001 — absorb to error row
-                out_text.append("")
-                out_pages.append(0)
-                out_err.append(f"{type(e).__name__}: {e}")
-                self.metrics["errors"] += 1
-                if self._verbosity >= 1:
-                    _LOG.warning("media %s parse failed: %s", ref, e)
-        batch_pages = sum(max(0, min(p1, pg) - p0) for p0, p1, pg in zip(starts, ends, out_pages))
-        self.metrics["pages"] += batch_pages
-        if self._progress:
-            from ..state.progress import invalidate_reporter, reporter_for
-
-            rep = reporter_for(self._progress)
-            if rep is not None:
-                try:
-                    # fire-and-forget: progress must never backpressure
-                    # extraction; kernel counters ride along as deltas so the
-                    # named actor holds the MERGED per-actor metrics
-                    rep.report.remote(
-                        len(refs), batch_pages, sum(1 for e in out_err if e),
-                        docs_parsed=self.metrics["docs_parsed"] - self._reported["docs_parsed"],
-                        cache_hits=self.metrics["cache_hits"] - self._reported["cache_hits"])
-                    self._reported["docs_parsed"] = self.metrics["docs_parsed"]
-                    self._reported["cache_hits"] = self.metrics["cache_hits"]
-                except Exception:
-                    # dead/replaced named actor: drop the handle so the next
-                    # batch re-resolves instead of silently undercounting
-                    invalidate_reporter(self._progress)
+        for i, (ref, p0, p1) in enumerate(zip(refs, starts, ends)):
+            text, numpages, err = self._extract_unit(
+                ref, blob_col, int(blob_rows[i]), p0, p1, render)
+            out_text.append(text)
+            out_pages.append(numpages)
+            out_err.append(err)
+            pages = max(0, min(p1, numpages) - p0)
+            self.metrics["pages"] += pages
+            if self._progress:
+                self._post(pages, err is not None, i + 1 == len(refs))
         return pa.table({
             "media_ref": pa.array(refs, pa.string()),
             "page_start": pa.array(starts, pa.int32()),

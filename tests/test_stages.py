@@ -194,7 +194,7 @@ def test_pack_bins_covers_tiles_and_bounds(small_corpus):
     assert len(pack_bins(np.zeros(0), 4)) == 0
 
 
-def test_progress_actor_reports_inflight(ray_session, small_corpus):
+def test_progress_actor_reports_inflight(ray_session, small_corpus, tmp_path):
     """The distributed onProgress surface: a named zero-CPU actor
     accumulates per-batch increments from extract workers; the driver
     polls snapshot() (reference onProgress/onChunkComplete analogue,
@@ -222,6 +222,36 @@ def test_progress_actor_reports_inflight(ray_session, small_corpus):
     assert snap["total_units_hint"] == n_media
     assert snap["units_per_s"] > 0
     prog.close()
+
+    # progress moves within an extract bin: one 10,000-page PDF among
+    # small docs, polled while extract_documents runs, shows more distinct
+    # nonzero unit counts than there are bins (one per CPU), which is all
+    # a post per batch could show
+    import threading
+
+    import ray
+
+    from pdf_parse_new_ray.fixtures.corpus import generate_corpus
+    from pdf_parse_new_ray.pipelines.extraction import extract_documents
+
+    base = str(tmp_path / "skew10k")
+    generate_corpus(base, n_docs=150, seed=11, skew_doc_every=100,
+                    skew_pages=10_000)
+    prog = start_progress("t_progress_bins")
+    done = []
+    job = threading.Thread(target=lambda: done.append(extract_documents(
+        f"{base}/documents_interleaved", f"{base}/media",
+        progress="t_progress_bins").count()))
+    job.start()
+    seen = set()
+    deadline = time.time() + 300
+    while job.is_alive() and time.time() < deadline:
+        seen.add(prog.snapshot()["units"])
+        time.sleep(0.05)
+    job.join(timeout=10)
+    prog.close()
+    assert not job.is_alive() and done == [150]
+    assert len(seen - {0}) > int(ray.cluster_resources()["CPU"]), sorted(seen)
 
 
 def test_ahash_properties():

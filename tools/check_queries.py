@@ -2,15 +2,18 @@
 via Ray and its oracle_sql() via DuckDB on the same sf dir; compare row
 count, column names, and values (columns sorted by name, rows sorted).
 
-Usage: python tools/check_queries.py [--forced] [sf_dir] [query ...]
+Usage: python tools/check_queries.py [--forced] [--repeat N] [sf_dir] [query ...]
 
 --forced zeroes every driver-fold size gate (bench._force_distributed_gates)
 so each query runs its distributed plan; the gates are restored afterwards.
+--repeat N runs each query N more times after its checked (untimed) run
+and prints the median of those N walls instead of the first run's wall.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -97,28 +100,29 @@ def compare_planted(mine: pd.DataFrame, exp: pd.DataFrame,
 
 
 def run_checks(sf_dir: str, only: set[str] | None = None,
-               verbose: bool = True,
-               forced: bool = False) -> tuple[int, int, list[str]]:
+               verbose: bool = True, forced: bool = False,
+               repeat: int = 0) -> tuple[int, int, list[str]]:
     """Run every queries() entry vs its oracle on sf_dir using the
     CALLER's Ray session.  Returns (n_ok, n_bad, failure lines) — the
     importable core of the driver-gate mimic, also exercised end-to-end
     by the slow pytest nodes test_all_oracles_green and
     test_all_oracles_green_forced.  ``forced`` zeroes every driver-fold
     gate for the run (restored on return), so every query takes its
-    distributed route."""
+    distributed route.  ``repeat`` > 0 reports each query's wall as the
+    median of that many more runs after the checked one."""
     if not forced:
-        return _run_checks(sf_dir, only, verbose)
+        return _run_checks(sf_dir, only, verbose, repeat)
     import bench
 
     saved = bench._force_distributed_gates()
     try:
-        return _run_checks(sf_dir, only, verbose)
+        return _run_checks(sf_dir, only, verbose, repeat)
     finally:
         bench._restore_gates(saved)
 
 
-def _run_checks(sf_dir: str, only: set[str] | None,
-                verbose: bool) -> tuple[int, int, list[str]]:
+def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
+                repeat: int) -> tuple[int, int, list[str]]:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -148,6 +152,13 @@ def _run_checks(sf_dir: str, only: set[str] | None,
             n_bad += 1
             continue
         dt = time.time() - t0
+        if repeat > 0:
+            walls = []
+            for _ in range(repeat):
+                t0 = time.time()
+                to_pandas(fn(sf_dir))
+                walls.append(time.time() - t0)
+            dt = statistics.median(walls)
         if name in oracles:
             try:
                 oracle = con.execute(oracles[name]).fetchdf()
@@ -181,6 +192,11 @@ def main() -> None:
     forced = "--forced" in sys.argv
     if forced:
         sys.argv.remove("--forced")
+    repeat = 0
+    if "--repeat" in sys.argv:
+        i = sys.argv.index("--repeat")
+        repeat = int(sys.argv[i + 1])
+        del sys.argv[i:i + 2]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
@@ -190,7 +206,7 @@ def main() -> None:
         # keyed exchanges size their buckets from the session's CPUs
         ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
                  include_dashboard=False, logging_level="ERROR")
-    n_ok, n_bad, _ = run_checks(sf_dir, only, forced=forced)
+    n_ok, n_bad, _ = run_checks(sf_dir, only, forced=forced, repeat=repeat)
     print(f"\n{n_ok} ok, {n_bad} bad")
     ray.shutdown()
 
