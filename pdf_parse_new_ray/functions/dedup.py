@@ -429,12 +429,13 @@ def _candidate_pairs(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
     """Shared LSH front-end: (deduped candidate pair dataset with `capped`
     flag, per-doc signature dataset)."""
     # materialize sigs FIRST so the band/pair lineage reads the cached
-    # blocks: materializing pairs before sigs re-executes the corpus
-    # signature scan a second time (measured 1.4 s of d_minhash_pairs'
-    # 3.5 s wall at sf0.1).  Keeping both materialized also remains the
-    # documented fix for the union+groupby shared-lineage executor
-    # deadlock at low parallelism, and signatures are ~64x smaller than
-    # the text so the spill cost is trivial
+    # blocks: the bands and the caller's signature attach both read sigs,
+    # and a lazy Dataset re-runs its scan per reader (materializing pairs
+    # before sigs ran the corpus signature scan a second time, measured
+    # 1.4 s of d_minhash_pairs' 3.5 s wall at sf0.1).  pairs is
+    # materialized too, because callers count it before they attach to
+    # it.  Signatures are ~64x smaller than the text, so the spill cost
+    # is trivial
     sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
         _minhash_batch, batch_format="pyarrow", batch_size=256).materialize()
     bands = sigs.map_batches(_band_rows, batch_format="pyarrow")
@@ -531,7 +532,7 @@ def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
             batch_format="pyarrow")
         with_a = _attach_value(
             pairs, sig_vals, "a", "sig_a", pa.binary(),
-            [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_())]).materialize()
+            [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_())])
         with_ab = _attach_value(
             with_a, sig_vals, "b", "sig_b", pa.binary(),
             [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_()),
@@ -686,12 +687,12 @@ def _pair_gram_lists(sf_dir: str, cands: pd.DataFrame, k: int) -> rd.Dataset:
         "a": pa.array(cands["a"], pa.int64()),
         "b": pa.array(cands["b"], pa.int64()),
     }))
-    # gram lists are candidate-bounded; materialize between the two keyed
-    # shuffles (same executor-deadlock avoidance as d_minhash_pairs)
+    # gram lists are candidate-bounded and both attaches read them:
+    # materialized once, or the one plan would run the gram scan twice
     grams = grams.materialize()
     gtype = pa.list_(pa.uint64())
     with_a = _attach_value(pair_ds, grams, "a", "g_a", gtype,
-                           [("a", pa.int64()), ("b", pa.int64())]).materialize()
+                           [("a", pa.int64()), ("b", pa.int64())])
     return _attach_value(with_a, grams, "b", "g_b", gtype,
                          [("a", pa.int64()), ("b", pa.int64()), ("g_a", gtype)])
 
@@ -901,7 +902,7 @@ def _embedding_neardup_lsh(sf_dir: str, threshold: float,
             batch_format="pyarrow")
         with_a = _attach_value(
             pairs, vecs, "a", "v_a", vtype,
-            [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_())]).materialize()
+            [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_())])
         with_ab = _attach_value(
             with_a, vecs, "b", "v_b", vtype,
             [("a", pa.int64()), ("b", pa.int64()), ("capped", pa.bool_()),

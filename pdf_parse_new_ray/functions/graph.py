@@ -738,11 +738,11 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
             batch_format="pyarrow")
         withda = attach_value(
             edges, deg_vals, "a", "deg_a", pa.int64(),
-            [("a", pa.int64()), ("b", pa.int64())]).materialize()
+            [("a", pa.int64()), ("b", pa.int64())])
         withdb = attach_value(
             withda, deg_vals, "b", "deg_b", pa.int64(),
             [("a", pa.int64()), ("b", pa.int64()),
-             ("deg_a", pa.int64())]).materialize()
+             ("deg_a", pa.int64())])
 
         def orient(t: pa.Table) -> pa.Table:
             a = t.column("a").to_numpy(zero_copy_only=False)

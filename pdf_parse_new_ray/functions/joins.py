@@ -1,5 +1,5 @@
-"""The keyed exchange of ``functions/``: one raw-task hash shuffle and the
-operators built on it.
+"""The keyed exchange of ``functions/``: one hash shuffle, run as a Ray
+Data plan operator, and the operators built on it.
 
 * :func:`keyed` ``(ds, key_col, fold)`` -- the keyed fold.  Rows are
   hash-bucketed on ``key_col`` and ``fold`` runs once per non-empty
@@ -17,6 +17,39 @@ task per bucket folds that bucket's shards.  Ray Data's
 ``groupby().map_groups`` sort shuffle pays a sampling pass, a sort-map and
 an ordered sort-reduce for the same colocation, so hash-keyed folds do not
 use it.
+
+* **A plan operator, not a driver loop.**  :func:`hash_exchange` returns a
+  lazy Dataset whose plan ends in one :class:`HashExchange`, a bulk N-ary
+  operator in the manner of Ray's ``Zip``: it takes every side's blocks,
+  then sizes, splits and reduces them with the same tasks as before.  So
+  a query's reads, maps, exchanges and final collect run as ONE Ray Data
+  job.  The exchange used to ``materialize()`` each side first, one job
+  per side at 65-80 ms of fixed cost each; a forced ``queries_forced``
+  pass (11 queries, sf0.01, 4-vCPU host) ran 30 Ray Data executions
+  before and runs 13 now, with forced q3, q5 and q8 one job each.  The
+  operator's tasks are executor tasks, so the scheduling loop never
+  blocks on them, and each reducer returns its block's metadata with the
+  block, so the output needs no metadata round trip.
+* **A result read twice.**  A finished exchange keeps its reduced buckets
+  on its plan operator, as a materialized result would be kept, and a
+  later plan reads them back: consuming a result again (``count()`` then
+  ``to_pandas()``) re-runs the maps after the exchange, never the
+  exchange or its fold.  That matters where the fold writes (the
+  extraction regroup commits fragments).  Two readers of one unfinished
+  result inside ONE plan (a union or a join of two branches that both
+  read it) each run it, because Ray Data plans a shared sub-plan once per
+  reader: materialize such a result first.
+* **Ray internals.**  The operator uses ``ray.data._internal`` names,
+  pinned to Ray 2.49.2: ``logical.operators.n_ary_operator.NAry``,
+  ``logical.interfaces.LogicalPlan``, ``plan.ExecutionPlan``,
+  ``stats.DatasetStats``, ``execution.interfaces.PhysicalOperator`` /
+  ``RefBundle``, ``physical_operator.MetadataOpTask``,
+  ``base_physical_operator.InternalQueueOperatorMixin``,
+  ``input_data_buffer.InputDataBuffer``, and two registrations: an entry
+  in ``planner.planner.Planner._DEFAULT_PLAN_FNS`` and one in
+  ``execution.resource_manager.MATERIALIZING_OPERATORS`` (which lifts the
+  inputs' object-store budget, as for ``Zip``).
+  ``tests/test_exchange_plan.py`` fails if an upgrade moves them.
 
 * **Bucket count.**  The exchange, not its caller, picks it (FP-Hadoop's
   split of the reduce function from how its input is partitioned):
@@ -46,8 +79,8 @@ use it.
   overhead: its split and reduce tasks and one shard object per block
   and bucket cost more than the fold, and the caller lands the rows on
   the driver anyway.  The bound trades driver memory for fewer tasks,
-  and it is read when called, so a test or the bench's forced leg sets
-  it to 0 to run the exchange.  The result comes back in as many blocks
+  and it is read when the exchange is built, so a test or the bench's
+  forced leg sets it to 0 to run the exchange.  The result comes back in as many blocks
   as the exchange would have had buckets, so maps after the fold run as
   widely.  Two callers pass ``local=False``: the extraction pipeline
   (document text stays off the driver, fragment writes stay parallel)
@@ -57,9 +90,26 @@ use it.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pyarrow as pa
 
+import ray
 import ray.data as rd
+from ray.data._internal.execution import resource_manager as _resource_manager
+from ray.data._internal.execution.interfaces import PhysicalOperator, RefBundle
+from ray.data._internal.execution.interfaces.physical_operator import (
+    MetadataOpTask)
+from ray.data._internal.execution.operators.base_physical_operator import (
+    InternalQueueOperatorMixin)
+from ray.data._internal.execution.operators.input_data_buffer import (
+    InputDataBuffer)
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.n_ary_operator import NAry
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.planner.planner import Planner
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockMetadataWithSchema
 
 
 def rename_agg(t: pa.Table, mapping: dict[str, str],
@@ -83,8 +133,6 @@ def broadcast_map(ds: rd.Dataset, fn, ref, **mb_kwargs) -> rd.Dataset:
     wall time (g_triangle_count measured its 8-actor orient pool at ~3.0 s
     of a 12 s run) and its cap starves wide hosts, while task mode rides
     every core the scheduler owns with identical per-batch work."""
-    import ray
-
     multi = isinstance(ref, (tuple, list))
     key = "+".join(r.hex() if r is not None else "-" for r in ref) \
         if multi else ref.hex()
@@ -140,8 +188,6 @@ def exchange_buckets(input_rows: int) -> int:
     whatever the data, so buckets beyond the core count only add overhead
     until a bucket would hold more than 250k rows (on a 4-vCPU host the
     forced q3+q5+q8 legs ran slower at 8 and 16 buckets than at 4)."""
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 1))
     return _pow2_floor(min(_EXCHANGE_MAX_BUCKETS,
                            max(cpus, input_rows // EXCHANGE_ROWS_PER_BUCKET)))
@@ -256,72 +302,239 @@ def _run_split(split_fn, n_buckets: int, *blocks):
 
 
 def _run_reduce(fn, sizes: list[int], *tables):
+    """Reduce task: the bucket's folded block and its Ray Data metadata, so
+    the driver builds the output bundle without reading the block."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
     it = iter(tables)
-    return fn(*[[next(it) for _ in range(n)] for n in sizes])
+    out = fn(*[[next(it) for _ in range(n)] for n in sizes])
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
+
+
+# one remote function each, so each is exported once per job: every new
+# ``ray.remote`` is exported again at its first call (about 6 ms each on
+# the driver's scheduling loop, 4-vCPU host)
+_split_task = ray.remote(_run_split)
+_reduce_task = ray.remote(_run_reduce).options(num_returns=2)
+
+
+class HashExchange(NAry):
+    """Logical plan operator of :func:`hash_exchange`: one input per side.
+    ``local_rows`` is ``LOCAL_FOLD_ROWS`` as read when the exchange was
+    built, or -1 for ``local=False``.  ``kept`` holds the reduced bundles
+    of the last complete run (see :func:`hash_exchange`)."""
+
+    def __init__(self, inputs: list, split_fns: list, reduce_fn,
+                 n_salts: int, local_rows: int):
+        super().__init__(*inputs)
+        self.split_fns, self.reduce_fn = split_fns, reduce_fn
+        self.n_salts, self.local_rows = n_salts, local_rows
+        self.kept: list | None = None
+
+    def _get_args(self) -> dict:  # Ray's metadata export: plain values
+        return {"sides": len(self.split_fns), "n_salts": self.n_salts,
+                "local_rows": self.local_rows}
+
+
+class HashExchangeOperator(InternalQueueOperatorMixin, PhysicalOperator):
+    """Physical :class:`HashExchange`, a bulk N-ary operator in the manner
+    of Ray's ``ZipOperator``: it buffers each side's bundles and, once
+    every input is done, sizes the exchange from their metadata and either
+    folds locally or submits the split wave.  Split and reduce tasks are
+    tracked as executor tasks, so the scheduling loop never waits on them:
+    the last split to finish submits the reduces, and each bucket's bundle
+    is emitted, in bucket order, once its reduce is done."""
+
+    def __init__(self, op: HashExchange, inputs: list, ctx):
+        super().__init__("HashExchange", inputs, ctx,
+                         target_max_block_size=None)
+        self._op = op
+        self._sides: list[list] = [[] for _ in inputs]
+        self._tasks: dict = {}  # task index -> MetadataOpTask
+        self._n_tasks = 0
+        self._splits: list = []  # per side, per split task: its refs
+        self._n_buckets = 0
+        self._slots: list = []  # per reduced bucket: its bundle once done
+        self._ready = 0  # slots emitted to _out so far
+        self._out: deque = deque()
+
+    # -- inputs
+    def _add_input_inner(self, refs, input_index: int) -> None:
+        self._sides[input_index].append(refs)
+        self._metrics.on_input_queued(refs)
+
+    def internal_queue_size(self) -> int:
+        return sum(map(len, self._sides))
+
+    def all_inputs_done(self) -> None:
+        bundles, self._sides = self._sides, [[] for _ in self._sides]
+        for b in (b for side in bundles for b in side):
+            self._metrics.on_input_dequeued(b)
+        side_refs = [[r for b in side for r in b.block_refs]
+                     for side in bundles]
+        rows = sum(b.num_rows() or 0 for side in bundles for b in side)
+        n_buckets = exchange_buckets(rows)
+        op = self._op
+        if rows <= op.local_rows:
+            self._fold_locally(side_refs, n_buckets)
+        else:
+            if op.n_salts > 1:
+                n_buckets = salted_buckets(n_buckets, op.n_salts)
+            self._split(side_refs, n_buckets)
+        super().all_inputs_done()
+
+    def _fold_locally(self, side_refs: list, n_buckets: int) -> None:
+        out = self._op.reduce_fn(*[
+            [t for t in map(_ensure_table, ray.get(refs)) if t.num_rows]
+            for refs in side_refs])
+        # one block per bucket the exchange would have made, so maps
+        # downstream of the fold keep the exchange's parallelism
+        step = max(1, -(-out.num_rows // n_buckets))
+        self._emit_tables([out.slice(i, step)
+                           for i in range(0, max(1, out.num_rows), step)])
+
+    def _emit_tables(self, tables: list) -> None:
+        self._slots = [self._bundle(ray.put(t), BlockMetadataWithSchema
+                                    .from_block(t)) for t in tables]
+        self._flush()
+
+    # -- split wave, then one reduce per non-empty bucket
+    def _track(self, ref, callback) -> None:
+        i = self._n_tasks
+        self._n_tasks += 1
+
+        def done():
+            del self._tasks[i]
+            callback()
+
+        self._tasks[i] = MetadataOpTask(i, ref, done)
+
+    def _split(self, side_refs: list, n_buckets: int) -> None:
+        self._n_buckets = n_buckets
+        split = _split_task.options(num_returns=n_buckets + 1)
+        for refs, split_fn in zip(side_refs, self._op.split_fns):
+            split_ref = ray.put(split_fn)
+            step = max(1, -(-len(refs) // _EXCHANGE_MAX_BLOCKS))
+            self._splits.append([split.remote(split_ref, n_buckets,
+                                              *refs[i:i + step])
+                                 for i in range(0, len(refs), step)])
+        for o in (o for side in self._splits for o in side):
+            self._track(o[0], self._reduce_when_split)
+        self._reduce_when_split()  # no blocks on any side: no split task
+
+    def _reduce_when_split(self) -> None:
+        if not self._tasks:
+            self._reduce_all()
+
+    def _reduce_all(self) -> None:
+        all_counts = iter(ray.get([o[0] for side in self._splits
+                                   for o in side]))
+        splits = [[(next(all_counts), o[1:]) for o in side]
+                  for side in self._splits]
+        self._splits = []
+        fn_ref = ray.put(self._op.reduce_fn)
+        for j in range(self._n_buckets):
+            per_side = [[shards[j] for counts, shards in side if counts[j]]
+                        for side in splits]
+            if any(per_side):
+                self._slots.append(None)
+                self._submit_reduce(fn_ref, len(self._slots) - 1, per_side)
+        if not self._slots:  # every bucket empty on every side
+            self._emit_tables([self._op.reduce_fn(
+                *[[] for _ in self.input_dependencies])])
+
+    def _submit_reduce(self, fn_ref, slot: int, per_side: list) -> None:
+        block, meta = _reduce_task.remote(
+            fn_ref, [len(p) for p in per_side],
+            *[r for p in per_side for r in p])
+
+        def done():
+            self._slots[slot] = self._bundle(block, ray.get(meta))
+            self._flush()
+
+        self._track(meta, done)
+
+    # -- outputs
+    @staticmethod
+    def _bundle(block, meta):
+        return RefBundle([(block, meta.metadata)], owns_blocks=False,
+                         schema=meta.schema)
+
+    def _flush(self) -> None:
+        while self._ready < len(self._slots) and \
+                self._slots[self._ready] is not None:
+            b = self._slots[self._ready]
+            self._ready += 1
+            self._out.append(b)
+            self._metrics.on_output_queued(b)
+        if self._ready == len(self._slots):
+            self._op.kept = self._slots
+
+    def has_next(self) -> bool:
+        return bool(self._out)
+
+    def _get_next_inner(self):
+        b = self._out.popleft()
+        self._metrics.on_output_dequeued(b)
+        return b
+
+    def get_active_tasks(self) -> list:
+        return list(self._tasks.values())
+
+    def get_stats(self) -> dict:
+        return {self.name: [m for b in self._slots if b is not None
+                            for m in b.metadata]}
+
+    def implements_accurate_memory_accounting(self) -> bool:
+        return True
+
+
+def _plan_exchange(op: HashExchange, inputs: list, ctx):
+    if op.kept is not None:  # a finished run: read its buckets back
+        return InputDataBuffer(ctx, input_data=op.kept)
+    return HashExchangeOperator(op, inputs, ctx)
+
+
+# Register the operator with Ray Data's planner, and as a materializing
+# operator (like Zip and AllToAll, it holds every input before its first
+# output, so the resource manager lifts its inputs' object-store budget).
+Planner._DEFAULT_PLAN_FNS[HashExchange] = _plan_exchange
+_resource_manager.MATERIALIZING_OPERATORS += (HashExchangeOperator,)
 
 
 def hash_exchange(sides: list, reduce_fn, n_salts: int = 1,
                   local: bool = True) -> rd.Dataset:
     """Generic keyed cogroup: ``sides = [(dataset, split_fn), ...]`` where
     ``split_fn(table, n_buckets) -> tuple[pa.Table] * n_buckets`` (build
-    one with :func:`key_split`).  The sides are executed first; their
-    total row count from block metadata sizes the exchange
-    (:func:`exchange_buckets`, widened by :func:`salted_buckets` when
-    ``n_salts > 1``).  Each side is then hash-partitioned into that many
-    aligned buckets; ``reduce_fn(tables_side0, tables_side1, ...) ->
-    pa.Table`` runs once per bucket that has rows on some side, over that
-    bucket's non-empty shards (a side's list may be empty).  When the
-    input has at most ``LOCAL_FOLD_ROWS`` rows it runs once instead, on
-    the driver, over each side's non-empty blocks, unsplit; ``local=False``
-    keeps the rows off the driver at any size (every bucket empty still
-    folds there, over empty lists).  Returns the reduced buckets as a new
-    Dataset (blocks stay in plasma).
+    one with :func:`key_split`).  Returns a lazy Dataset whose plan ends in
+    one :class:`HashExchange` operator over the sides' plans, so the
+    sides, the exchange and whatever the caller chains after it run as
+    one Ray Data job.
+
+    When every side is done, their total row count from block metadata
+    sizes the exchange (:func:`exchange_buckets`, widened by
+    :func:`salted_buckets` when ``n_salts > 1``).  Each side is then
+    hash-partitioned into that many aligned buckets; ``reduce_fn(
+    tables_side0, tables_side1, ...) -> pa.Table`` runs once per bucket
+    that has rows on some side, over that bucket's non-empty shards (a
+    side's list may be empty).  When the input has at most
+    ``LOCAL_FOLD_ROWS`` rows (read now, when the exchange is built) it runs
+    once instead, on the driver, over each side's non-empty blocks,
+    unsplit; ``local=False`` keeps the rows off the driver at any size
+    (every bucket empty still folds there, over empty lists).
 
     A side of more than ``_EXCHANGE_MAX_BLOCKS`` blocks is split in
-    contiguous runs of blocks, one split task per run."""
-    import ray
-
-    side_refs, rows = [], 0
-    for ds, _ in sides:
-        bundles = list(ds.materialize().iter_internal_ref_bundles())
-        side_refs.append([r for b in bundles for r in b.block_refs])
-        rows += sum(b.num_rows() or 0 for b in bundles)
-    n_buckets = exchange_buckets(rows)
-    if local and rows <= LOCAL_FOLD_ROWS:
-        out = reduce_fn(*[
-            [t for t in map(_ensure_table, ray.get(refs)) if t.num_rows]
-            for refs in side_refs])
-        # one block per bucket the exchange would have made, so maps
-        # downstream of the fold keep the exchange's parallelism
-        step = max(1, -(-out.num_rows // n_buckets))
-        return rd.from_arrow([out.slice(i, step) for i in
-                              range(0, max(1, out.num_rows), step)])
-    if n_salts > 1:
-        n_buckets = salted_buckets(n_buckets, n_salts)
-
-    split = ray.remote(_run_split).options(num_returns=n_buckets + 1)
-    outs = []  # per side, per split task: [row counts, *shards] refs
-    for refs, (_, split_fn) in zip(side_refs, sides):
-        split_ref = ray.put(split_fn)
-        step = max(1, -(-len(refs) // _EXCHANGE_MAX_BLOCKS))
-        outs.append([split.remote(split_ref, n_buckets, *refs[i:i + step])
-                     for i in range(0, len(refs), step)])
-    all_counts = iter(ray.get([o[0] for side in outs for o in side]))
-    splits = [[(next(all_counts), o[1:]) for o in side] for side in outs]
-
-    reduce = ray.remote(_run_reduce)
-    fn_ref = ray.put(reduce_fn)
-    out_refs = []
-    for j in range(n_buckets):
-        per_side = [[shards[j] for counts, shards in side if counts[j]]
-                    for side in splits]
-        if any(per_side):
-            out_refs.append(reduce.remote(
-                fn_ref, [len(p) for p in per_side],
-                *[r for p in per_side for r in p]))
-    if not out_refs:
-        return rd.from_arrow(reduce_fn(*[[] for _ in sides]))
-    return rd.from_arrow_refs(out_refs)
+    contiguous runs of blocks, one split task per run.  The reduced
+    buckets of a finished run are kept on the plan operator, so consuming
+    the result again re-runs only what follows the exchange."""
+    op = HashExchange([ds._logical_plan.dag for ds, _ in sides],
+                      [split_fn for _, split_fn in sides], reduce_fn,
+                      n_salts, LOCAL_FOLD_ROWS if local else -1)
+    ctx = sides[0][0].context.copy()
+    stats = DatasetStats(metadata={"HashExchange": []},
+                         parent=[ds._plan.stats() for ds, _ in sides])
+    return rd.Dataset(ExecutionPlan(stats, ctx), LogicalPlan(op, ctx))
 
 
 def keyed(ds: rd.Dataset, key_col: str, fold,
@@ -396,7 +609,7 @@ def attach_value(pairs: rd.Dataset, values: rd.Dataset, key_col: str,
     high-cardinality Ray groupby().aggregate() (measured ~12 s for 147k
     groups at sf0.1) never happens; the caller merges the tiny partials.
 
-    Exchange: the raw-task map-reduce :func:`hash_exchange`, which picks
+    Exchange: the map-reduce :func:`hash_exchange` operator, which picks
     the bucket count itself (:func:`exchange_buckets` — the cluster's
     cores, more only past 250k rows per bucket; a 4-vCPU host gets 4
     buckets, about half the wall of the old fixed 64 on one sf0.01

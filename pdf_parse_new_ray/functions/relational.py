@@ -133,68 +133,16 @@ def _run_ends(starts: np.ndarray, n: int) -> np.ndarray:
     return np.append(starts[1:], n)[:len(starts)] - 1
 
 
-def _fsum_terms(xs: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of ``xs``: ``math.fsum`` of
-    what is left, until nothing is (a few terms: each removes about 53
-    bits of the remainder)."""
-    import math
-
-    terms: list[float] = []
-    while True:
-        s = math.fsum(xs + [-x for x in terms])
-        if not s:
-            return terms
-        terms.append(s)
-
-
-def _exact_sums(ds: rd.Dataset, keys: list[str], sums: list[str]) -> pd.DataFrame:
-    """Per-group sums of the float columns ``sums``, each the correctly
-    rounded exact sum of its rows whatever the block layout, and the row
-    count ``n``.  Each batch collapses its groups to :func:`_fsum_terms`
-    partials, and a ``joins.keyed`` fold on ``keys[0]`` merges them with
-    ``math.fsum``.  A float sum merged in block order can land either
-    side of a rounding tie: q1's ``sum_disc_price`` read 2697140231.62 or
-    .63 at sf0.1 depending on how ``lineitem`` was cut into blocks."""
-    import math
-
-    from .joins import rename_agg
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = rename_agg(t.group_by(keys).aggregate(
-            [(c, "list") for c in sums] + [(keys[0], "count")]),
-            {**{f"{c}_list": c for c in sums}, f"{keys[0]}_count": "n"})
-        for c in sums:
-            g = g.set_column(g.schema.get_field_index(c), c, pa.array(
-                [_fsum_terms(v) for v in g.column(c).to_pylist()],
-                pa.list_(pa.float64())))
-        return g
-
-    def merge(t: pa.Table) -> pa.Table:
-        groups: dict = {}
-        for row in t.to_pylist():
-            acc = groups.setdefault(tuple(row[k] for k in keys),
-                                    {**{c: [] for c in sums}, "n": 0})
-            for c in sums:
-                acc[c] += row[c]
-            acc["n"] += row["n"]
-        return pa.Table.from_pylist(
-            [{**dict(zip(keys, k)), **{c: math.fsum(acc[c]) for c in sums},
-              "n": acc["n"]} for k, acc in groups.items()],
-            pa.schema([t.schema.field(k) for k in keys]
-                      + [pa.field(c, pa.float64()) for c in sums]
-                      + [pa.field("n", pa.int64())]))
-
-    return _keyed_frame(ds, keys[0], merge, partial)
-
-
 # ---------------------------------------------------------------------------
-# Q1: pricing summary (filter → partial pre-agg → groupby → sort)
+# Q1: pricing summary (filter → table-order keyed fold → sort)
 # ---------------------------------------------------------------------------
 
 def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     ds = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-                     "l_discount", "l_tax", "l_shipdate"])
+                     "l_discount", "l_tax", "l_shipdate"], row_index="row")
+    sums = ["sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
+            "sum_disc"]
 
     def rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch["l_shipdate"],
@@ -205,6 +153,7 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
+            "row": batch["row"],
             "sum_qty": batch["l_quantity"],
             "sum_base_price": batch["l_extendedprice"],
             "sum_disc_price": disc,
@@ -212,13 +161,18 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
             "sum_disc": batch["l_discount"],
         })
 
-    # exact per-group sums: the rounded cents do not depend on how the
-    # table is cut into blocks (see _exact_sums)
-    out = _exact_sums(
-        ds.map_batches(rows, batch_format="pyarrow", batch_size=65536),
-        ["l_returnflag", "l_linestatus"],
-        ["sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
-         "sum_disc"]).rename(columns={"n": "count_order"})
+    # the oracle adds each group's values one by one in table order, and a
+    # sum can sit next to a rounding tie (sf0.001's (N, F) sum_disc_price
+    # is 5.6e-10 below a half cent), so the fold adds them in that order
+    # too, whatever the block layout
+    def fold(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["l_returnflag", "l_linestatus", "row"])
+        return df.groupby(["l_returnflag", "l_linestatus"], as_index=False,
+                          sort=False).agg(
+            **{c: (c, lambda v: np.cumsum(v.to_numpy())[-1]) for c in sums},
+            count_order=("row", "size"))
+
+    out = _keyed_frame(ds, "l_returnflag", fold, rows, batch_size=65536)
     out["avg_qty"] = out["sum_qty"] / out["count_order"]
     out["avg_price"] = out["sum_base_price"] / out["count_order"]
     out["avg_disc"] = out["sum_disc"] / out["count_order"]
@@ -348,7 +302,7 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
         return _round_cols(out, {"revenue": 2})
 
     # Fact-fact leg: ONE orderkey-bucketed cogroup (joins.attach_value —
-    # raw-task hash exchange) attaches o_orderdate to the lineitem
+    # the hash exchange operator) attaches o_orderdate to the lineitem
     # revenue partials.  A bucket holds EVERY partial of its orderkeys,
     # so the post hook computes FINAL per-order revenue and forwards only
     # the bucket's top-10 — the driver merges buckets x 10 rows, never
@@ -471,10 +425,8 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
             lambda t: pa.table({"doc_id": t["c_custkey"],
                                 "value": t["c_nationkey"].cast(pa.int64())}),
             batch_format="pyarrow")
-        # materialize boundary between chained cogroups (executor deadlock
-        # avoidance — see dedup._candidate_pairs)
         part_nat = attach_value(
-            by_cust.materialize(), cust, "o_custkey", "c_nationkey", pa.int64(),
+            by_cust, cust, "o_custkey", "c_nationkey", pa.int64(),
             [("o_custkey", pa.int64()), ("rev", pa.float64())],
             post=combine_nation).to_pandas()
     res = part_nat.groupby("c_nationkey", as_index=False).agg(revenue=("rev", "sum"))
@@ -2483,7 +2435,7 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
                                 "value": t["c_nationkey"].cast(pa.int64())}),
             batch_format="pyarrow")
         part = attach_value(
-            by_cust.materialize(), cust, "o_custkey", "cust_nk", pa.int64(),
+            by_cust, cust, "o_custkey", "cust_nk", pa.int64(),
             [("o_custkey", pa.int64()), ("supp_nk", pa.int64()),
              ("l_year", pa.int64()), ("rev", pa.int64())],
             post=combine_pair).to_pandas()
@@ -2993,10 +2945,10 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
                               ["l_orderkey", "supp_nk", "sub"])
 
         partials = attach_value(
-            keyed.materialize(), flags, "l_partkey", "is_promo", pa.int64(),
+            keyed, flags, "l_partkey", "is_promo", pa.int64(),
             [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
              ("supp_nk", pa.int64()), ("sub", pa.int64())],
-            post=keep_promo).materialize()
+            post=keep_promo)
 
     # orders attach: ONE value column encodes (custkey, order year) as
     # custkey*8 + (year-1995) — years span 1995..2001 (<8), so the encode
@@ -3082,7 +3034,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
                                 "value": t["c_nationkey"].cast(pa.int64())}),
             batch_format="pyarrow")
         part_year = attach_value(
-            by_cust.materialize(), cust, "o_custkey", "c_nationkey",
+            by_cust, cust, "o_custkey", "c_nationkey",
             pa.int64(),
             [("o_custkey", pa.int64()), ("o_year", pa.int64()),
              ("supp_nk", pa.int64()), ("sub", pa.int64())],
@@ -3612,8 +3564,10 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
                                      pa.scalar(1, pa.int64()))) \
                 .drop_columns(["is_brand"])
 
+        # materialized: both the per-part stats and the final attach read
+        # it, and one plan would run the exchange once per reader
         brand_rows = attach_value(
-            rows.materialize(), flags, "l_partkey", "is_brand", pa.int64(),
+            rows, flags, "l_partkey", "is_brand", pa.int64(),
             [("l_partkey", pa.int64()), ("qty", pa.int64()),
              ("cents", pa.int64())],
             post=keep_brand).materialize()
@@ -4636,7 +4590,7 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
                 "value": pa.array(np.ones(f.num_rows, np.int64))})
 
         flags = part_src.map_batches(cand_flags, batch_format="pyarrow")
-        pairs = attach_value(pairs.materialize(), flags, "l_partkey",
+        pairs = attach_value(pairs, flags, "l_partkey",
                              "__c", pa.int64(), pair_cols,
                              post=lambda t: t.drop_columns(["__c"]))
     if not supp_small:
@@ -4650,7 +4604,7 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
             return t.filter(pc.is_in(t["__nk"],
                                      value_set=eu_nk)).drop_columns(["__nk"])
 
-        pairs = attach_value(pairs.materialize(), nks, "l_suppkey",
+        pairs = attach_value(pairs, nks, "l_suppkey",
                              "__nk", pa.int64(), pair_cols, post=keep_eu)
 
     def bucket_argmin(g: pa.Table) -> pa.Table:
@@ -4800,7 +4754,7 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
         rows = li.map_batches(pair_partial, batch_format="pyarrow",
                               batch_size=65536)
         mid = attach_value(
-            rows.materialize(),
+            rows,
             part_src.map_batches(part_vals, batch_format="pyarrow"),
             "l_partkey", "rc", pa.int64(),
             [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
@@ -4814,7 +4768,7 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
                               ["nk", "ship_year", "amt"])
 
         partials = attach_value(
-            mid.materialize(),
+            mid,
             supp_src.map_batches(
                 lambda t: pa.table({
                     "doc_id": t["s_suppkey"],
@@ -5030,7 +4984,7 @@ def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
             return t.group_by(["enc", "l_suppkey"]).aggregate([]) \
                 .select(["enc", "l_suppkey"])
 
-        pairs = attach_value(pairs.materialize(), enc_ds, "l_partkey",
+        pairs = attach_value(pairs, enc_ds, "l_partkey",
                              "enc", pa.int64(),
                              [("l_partkey", pa.int64()),
                               ("l_suppkey", pa.int64())],
@@ -5049,7 +5003,7 @@ def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
             return t.filter(pc.equal(t["xf"], pa.scalar(0, pa.int64()))) \
                 .drop_columns(["xf"])
 
-        pairs = attach_value(pairs.materialize(), flags, "l_suppkey",
+        pairs = attach_value(pairs, flags, "l_suppkey",
                              "xf", pa.int64(),
                              [("enc", pa.int64()),
                               ("l_suppkey", pa.int64())],
@@ -5141,7 +5095,7 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
                 "value": pa.array(np.ones(f.num_rows, np.int64))})
 
         pairs = attach_value(
-            pairs.materialize(),
+            pairs,
             part_src.map_batches(cand_flags, batch_format="pyarrow"),
             "l_partkey", "__c", pa.int64(),
             [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),

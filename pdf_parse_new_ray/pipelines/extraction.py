@@ -20,6 +20,14 @@ size:
     writes one fragment per partition and commits it (state.checkpoint's
     write_fragment + commit_partition) inside the same task.
 
+When writes happen: ``extract_documents`` runs the extract wave and the
+span explode before it returns, and returns a lazy Dataset whose plan
+ends in the two exchanges.  The tag maps, both exchanges and the
+fragment writes and commits run as one Ray Data job when the caller
+first consumes the result (``take_all``, ``count``, iteration).  The
+regroup keeps its reduced buckets (``joins.hash_exchange``), so
+consuming the result again commits nothing more.
+
 ``joins.exchange_buckets`` sizes both exchanges, so a bucket may hold many
 media refs and many partitions.  Both, and ``extract_media_text``'s
 chunk reassembly, pass ``local=False``: the extracted text never lands
@@ -344,7 +352,8 @@ def extract_documents(
 
     Returns the assembled documents Dataset (out_dir=None) or the
     per-partition metrics Dataset (write mode with lineage + resume; each
-    partition is committed as one fragment).  ``join_strategy`` accepts
+    partition is committed as one fragment, when the result is first
+    consumed -- see the module docstring).  ``join_strategy`` accepts
     only ``"hash"``, the one plan."""
     if join_strategy != "hash":
         raise ValueError(f"join_strategy={join_strategy!r}: the hash plan "

@@ -188,9 +188,12 @@ def test_q1_sums_do_not_depend_on_block_layout(ray_session, monkeypatch,
     path = f"{SF01}/lineitem.parquet"
 
     def cut(k):
-        def read(p, columns=None, **kw):
+        def read(p, columns=None, row_index=None, **kw):
             assert p == path
             t = pq.read_table(p, columns=columns)
+            if row_index is not None:  # as read_table: each row's position
+                t = t.append_column(row_index, pa.array(
+                    np.arange(t.num_rows, dtype=np.int64)))
             b = [t.num_rows * i // k for i in range(k + 1)]
             return rd.from_arrow([t.slice(b[i], b[i + 1] - b[i])
                                   for i in range(k)])
