@@ -522,7 +522,7 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
     vector sums (map-only, tiny driver merge); phase 2 broadcasts the
     (L, d) centroid matrix in the actor constructor and does a per-batch
     argmin — distances via the |c|^2 - 2xc trick (one matmul per batch);
-    per-batch partial counts make the final shuffle L^2-bounded."""
+    per-batch partial counts make the final exchange L^2-bounded."""
     import ray
 
     def partial(t: pa.Table) -> pa.Table:
@@ -551,29 +551,20 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
             self.c_sq = (self.c ** 2).sum(axis=1)
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table({"label": pa.array([], pa.int64()),
-                                 "assigned": pa.array([], pa.int64()),
-                                 "n": pa.array([], pa.int64())})
             m = emb_matrix(t)
             d = self.c_sq[None, :] - 2.0 * (m @ self.c.T)  # + |x|^2 const
             best = self.labs[np.argmin(d, axis=1)]
-            tt = pa.table({
+            return pa.table({
                 "label": pa.array(ids_array(t, "label").astype(np.int64)),
-                "assigned": pa.array(best),
-                "n": pa.array(np.ones(t.num_rows, np.int64)),
-            }).group_by(["label", "assigned"]).aggregate([("n", "sum")])
-            return tt.rename_columns(
-                ["n" if c == "n_sum" else c for c in tt.column_names])
+                "assigned": pa.array(best, pa.int64())})
 
-    from ray.data.aggregate import Sum
+    from .joins import aggregate, frame
 
-    out = read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]).map_batches(
-        _warm_stage(Assign, ("cent_assign", ref), {}),
-        batch_format="pyarrow", batch_size=4096,
-    ).groupby(["label", "assigned"]).aggregate(Sum("n", alias_name="n")) \
-        .to_pandas()
-    out["n"] = out["n"].astype("int64")
+    out = frame(aggregate(
+        read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
+        .map_batches(_warm_stage(Assign, ("cent_assign", ref), {}),
+                     batch_format="pyarrow", batch_size=4096),
+        ["label", "assigned"], {"n": (None, "count")}))
     return out.sort_values(["label", "assigned"]).reset_index(drop=True)
 
 

@@ -1210,9 +1210,7 @@ def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
     """
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
-    from .joins import keyed, rename_agg
+    from .joins import aggregate, frame, keyed, rename_agg
 
     n = SUBSTR_GRAM_N
 
@@ -1301,15 +1299,9 @@ def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
             .groupby("doc_id", as_index=False).sum()
         out.columns = ["doc_id", "n_grams", "n_dup"]
     else:
-        def merge_docs(g: pa.Table) -> pa.Table:
-            t = g.group_by("doc_id").aggregate(
-                [("n_grams", "sum"), ("n_dup", "sum")])
-            return rename_agg(t, {"n_grams_sum": "n_grams",
-                                  "n_dup_sum": "n_dup"},
-                              ["doc_id", "n_grams", "n_dup"])
-
-        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
-                    merge_docs).to_pandas()
+        out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
+                              {"n_grams": ("n_grams", "sum"),
+                               "n_dup": ("n_dup", "sum")}))
     out["n_grams"] = out["n_grams"].astype("int64")
     out["n_dup"] = out["n_dup"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1655,18 +1647,25 @@ def d_semdedup(sf_dir: str, eps: float = SEMDEDUP_EPS,
             })
 
     from .ann import _warm_stage as _ann_warm_stage
-    from .joins import broadcast_map
+    from .joins import broadcast_map, keyed
 
-    out = broadcast_map(
+    dedup_cluster = _ann_warm_stage(
+        ClusterDedup, ("clusterdedup", vec_ref, eps),
+        {"vec_ref": vec_ref, "eps": eps, "cap": SEMDEDUP_CLUSTER_CAP})
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        # a keyed bucket holds whole clusters: dedup each on its own
+        g = g.take(pc.sort_indices(g, sort_keys=[("cluster", "ascending")]))
+        cl = g.column("cluster").combine_chunks() \
+            .to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.diff(cl, prepend=cl[0] - 1))
+        ends = np.append(starts[1:], len(cl))
+        return pa.concat_tables([dedup_cluster(g.slice(a, b - a))
+                                 for a, b in zip(starts, ends)])
+
+    out = keyed(broadcast_map(
         read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]),
-        assign, cents_ref, batch_size=4096) \
-        .groupby("cluster") \
-        .map_groups(_ann_warm_stage(
-            ClusterDedup, ("clusterdedup", vec_ref, eps),
-            {"vec_ref": vec_ref, "eps": eps,
-             "cap": SEMDEDUP_CLUSTER_CAP}),
-            batch_format="pyarrow") \
-        .to_pandas()
+        assign, cents_ref, batch_size=4096), "cluster", per_bucket).to_pandas()
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

@@ -7,10 +7,10 @@ side and never moves after its one materialization; per iteration the
 vertex state attaches to edge sources (broadcast when it fits the
 byte gate, bucketed cogroup otherwise — the same duality as every
 lookup in functions/joins.py) and new vertex state comes back as
-per-batch PARTIAL sums merged by a small groupby.  Float iteration
-order varies with partitioning, so these are rows-only driver checks;
-pytest locks them against a naive single-process reference on the
-same edges (np.allclose) plus exact invariants (rank mass = 1).
+per-batch PARTIAL sums merged on the driver or by a keyed fold.  Float
+iteration order varies with partitioning, so these are rows-only driver
+checks; pytest locks them against a naive single-process reference on
+the same edges (np.allclose) plus exact invariants (rank mass = 1).
 """
 
 from __future__ import annotations
@@ -40,28 +40,22 @@ PAGERANK_PREMERGE_VERTICES = 100_000
 def _vertex_census(edges: rd.Dataset) -> rd.Dataset:
     """Distributed (node, deg) vertex set of a (src, dst) edge Dataset —
     out-degree per node, deg=0 for sink-only nodes.  Per-batch endpoint
-    partials (Arrow group_by) merge through ONE keyed fold on the node;
-    the vertex table never lands on the driver."""
-    from .joins import keyed, rename_agg
+    partials merge through ONE keyed fold on the node
+    (``joins.aggregate``); the vertex table never lands on the driver."""
+    from .joins import aggregate
 
-    def deg_partial(t: pa.Table) -> pa.Table:
+    def endpoints(t: pa.Table) -> pa.Table:
         src = t.column("src").combine_chunks()
         dst = t.column("dst").combine_chunks()
-        tt = pa.table({
+        return pa.table({
             "node": pa.concat_arrays([src, dst]),
             "deg": pa.array(np.concatenate([
                 np.ones(len(src), np.int64),
                 np.zeros(len(dst), np.int64)])),
         })
-        g = tt.group_by("node").aggregate([("deg", "sum")])
-        return rename_agg(g, {"deg_sum": "deg"}, ["node", "deg"])
 
-    def deg_merge(g: pa.Table) -> pa.Table:
-        t = g.group_by("node").aggregate([("deg", "sum")])
-        return rename_agg(t, {"deg_sum": "deg"}, ["node", "deg"])
-
-    return keyed(edges.map_batches(deg_partial, batch_format="pyarrow"),
-                 "node", deg_merge)
+    return aggregate(edges.map_batches(endpoints, batch_format="pyarrow"),
+                     "node", {"deg": ("deg", "sum")})
 
 
 # below this many vertices the per-shard incoming-mass partial is a DENSE
@@ -595,7 +589,7 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
 
     Returns (n_nodes, n_edges, n_triangles) — all exact int64, oracled
     against DuckDB's three-way self-join."""
-    from .joins import attach_value, keyed, rename_agg
+    from .joins import aggregate, attach_value, keyed, rename_agg
 
     # full driver stage-1 under the lineitem METADATA gate (the
     # q_copurchase_pairs fold): the whole distinct-edge census is one
@@ -674,24 +668,14 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
     edges = keyed(pair_parts, "__pk", dedupe)
     n_edges = edges.count()
 
-    # degree census: per-batch Arrow partials merged through ONE
-    # keyed fold on the node — the _vertex_census plan.  (A Ray-native
-    # groupby(node).aggregate(Sum) here measured 5.0 s of the 12 s wall
-    # at sf0.1: one accumulator per node, the per-key-aggregate
-    # anti-pattern the repo removed everywhere else.)
-    def deg_partial(t: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([t["a"].combine_chunks(),
-                                  t["b"].combine_chunks()])
-        g = pa.table({"node": nodes}).group_by("node") \
-            .aggregate([("node", "count")])
-        return rename_agg(g, {"node_count": "deg"}, ["node", "deg"])
+    # degree census: per-batch partials merged through ONE keyed fold on
+    # the node — the _vertex_census plan
+    def endpoints(t: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.concat_arrays(
+            [t["a"].combine_chunks(), t["b"].combine_chunks()])})
 
-    def deg_merge(g: pa.Table) -> pa.Table:
-        t = g.group_by("node").aggregate([("deg", "sum")])
-        return rename_agg(t, {"deg_sum": "deg"}, ["node", "deg"])
-
-    deg_ds = keyed(edges.map_batches(deg_partial, batch_format="pyarrow"),
-                   "node", deg_merge)
+    deg_ds = aggregate(edges.map_batches(endpoints, batch_format="pyarrow"),
+                       "node", {"deg": (None, "count")})
     n_nodes = deg_ds.count()
 
     # rank key for orientation: degree-major, id-minor (ids < 2^31)

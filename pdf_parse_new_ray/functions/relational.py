@@ -18,9 +18,9 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Mean, Sum
 
 from ..sources.interleaved import read_table
+from .joins import aggregate, frame
 
 
 def _dim_pandas(sf_dir: str, table: str, columns=None, filters=None):
@@ -133,6 +133,18 @@ def _run_ends(starts: np.ndarray, n: int) -> np.ndarray:
     return np.append(starts[1:], n)[:len(starts)] - 1
 
 
+def _range_cumsum(s: pa.Table, vals: np.ndarray,
+                  offset: np.ndarray) -> np.ndarray:
+    """Running int64 sum of ``vals`` within each ``__rb`` range of ``s``
+    (rows of one range contiguous), plus the range's ``offset``."""
+    rb = s.column("__rb").combine_chunks().to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.diff(rb, prepend=-1))
+    cum = np.cumsum(vals)
+    before = np.repeat(cum[starts] - vals[starts],
+                       np.diff(np.append(starts, len(vals))))
+    return cum - before + offset[rb]
+
+
 # ---------------------------------------------------------------------------
 # Q1: pricing summary (filter → table-order keyed fold → sort)
 # ---------------------------------------------------------------------------
@@ -165,14 +177,11 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     # sum can sit next to a rounding tie (sf0.001's (N, F) sum_disc_price
     # is 5.6e-10 below a half cent), so the fold adds them in that order
     # too, whatever the block layout
-    def fold(t: pa.Table) -> pd.DataFrame:
-        df = t.to_pandas().sort_values(["l_returnflag", "l_linestatus", "row"])
-        return df.groupby(["l_returnflag", "l_linestatus"], as_index=False,
-                          sort=False).agg(
-            **{c: (c, lambda v: np.cumsum(v.to_numpy())[-1]) for c in sums},
-            count_order=("row", "size"))
-
-    out = _keyed_frame(ds, "l_returnflag", fold, rows, batch_size=65536)
+    out = frame(aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", batch_size=65536),
+        ["l_returnflag", "l_linestatus"],
+        {**{c: (c, "sum") for c in sums}, "count_order": (None, "count")},
+        order="row"))
     out["avg_qty"] = out["sum_qty"] / out["count_order"]
     out["avg_price"] = out["sum_base_price"] / out["count_order"]
     out["avg_disc"] = out["sum_disc"] / out["count_order"]
@@ -465,8 +474,8 @@ def q6_forecast(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_order_priority_counts(sf_dir: str) -> pd.DataFrame:
-    out = read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority"]).groupby("o_orderpriority") \
-        .aggregate(Count(alias_name="order_count")).to_pandas()
+    out = frame(aggregate(read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority"]),
+                          "o_orderpriority", {"order_count": (None, "count")}))
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
@@ -519,23 +528,23 @@ def q_top_suppliers(sf_dir: str, k: int = 5) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q_events_daily(sf_dir: str) -> pd.DataFrame:
-    ev = read_table(f"{sf_dir}/events.parquet", ["ts", "event_type", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["ts", "event_type", "value"],
+                    row_index="row")
 
     def day(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.floor_temporal(t["ts"], unit="day"),
-            "event_type": t["event_type"],
-            "value": t["value"],
-        })
+        return t.set_column(0, "day", pc.floor_temporal(t["ts"], unit="day"))
 
-    out = ev.map_batches(day, batch_format="pyarrow").groupby(["day", "event_type"]) \
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value")).to_pandas()
+    # float sums add in table order, as the oracle's (see q1)
+    out = frame(aggregate(ev.map_batches(day, batch_format="pyarrow"),
+                          ["day", "event_type"],
+                          {"n_events": (None, "count"),
+                           "sum_value": ("value", "sum")}, order="row"))
     out = out.sort_values(["day", "event_type"]).reset_index(drop=True)
     return _round_cols(out, {"sum_value": 4})
 
 
 # ---------------------------------------------------------------------------
-# events: per-user session stats via map_groups (running/window analogue)
+# events: per-user session stats via a keyed fold (running/window analogue)
 # ---------------------------------------------------------------------------
 
 def q_user_event_stats(sf_dir: str) -> pd.DataFrame:
@@ -581,17 +590,14 @@ def q_part_brand_stats(sf_dir: str) -> pd.DataFrame:
     # and an exact mean can sit on a rounding tie (sf0.01 Brand#4:
     # 950.59375, summed in order 950.5937499999995), so the fold adds them
     # in that order too, whatever the block layout
-    def fold(t: pa.Table) -> pd.DataFrame:
-        df = t.to_pandas().sort_values(["p_brand", "row"])
-        return df.groupby("p_brand", as_index=False, sort=False).agg(
-            n_parts=("row", "size"),
-            avg_price=("p_retailprice",
-                       lambda v: np.cumsum(v.to_numpy())[-1] / len(v)),
-            max_size=("p_size", "max"), min_size=("p_size", "min"))
-
-    out = _keyed_frame(read_table(f"{sf_dir}/part.parquet",
-                                  ["p_brand", "p_retailprice", "p_size"],
-                                  row_index="row"), "p_brand", fold)
+    out = frame(aggregate(read_table(f"{sf_dir}/part.parquet",
+                                     ["p_brand", "p_retailprice", "p_size"],
+                                     row_index="row"), "p_brand",
+                          {"n_parts": (None, "count"),
+                           "avg_price": ("p_retailprice", "sum"),
+                           "max_size": ("p_size", "max"),
+                           "min_size": ("p_size", "min")}, order="row"))
+    out["avg_price"] = out["avg_price"] / out["n_parts"]
     out = out.sort_values("p_brand").reset_index(drop=True)
     return _round_cols(out, {"avg_price": 4})
 
@@ -613,18 +619,17 @@ def q_customer_nation_balance(sf_dir: str) -> pd.DataFrame:
         keys, names = state
         idx = pc.index_in(t["c_nationkey"], value_set=keys)
         return pa.table({"n_name": pc.take(names, idx),
-                         "c_acctbal": t["c_acctbal"]})
+                         "c_acctbal": t["c_acctbal"], "row": t["row"]})
 
     from .joins import broadcast_map
 
-    out = broadcast_map(
-        read_table(f"{sf_dir}/customer.parquet", ["c_nationkey", "c_acctbal"]),
-        attach_nation, nref) \
-        .groupby("n_name").aggregate(
-            Count(alias_name="n_customers"),
-            Sum("c_acctbal", alias_name="total_balance"),
-            Mean("c_acctbal", alias_name="avg_balance"),
-        ).to_pandas()
+    # the sum and the mean add in table order, as the oracle's (see q1)
+    out = frame(aggregate(broadcast_map(
+        read_table(f"{sf_dir}/customer.parquet", ["c_nationkey", "c_acctbal"],
+                   row_index="row"), attach_nation, nref), "n_name",
+        {"n_customers": (None, "count"),
+         "total_balance": ("c_acctbal", "sum")}, order="row"))
+    out["avg_balance"] = out["total_balance"] / out["n_customers"]
     out = out.sort_values("n_name").reset_index(drop=True)
     return _round_cols(out, {"total_balance": 2, "avg_balance": 4})
 
@@ -837,8 +842,8 @@ def q_price_band_join(sf_dir: str) -> pd.DataFrame:
     operator for: every part row lands in the band whose [lo, hi) range
     contains its retail price.  The band table is broadcast (tiny, as
     range dimensions are) and the probe is a vectorized searchsorted per
-    batch — NO shuffle of the fact side; partial per-band aggregates
-    collapse in one small groupby.  Bands are half-open and contiguous
+    batch — NO shuffle of the fact side; a keyed fold on the band adds
+    each band's prices in table order.  Bands are half-open and contiguous
     here; the same probe handles gaps/overlaps by post-masking lo/hi."""
     import numpy as np
 
@@ -846,29 +851,24 @@ def q_price_band_join(sf_dir: str) -> pd.DataFrame:
     los = np.array([b[1] for b in PRICE_BANDS])
     his = np.array([b[2] for b in PRICE_BANDS])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def probe(t: pa.Table) -> pa.Table:
         price = t.column("p_retailprice").to_numpy(zero_copy_only=False)
         idx = np.searchsorted(los, price, side="right") - 1
         ok = (idx >= 0) & (price < his[np.clip(idx, 0, len(his) - 1)])
-        idx = idx[ok]
-        price = price[ok]
-        g = pa.table({
-            "band": pa.array(np.asarray(names, dtype=object)[idx], pa.string()),
-            "n": pa.array(np.ones(len(idx), np.int64)),
-            "price_sum": pa.array(price, pa.float64()),
-        }).group_by("band").aggregate([("n", "sum"), ("price_sum", "sum")])
-        from .joins import rename_agg
+        return pa.table({
+            "band": pa.array(np.asarray(names, dtype=object)[idx[ok]],
+                             pa.string()),
+            "price": pa.array(price[ok], pa.float64()),
+            "row": t.column("row").filter(pa.array(ok)),
+        })
 
-        return rename_agg(g, {"n_sum": "n", "price_sum_sum": "price_sum"},
-                          ["band", "n", "price_sum"])
-
-    out = read_table(f"{sf_dir}/part.parquet", ["p_retailprice"]) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536) \
-        .groupby("band").aggregate(
-            Sum("n", alias_name="n_parts"),
-            Sum("price_sum", alias_name="total_price"),
-        ).to_pandas()
-    out["n_parts"] = out["n_parts"].astype("int64")
+    # the price sums add in table order, as the oracle's (see q1)
+    out = frame(aggregate(read_table(f"{sf_dir}/part.parquet", ["p_retailprice"],
+                                     row_index="row")
+                          .map_batches(probe, batch_format="pyarrow",
+                                       batch_size=65536), "band",
+                          {"n_parts": (None, "count"),
+                           "total_price": ("price", "sum")}, order="row"))
     out = out.sort_values("band").reset_index(drop=True)
     return _round_cols(out, {"total_price": 2})
 
@@ -928,24 +928,15 @@ def q_order_price_quantiles(sf_dir: str) -> pd.DataFrame:
     sort-based quantile would be an all-to-all over the fact table."""
     import numpy as np
 
-    from .joins import rename_agg
+    def cents(t: pa.Table) -> pa.Table:
+        c = pc.round(pc.multiply(t["o_totalprice"], pa.scalar(100.0)))
+        return pa.table({"cents": pc.cast(c, pa.int64()),
+                         "o_orderpriority": t["o_orderpriority"]})
 
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.round(pc.multiply(t["o_totalprice"], pa.scalar(100.0)))
-        g = pa.table({
-            "o_orderpriority": t["o_orderpriority"],
-            "cents": pc.cast(cents, pa.int64()),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        }).group_by(["o_orderpriority", "cents"]).aggregate([("n", "sum")])
-        return rename_agg(g, {"n_sum": "n"}, ["o_orderpriority", "cents", "n"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_orderpriority", "cents"]).aggregate([("n", "sum")])
-        return rename_agg(g, {"n_sum": "n"}, ["o_orderpriority", "cents", "n"])
-
-    counts = _keyed_frame(
-        read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"]),
-        "cents", merge, partial, batch_size=65536)
+    counts = frame(aggregate(
+        read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"])
+        .map_batches(cents, batch_format="pyarrow", batch_size=65536),
+        ["cents", "o_orderpriority"], {"n": (None, "count")}))
 
     rows = []
     for prio, g in counts.groupby("o_orderpriority"):
@@ -969,33 +960,26 @@ def q_order_price_quantiles(sf_dir: str) -> pd.DataFrame:
 
 def q_rollup_revenue(sf_dir: str) -> pd.DataFrame:
     """ROLLUP(l_returnflag, l_linestatus) revenue: detail rows, per-flag
-    subtotals, and a grand total — all DERIVED from one scan's partials
-    (map-side combine → one tiny groupby; the coarser levels re-aggregate
-    the fine partials on the driver, never the fact table)."""
+    subtotals, and a grand total — the detail from one scan, each group's
+    revenue added in table order as the oracle's (see q1); the coarser
+    levels re-aggregate the detail rows on the driver, never the fact
+    table."""
     ds = read_table(f"{sf_dir}/lineitem.parquet",
-                    ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
+                    ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"],
+                    row_index="row")
 
-    def partial(t: pa.Table) -> pa.Table:
+    def revenue(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        g = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "l_linestatus": t["l_linestatus"],
-            "rev": rev,
-        }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("rev", "sum"), ("rev", "count")])
-        from .joins import rename_agg
+        return pa.table({"l_returnflag": t["l_returnflag"],
+                         "l_linestatus": t["l_linestatus"],
+                         "rev": rev, "row": t["row"]})
 
-        return rename_agg(g, {"rev_sum": "rev", "rev_count": "n"},
-                          ["l_returnflag", "l_linestatus", "rev", "n"])
-
-    # merge partials in a Ray groupby (detail level is ~6 groups); only
-    # the merged detail rows reach the driver — a driver-side concat of
-    # per-batch partials would scale with batch count, not group count
-    detail = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]).aggregate(
-            Sum("rev", alias_name="revenue"),
-            Sum("n", alias_name="n_items")).to_pandas()
+    detail = frame(aggregate(ds.map_batches(revenue, batch_format="pyarrow"),
+                             ["l_returnflag", "l_linestatus"],
+                             {"revenue": ("rev", "sum"),
+                              "n_items": (None, "count")}, order="row")) \
+        .sort_values(["l_returnflag", "l_linestatus"])
     subtotal = (detail.groupby("l_returnflag", as_index=False)
                 .agg(revenue=("revenue", "sum"),
                      n_items=("n_items", "sum")))
@@ -1123,11 +1107,9 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
     user_id merge of already-partial rows.  Purchase value accumulates
     as exact int64 microunits (divide once at the end) so the result
     matches the oracle's window-order-independent SUM bit-for-bit."""
-    from .joins import keyed, rename_agg
-
     sum_cols = [f"n_{ty}" for ty in EVENT_TYPES] + ["purchase_micro"]
 
-    def partial(t: pa.Table) -> pa.Table:
+    def pivot(t: pa.Table) -> pa.Table:
         et = t.column("event_type")
         cols = {"user_id": t.column("user_id")}
         for ty in EVENT_TYPES:
@@ -1136,20 +1118,11 @@ def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
                                              pa.scalar(1e6))), pa.int64())
         cols["purchase_micro"] = pc.if_else(
             pc.equal(et, "purchase"), micro, pa.scalar(0, pa.int64()))
-        # batch-local per-user partials: the keyed merge sees one row
-        # per (batch, user), never one per event row
-        g = pa.table(cols).group_by("user_id").aggregate(
-            [(c, "sum") for c in sum_cols])
-        return rename_agg(g, {f"{c}_sum": c for c in sum_cols},
-                          ["user_id"] + sum_cols)
-
-    def merge(g: pa.Table) -> pa.Table:
-        t = g.group_by("user_id").aggregate([(c, "sum") for c in sum_cols])
-        return rename_agg(t, {f"{c}_sum": c for c in sum_cols},
-                          ["user_id"] + sum_cols)
+        return pa.table(cols)
 
     ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "event_type", "value"])
-    out = _keyed_frame(ev, "user_id", merge, partial)
+    out = frame(aggregate(ev.map_batches(pivot, batch_format="pyarrow"), "user_id",
+                          {c: (c, "sum") for c in sum_cols}))
     out["purchase_value"] = out["purchase_micro"] / 1e6
     out = out.drop(columns=["purchase_micro"])
     return out.sort_values("user_id").reset_index(drop=True)
@@ -1283,23 +1256,16 @@ def q_monthly_revenue(sf_dir: str) -> pd.DataFrame:
     (date_trunc).  Map-side the batch collapses to one row per month in
     exact int64 cents (Arrow floor_temporal + group_by), so the ONLY
     shuffle is a tiny month-keyed merge of partials."""
-    def partial(t: pa.Table) -> pa.Table:
+    def month_cents(t: pa.Table) -> pa.Table:
         month = pc.floor_temporal(t.column("o_orderdate"), unit="month")
         cents = pc.cast(pc.round(pc.multiply(
             t.column("o_totalprice"), pa.scalar(100.0))), pa.int64())
-        g = pa.table({"month": month, "cents": cents}) \
-            .group_by(["month"]).aggregate([("cents", "sum"),
-                                            ("cents", "count")])
-        from .joins import rename_agg
+        return pa.table({"month": month, "cents": cents})
 
-        return rename_agg(g, {"cents_sum": "cents", "cents_count": "n_orders"},
-                          ["month", "cents", "n_orders"])
-
-    out = read_table(f"{sf_dir}/orders.parquet", ["o_orderdate", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("month").aggregate(
-            Sum("cents", alias_name="cents"),
-            Sum("n_orders", alias_name="n_orders")).to_pandas()
+    out = frame(aggregate(
+        read_table(f"{sf_dir}/orders.parquet", ["o_orderdate", "o_totalprice"])
+        .map_batches(month_cents, batch_format="pyarrow"), "month",
+        {"cents": ("cents", "sum"), "n_orders": (None, "count")}))
     out["revenue"] = out["cents"] / 100.0
     out = out.drop(columns=["cents"])
     return out[["month", "revenue", "n_orders"]] \
@@ -1308,30 +1274,29 @@ def q_monthly_revenue(sf_dir: str) -> pd.DataFrame:
 
 def q_daily_distinct_users(sf_dir: str) -> pd.DataFrame:
     """Exact COUNT(DISTINCT user_id) per day.  Batch-local (day, user)
-    dedupe slims the shuffle to distinct pairs; the day-keyed groups then
-    count uniques with one Arrow kernel per group.  Day count is bounded
+    dedupe slims the shuffle to distinct pairs; a keyed fold on the day
+    then counts each of its days' distinct users with two Arrow
+    group_bys over all of them at once.  Day count is bounded
     (calendar), so the group fan-out stays small; a hot single day would
     be salted into (day, hash(user) % k) sub-groups with a second tiny
     merge — not needed at these cardinalities."""
     # The exact-distinct group bound is inherent (every distinct user of a
     # day must meet in one group); q_hll_distinct / q_kmv_distinct are the
     # bounded-memory approximate forms.
+    from .joins import rename_agg
+
     def pairs(t: pa.Table) -> pa.Table:
         day = pc.floor_temporal(t.column("ts"), unit="day")
         return pa.table({"day": day, "user_id": t.column("user_id")}) \
             .group_by(["day", "user_id"]).aggregate([])
 
     def count_unique(g: pa.Table) -> pa.Table:
-        uniq = pc.count_distinct(g.column("user_id").combine_chunks())
-        return pa.table({
-            "day": g.column("day").slice(0, 1),
-            "n_users": pa.array([uniq.as_py()], pa.int64()),
-        })
+        d = g.group_by(["day", "user_id"]).aggregate([])
+        return rename_agg(d.group_by("day").aggregate([("user_id", "count")]),
+                          {"user_id_count": "n_users"}, ["day", "n_users"])
 
-    df = read_table(f"{sf_dir}/events.parquet", ["ts", "user_id"]) \
-        .map_batches(pairs, batch_format="pyarrow") \
-        .groupby("day").map_groups(count_unique, batch_format="pyarrow") \
-        .to_pandas()
+    df = _keyed_frame(read_table(f"{sf_dir}/events.parquet", ["ts", "user_id"]),
+                      "day", count_unique, pairs)
     return df.sort_values("day").reset_index(drop=True)
 
 
@@ -1533,31 +1498,25 @@ def q_pareto_customers(sf_dir: str, n_range_buckets: int = 64,
         return t.append_column("__rb", pa.array(rb, pa.int32()))
 
     tagged = cust.map_batches(tag_range, batch_format="pyarrow")
-
-    def bucket_totals(t: pa.Table) -> pa.Table:
-        g = t.select(["__rb", "cents"]).group_by("__rb") \
-            .aggregate([("cents", "sum")])
-        return rename_agg(g, {"cents_sum": "total"}, ["__rb", "total"])
-
-    # <= 65 range buckets x n_blocks partial rows: the driver pandas
-    # fold replaces a Ray-native keyed aggregate (one sort-shuffle)
-    bt = tagged.map_batches(bucket_totals, batch_format="pyarrow") \
-        .to_pandas().groupby("__rb", as_index=False)["total"].sum() \
+    bt = frame(aggregate(tagged, "__rb", {"total": ("cents", "sum")})) \
         .sort_values("__rb")
     total_all = int(bt["total"].sum())
     # exclusive prefix in DESCENDING revenue order = suffix of ascending
-    rb_ids = bt["__rb"].to_numpy()
     totals = bt["total"].to_numpy().astype(np.int64)
-    suffix = np.concatenate((np.cumsum(totals[::-1])[::-1][1:], [0]))
-    offset = {int(r): int(s) for r, s in zip(rb_ids, suffix)}
+    offset = np.zeros(len(bounds) + 1, np.int64)
+    offset[bt["__rb"].to_numpy()] = np.concatenate(
+        (np.cumsum(totals[::-1])[::-1][1:], [0]))
 
     def per_range(g: pa.Table) -> pa.Table:
+        # a keyed bucket holds whole ranges; descending cents keeps each
+        # range's rows together, so one cumsum less each range's start
+        # gives every range's own running sum
         order = pc.sort_indices(g, sort_keys=[
             ("cents", "descending"), ("o_custkey", "ascending")])
         s = g.take(order)
         cents = s.column("cents").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        cum = np.cumsum(cents) + offset[int(s.column("__rb")[0].as_py())]
+        cum = _range_cumsum(s, cents, offset)
         # integer-exact: exclusive prefix < half of total (cents sums
         # can pass 2^53 at corpus scale, so never compare via floats)
         keep = (cum - cents) * 2 < total_all
@@ -1568,8 +1527,7 @@ def q_pareto_customers(sf_dir: str, n_range_buckets: int = 64,
                 np.round(cum[keep] / total_all, 6), pa.float64()),
         })
 
-    kept = tagged.groupby("__rb").map_groups(
-        per_range, batch_format="pyarrow")
+    kept = keyed(tagged, "__rb", per_range)
     if write_dir is not None:
         # half-of-revenue can still be millions of customers at corpus
         # scale: stream per-bucket output to parquet, return metrics
@@ -1871,8 +1829,8 @@ def q_props_value_stats(sf_dir: str) -> pd.DataFrame:
     regex kernel (pc.extract_regex — no per-row json.loads, no Python
     loop) and aggregate per event_type.  Rows whose props lack the
     field stay null and drop out of the counts, matching SQL
-    json_extract semantics.  Map-only until a |event_types|-sized
-    groupby."""
+    json_extract semantics.  Map-only until an |event_types|-sized
+    aggregate."""
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "props"])
 
     def ext(t: pa.Table) -> pa.Table:
@@ -1883,13 +1841,8 @@ def q_props_value_stats(sf_dir: str) -> pd.DataFrame:
         return pa.table({"event_type": t.column("event_type"),
                          "k": pc.fill_null(k, 0), "n_k": ones})
 
-    out = ev.map_batches(ext, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("k", alias_name="sum_k"),
-            Sum("n_k", alias_name="n_k")) \
-        .to_pandas()
-    out["sum_k"] = out["sum_k"].astype("int64")
-    out["n_k"] = out["n_k"].astype("int64")
+    out = frame(aggregate(ev.map_batches(ext, batch_format="pyarrow"), "event_type",
+                          {"sum_k": ("k", "sum"), "n_k": ("n_k", "sum")}))
     # integers only — a rounded sum/count column risks float ties vs
     # the oracle when the corpus regenerates (see t_bigram_lm_score)
     return out.sort_values("event_type").reset_index(drop=True)
@@ -1902,20 +1855,9 @@ def q_props_value_stats(sf_dir: str) -> pd.DataFrame:
 HEAVY_HITTER_K = 100
 
 
-def _user_count_partial(t: pa.Table) -> pa.Table:
-    """Batch-local (user_id, n) event counts: the combiner."""
-    from .joins import rename_agg
-
-    g = t.group_by("user_id").aggregate([("user_id", "count")])
-    return rename_agg(g, {"user_id_count": "n"}, ["user_id", "n"])
-
-
-def _user_count_merge(t: pa.Table) -> pa.Table:
-    """Keyed merge of (user_id, n) partials: one row per user."""
-    from .joins import rename_agg
-
-    g = t.group_by("user_id").aggregate([("n", "sum")])
-    return rename_agg(g, {"n_sum": "n"}, ["user_id", "n"])
+def _user_counts(ev: rd.Dataset) -> pd.DataFrame:
+    """(user_id, n) event counts: batch-local counts, then a keyed merge."""
+    return frame(aggregate(ev, "user_id", {"n": (None, "count")}))
 
 
 def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
@@ -1927,11 +1869,7 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     n_blocks rows and a hot key's traffic is bounded by the block
     count, never by its event count.  The final top-K is a keyed
     per-user merge of the partials and a tiny driver sort."""
-    from .joins import keyed
-
-    ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
-    out = _keyed_frame(ev, "user_id", _user_count_merge, _user_count_partial)
-    out["n"] = out["n"].astype("int64")
+    out = _user_counts(read_table(f"{sf_dir}/events.parquet", ["user_id"]))
     out = out.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(HEAVY_HITTER_K)
     return out.reset_index(drop=True)
@@ -2596,7 +2534,7 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
     Under BROADCAST_DIM_ROWS orders rows (metadata) the exact ranking
     runs on the driver — one lexsort of a driver-sized table; the
     distributed range-partition rank plan above the gate is unchanged."""
-    from .joins import rename_agg
+    from .joins import keyed
 
     od = _dim_pandas(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     if od is not None:
@@ -2648,31 +2586,21 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
         return t.append_column("__rb", pa.array(rb, pa.int32()))
 
     tagged = cents_ds.map_batches(tag_range, batch_format="pyarrow")
-
-    def range_counts(t: pa.Table) -> pa.Table:
-        g = t.select(["__rb"]).group_by("__rb") \
-            .aggregate([("__rb", "count")])
-        return rename_agg(g, {"__rb_count": "n"}, ["__rb", "n"])
-
-    # <= 65 x n_blocks partial rows: driver pandas fold, not a
-    # Ray-native keyed aggregate (one sort-shuffle saved)
-    bt = tagged.map_batches(range_counts, batch_format="pyarrow") \
-        .to_pandas().groupby("__rb", as_index=False)["n"].sum() \
+    bt = frame(aggregate(tagged, "__rb", {"n": (None, "count")})) \
         .sort_values("__rb")
     n_total = int(bt["n"].sum())
-    rb_ids = bt["__rb"].to_numpy()
     counts = bt["n"].to_numpy().astype(np.int64)
-    prefix = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offset = {int(r): int(p) for r, p in zip(rb_ids, prefix)}
+    offset = np.zeros(len(bounds) + 1, np.int64)
+    offset[bt["__rb"].to_numpy()] = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     def per_range(g: pa.Table) -> pa.Table:
+        # a keyed bucket holds whole ranges, each contiguous in cents order
         order = pc.sort_indices(g, sort_keys=[
             ("cents", "ascending"), ("o_orderkey", "ascending")])
         s = g.take(order)
         cents = s.column("cents").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        rank = np.arange(len(cents), dtype=np.int64) \
-            + offset[int(s.column("__rb")[0].as_py())]
+        rank = _range_cumsum(s, np.ones(len(cents), np.int64), offset) - 1
         dec = rank * k // n_total
         # partial per-decile aggregates (a range bucket spans <= 2
         # deciles in the balanced case — the partial is tiny either way)
@@ -2693,8 +2621,7 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
             "max_c": pa.array(max_, pa.int64()),
         })
 
-    part = tagged.groupby("__rb").map_groups(
-        per_range, batch_format="pyarrow").to_pandas()
+    part = keyed(tagged, "__rb", per_range).to_pandas()
     out = part.groupby("decile", as_index=False).agg(
         n_orders=("n_orders", "sum"), cents=("cents", "sum"),
         min_c=("min_c", "min"), max_c=("max_c", "max"))
@@ -3749,8 +3676,6 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     always (CMS one-sided error); equality at small scale, inflation
     under collision.  Everything is integer + the SQL-mirrorable hash
     family, so the oracle reproduces the sketch bit-for-bit."""
-    from .joins import keyed, rename_agg
-
     ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
 
     def sketch_partial(t: pa.Table) -> pa.Table:
@@ -3769,24 +3694,21 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
             "cnt": pa.array(np.concatenate(cnts), pa.int64()),
         })
 
-    def cell_merge(g: pa.Table) -> pa.Table:
-        t = g.group_by(["row", "bucket"]).aggregate([("cnt", "sum")])
-        return rename_agg(t, {"cnt_sum": "cnt"}, ["row", "bucket", "cnt"])
-
-    cells = _keyed_frame(ev, "row", cell_merge, sketch_partial,
-                         batch_size=65536)
+    cells = frame(aggregate(ev.map_batches(sketch_partial, batch_format="pyarrow",
+                                           batch_size=65536), ["row", "bucket"],
+                            {"cnt": ("cnt", "sum")}))
     cms = np.zeros((CMS_DEPTH, CMS_WIDTH), np.int64)
-    cms[cells["row"].to_numpy(), cells["bucket"].to_numpy()] = \
+    # int64 also when events is empty (an empty aggregate's keys are
+    # null-typed)
+    cms[cells["row"].to_numpy(np.int64), cells["bucket"].to_numpy(np.int64)] = \
         cells["cnt"].to_numpy()
 
     # exact top-k candidates: the q_heavy_hitters combiner shape
-    exact = _keyed_frame(ev, "user_id", _user_count_merge,
-                         _user_count_partial)
-    exact["n"] = exact["n"].astype("int64")
+    exact = _user_counts(ev)
     top = exact.sort_values(["n", "user_id"], ascending=[False, True]) \
         .head(CMS_TOP_K).reset_index(drop=True)
 
-    ids = top["user_id"].to_numpy()
+    ids = top["user_id"].to_numpy(np.int64)
     est = np.min(np.stack([cms[r, _cms_bucket(ids, r)]
                            for r in range(CMS_DEPTH)]), axis=0)
     return pd.DataFrame({
@@ -3833,26 +3755,17 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
     distribution concentrating mass in one bucket degrades the pass-2
     sort to that bucket's size — the documented knob is _EVQ_SHIFT
     (more bits = smaller buckets = bigger pass-1 histogram)."""
-    from .joins import keyed, rename_agg
-
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "value"])
 
-    def hist_partial(t: pa.Table) -> pa.Table:
+    def value_bits(t: pa.Table) -> pa.Table:
         v = t.column("value").combine_chunks().to_numpy(zero_copy_only=False)
         vb = (_ordered_bits(v) >> _EVQ_SHIFT).astype(np.int64)
-        g = pa.table({"event_type": t["event_type"],
-                      "vb": pa.array(vb, pa.int64()),
-                      "cnt": pa.array(np.ones(len(vb), np.int64))}) \
-            .group_by(["event_type", "vb"]).aggregate([("cnt", "sum")])
-        return rename_agg(g, {"cnt_sum": "cnt"}, ["event_type", "vb", "cnt"])
+        return pa.table({"event_type": t["event_type"],
+                         "vb": pa.array(vb, pa.int64())})
 
-    def hist_merge(g: pa.Table) -> pa.Table:
-        t = g.group_by(["event_type", "vb"]).aggregate([("cnt", "sum")])
-        return rename_agg(t, {"cnt_sum": "cnt"}, ["event_type", "vb", "cnt"])
-
-    hist = _keyed_frame(ev, "event_type", hist_merge, hist_partial,
-                        batch_size=65536)
-    hist["cnt"] = hist["cnt"].astype("int64")
+    hist = frame(aggregate(ev.map_batches(value_bits, batch_format="pyarrow",
+                                          batch_size=65536), ["event_type", "vb"],
+                           {"cnt": (None, "count")}))
     hist = hist.sort_values(["event_type", "vb"]).reset_index(drop=True)
 
     # driver: locate each target rank's bucket + in-bucket offset
@@ -3914,31 +3827,24 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     minutes, so each event belongs to exactly window_us/hop_us = 2
     windows.  The fan-out is VECTORIZED (np.repeat of the batch's hop
     indices, never a per-row flat_map), each batch pre-aggregates its
-    (window, count) cells, and the global merge is a tiny Ray groupby
+    (window, count) cells, and the global merge is a tiny keyed fold
     over at most time_span/hop windows — the streaming hopping-window
     shape where no event row ever reaches the exchange."""
-    from .joins import rename_agg
-
     ev = read_table(f"{sf_dir}/events.parquet", ["ts"])
     fan = HOP_WINDOW_US // HOP_US  # windows covering each event
 
-    def partial(t: pa.Table) -> pa.Table:
+    def windows(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         g = us // HOP_US
         # windows [w, w+window) with w = (g - j) * hop, j in [0, fan)
         starts = ((np.repeat(g, fan)
                    - np.tile(np.arange(fan, dtype=np.int64), len(g)))
                   * HOP_US)
-        tbl = pa.table({"wstart_us": pa.array(starts, pa.int64()),
-                        "n": pa.array(np.ones(len(starts), np.int64))})
-        out = tbl.group_by("wstart_us").aggregate([("n", "sum")])
-        return rename_agg(out, {"n_sum": "n"}, ["wstart_us", "n"])
+        return pa.table({"wstart_us": pa.array(starts, pa.int64())})
 
-    out = ev.map_batches(partial, batch_format="pyarrow",
-                         batch_size=65536) \
-        .groupby("wstart_us").aggregate(Sum("n", alias_name="n_events")) \
-        .to_pandas()
-    out["n_events"] = out["n_events"].astype("int64")
+    out = frame(aggregate(ev.map_batches(windows, batch_format="pyarrow",
+                                         batch_size=65536), "wstart_us",
+                          {"n_events": (None, "count")}))
     return out.sort_values("wstart_us").reset_index(drop=True)
 
 
@@ -4044,14 +3950,10 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
             "idx": pa.array(k_f % HLL_M, pa.int64()),
             "rank": pa.array(r_f, pa.int64())})
 
-    def merge(g: pa.Table) -> pa.Table:  # idempotent register max
-        t = g.group_by(["event_type", "idx"]).aggregate([("rank", "max")])
-        return rename_agg(t, {"rank_max": "mj"}, ["event_type", "idx", "mj"])
-
-    from .joins import keyed, rename_agg
-
-    regs = _keyed_frame(ev, "event_type", merge, registers,
-                        batch_size=65536)
+    # registers merge by max (idempotent)
+    regs = frame(aggregate(ev.map_batches(registers, batch_format="pyarrow",
+                                          batch_size=65536), ["event_type", "idx"],
+                           {"mj": ("rank", "max")}))
 
     rows = []
     for ty, g in regs.groupby("event_type", sort=True):
@@ -4080,12 +3982,7 @@ def q_key_skew_profile(sf_dir: str) -> pd.DataFrame:
     top-SKEW_TOP_N keys.  One combiner pass (batch-local counts) + the
     q_heavy_hitters keyed per-user merge; shares are single float
     divisions of exact int64 sums so the oracle matches bit-for-bit."""
-    from .joins import keyed
-
-    ev = read_table(f"{sf_dir}/events.parquet", ["user_id"])
-    counts = keyed(ev.map_batches(_user_count_partial, batch_format="pyarrow"),
-                   "user_id", _user_count_merge).to_pandas()
-    counts["n"] = counts["n"].astype("int64")
+    counts = _user_counts(read_table(f"{sf_dir}/events.parquet", ["user_id"]))
     counts = counts.sort_values(["n", "user_id"],
                                 ascending=[False, True])
     total = int(counts["n"].sum())
@@ -4109,10 +4006,8 @@ def t_column_profile(sf_dir: str) -> pd.DataFrame:
     count, min/max (rendered as strings so one schema fits all column
     types) — the pre-flight data-quality pass a pipeline runs before
     committing to a layout.  Distinct counts use batch-local dedupe
-    partials + one bounded groupby per column (never a row-level
+    partials + one bounded aggregate per column (never a row-level
     distinct exchange); numeric min/max ride the same partials."""
-    from .joins import rename_agg
-
     cols = list(PROFILE_COLUMNS)
     ds = read_table(f"{sf_dir}/documents.parquet", cols)
 
@@ -4132,10 +4027,9 @@ def t_column_profile(sf_dir: str) -> pd.DataFrame:
                          "val": pa.array(vals, pa.string()),
                          "nulls": pa.array(nulls, pa.int64())})
 
-    cells = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536) \
-        .groupby(["col", "val"]).aggregate(Sum("nulls", alias_name="nulls")) \
-        .to_pandas()
+    cells = frame(aggregate(ds.map_batches(partial, batch_format="pyarrow",
+                                           batch_size=65536), ["val", "col"],
+                            {"nulls": ("nulls", "sum")}))
     rows = []
     for c, g in cells.groupby("col", sort=True):
         n_nulls = int(g.loc[g["val"] == "\x00nulls", "nulls"].sum())
@@ -4449,7 +4343,7 @@ def q_cube_revenue(sf_dir: str) -> pd.DataFrame:
     ONE pass: each batch emits its partial for every set (vectorized
     concat of 4 re-keyed copies of an already-collapsed per-batch
     aggregate, so the fan-out multiplies the tiny partial, never the
-    batch), merged by a single small groupby.  NULL grouping keys are
+    batch), merged by a single small aggregate.  NULL grouping keys are
     carried as the CUBE_ALL sentinel through the exchange (Arrow
     group_by treats nulls as a key, but the sentinel keeps the
     semantics explicit) and mapped back to SQL's NULL convention in
@@ -4474,11 +4368,9 @@ def q_cube_revenue(sf_dir: str) -> pd.DataFrame:
                 g.set_column(0, "rf", allk).set_column(1, "ls", allk)]
         return pa.concat_tables(sets)
 
-    parts = li.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536) \
-        .groupby(["rf", "ls"]).aggregate(Sum("sub", alias_name="sub"),
-                                         Sum("n", alias_name="n")) \
-        .to_pandas()
+    parts = frame(aggregate(li.map_batches(partial, batch_format="pyarrow",
+                                           batch_size=65536), ["rf", "ls"],
+                            {"sub": ("sub", "sum"), "n": ("n", "sum")}))
     parts["revenue"] = _sub_to_dollars(parts["sub"].astype("int64"))
     parts["n_items"] = parts["n"].astype("int64")
     out = parts.drop(columns=["sub", "n"]).rename(
@@ -4664,7 +4556,7 @@ Q9_TYPE = "ECONOMY"
 def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
     """sum(rev_sub - qty*retail_cents*100) per (supplier nation, ship
     year).  Group cardinality is tiny (25 nations x ~7 years) so partials
-    collapse in-batch and ONE small groupby merges them; the part and
+    collapse in-batch and ONE small aggregate merges them; the part and
     supplier sides are size-gated (broadcast arrays under
     BROADCAST_DIM_ROWS, else attach_value cogroups with in-bucket
     re-partials, shrinking before each exchange)."""
@@ -4779,8 +4671,8 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
              ("amt", pa.int64())],
             post=nk_group)
 
-    out = partials.groupby(["nk", "ship_year"]) \
-        .aggregate(Sum("amt", alias_name="amt")).to_pandas()
+    out = frame(aggregate(partials, ["nk", "ship_year"],
+                          {"amt": ("amt", "sum")}))
     out["nation"] = out["nk"].map(n_names)
     out["sum_profit"] = out["amt"].astype("int64") / 10000.0
     out = out[["nation", "ship_year", "sum_profit"]]

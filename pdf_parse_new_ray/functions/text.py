@@ -16,9 +16,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Count, Sum
 
 from ..sources.interleaved import read_table
+from .joins import aggregate, frame
 
 # shared with the DuckDB oracle (RE2-compatible, no lookarounds)
 TOKEN_PATTERN = r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]"
@@ -72,17 +72,15 @@ class TokenCounter:
 
 def t_token_stats(sf_dir: str) -> pd.DataFrame:
     """Per-language token statistics."""
-    # Sum+Count then divide (not Mean): integer sums are exact regardless of
-    # partition/accumulation order, so the 4-dp rounding is deterministic
-    # and matches the DuckDB avg() to the bit.
-    out = read_table(f"{sf_dir}/documents.parquet", ["lang", "text"]).map_batches(
-            _warm(TokenCounter), batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_tokens", alias_name="total_tokens"),
-            Sum("n_words", alias_name="total_words"),
-            Sum("n_chars", alias_name="total_chars"),
-        ).to_pandas()
+    # sum and count, then divide (not a mean): integer sums are exact
+    # regardless of partition/accumulation order, so the 4-dp rounding is
+    # deterministic and matches the DuckDB avg() to the bit.
+    out = frame(aggregate(
+        read_table(f"{sf_dir}/documents.parquet", ["lang", "text"])
+        .map_batches(_warm(TokenCounter), batch_format="pyarrow"), "lang",
+        {"n_docs": (None, "count"), "total_tokens": ("n_tokens", "sum"),
+         "total_words": ("n_words", "sum"),
+         "total_chars": ("n_chars", "sum")}))
     out["avg_tokens"] = (out["total_tokens"] / out["n_docs"]).round(4)
     out["avg_words"] = (out["total_words"] / out["n_docs"]).round(4)
     out["avg_chars"] = (out["total_chars"] / out["n_docs"]).round(4)
@@ -109,16 +107,15 @@ def t_quality_scores(sf_dir: str) -> pd.DataFrame:
             "space_chars": pa.array(space, pa.int64()),
         })
 
-    # Sum+Count then divide (not Mean): exact integer sums make the rounded
-    # average deterministic across partitionings (see t_token_stats).
-    out = read_table(f"{sf_dir}/documents.parquet", ["source", "text"]) \
-        .map_batches(metrics, batch_format="pyarrow") \
-        .groupby("source").aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_chars", alias_name="total_chars"),
-            Sum("alpha_chars", alias_name="total_alpha"),
-            Sum("space_chars", alias_name="total_space"),
-        ).to_pandas()
+    # sum and count, then divide (not a mean): exact integer sums make the
+    # rounded average deterministic across partitionings (see
+    # t_token_stats).
+    out = frame(aggregate(
+        read_table(f"{sf_dir}/documents.parquet", ["source", "text"])
+        .map_batches(metrics, batch_format="pyarrow"), "source",
+        {"n_docs": (None, "count"), "total_chars": ("n_chars", "sum"),
+         "total_alpha": ("alpha_chars", "sum"),
+         "total_space": ("space_chars", "sum")}))
     out["avg_chars"] = (out["total_chars"] / out["n_docs"]).round(4)
     out = out.drop(columns=["total_chars"])
     out = out.sort_values("source").reset_index(drop=True)
@@ -165,9 +162,10 @@ class LangId:
 
 def t_langid(sf_dir: str) -> pd.DataFrame:
     """Predicted vs labeled language confusion counts."""
-    out = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "lang", "text"]).map_batches(
-            _warm(LangId), batch_format="pyarrow") \
-        .groupby(["lang", "pred_lang"]).aggregate(Count(alias_name="n")).to_pandas()
+    out = frame(aggregate(
+        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "lang", "text"])
+        .map_batches(_warm(LangId), batch_format="pyarrow"),
+        ["lang", "pred_lang"], {"n": (None, "count")}))
     return out.sort_values(["lang", "pred_lang"]).reset_index(drop=True)
 
 
@@ -385,18 +383,8 @@ def t_above_median_by_lang(sf_dir: str) -> pd.DataFrame:
 
     import numpy as np
 
-    from .joins import rename_agg
-
-    def length_counts(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "n_chars": t.column("n_chars"),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        }).group_by("n_chars").aggregate([("n", "sum")])
-        return rename_agg(g, {"n_sum": "n"}, ["n_chars", "n"])
-
-    counts = read_table(f"{sf_dir}/documents.parquet", ["n_chars"]) \
-        .map_batches(length_counts, batch_format="pyarrow", batch_size=65536) \
-        .groupby("n_chars").aggregate(Sum("n", alias_name="n")).to_pandas() \
+    counts = frame(aggregate(read_table(f"{sf_dir}/documents.parquet", ["n_chars"]),
+                             "n_chars", {"n": (None, "count")})) \
         .sort_values("n_chars")
     cum = counts["n"].cumsum().to_numpy()
     total = int(cum[-1])
@@ -405,21 +393,11 @@ def t_above_median_by_lang(sf_dir: str) -> pd.DataFrame:
     median = int(counts["n_chars"].to_numpy()[int(np.searchsorted(cum, target))])
 
     def above(t: pa.Table) -> pa.Table:
-        keep = t.filter(pc.greater(t.column("n_chars"), median))
-        if keep.num_rows == 0:
-            # typed empty output — an untyped empty group_by result makes
-            # the streaming executor warn about schema drift
-            return pa.table({"lang": pa.array([], pa.string()),
-                             "n_docs": pa.array([], pa.int64())})
-        g = pa.table({
-            "lang": keep.column("lang"),
-            "n": pa.array(np.ones(keep.num_rows, np.int64)),
-        }).group_by("lang").aggregate([("n", "sum")])
-        return rename_agg(g, {"n_sum": "n_docs"}, ["lang", "n_docs"])
+        return t.filter(pc.greater(t.column("n_chars"), median))
 
-    out = read_table(f"{sf_dir}/documents.parquet", ["lang", "n_chars"]) \
-        .map_batches(above, batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("n_docs", alias_name="n_docs")).to_pandas()
+    out = frame(aggregate(read_table(f"{sf_dir}/documents.parquet", ["lang", "n_chars"])
+                          .map_batches(above, batch_format="pyarrow"), "lang",
+                          {"n_docs": (None, "count")}))
     return out.sort_values("lang").reset_index(drop=True)[["lang", "n_docs"]]
 
 
@@ -637,18 +615,8 @@ def t_lang_mix_sample(sf_dir: str) -> pd.DataFrame:
     by the DuckDB oracle's HUGEINT division) then ride into phase 2's
     map-only vectorized filter as a closure — no second shuffle, no
     per-stratum pass."""
-    from .joins import rename_agg
-
-    def counts(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "lang": t.column("lang"),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        }).group_by("lang").aggregate([("n", "sum")])
-        return rename_agg(g, {"n_sum": "n"}, ["lang", "n"])
-
     docs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "lang"])
-    cnt = docs.map_batches(counts, batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("n", alias_name="n")).to_pandas()
+    cnt = frame(aggregate(docs, "lang", {"n": (None, "count")}))
     langs = cnt["lang"].tolist()
     totals = {l: int(v) for l, v in zip(cnt["lang"], cnt["n"])}
     mn = min(totals.values())
@@ -656,18 +624,14 @@ def t_lang_mix_sample(sf_dir: str) -> pd.DataFrame:
     thr = np.array([(m61 * mn) // totals[l] for l in langs], np.uint64)
     lang_arr = pa.array(langs, pa.string())
 
-    def keep_partial(t: pa.Table) -> pa.Table:
+    def keep(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         li = pc.index_in(t.column("lang"), value_set=lang_arr) \
             .combine_chunks().to_numpy(zero_copy_only=False)
-        mask = sample_hash(ids) < thr[li]
-        sub = t.filter(pa.array(mask))
-        return counts(sub) if sub.num_rows else pa.table(
-            {"lang": pa.array([], pa.string()),
-             "n": pa.array([], pa.int64())})
+        return t.filter(pa.array(sample_hash(ids) < thr[li]))
 
-    sampled = docs.map_batches(keep_partial, batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("n", alias_name="n")).to_pandas()
+    sampled = frame(aggregate(docs.map_batches(keep, batch_format="pyarrow"),
+                              "lang", {"n": (None, "count")}))
     picked = {l: int(v) for l, v in zip(sampled["lang"], sampled["n"])}
     out = pd.DataFrame({
         "lang": sorted(langs),
@@ -791,17 +755,9 @@ def t_bigram_lm_score(sf_dir: str) -> pd.DataFrame:
                                     "part_sum": "total_freq"},
                               ["doc_id", "n_bigrams", "total_freq"])
 
-        def merge_docs(g: pa.Table) -> pa.Table:
-            from .joins import rename_agg
-
-            t = g.group_by("doc_id").aggregate(
-                [("n_bigrams", "sum"), ("total_freq", "sum")])
-            return rename_agg(t, {"n_bigrams_sum": "n_bigrams",
-                                  "total_freq_sum": "total_freq"},
-                              ["doc_id", "n_bigrams", "total_freq"])
-
-        out = keyed(keyed(gds, "h", per_bucket), "doc_id",
-                    merge_docs).to_pandas()
+        out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
+                              {"n_bigrams": ("n_bigrams", "sum"),
+                               "total_freq": ("total_freq", "sum")}))
     out["n_bigrams"] = out["n_bigrams"].astype("int64")
     out["total_freq"] = out["total_freq"].astype("int64")
     # no rounded-division column: total_freq / n_bigrams is derivable,
@@ -896,6 +852,7 @@ def t_sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN,
 
     from . import joins
     from .dedup import _docs_meta_rows
+    from .relational import _range_cumsum
 
     if _docs_meta_rows(sf_dir) <= joins.LOCAL_FOLD_ROWS:
         # driver prefix sum: tokenization stays distributed; the prefix
@@ -930,28 +887,19 @@ def t_sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN,
         return t.append_column("__rb", pa.array(rb, pa.int32()))
 
     tagged = counts.map_batches(tag_range, batch_format="pyarrow")
-
-    def range_totals(t: pa.Table) -> pa.Table:
-        from .joins import rename_agg
-
-        g = t.select(["__rb", "n_tokens"]).group_by("__rb") \
-            .aggregate([("n_tokens", "sum")])
-        return rename_agg(g, {"n_tokens_sum": "total"}, ["__rb", "total"])
-
-    bt = tagged.map_batches(range_totals, batch_format="pyarrow") \
-        .groupby("__rb").aggregate(Sum("total", alias_name="total")) \
-        .to_pandas().sort_values("__rb")
-    rb_ids = bt["__rb"].to_numpy()
+    bt = frame(aggregate(tagged, "__rb", {"total": ("n_tokens", "sum")})) \
+        .sort_values("__rb")
     totals = bt["total"].to_numpy().astype(np.int64)
-    prefix = np.concatenate(([0], np.cumsum(totals)[:-1]))
-    offset = {int(r): int(p) for r, p in zip(rb_ids, prefix)}
+    offset = np.zeros(len(bounds) + 1, np.int64)
+    offset[bt["__rb"].to_numpy()] = np.concatenate(([0], np.cumsum(totals)[:-1]))
 
     def per_range(g: pa.Table) -> pa.Table:
+        # a keyed bucket holds whole ranges, each contiguous in doc_id order
         order = pc.sort_indices(g, sort_keys=[("doc_id", "ascending")])
         s = g.take(order)
         n = s.column("n_tokens").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        cum_prev = np.cumsum(n) - n + offset[int(s.column("__rb")[0].as_py())]
+        cum_prev = _range_cumsum(s, n, offset) - n
         return pa.table({
             "doc_id": s.column("doc_id"),
             "n_tokens": s.column("n_tokens"),
@@ -959,8 +907,7 @@ def t_sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN,
             "seq_offset": pa.array(cum_prev % seq_len, pa.int64()),
         })
 
-    out = tagged.groupby("__rb").map_groups(
-        per_range, batch_format="pyarrow").to_pandas()
+    out = joins.keyed(tagged, "__rb", per_range).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1102,16 +1049,8 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
             .groupby("doc_id", as_index=False).sum()
         out.columns = ["doc_id", "n_occ", "tmass", "rmass"]
     else:
-        def per_doc(g: pa.Table) -> pa.Table:
-            f = g.group_by("doc_id").aggregate([
-                ("n_occ", "sum"), ("tmass", "sum"), ("rmass", "sum")])
-            return rename_agg(f, {"n_occ_sum": "n_occ",
-                                  "tmass_sum": "tmass",
-                                  "rmass_sum": "rmass"},
-                              ["doc_id", "n_occ", "tmass", "rmass"])
-
-        out = keyed(keyed(gds, "b", per_bucket), "doc_id",
-                    per_doc).to_pandas()
+        out = frame(aggregate(keyed(gds, "b", per_bucket), "doc_id",
+                              {c: (c, "sum") for c in ("n_occ", "tmass", "rmass")}))
 
     # global totals: R = all bigram occurrences, T = the target slice's
     # (per-doc n_occ split by lang — a tiny column-pruned read)
@@ -1249,17 +1188,11 @@ def t_gram_novelty(sf_dir: str) -> pd.DataFrame:
                               "n_novel_sum": "n_novel"},
                           ["doc_id", "n_grams", "n_novel"])
 
-    def per_doc(g: pa.Table) -> pa.Table:
-        f = g.group_by("doc_id").aggregate([("n_grams", "sum"),
-                                            ("n_novel", "sum")])
-        return rename_agg(f, {"n_grams_sum": "n_grams",
-                              "n_novel_sum": "n_novel"},
-                          ["doc_id", "n_grams", "n_novel"])
-
     gds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]) \
         .map_batches(grams, batch_format="pyarrow")
-    out = keyed(keyed(gds, "h", per_bucket), "doc_id",
-                per_doc).to_pandas()
+    out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
+                          {"n_grams": ("n_grams", "sum"),
+                           "n_novel": ("n_novel", "sum")}))
     out["novelty"] = out["n_novel"].to_numpy().astype(np.float64) \
         / out["n_grams"].to_numpy().astype(np.float64)
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -28,7 +28,10 @@ from __future__ import annotations
 import ray
 
 
-@ray.remote(num_cpus=0.1)
+# no CPU reserved: a shard holds a set and does no CPU-bound work, and
+# 16 shards at 0.1 CPU each left a 1- or 2-CPU node without the whole
+# CPU every Ray Data task asks for, so the query after them hung
+@ray.remote(num_cpus=0)
 class DedupShard:
     """One shard of the fingerprint set.  check_and_add is atomic per
     actor (Ray actors serialize calls), so first-wins is deterministic

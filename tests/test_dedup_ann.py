@@ -3,6 +3,9 @@ documents table has none, so the driver-side dedup checks pass on empty
 output — these fixtures make the operators prove non-trivial behavior:
 VERDICT round 1, "Exercise dedup on real duplicates")."""
 
+import io
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -989,6 +992,34 @@ def test_incremental_dedup_index(ray_session, tmp_path):
         and rows[0].n_accepted == 2
     assert rows[1].n_docs == 3 and rows[1].n_unique == 3 \
         and rows[1].n_accepted == 1
+
+
+def test_incremental_dedup_on_one_cpu(ray_session):
+    """d_incremental_dedup finishes on a one-CPU Ray instance, with the
+    frame of this session's four CPUs.  Its 16 index shards reserve no
+    CPU, so every Ray Data task after them still gets a whole one (at 0.1
+    CPU each they held 1.6 CPUs and the next task waited for good)."""
+    import subprocess
+    import sys
+
+    from pdf_parse_new_ray.functions import dedup
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sf = os.path.join(repo, "perfbench", "data", "sf0.001")
+    script = (
+        "import sys, ray\n"
+        f"sys.path.insert(0, {repo!r})\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False, "
+        "logging_level='ERROR')\n"
+        "from ray.data import DataContext\n"
+        "DataContext.get_current().enable_progress_bars = False\n"
+        "from pdf_parse_new_ray.functions import dedup\n"
+        f"print(dedup.d_incremental_dedup({sf!r}).to_json())\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=180)
+    assert run.returncode == 0, run.stderr[-2000:]
+    one_cpu = pd.read_json(io.StringIO(run.stdout.strip().splitlines()[-1]))
+    pd.testing.assert_frame_equal(one_cpu, dedup.d_incremental_dedup(sf))
 
 
 def test_late_data_drop_watermark(ray_session, tmp_path):

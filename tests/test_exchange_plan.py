@@ -1,7 +1,8 @@
 """The keyed exchange as a Ray Data plan operator (``joins.HashExchange``):
 a query's reads, maps, exchanges and collect run as one job, each bucket
 is reduced once, and a finished exchange is not run again when its result
-is read a second time."""
+is read a second time; and ``joins.aggregate``, the aggregation built on
+it."""
 
 import collections
 import os
@@ -78,6 +79,74 @@ def test_forced_join_runs_as_one_job(ray_session, jobs, forced, query):
                     f"read_parquet('{SF001}/{f}')")
     assert compare(query, got,
                    con.execute(entry.oracle_sql()[query]).fetchdf()) == "OK"
+
+
+@pytest.mark.parametrize("query", ["t_token_stats", "q_events_daily"])
+def test_forced_aggregate_runs_as_one_job(ray_session, jobs, forced, query):
+    """A forced ``joins.aggregate`` query (per-batch partials and one
+    keyed merge for t_token_stats, the table-order fold for
+    q_events_daily) starts exactly one Ray Data execution, reduces each
+    bucket once and matches its DuckDB oracle."""
+    import duckdb
+
+    import __ray_entry__ as entry
+    from tools.check_queries import compare
+
+    got = entry.queries()[query](SF001)
+    assert jobs["jobs"] == 1
+    assert jobs["reduces"] and set(jobs["reduces"].values()) == {1}
+    con = duckdb.connect()
+    for f in os.listdir(SF001):
+        con.execute(f"CREATE VIEW {f[:-len('.parquet')]} AS SELECT * FROM "
+                    f"read_parquet('{SF001}/{f}')")
+    assert compare(query, got,
+                   con.execute(entry.oracle_sql()[query]).fetchdf()) == "OK"
+
+
+@pytest.mark.parametrize("local_rows", [None, 0])
+def test_aggregate_ops_order_and_empty_input(ray_session, monkeypatch,
+                                            local_rows):
+    """``joins.aggregate``: count/sum/min/max over two keys equal pandas',
+    gated and exchanged; a float sum raises unless given a row order, and
+    with one it adds each group in table order whatever the block cut
+    (1e16 + 1 - 1e16 + 1 is 1.0 in order, 0.0 merged per block of two);
+    a zero-row input keeps the spec's columns through ``joins.frame``."""
+    import pandas as pd
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins
+
+    if local_rows is not None:
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", local_rows)
+    rng = np.random.default_rng(3)
+    t = pa.table({"a": pa.array(rng.integers(0, 5, 3_000), pa.int64()),
+                  "b": pa.array(rng.choice(["x", "y"], 3_000)),
+                  "v": pa.array(rng.integers(-50, 50, 3_000), pa.int64())})
+    got = joins.frame(joins.aggregate(
+        rd.from_arrow(t).repartition(6), ["a", "b"],
+        {"n": (None, "count"), "s": ("v", "sum"), "lo": ("v", "min"),
+         "hi": ("v", "max")})).sort_values(["a", "b"]).reset_index(drop=True)
+    want = t.to_pandas().groupby(["a", "b"], as_index=False).agg(
+        n=("v", "size"), s=("v", "sum"), lo=("v", "min"), hi=("v", "max"))
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    f = pa.table({"k": ["g"] * 4, "x": [1e16, 1.0, -1e16, 1.0],
+                  "row": pa.array(np.arange(4), pa.int64())})
+    with pytest.raises(Exception, match="float sum"):
+        joins.frame(joins.aggregate(rd.from_arrow(f), "k",
+                                    {"s": ("x", "sum")}))
+    for cut in ([4], [2, 2], [1, 1, 1, 1], [3, 1]):
+        blocks = rd.from_arrow([f.slice(sum(cut[:i]), n)
+                                for i, n in enumerate(cut)])
+        got = joins.frame(joins.aggregate(blocks, "k", {"s": ("x", "sum")},
+                                          order="row"))
+        assert got["s"].tolist() == [1.0]
+
+    empty = joins.frame(joins.aggregate(
+        rd.from_arrow(t.slice(0, 0)), ["a", "b"],
+        {"n": (None, "count"), "s": ("v", "sum"), "hi": ("v", "max")}))
+    assert len(empty) == 0 and list(empty.columns) == ["a", "b", "n", "s",
+                                                       "hi"]
 
 
 def test_attach_is_one_job_named_in_stats(ray_session, jobs, monkeypatch):

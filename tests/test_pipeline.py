@@ -311,6 +311,34 @@ def test_collect_stats_merges_lineage_and_progress(ray_session, small_corpus, tm
     prog.close()
 
 
+def test_media_text_blocks_share_one_schema(ray_session, small_corpus):
+    """extract_media_text over media that no page range splits: the
+    multi-chunk exchange is empty and gives no block, so every block of
+    the union has the single-chunk schema (an empty exchange used to add
+    a column-less block), and each blob's row is the kernel's text."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from pdf_parse_new_ray.pdfkernel import parse_pdf
+    from pdf_parse_new_ray.pipelines.extraction import extract_media_text
+
+    media = pq.read_table(f"{small_corpus}/media")
+    blobs = dict(zip(media.column("media_ref").to_pylist(),
+                     media.column("bytes").to_pylist()))
+    assert max(map(len, blobs.values())) < 100 * 1024  # no split unit
+    bundles = list(extract_media_text(
+        rd.read_parquet(f"{small_corpus}/media")).iter_internal_ref_bundles())
+    assert len({b.schema for b in bundles}) == 1
+    rows = pa.concat_tables([ray.get(r) for b in bundles
+                             for r in b.block_refs]).to_pylist()
+    assert sorted(r["media_ref"] for r in rows) == sorted(blobs)
+    for r in rows:
+        want = parse_pdf(blobs[r["media_ref"]])
+        assert (r["text"], r["numpages"], r["error"]) == \
+            (want["text"], want["numpages"], None), r["media_ref"]
+
+
 def test_windowed_write_dir_escape_hatch(ray_session, tmp_path):
     """q_sessionization/q_asof write_dir= streams per-bucket parquet and
     returns metrics only — the scale hatch for corpus-sized windowed

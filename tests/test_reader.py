@@ -16,6 +16,7 @@ sys.path.insert(0, REPO)
 from bench import _sf_dir  # noqa: E402 - the benchmark's table directory
 
 SF001 = os.path.join(os.path.dirname(_sf_dir()), "sf0.001")
+SF0_01 = os.path.join(os.path.dirname(_sf_dir()), "sf0.01")
 SF01 = os.path.join(os.path.dirname(_sf_dir()), "sf0.1")
 
 
@@ -171,6 +172,26 @@ def test_no_direct_parquet_reads_in_functions():
     assert hits == []
 
 
+def test_no_ray_groupby_in_functions():
+    """Every ``functions/`` aggregation runs on ``joins.keyed`` (plain
+    aggregates through ``joins.aggregate``): no Ray Dataset ``groupby``
+    sort shuffle and no ``ray.data.aggregate`` import.  Only Ray's call
+    shapes match (``.groupby(...)`` chained into ``.aggregate(`` or
+    ``.map_groups(``, across line breaks); pandas ``df.groupby(...)
+    .agg(...)`` and Arrow ``group_by`` stay."""
+    ray_groupby = re.compile(r"\.groupby\((?:[^()]|\([^()]*\))*\)[\s\\]*"
+                             r"\.(?:aggregate|map_groups)\(")
+    root = os.path.join(REPO, "pdf_parse_new_ray", "functions")
+    hits = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            src = open(os.path.join(root, name)).read()
+            hits += [f"{name}:{src.count(chr(10), 0, m.start()) + 1}"
+                     for pat in (ray_groupby, re.compile(r"ray\.data\.aggregate"))
+                     for m in pat.finditer(src)]
+    assert hits == []
+
+
 @pytest.mark.skipif(not os.path.isdir(SF01), reason="needs the sf0.1 tables")
 @pytest.mark.parametrize("local_rows", [None, 0])
 def test_q1_sums_do_not_depend_on_block_layout(ray_session, monkeypatch,
@@ -209,6 +230,50 @@ def test_q1_sums_do_not_depend_on_block_layout(ray_session, monkeypatch,
                    _oracle(SF01, "q1_pricing_summary")) == "OK"
 
 
+FLOAT_SUM_QUERIES = ["q_events_daily", "q_customer_nation_balance",
+                     "q_price_band_join", "q_rollup_revenue"]
+
+
+@pytest.mark.parametrize("local_rows", [None, 0])
+@pytest.mark.parametrize("sf_dir", [SF001, SF0_01, SF01],
+                         ids=["sf0.001", "sf0.01", "sf0.1"])
+@pytest.mark.parametrize("query", FLOAT_SUM_QUERIES)
+def test_float_sums_do_not_depend_on_block_layout(ray_session, monkeypatch,
+                                                  query, sf_dir, local_rows):
+    """Each query whose oracle sums floats gives the same frame with its
+    table cut into 1, 3, 7 and 8 blocks, gated and with every keyed fold
+    exchanging, equal to the DuckDB oracle: each group's values add in
+    table order (``joins.aggregate(order=...)``), not per block."""
+    if not os.path.isdir(sf_dir):
+        pytest.skip(f"needs the {os.path.basename(sf_dir)} tables")
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins, relational
+    from tools.check_queries import compare
+
+    if local_rows is not None:
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", local_rows)
+
+    def cut(k):
+        def read(p, columns=None, row_index=None, **kw):
+            t = pq.read_table(p, columns=columns)
+            if row_index is not None:  # as read_table: each row's position
+                t = t.append_column(row_index, pa.array(
+                    np.arange(t.num_rows, dtype=np.int64)))
+            b = [t.num_rows * i // k for i in range(k + 1)]
+            return rd.from_arrow([t.slice(b[i], b[i + 1] - b[i])
+                                  for i in range(k)])
+        return read
+
+    frames = []
+    for k in (1, 3, 7, 8):
+        monkeypatch.setattr(relational, "read_table", cut(k))
+        frames.append(getattr(relational, query)(sf_dir))
+    for f in frames[1:]:
+        assert f.equals(frames[0])
+    assert compare(query, frames[0], _oracle(sf_dir, query)) == "OK"
+
+
 def _oracle(sf_dir: str, query: str):
     """The query's DuckDB oracle over the tables in ``sf_dir``."""
     import duckdb
@@ -228,6 +293,8 @@ EMPTY_EVENTS_QUERIES = [
     "q_hll_distinct", "q_value_quantiles_by_type", "q_event_type_pivot",
     "q_user_event_stats", "q_sessionization", "q_session_overlap_counts",
     "q_user_first_last", "q_late_data_drop", "q_trailing_hour_sum",
+    "q_events_daily", "q_props_value_stats", "q_hopping_window_counts",
+    "q_daily_distinct_users",
 ]
 
 
