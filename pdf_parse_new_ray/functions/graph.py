@@ -29,7 +29,8 @@ PAGERANK_DAMPING = 0.85
 PAGERANK_ITERS = 10
 
 # above this many vertices the per-iteration rank attach must cogroup
-# instead of broadcast (same role as relational.BROADCAST_DIM_ROWS)
+# instead of broadcast (a rank vector, not a parquet dimension table, so
+# joins.lookup does not choose here)
 PAGERANK_BROADCAST_VERTICES = 5_000_000
 # broadcast path: pre-merge per-block dst partials through a keyed fold on
 # dst before the driver pull once the vertex count makes the

@@ -2,7 +2,8 @@
 
 These are the engine's general query capabilities (SURVEY §2.2/2.4/2.5/2.6
 generalized beyond PDF): vectorized Arrow map_batches, partial pre-
-aggregation before shuffles, broadcast joins for small dimension tables,
+aggregation before shuffles, dimension attaches through ``joins.lookup``
+(which broadcasts a small dimension table and exchanges a large one),
 hash joins for fact-fact, top-k via sort+limit.  Each function takes
 ``sf_dir`` and returns a result whose column names match the paired oracle
 SQL in __ray_entry__.oracle_sql().
@@ -20,83 +21,24 @@ import ray
 import ray.data as rd
 
 from ..sources.interleaved import read_table
-from .joins import aggregate, frame
+from .joins import aggregate, frame, lookup
 
 
-def _dim_pandas(sf_dir: str, table: str, columns=None, filters=None):
-    """Driver-local read of a DIMENSION table when its parquet metadata
-    row count fits BROADCAST_DIM_ROWS — a Ray read operator costs
-    ~0.2-0.3 s of launch per query for a table the driver parses in
-    single-digit ms (nation is 25 rows at every SF).  Returns None above
-    the gate; callers fall back to the distributed ``read_table`` read."""
-    import pyarrow.parquet as pq_
-
-    path = f"{sf_dir}/{table}.parquet"
-    if pq_.ParquetFile(path).metadata.num_rows > BROADCAST_DIM_ROWS:
-        return None
-    return pq_.read_table(path, columns=columns,
-                          filters=filters).to_pandas()
-
-
-def _orders_custkey_ref(sf_dir: str):
-    """Size-gated broadcast of the (o_orderkey -> o_custkey) map: sorted
-    key array + aligned custkeys in plasma, or None above the gate (the
-    caller then runs its bucketed cogroup).  The gate reads parquet
-    METADATA only — no Ray read operator is launched to decide."""
-    od = _dim_pandas(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    if od is None:
-        return None
-    ok = od["o_orderkey"].to_numpy().astype(np.int64)
-    o = np.argsort(ok)
-    return ray.put((ok[o], od["o_custkey"].to_numpy().astype(np.int64)[o]))
-
-
-def _custkey_probe(extra_cols: list, combine, out_name="o_custkey"):
-    """fn(batch, (sorted_orderkeys, values)) for broadcast_map: inner
-    searchsorted membership on l_orderkey, value attach (custkey or any
-    per-order int64 encode) as ``out_name``, then the caller's per-batch
-    combine — the task-mode mirror of attach_value's in-bucket
-    probe+combine."""
-    def probe(t: pa.Table, state) -> pa.Table:
-        ok_w, ck_w = state
-        k = t.column("l_orderkey").combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        if len(ok_w) == 0:
-            empty = {out_name: pa.array([], pa.int64())}
-            for c in extra_cols:
-                empty[c] = t.column(c).slice(0, 0)
-            return combine(pa.table(empty))
-        idx = np.searchsorted(ok_w, k)
-        idx[idx == len(ok_w)] = 0
-        hit = ok_w[idx] == k
-        f = t.filter(pa.array(hit))
-        cols = {out_name: pa.array(ck_w[idx[hit]], pa.int64())}
-        for c in extra_cols:
-            cols[c] = f[c]
-        return combine(pa.table(cols))
-    return probe
+def _kv(key: str, val: str):
+    """``joins.lookup`` value rows of a dimension table: column ``key`` as
+    the doc_id, column ``val`` as an int64 value (``_kv(k, k)`` for a
+    semi-join, whose attached column the caller drops)."""
+    return lambda t: pa.table({"doc_id": t[key],
+                               "value": pc.cast(t[val], pa.int64())})
 
 
 def _nation_map(sf_dir: str) -> dict:
     """(n_nationkey -> n_name) lookup — 25 rows at every TPC-H SF, so
-    the driver always reads it directly, whatever the broadcast gate."""
+    the driver always reads it directly."""
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name"])
     return dict(zip(nat["n_nationkey"].to_pylist(),
                     nat["n_name"].to_pylist()))
-
-
-# dimension tables at or below this row count broadcast (value_set /
-# index_in arrays); above it the bucketed cogroup (functions/joins.py)
-# runs.  One knob so tests can force the distributed path on small data.
-# Whether a keyed fold runs on the driver or exchanges is not decided
-# here: joins.hash_exchange folds in-process at or below
-# joins.LOCAL_FOLD_ROWS input rows, so each query below has one plan.
-BROADCAST_DIM_ROWS = 2_000_000
-
-# task-mode warm broadcast state for q3's gated small-scale path (keyed by
-# the ObjectRef hex so distinct queries/inputs never share state)
-_Q3_TASK_STATE: dict = {}
 
 
 def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
@@ -196,50 +138,25 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def q3_top_orders(sf_dir: str) -> pd.DataFrame:
-    cust = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment"])
+    from .joins import attach_value, rename_agg
+
     orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey", "o_orderdate"])
+    odate_type = orders.schema().base_schema.field("o_orderdate").type
 
     def date_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.less(batch["o_orderdate"],
                                     pa.scalar(pd.Timestamp("1995-03-15"))))
 
-    # size-gated semi-join on the BUILDING customer set: broadcast an Arrow
-    # value_set while the segment fits, bucketed cogroup when it doesn't
-    # (a TPC-H-scale segment is ~1/5 of all customers — not broadcastable)
-    if cust.count() <= BROADCAST_DIM_ROWS:
-        # driver read under the gate (metadata row count): the segment
-        # key fetch costs ms instead of a Ray read + take_all pass
-        cp = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_mktsegment"],
-                         filters=[("c_mktsegment", "==", "BUILDING")])
-        seg_keys = sorted(int(k) for k in cp["c_custkey"])
-        keys_ref = ray.put(seg_keys)
-        ck = ("q3keys", keys_ref.hex())
-
-        def filter_by_cust(batch: pa.Table) -> pa.Table:
-            # task-mode warm value_set (module cache, no actor spin-up):
-            # ray.get of a local-object-store ref is zero-copy and the
-            # Arrow array is built once per worker process
-            keys = _Q3_TASK_STATE.get(ck)
-            if keys is None:
-                keys = _Q3_TASK_STATE[ck] = pa.array(ray.get(keys_ref), pa.int64())
-            return date_filter(batch.filter(
-                pc.is_in(batch["o_custkey"], value_set=keys)))
-
-        sel_orders = orders.map_batches(filter_by_cust, batch_format="pyarrow")
-    else:
-        from .joins import attach_value
-
-        seg = cust.filter(expr="c_mktsegment == 'BUILDING'").map_batches(
-            lambda t: pa.table({"doc_id": t["c_custkey"],
-                                "value": pa.array([True] * t.num_rows, pa.bool_())}),
-            batch_format="pyarrow")
-        odate_type = orders.schema().base_schema.field("o_orderdate").type
-        sel_orders = attach_value(
-            orders.map_batches(date_filter, batch_format="pyarrow"),
-            seg, "o_custkey", "in_seg", pa.bool_(),
-            [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-             ("o_orderdate", odate_type)],
-        ).drop_columns(["in_seg"])  # inner-join semantics: only members survive
+    # semi-join on the BUILDING customer set: the attached column is
+    # dropped, and inner-join semantics keep only the segment's orders
+    sel_orders = lookup(
+        orders.map_batches(date_filter, batch_format="pyarrow"), "o_custkey",
+        f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment"],
+        _kv("c_custkey", "c_custkey"), "in_seg", pa.int64(),
+        [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
+         ("o_orderdate", odate_type)],
+        filters=[("c_mktsegment", "==", "BUILDING")],
+        post=lambda t: t.drop_columns(["in_seg"]))
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
     li = li.map_batches(
@@ -250,66 +167,6 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
         }).filter(pc.greater(t["l_shipdate"], pa.scalar(pd.Timestamp("1995-03-15")))),
         batch_format="pyarrow",
     )
-    # size-gated probe: when the ORDERS table itself is broadcastable the
-    # filtered selection certainly is — ship (o_orderkey, o_orderdate)
-    # once via ray.put and fold revenue inside each lineitem batch (no
-    # join aggregator actors, no groupby shuffle; partials are bounded by
-    # the gated selection size).  Past the gate, the orderkey cogroup
-    # below runs (the exchange sizes its own buckets).
-    if orders.count() <= BROADCAST_DIM_ROWS:
-        # Arrow-native materialize (gated small): keeps the source
-        # timestamp unit exact — a pandas roundtrip would silently
-        # rewrite timestamp[s] to [us] and break result-dtype parity.
-        # Under the customer gate the selection builds straight on the
-        # driver (pq.read_table stays Arrow); otherwise drain the
-        # distributed selection's blocks
-        if cust.count() <= BROADCAST_DIM_ROWS:
-            import pyarrow.parquet as pq_
-
-            ot = pq_.read_table(
-                f"{sf_dir}/orders.parquet",
-                columns=["o_orderkey", "o_custkey", "o_orderdate"],
-                filters=[("o_orderdate", "<",
-                          pd.Timestamp("1995-03-15"))])
-            sel_tab = ot.filter(pc.is_in(
-                ot["o_custkey"],
-                value_set=pa.array(seg_keys, pa.int64())))
-        else:
-            sel_tab = pa.concat_tables(ray.get(sel_orders.to_arrow_refs()))
-        sel_ref = ray.put(sel_tab)
-        jk = ("q3join", sel_ref.hex())
-
-        def broadcast_join_fold(t: pa.Table) -> pa.Table:
-            state = _Q3_TASK_STATE.get(jk)
-            if state is None:
-                tab = ray.get(sel_ref)
-                state = _Q3_TASK_STATE[jk] = (tab["o_orderkey"].combine_chunks(),
-                                              tab["o_orderdate"].combine_chunks())
-            keys, dates = state
-            idx = pc.index_in(t["l_orderkey"], value_set=keys)
-            mask = pc.is_valid(idx)
-            hit = pc.filter(idx, mask)
-            part = pa.table({
-                "l_orderkey": pc.filter(t["l_orderkey"], mask),
-                "o_orderdate": pc.take(dates, hit),
-                "revenue_part": pc.filter(t["revenue_part"], mask),
-            })
-            g = part.group_by(["l_orderkey", "o_orderdate"]).aggregate(
-                [("revenue_part", "sum")])
-            from .joins import rename_agg
-            return rename_agg(g, {"revenue_part_sum": "revenue_part"},
-                              ["l_orderkey", "o_orderdate", "revenue_part"])
-
-        partials = li.map_batches(broadcast_join_fold,
-                                  batch_format="pyarrow").to_pandas()
-        out = (partials.groupby(["l_orderkey"], as_index=False)
-               .agg(revenue=("revenue_part", "sum"),
-                    o_orderdate=("o_orderdate", "min")))
-        out = out.rename(columns={"l_orderkey": "o_orderkey"})
-        out = out.sort_values(["revenue", "o_orderkey"],
-                              ascending=[False, True]).head(10).reset_index(drop=True)
-        return _round_cols(out, {"revenue": 2})
-
     # Fact-fact leg: ONE orderkey-bucketed cogroup (joins.attach_value —
     # the hash exchange operator) attaches o_orderdate to the lineitem
     # revenue partials.  A bucket holds EVERY partial of its orderkeys,
@@ -317,14 +174,14 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     # the bucket's top-10 — the driver merges buckets x 10 rows, never
     # the order-cardinality result (the previous Ray-native join +
     # groupby here paid two sort exchanges plus aggregator-actor spin-up:
-    # 8.7 s forced-distributed at sf0.1 vs 2.4 s for this plan).
-    from .joins import attach_value, rename_agg
-
+    # 8.7 s forced-distributed at sf0.1 vs 2.4 s for this plan).  The
+    # top-10 post needs every partial of an order, so this leg is an
+    # attach_value (one plan: the exchange folds locally when small), never
+    # a lookup, whose broadcast would run post on one batch at a time.
     ovals = sel_orders.map_batches(
         lambda t: pa.table({"doc_id": t["o_orderkey"],
                             "value": t["o_orderdate"]}),
         batch_format="pyarrow")
-    odate_type = orders.schema().base_schema.field("o_orderdate").type
 
     def topk_post(t: pa.Table) -> pa.Table:
         g = t.group_by("l_orderkey").aggregate(
@@ -348,7 +205,7 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# Q5-ish: revenue per nation (chain of broadcast lookups — dims are tiny)
+# Q5-ish: revenue per nation (a chain of dimension lookups)
 # ---------------------------------------------------------------------------
 
 def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
@@ -357,15 +214,15 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
     to every worker — a driver-memory scale-killer, judge finding #7):
 
       lineitem --batch pre-agg--> (orderkey, rev) partials
-        --bucketed cogroup w/ orders, combine--> (custkey, rev) partials
-        --bucketed cogroup w/ customer, combine--> (nationkey, rev) partials
+        --lookup orders, combine--> (custkey, rev) partials
+        --lookup customer, combine--> (nationkey, rev) partials
         --driver: sum ~25 x buckets partials, map nation names (25 rows)
 
-    TWO keyed exchanges total; each cogroup both probes (index_in/take)
-    and combines (Arrow group_by) inside the bucket, so no
-    high-cardinality Ray aggregate ever runs.  The only broadcast is the
-    25-row nation table at the driver."""
-    from .joins import attach_value, rename_agg
+    Each attach is a ``joins.lookup``: a broadcast probe inside each
+    batch while the dimension is small (then q5 has no exchange), else a
+    keyed exchange.  Either way each probe also combines (Arrow group_by),
+    so no high-cardinality Ray aggregate ever runs."""
+    from .joins import rename_agg
 
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -378,66 +235,26 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
 
     partials = li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536)
 
-    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"]).map_batches(
-        lambda t: pa.table({"doc_id": t["o_orderkey"], "value": t["o_custkey"]}),
-        batch_format="pyarrow")
-
     def combine_cust(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("rev", "sum")])
         return rename_agg(g, {"rev_sum": "rev"}, ["o_custkey", "rev"])
-
-    # orders side size-gated like the customer side below: broadcast the
-    # (orderkey -> custkey) arrays under the gate (metadata row count),
-    # bucketed cogroup above it — under both gates q5 has NO exchange
-    omap_ref = _orders_custkey_ref(sf_dir)
-    if omap_ref is not None:
-        from .joins import broadcast_map as _bm
-
-        by_cust = _bm(partials, _custkey_probe(["rev"], combine_cust),
-                      omap_ref)
-    else:
-        by_cust = attach_value(
-            partials, orders, "l_orderkey", "o_custkey", pa.int64(),
-            [("l_orderkey", pa.int64()), ("rev", pa.float64())],
-            post=combine_cust)
 
     def combine_nation(t: pa.Table) -> pa.Table:
         g = t.group_by("c_nationkey").aggregate([("rev", "sum")])
         return rename_agg(g, {"rev_sum": "rev"}, ["c_nationkey", "rev"])
 
-    # customer side: size-gated plan, same pattern as the extraction join
-    # gate — broadcast the (custkey -> nationkey) arrays when the customer
-    # table is small (count from parquet metadata), bucketed cogroup when
-    # it isn't (a TPC-H-scale customer table is NOT broadcastable)
-    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
-    if cust_src.count() <= BROADCAST_DIM_ROWS:
-        import pyarrow.parquet as pq
-
-        ct = pq.read_table(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey"])
-        lookup_ref = ray.put((ct.column("c_custkey").combine_chunks(),
-                              ct.column("c_nationkey").cast(pa.int64()).combine_chunks()))
-
-        def nation_combine(t: pa.Table, state) -> pa.Table:
-            keys, nations = state
-            idx = pc.index_in(t["o_custkey"], value_set=keys)
-            nk = pc.take(nations, idx)
-            return combine_nation(pa.table({"c_nationkey": nk,
-                                            "rev": t["rev"]}))
-
-        from .joins import broadcast_map
-
-        part_nat = broadcast_map(by_cust, nation_combine,
-                                 lookup_ref).to_pandas()
-    else:
-        cust = cust_src.map_batches(
-            lambda t: pa.table({"doc_id": t["c_custkey"],
-                                "value": t["c_nationkey"].cast(pa.int64())}),
-            batch_format="pyarrow")
-        part_nat = attach_value(
-            by_cust, cust, "o_custkey", "c_nationkey", pa.int64(),
-            [("o_custkey", pa.int64()), ("rev", pa.float64())],
-            post=combine_nation).to_pandas()
+    by_cust = lookup(
+        partials, "l_orderkey", f"{sf_dir}/orders.parquet",
+        ["o_orderkey", "o_custkey"], _kv("o_orderkey", "o_custkey"),
+        "o_custkey", pa.int64(),
+        [("l_orderkey", pa.int64()), ("rev", pa.float64())],
+        post=combine_cust)
+    part_nat = lookup(
+        by_cust, "o_custkey", f"{sf_dir}/customer.parquet",
+        ["c_custkey", "c_nationkey"], _kv("c_custkey", "c_nationkey"),
+        "c_nationkey", pa.int64(),
+        [("o_custkey", pa.int64()), ("rev", pa.float64())],
+        post=combine_nation).to_pandas()
     res = part_nat.groupby("c_nationkey", as_index=False).agg(revenue=("rev", "sum"))
 
     nation = _nation_map(sf_dir)
@@ -1442,32 +1259,9 @@ def q_pareto_customers(sf_dir: str, n_range_buckets: int = 64,
     range bucket sorts locally and adds its offset — the classic
     distributed prefix-sum, no global sort materialization.  Ordering and
     cents arithmetic are integer-exact vs the oracle's window SQL.
-
-    Under BROADCAST_DIM_ROWS orders rows (parquet metadata, no read)
-    the whole prefix-sum runs on the driver — one pandas fold of a
-    driver-sized table beats three exchanges; the distributed
-    prefix-sum plan above the gate is unchanged."""
+    At or below ``joins.LOCAL_FOLD_ROWS`` rows each keyed step folds on
+    the driver, so a small table runs the same plan in-process."""
     from .joins import keyed, rename_agg
-
-    if write_dir is None:
-        od = _dim_pandas(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        if od is not None:
-            cents_all = np.round(od["o_totalprice"].to_numpy()
-                                 * 100.0).astype(np.int64)
-            df = pd.DataFrame({"o_custkey": od["o_custkey"].to_numpy(),
-                               "cents": cents_all}) \
-                .groupby("o_custkey", as_index=False)["cents"].sum() \
-                .sort_values(["cents", "o_custkey"],
-                             ascending=[False, True])
-            c = df["cents"].to_numpy()
-            cum = np.cumsum(c)
-            total = int(c.sum())
-            keep = (cum - c) * 2 < total
-            return pd.DataFrame({
-                "o_custkey": df["o_custkey"].to_numpy()[keep],
-                "revenue": c[keep] / 100.0,
-                "cum_share": np.round(cum[keep] / total, 6),
-            }).reset_index(drop=True)
 
     def per_bucket_cents(g: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
@@ -1564,23 +1358,15 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
     filtered orders keys build a bloom filter (map-only partial bitmaps
     OR-merged on the driver — 128 KiB each), the broadcast bloom prunes
     the fact table BEFORE any shuffle (at 100 TB this cuts the exchange
-    by ~96%), and the surviving candidates go through an exact
-    verify which drops bloom false positives — results are exactly the
-    plain join's.  Under BROADCAST_DIM_ROWS filtered orders the exact
-    verify is a sorted-key searchsorted FUSED into the same broadcast
-    pass as the bloom (zero shuffles end to end); above the gate it
-    rides the bucketed cogroup (functions/joins.attach_value) with
-    per-order aggregation in the cogroup's ``post`` hook (map-side
-    combine), so only final groups reach the driver."""
-    from .joins import attach_value, broadcast_map, rename_agg
-
-    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"]) \
-        .map_batches(lambda t: t.filter(pc.greater(
-            t.column("o_totalprice"), BLOOM_PRICE_MIN)),
-            batch_format="pyarrow")
-    orders_m = orders.materialize()  # reused: bloom build + exact verify
+    by ~96%), and the surviving candidates go through an exact verify
+    which drops bloom false positives — results are exactly the plain
+    join's.  The verify is a ``joins.lookup`` of the filtered orders, with
+    a per-order (sum, count) partial after each probe; the driver merges
+    the partials."""
+    from .joins import rename_agg
 
     def bloom_partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater(t.column("o_totalprice"), BLOOM_PRICE_MIN))
         bits = np.zeros(_BLOOM_BITS // 8, np.uint8)
         if t.num_rows:
             keys = t.column("o_orderkey").combine_chunks() \
@@ -1590,60 +1376,9 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
                              np.uint8(1) << (pos & 7).astype(np.uint8))
         return pa.table({"bloom": pa.array([bits.tobytes()], pa.binary())})
 
-    import ray
-
-    li_cols = ["l_orderkey", "l_extendedprice", "l_discount"]
-    if orders_m.count() <= BROADCAST_DIM_ROWS:
-        # the gate already pulls every filtered key to the driver, so
-        # the bloom bitmap builds right there — no partial-bitmap pass
-        okeys = np.sort(orders_m.to_pandas()["o_orderkey"]
-                        .to_numpy().astype(np.int64))
-        bloom = np.zeros(_BLOOM_BITS // 8, np.uint8)
-        if len(okeys):
-            pos = _bloom_positions(okeys).ravel()
-            np.bitwise_or.at(bloom, pos >> 3,
-                             np.uint8(1) << (pos & 7).astype(np.uint8))
-        bloom_ref = ray.put(bloom)
-        keys_ref = ray.put(okeys)
-
-        def prune_verify(t: pa.Table, state) -> pa.Table:
-            bits, ok_w = state
-            keys = t.column("l_orderkey").combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            pos = _bloom_positions(keys)
-            hit = (bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-            cand = t.filter(pa.array(hit.all(axis=1)))
-            # exact verify on the bloom survivors — false positives out
-            k = cand.column("l_orderkey").combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(ok_w, k)
-            idx[idx == len(ok_w)] = 0
-            cand = cand.filter(pa.array(ok_w[idx] == k)) \
-                if len(ok_w) else cand.slice(0, 0)
-            cents = pc.cast(pc.round(pc.multiply(
-                cand.column("l_extendedprice"), pa.scalar(100.0))),
-                pa.int64())
-            disc = pc.cast(pc.round(pc.multiply(
-                cand.column("l_discount"), pa.scalar(100.0))), pa.int64())
-            rev = pc.multiply(cents, pc.subtract(pa.scalar(100), disc))
-            part = pa.table({"o_orderkey": cand.column("l_orderkey"),
-                             "rev": rev}) \
-                .group_by("o_orderkey").aggregate([("rev", "sum"),
-                                                   ("rev", "count")])
-            return part
-
-        parts_df = broadcast_map(
-            read_table(f"{sf_dir}/lineitem.parquet", li_cols), prune_verify,
-            (bloom_ref, keys_ref)).to_pandas()
-        out = parts_df.groupby("o_orderkey", as_index=False).sum()
-        out.columns = ["o_orderkey", "rev", "n_items"]
-        out["revenue"] = ((out["rev"].astype("int64") + 50) // 100) / 100.0
-        out["n_items"] = out["n_items"].astype("int64")
-        out = out[["o_orderkey", "n_items", "revenue"]]
-        return out.sort_values("o_orderkey").reset_index(drop=True)
-
-    parts = orders_m.map_batches(
-        bloom_partial, batch_format="pyarrow").to_pandas()["bloom"]
+    parts = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"]) \
+        .map_batches(bloom_partial, batch_format="pyarrow") \
+        .to_pandas()["bloom"]
     bloom = np.zeros(_BLOOM_BITS // 8, np.uint8)
     for b in parts:
         bloom |= np.frombuffer(b, np.uint8)
@@ -1674,25 +1409,24 @@ def q_bloom_semi_join(sf_dir: str) -> pd.DataFrame:
             return pa.table({"l_orderkey": cand.column("l_orderkey"),
                              "rev": rev})
 
-    cand = read_table(f"{sf_dir}/lineitem.parquet", li_cols) \
+    cand = read_table(f"{sf_dir}/lineitem.parquet",
+                      ["l_orderkey", "l_extendedprice", "l_discount"]) \
         .map_batches(BloomPrune(), batch_format="pyarrow")
 
-    def post(t: pa.Table) -> pa.Table:  # map-side combine inside cogroup
+    def post(t: pa.Table) -> pa.Table:  # per-order partials
         g = t.group_by("l_orderkey").aggregate(
             [("rev", "sum"), ("rev", "count")])
         return rename_agg(g, {"l_orderkey": "o_orderkey",
                               "rev_sum": "rev", "rev_count": "n_items"},
                           ["o_orderkey", "n_items", "rev"])
 
-    vals = orders_m.map_batches(
-        lambda t: pa.table({"doc_id": t.column("o_orderkey"),
-                            "value": t.column("o_totalprice")}),
-        batch_format="pyarrow")
-    out = attach_value(cand, vals, key_col="l_orderkey", out_name="__v",
-                       vtype=pa.float64(),
-                       pair_cols=[("l_orderkey", pa.int64()),
-                                  ("rev", pa.int64())],
-                       post=post).to_pandas()
+    out = lookup(cand, "l_orderkey", f"{sf_dir}/orders.parquet",
+                 ["o_orderkey", "o_totalprice"],
+                 _kv("o_orderkey", "o_orderkey"), "__v", pa.int64(),
+                 [("l_orderkey", pa.int64()), ("rev", pa.int64())],
+                 filters=[("o_totalprice", ">", BLOOM_PRICE_MIN)],
+                 post=post).to_pandas()
+    out = out.groupby("o_orderkey", as_index=False)[["n_items", "rev"]].sum()
     # half-up to cents in integers, then an exact 2-decimal float
     out["revenue"] = ((out["rev"].astype("int64") + 50) // 100) / 100.0
     out["n_items"] = out["n_items"].astype("int64")
@@ -2265,19 +1999,17 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
     between (supplier nation, customer nation) per ship year, supplier
     nation != customer nation.  Same shrinking-aggregate chain as q5 —
     lineitem pre-aggregates per batch keyed by (orderkey, supp_nation,
-    year) BEFORE any exchange, the orders and customer attaches are the
-    shared bucketed cogroup with an in-bucket combine, and the driver
+    year) BEFORE any exchange, the orders and customer attaches are
+    ``joins.lookup`` probes with a combine after each, and the driver
     merges <= 25 x 25 x 2 x buckets partials.  The supplier nation map
-    is the only broadcast (size-gated like q5's customer path)."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, rename_agg
+    always broadcasts."""
+    from .joins import rename_agg
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
                      "l_shipdate"])
 
-    sup = pq_.read_table(f"{sf_dir}/supplier.parquet",
+    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                          columns=["s_suppkey", "s_nationkey"])
     sup_ref = ray.put((sup.column("s_suppkey").combine_chunks(),
                        sup.column("s_nationkey").cast(pa.int64())
@@ -2316,33 +2048,11 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
 
     partials = broadcast_map(li, rev_partial, sup_ref, batch_size=65536)
 
-    orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"]).map_batches(
-        lambda t: pa.table({"doc_id": t["o_orderkey"],
-                            "value": t["o_custkey"]}),
-        batch_format="pyarrow")
-
     def combine_cust(t: pa.Table) -> pa.Table:
         g = t.group_by(["o_custkey", "supp_nk", "l_year"]) \
             .aggregate([("rev", "sum")])
         return rename_agg(g, {"rev_sum": "rev"},
                           ["o_custkey", "supp_nk", "l_year", "rev"])
-
-    # orders side is ALSO size-gated (parquet metadata, no read): under
-    # the gate the (orderkey -> custkey) map broadcasts and the attach
-    # fuses into the same task pipeline as the lineitem partials — the
-    # query then has NO exchange at all; above it the bucketed cogroup
-    omap_ref = _orders_custkey_ref(sf_dir)
-    if omap_ref is not None:
-        by_cust = broadcast_map(
-            partials,
-            _custkey_probe(["supp_nk", "l_year", "rev"], combine_cust),
-            omap_ref)
-    else:
-        by_cust = attach_value(
-            partials, orders, "l_orderkey", "o_custkey", pa.int64(),
-            [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
-             ("l_year", pa.int64()), ("rev", pa.int64())],
-            post=combine_cust)
 
     def combine_pair(t: pa.Table) -> pa.Table:
         g = t.group_by(["supp_nk", "cust_nk", "l_year"]) \
@@ -2350,33 +2060,20 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"rev_sum": "rev"},
                           ["supp_nk", "cust_nk", "l_year", "rev"])
 
-    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
-    if cust_src.count() <= BROADCAST_DIM_ROWS:
-        ct = pq_.read_table(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_nationkey"])
-        lookup_ref = ray.put((ct.column("c_custkey").combine_chunks(),
-                              ct.column("c_nationkey").cast(pa.int64())
-                                .combine_chunks()))
-
-        def pair_combine(t: pa.Table, state) -> pa.Table:
-            keys, nations = state
-            cnk = pc.take(nations,
-                          pc.index_in(t["o_custkey"], value_set=keys))
-            return combine_pair(pa.table({
-                "supp_nk": t["supp_nk"], "cust_nk": cnk,
-                "l_year": t["l_year"], "rev": t["rev"]}))
-
-        part = broadcast_map(by_cust, pair_combine, lookup_ref).to_pandas()
-    else:
-        cust = cust_src.map_batches(
-            lambda t: pa.table({"doc_id": t["c_custkey"],
-                                "value": t["c_nationkey"].cast(pa.int64())}),
-            batch_format="pyarrow")
-        part = attach_value(
-            by_cust, cust, "o_custkey", "cust_nk", pa.int64(),
-            [("o_custkey", pa.int64()), ("supp_nk", pa.int64()),
-             ("l_year", pa.int64()), ("rev", pa.int64())],
-            post=combine_pair).to_pandas()
+    by_cust = lookup(
+        partials, "l_orderkey", f"{sf_dir}/orders.parquet",
+        ["o_orderkey", "o_custkey"], _kv("o_orderkey", "o_custkey"),
+        "o_custkey", pa.int64(),
+        [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
+         ("l_year", pa.int64()), ("rev", pa.int64())],
+        post=combine_cust)
+    part = lookup(
+        by_cust, "o_custkey", f"{sf_dir}/customer.parquet",
+        ["c_custkey", "c_nationkey"], _kv("c_custkey", "c_nationkey"),
+        "cust_nk", pa.int64(),
+        [("o_custkey", pa.int64()), ("supp_nk", pa.int64()),
+         ("l_year", pa.int64()), ("rev", pa.int64())],
+        post=combine_pair).to_pandas()
 
     res = part.groupby(["supp_nk", "cust_nk", "l_year"], as_index=False) \
         .agg(rev=("rev", "sum"))
@@ -2530,35 +2227,9 @@ def q_decile_stats(sf_dir: str, k: int = NTILE_K,
     min, max) aggregates merge on the driver.  No global sort
     materialization; ties are broken by orderkey so the rank — and the
     decile cut — is deterministic and matches the oracle's row_number.
-
-    Under BROADCAST_DIM_ROWS orders rows (metadata) the exact ranking
-    runs on the driver — one lexsort of a driver-sized table; the
-    distributed range-partition rank plan above the gate is unchanged."""
+    At or below ``joins.LOCAL_FOLD_ROWS`` rows each keyed step folds on
+    the driver."""
     from .joins import keyed
-
-    od = _dim_pandas(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    if od is not None:
-        cents = np.round(od["o_totalprice"].to_numpy()
-                         * 100.0).astype(np.int64)
-        okey = od["o_orderkey"].to_numpy().astype(np.int64)
-        o = np.lexsort((okey, cents))
-        cents = cents[o]
-        n_total = len(cents)
-        dec = np.arange(n_total, dtype=np.int64) * k // n_total
-        uniq, inv = np.unique(dec, return_inverse=True)
-        n_ = np.bincount(inv)
-        sum_ = np.zeros(len(uniq), np.int64)
-        np.add.at(sum_, inv, cents)
-        min_ = np.full(len(uniq), np.iinfo(np.int64).max)
-        np.minimum.at(min_, inv, cents)
-        max_ = np.full(len(uniq), np.iinfo(np.int64).min)
-        np.maximum.at(max_, inv, cents)
-        out = pd.DataFrame({
-            "decile": uniq, "n_orders": n_.astype("int64"),
-            "total_price": sum_ / 100.0,
-            "min_price": min_ / 100.0, "max_price": max_ / 100.0,
-        })
-        return out.sort_values("decile").reset_index(drop=True)
 
     orders = read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"])
 
@@ -2786,110 +2457,63 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
     ASIA-region customers, per order year.  Plan (shrinking aggregates,
     ref lib/SmartPDFParser.js pipeline composition generalized):
 
-      lineitem --batch: PROMO-partkey semi-filter + supp-nation attach +
-                pre-agg (orderkey, supp_nk)--> partials
-        --bucketed cogroup w/ orders (value encodes custkey*8+year)-->
-        --custkey->nationkey probe, region filter, combine (year, supp_nk)
+      lineitem --batch: supp-nation attach + pre-agg (orderkey, partkey,
+                supp_nk)--> partials
+        --lookup PROMO parts (semi-join), combine (orderkey, supp_nk)-->
+        --lookup orders (value encodes custkey*8+year), combine-->
+        --lookup customer nationkey, region filter, combine (year, supp_nk)
         --driver: share = nation_sub / total_sub (one float64 division)
 
-    The part and customer sides are size-gated (broadcast arrays under
-    BROADCAST_DIM_ROWS, bucketed cogroup above); supplier is the q7-style
-    nationkey map broadcast (2 int64 columns, fact/10_000 rows)."""
-    import pyarrow.parquet as pq_
+    The part, orders and customer sides are ``joins.lookup`` probes;
+    supplier is the q7-style nationkey map broadcast (2 int64 columns,
+    fact/10_000 rows)."""
+    from .joins import broadcast_map, rename_agg
 
-    from .joins import attach_value, rename_agg
-
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
-    sup = pq_.read_table(f"{sf_dir}/supplier.parquet",
+    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                          columns=["s_suppkey", "s_nationkey"])
     sup_ref = ray.put((sup.column("s_suppkey").combine_chunks(),
                        sup.column("s_nationkey").cast(pa.int64())
                           .combine_chunks()))
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    promo_ref = None
-    if part_small:
-        pt = pq_.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_type"])
-        promo_ref = ray.put(
-            pt.filter(pc.equal(pt["p_type"], Q8_PART_TYPE))
-              .column("p_partkey").combine_chunks())
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_partkey", "l_suppkey",
+                     "l_extendedprice", "l_discount"])
 
-    li_cols = ["l_orderkey", "l_partkey", "l_suppkey",
-               "l_extendedprice", "l_discount"]
-    li = read_table(f"{sf_dir}/lineitem.parquet", li_cols)
-
-    from .joins import broadcast_map
-
-    def promo_supp_partial(t: pa.Table, state) -> pa.Table:
-        (skeys, snk_arr), promo = state
-        if promo is not None:
-            t = t.filter(pc.is_in(t["l_partkey"], value_set=promo))
-        sub = _rev_subcents(t)
-        snk = pc.take(snk_arr,
-                      pc.index_in(t["l_suppkey"], value_set=skeys))
-        g = pa.table({"l_orderkey": t["l_orderkey"], "supp_nk": snk,
-                      "sub": sub}) \
-            .group_by(["l_orderkey", "supp_nk"]) \
+    def supp_partial(t: pa.Table, state) -> pa.Table:
+        skeys, snk_arr = state
+        snk = pc.take(snk_arr, pc.index_in(t["l_suppkey"], value_set=skeys))
+        g = pa.table({"l_orderkey": t["l_orderkey"],
+                      "l_partkey": t["l_partkey"],
+                      "supp_nk": snk, "sub": _rev_subcents(t)}) \
+            .group_by(["l_orderkey", "l_partkey", "supp_nk"]) \
             .aggregate([("sub", "sum")])
+        return rename_agg(g, {"sub_sum": "sub"},
+                          ["l_orderkey", "l_partkey", "supp_nk", "sub"])
+
+    def combine_order(t: pa.Table) -> pa.Table:
+        g = t.group_by(["l_orderkey", "supp_nk"]).aggregate([("sub", "sum")])
         return rename_agg(g, {"sub_sum": "sub"},
                           ["l_orderkey", "supp_nk", "sub"])
 
-    partials = broadcast_map(li, promo_supp_partial,
-                             (sup_ref, promo_ref), batch_size=65536)
-
-    if not part_small:
-        # scale path: PROMO flag attached by ONE bucketed cogroup, then
-        # the partial re-combines (partials keyed by orderkey+supp_nk)
-        flags = part_src.map_batches(
-            lambda t: pa.table({
-                "doc_id": t["p_partkey"],
-                "value": pc.cast(pc.equal(t["p_type"], Q8_PART_TYPE),
-                                 pa.int64())}),
-            batch_format="pyarrow")
-
-        def supp_partial_only(t: pa.Table, state) -> pa.Table:
-            skeys, snk_arr = state
-            sub = _rev_subcents(t)
-            snk = pc.take(snk_arr, pc.index_in(
-                t["l_suppkey"], value_set=skeys))
-            g = pa.table({"l_orderkey": t["l_orderkey"],
-                          "l_partkey": t["l_partkey"],
-                          "supp_nk": snk, "sub": sub}) \
-                .group_by(["l_orderkey", "l_partkey", "supp_nk"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_orderkey", "l_partkey", "supp_nk",
-                               "sub"])
-
-        keyed = broadcast_map(li, supp_partial_only, sup_ref,
-                              batch_size=65536)
-
-        def keep_promo(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t["is_promo"], pa.scalar(1, pa.int64())))
-            g = t.group_by(["l_orderkey", "supp_nk"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_orderkey", "supp_nk", "sub"])
-
-        partials = attach_value(
-            keyed, flags, "l_partkey", "is_promo", pa.int64(),
-            [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
-             ("supp_nk", pa.int64()), ("sub", pa.int64())],
-            post=keep_promo)
+    # PROMO parts only: inner-join semantics drop every other part
+    partials = lookup(
+        broadcast_map(li, supp_partial, sup_ref, batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
+        _kv("p_partkey", "p_partkey"), "__p", pa.int64(),
+        [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
+         ("sub", pa.int64())],
+        filters=[("p_type", "==", Q8_PART_TYPE)], post=combine_order)
 
     # orders attach: ONE value column encodes (custkey, order year) as
     # custkey*8 + (year-1995) — years span 1995..2001 (<8), so the encode
     # is lossless int64 with headroom to custkey ~1.1e18
-    orders = read_table(f"{sf_dir}/orders.parquet",
-                        ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        lambda t: pa.table({
+    def cust_year(t: pa.Table) -> pa.Table:
+        return pa.table({
             "doc_id": t["o_orderkey"],
             "value": pc.add(
                 pc.multiply(t["o_custkey"], pa.scalar(8, pa.int64())),
                 pc.cast(pc.subtract(pc.year(t["o_orderdate"]),
                                     pa.scalar(1995, pa.int32())),
-                        pa.int64()))}),
-        batch_format="pyarrow")
+                        pa.int64()))})
 
     def combine_cust(t: pa.Table) -> pa.Table:
         cust = pc.divide(t["cy"], pa.scalar(8, pa.int64()))
@@ -2902,27 +2526,15 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"sub_sum": "sub"},
                           ["o_custkey", "o_year", "supp_nk", "sub"])
 
-    od = _dim_pandas(sf_dir, "orders",
-                     ["o_orderkey", "o_custkey", "o_orderdate"])
-    if od is not None:
-        ok = od["o_orderkey"].to_numpy().astype(np.int64)
-        cy = (od["o_custkey"].to_numpy().astype(np.int64) * 8
-              + (od["o_orderdate"].dt.year.to_numpy().astype(np.int64)
-                 - 1995))
-        o = np.argsort(ok)
-        by_cust = broadcast_map(
-            partials,
-            _custkey_probe(["supp_nk", "sub"], combine_cust,
-                           out_name="cy"),
-            ray.put((ok[o], cy[o])))
-    else:
-        by_cust = attach_value(
-            partials, orders, "l_orderkey", "cy", pa.int64(),
-            [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
-             ("sub", pa.int64())],
-            post=combine_cust)
+    by_cust = lookup(
+        partials, "l_orderkey", f"{sf_dir}/orders.parquet",
+        ["o_orderkey", "o_custkey", "o_orderdate"], cust_year, "cy",
+        pa.int64(),
+        [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
+         ("sub", pa.int64())],
+        post=combine_cust)
 
-    nat = pq_.read_table(f"{sf_dir}/nation.parquet",
+    nat = pq.read_table(f"{sf_dir}/nation.parquet",
                          columns=["n_nationkey", "n_regionkey"])
     region_of = np.zeros(
         int(pc.max(nat["n_nationkey"]).as_py()) + 1, np.int64)
@@ -2937,35 +2549,13 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"sub_sum": "sub"},
                           ["o_year", "supp_nk", "sub"])
 
-    cust_src = read_table(f"{sf_dir}/customer.parquet", ["c_custkey", "c_nationkey"])
-    if cust_src.count() <= BROADCAST_DIM_ROWS:
-        ct = pq_.read_table(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_nationkey"])
-        lookup_ref = ray.put((ct.column("c_custkey").combine_chunks(),
-                              ct.column("c_nationkey").cast(pa.int64())
-                                .combine_chunks()))
-
-        def year_combine(t: pa.Table, state) -> pa.Table:
-            keys, nk = state
-            cnk = pc.take(nk, pc.index_in(
-                t["o_custkey"], value_set=keys))
-            return combine_year(pa.table({
-                "o_year": t["o_year"], "supp_nk": t["supp_nk"],
-                "c_nationkey": cnk, "sub": t["sub"]}))
-
-        part_year = broadcast_map(by_cust, year_combine,
-                                  lookup_ref).to_pandas()
-    else:
-        cust = cust_src.map_batches(
-            lambda t: pa.table({"doc_id": t["c_custkey"],
-                                "value": t["c_nationkey"].cast(pa.int64())}),
-            batch_format="pyarrow")
-        part_year = attach_value(
-            by_cust, cust, "o_custkey", "c_nationkey",
-            pa.int64(),
-            [("o_custkey", pa.int64()), ("o_year", pa.int64()),
-             ("supp_nk", pa.int64()), ("sub", pa.int64())],
-            post=combine_year).to_pandas()
+    part_year = lookup(
+        by_cust, "o_custkey", f"{sf_dir}/customer.parquet",
+        ["c_custkey", "c_nationkey"], _kv("c_custkey", "c_nationkey"),
+        "c_nationkey", pa.int64(),
+        [("o_custkey", pa.int64()), ("o_year", pa.int64()),
+         ("supp_nk", pa.int64()), ("sub", pa.int64())],
+        post=combine_year).to_pandas()
 
     agg = part_year.groupby(["o_year", "supp_nk"], as_index=False) \
         .agg(sub=("sub", "sum"))
@@ -2994,7 +2584,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
     (l_returnflag='R') on orders placed in 1995Q4.  Plan:
 
       lineitem --batch: returnflag filter + pre-agg (orderkey)--> partials
-        --bucketed cogroup w/ date-filtered orders--> (custkey, sub)
+        --lookup date-filtered orders--> (custkey, sub)
         --re-bucket BY CUSTKEY, per-bucket final sum + local top-20-->
         --driver merges 20 x buckets rows, global top-20, then a
           20-key semi-filtered customer read attaches name/acctbal/nation
@@ -3004,11 +2594,11 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
     pattern); ordering is by exact sub-cents then custkey, so the LIMIT
     boundary can never be float-tie-dependent.
 
-    The 1995Q4 filter keeps ~3.5% of orders, so under BROADCAST_DIM_ROWS
-    the (orderkey -> custkey) map broadcasts and the attach fuses into
-    the lineitem scan (one searchsorted per batch) — the whole query
-    then pays ONE shuffle (the custkey re-bucket) instead of two."""
-    from .joins import attach_value, broadcast_map, keyed, rename_agg
+    The orders attach is a ``joins.lookup`` of the 1995Q4 orders (~3.5%
+    of them): while the orders table fits the driver bound it is a probe
+    inside the lineitem scan, and the query pays ONE exchange (the
+    custkey re-bucket), itself folded on the driver when small."""
+    from .joins import keyed, rename_agg
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"])
@@ -3020,67 +2610,19 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
             .group_by("l_orderkey").aggregate([("sub", "sum")])
         return rename_agg(g, {"sub_sum": "sub"}, ["l_orderkey", "sub"])
 
-    partials = li.map_batches(rev_partial, batch_format="pyarrow",
-                              batch_size=65536)
-
-    lo = pa.scalar(pd.Timestamp(Q10_DATE_LO))
-    hi = pa.scalar(pd.Timestamp(Q10_DATE_HI))
-
-    def _orders_map(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                             pc.less(t["o_orderdate"], hi)))
-        return pa.table({"doc_id": f["o_orderkey"],
-                         "value": f["o_custkey"]})
-
-    od = _dim_pandas(
-        sf_dir, "orders", ["o_orderkey", "o_custkey"],
-        filters=[("o_orderdate", ">=", pd.Timestamp(Q10_DATE_LO)),
-                 ("o_orderdate", "<", pd.Timestamp(Q10_DATE_HI))])
-
     def combine_cust(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("sub", "sum")])
         return rename_agg(g, {"sub_sum": "sub"}, ["o_custkey", "sub"])
 
-    if od is not None:
-        ok = od["o_orderkey"].to_numpy().astype(np.int64)
-        o = np.argsort(ok)
-        ref = ray.put((ok[o],
-                       od["o_custkey"].to_numpy().astype(np.int64)[o]))
-
-        def probe(t: pa.Table, state) -> pa.Table:
-            ok_w, ck_w = state
-            k = t.column("l_orderkey").combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            if len(ok_w) == 0:
-                return combine_cust(pa.table(
-                    {"o_custkey": pa.array([], pa.int64()),
-                     "sub": pa.array([], pa.int64())}))
-            idx = np.searchsorted(ok_w, k)
-            idx[idx == len(ok_w)] = 0
-            hit = ok_w[idx] == k
-            f = t.filter(pa.array(hit))
-            return combine_cust(pa.table({
-                "o_custkey": pa.array(ck_w[idx[hit]], pa.int64()),
-                "sub": f["sub"]}))
-
-        by_cust = broadcast_map(partials, probe, ref).materialize()
-        if by_cust.count() <= BROADCAST_DIM_ROWS:
-            # per-batch custkey partials are driver-sized: fold there,
-            # zero shuffles end to end
-            cand = by_cust.to_pandas().groupby("o_custkey",
-                                               as_index=False)["sub"].sum()
-            top = cand.sort_values(["sub", "o_custkey"],
-                                   ascending=[False, True]) \
-                .head(Q10_TOP_K)
-            return _q10_attach_winners(sf_dir, top)
-    else:
-        orders = read_table(f"{sf_dir}/orders.parquet",
-                            ["o_orderkey", "o_custkey", "o_orderdate"]) \
-            .map_batches(_orders_map, batch_format="pyarrow")
-        by_cust = attach_value(
-            partials, orders, "l_orderkey", "o_custkey", pa.int64(),
-            [("l_orderkey", pa.int64()), ("sub", pa.int64())],
-            post=combine_cust)
+    by_cust = lookup(
+        li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536),
+        "l_orderkey", f"{sf_dir}/orders.parquet",
+        ["o_orderkey", "o_custkey", "o_orderdate"],
+        _kv("o_orderkey", "o_custkey"), "o_custkey", pa.int64(),
+        [("l_orderkey", pa.int64()), ("sub", pa.int64())],
+        filters=[("o_orderdate", ">=", pd.Timestamp(Q10_DATE_LO)),
+                 ("o_orderdate", "<", pd.Timestamp(Q10_DATE_HI))],
+        post=combine_cust)
 
     def bucket_topk(g: pa.Table) -> pa.Table:
         f = g.group_by("o_custkey").aggregate([("sub", "sum")])
@@ -3096,18 +2638,14 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
 
 
 def _q10_attach_winners(sf_dir: str, top: pd.DataFrame) -> pd.DataFrame:
-    """Q10 tail: semi-filtered customer read + nation name attach for
-    the global top-20 (shared by the zero-shuffle and bucketed plans)."""
+    """Q10 tail: the global top-20's customer rows (a driver read with a
+    20-key filter, which holds at most 20 rows at any size) and nation
+    names."""
     key_list = sorted(int(k) for k in top["o_custkey"])
-    cust_cols = ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
-    winners = _dim_pandas(sf_dir, "customer", cust_cols,
-                          filters=[("c_custkey", "in", key_list)])
-    if winners is None:
-        keys = pa.array(key_list, pa.int64())
-        winners = read_table(f"{sf_dir}/customer.parquet", cust_cols) \
-            .map_batches(lambda t: t.filter(pc.is_in(t["c_custkey"],
-                                                     value_set=keys)),
-                         batch_format="pyarrow").to_pandas()
+    winners = pq.read_table(
+        f"{sf_dir}/customer.parquet",
+        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
+        filters=[("c_custkey", "in", key_list)]).to_pandas()
     nation = _nation_map(sf_dir)
     out = top.rename(columns={"o_custkey": "c_custkey"}) \
         .merge(winners, on="c_custkey", how="left")
@@ -3123,79 +2661,48 @@ Q14_YEAR = 1995
 
 def q14_promo_share(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q14 generalized to every ship month of Q14_YEAR: the share of
-    revenue from PROMO-type parts.  The part side is size-gated: under
-    BROADCAST_DIM_ROWS the (partkey -> is_promo) arrays broadcast once via
-    ray.put; above it ONE bucketed cogroup attaches the flag to per-batch
-    (partkey, month) partials.  Either way each batch collapses to <= 24
-    rows before any exchange, and the driver merges month x flag cells."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, rename_agg
+    revenue from PROMO-type parts.  Each batch collapses to (partkey,
+    month) partials, a ``joins.lookup`` attaches each part's is_promo flag
+    and re-combines to <= 24 (month, flag) cells, and the driver merges
+    the cells."""
+    from .joins import rename_agg
 
     lo = pa.scalar(pd.Timestamp(f"{Q14_YEAR}-01-01"))
     hi = pa.scalar(pd.Timestamp(f"{Q14_YEAR + 1}-01-01"))
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"])
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
 
-    if part_src.count() <= BROADCAST_DIM_ROWS:
-        pt = pq_.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_type"])
-        ref = ray.put((pt.column("p_partkey").combine_chunks(),
-                       pc.cast(pc.equal(pt["p_type"], "PROMO"), pa.int64())
-                         .combine_chunks()))
+    def keyed_partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
+        g = pa.table({
+            "l_partkey": t["l_partkey"],
+            "l_month": pc.cast(pc.month(t["l_shipdate"]), pa.int64()),
+            "sub": _rev_subcents(t)}) \
+            .group_by(["l_partkey", "l_month"]) \
+            .aggregate([("sub", "sum")])
+        return rename_agg(g, {"sub_sum": "sub"},
+                          ["l_partkey", "l_month", "sub"])
 
-        def promo_partial(t: pa.Table, state) -> pa.Table:
-            keys, flag = state
-            t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                                 pc.less(t["l_shipdate"], hi)))
-            promo = pc.take(flag, pc.index_in(
-                t["l_partkey"], value_set=keys))
-            g = pa.table({
-                "l_month": pc.cast(pc.month(t["l_shipdate"]), pa.int64()),
-                "is_promo": promo, "sub": _rev_subcents(t)}) \
-                .group_by(["l_month", "is_promo"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_month", "is_promo", "sub"])
+    def promo_flag(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": t["p_partkey"],
+            "value": pc.cast(pc.equal(t["p_type"], "PROMO"), pa.int64())})
 
-        from .joins import broadcast_map
+    def combine_cells(t: pa.Table) -> pa.Table:
+        g = t.group_by(["l_month", "is_promo"]) \
+            .aggregate([("sub", "sum")])
+        return rename_agg(g, {"sub_sum": "sub"},
+                          ["l_month", "is_promo", "sub"])
 
-        cells = broadcast_map(li, promo_partial, ref,
-                              batch_size=65536).to_pandas()
-    else:
-        def keyed_partial(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                                 pc.less(t["l_shipdate"], hi)))
-            g = pa.table({
-                "l_partkey": t["l_partkey"],
-                "l_month": pc.cast(pc.month(t["l_shipdate"]), pa.int64()),
-                "sub": _rev_subcents(t)}) \
-                .group_by(["l_partkey", "l_month"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_partkey", "l_month", "sub"])
-
-        flags = part_src.map_batches(
-            lambda t: pa.table({
-                "doc_id": t["p_partkey"],
-                "value": pc.cast(pc.equal(t["p_type"], "PROMO"),
-                                 pa.int64())}),
-            batch_format="pyarrow")
-
-        def combine_cells(t: pa.Table) -> pa.Table:
-            g = t.group_by(["l_month", "is_promo"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_month", "is_promo", "sub"])
-
-        cells = attach_value(
-            li.map_batches(keyed_partial, batch_format="pyarrow",
-                           batch_size=65536).materialize(),
-            flags, "l_partkey", "is_promo", pa.int64(),
-            [("l_partkey", pa.int64()), ("l_month", pa.int64()),
-             ("sub", pa.int64())],
-            post=combine_cells).to_pandas()
+    cells = lookup(
+        li.map_batches(keyed_partial, batch_format="pyarrow",
+                       batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
+        promo_flag, "is_promo", pa.int64(),
+        [("l_partkey", pa.int64()), ("l_month", pa.int64()),
+         ("sub", pa.int64())],
+        post=combine_cells).to_pandas()
 
     agg = cells.groupby(["l_month", "is_promo"], as_index=False) \
         .agg(sub=("sub", "sum"))
@@ -3228,104 +2735,65 @@ def q12_ship_priority(sf_dir: str) -> pd.DataFrame:
     lineitem x orders join + the CASE-sum pair + group on the line class
     (ref lib has no relational ops; TPC-H spec Q12).
 
-    Ray plan: orders is size-gated.  Under BROADCAST_DIM_ROWS the per-order
-    attrs ship ONCE via ray.put as (orderkey array, packed int64) where
-    packed = orderdate_epoch_days * 2 + is_high — one probe per batch, each
-    batch collapses to <= 3 cells before any exchange, driver merges 3-row
-    partials (ZERO shuffles).  Over the gate the same packed attr rides ONE
-    orderkey-bucketed cogroup (attach_value post hook collapses each bucket
-    to <= 3 cells), so the exchange carries per-(orderkey, ship_day) partial
-    counts, never raw lines."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, rename_agg
+    Ray plan: each batch collapses to per-(orderkey, ship_day) line
+    counts, and a ``joins.lookup`` attaches each order's attrs as ONE
+    packed int64 (orderdate_epoch_days * 2 + is_high), then collapses to
+    <= 6 (delay class, priority) cells; the driver merges the cells.
+    While the orders table fits the driver bound the attach is a probe
+    inside the lineitem scan (no exchange), else an orderkey cogroup that
+    carries partial counts, never raw lines."""
+    from .joins import rename_agg
 
     lo = pa.scalar(pd.Timestamp(f"{Q12_YEAR}-01-01"))
     hi = pa.scalar(pd.Timestamp(f"{Q12_YEAR + 1}-01-01"))
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_shipdate"])
-    ord_src = read_table(f"{sf_dir}/orders.parquet",
-                         ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     day_us = 86_400_000_000
 
-    def _packed_attrs(keys: pa.Array, odate: pa.Array,
-                      prio: pa.Array) -> tuple[pa.Array, pa.Array]:
-        days = pc.divide(pc.cast(odate, pa.int64()), pa.scalar(day_us))
-        is_high = pc.cast(pc.is_in(prio, value_set=pa.array(Q12_HIGH)),
-                          pa.int64())
-        packed = pc.add(pc.multiply(days, pa.scalar(2, pa.int64())), is_high)
-        return keys, packed
+    def packed_attrs(t: pa.Table) -> pa.Table:
+        days = pc.divide(pc.cast(t["o_orderdate"], pa.int64()),
+                         pa.scalar(day_us))
+        is_high = pc.cast(pc.is_in(t["o_orderpriority"],
+                                   value_set=pa.array(Q12_HIGH)), pa.int64())
+        return pa.table({"doc_id": t["o_orderkey"], "value": pc.add(
+            pc.multiply(days, pa.scalar(2, pa.int64())), is_high)})
 
-    def _cells_from(ship_days: pa.Array, packed: pa.Array,
-                    weight: pa.Array | None = None) -> pa.Table:
-        odays = pc.divide(packed, pa.scalar(2, pa.int64()))
-        is_high = pc.bit_wise_and(packed, pa.scalar(1, pa.int64()))
-        delay = pc.subtract(ship_days, odays)
+    def combine_cells(t: pa.Table) -> pa.Table:
+        odays = pc.divide(t["packed"], pa.scalar(2, pa.int64()))
+        is_high = pc.bit_wise_and(t["packed"], pa.scalar(1, pa.int64()))
+        delay = pc.subtract(t["ship_day"], odays)
         klass = pc.if_else(
             pc.less_equal(delay, pa.scalar(Q12_FAST_DAYS, pa.int64())),
             pa.scalar("FAST"),
             pc.if_else(pc.less_equal(
                 delay, pa.scalar(Q12_MEDIUM_DAYS, pa.int64())),
                 pa.scalar("MEDIUM"), pa.scalar("SLOW")))
-        n = weight if weight is not None \
-            else pa.array(np.ones(len(ship_days), np.int64))
-        g = pa.table({"delay_class": klass, "is_high": is_high, "n": n}) \
+        g = pa.table({"delay_class": klass, "is_high": is_high,
+                      "n": t["n"]}) \
             .group_by(["delay_class", "is_high"]).aggregate([("n", "sum")])
         return rename_agg(g, {"n_sum": "n"}, ["delay_class", "is_high", "n"])
 
-    if ord_src.count() <= BROADCAST_DIM_ROWS:
-        ot = pq_.read_table(f"{sf_dir}/orders.parquet",
-                            columns=["o_orderkey", "o_orderdate",
-                                     "o_orderpriority"])
-        keys, packed = _packed_attrs(ot["o_orderkey"].combine_chunks(),
-                                     ot["o_orderdate"].combine_chunks(),
-                                     ot["o_orderpriority"].combine_chunks())
-        ref = ray.put((keys, packed))
+    def keyed_partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
+        g = pa.table({
+            "l_orderkey": t["l_orderkey"],
+            "ship_day": pc.divide(pc.cast(t["l_shipdate"], pa.int64()),
+                                  pa.scalar(day_us))}) \
+            .group_by(["l_orderkey", "ship_day"]) \
+            .aggregate([([], "count_all")])
+        return rename_agg(g, {"count_all": "n"},
+                          ["l_orderkey", "ship_day", "n"])
 
-        def delay_partial(t: pa.Table, state) -> pa.Table:
-            keys, packed = state
-            t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                                 pc.less(t["l_shipdate"], hi)))
-            pk = pc.take(packed, pc.index_in(
-                t["l_orderkey"], value_set=keys))
-            sd = pc.divide(pc.cast(t["l_shipdate"], pa.int64()),
-                           pa.scalar(day_us))
-            return _cells_from(sd, pk)
-
-        from .joins import broadcast_map
-
-        cells = broadcast_map(li, delay_partial, ref,
-                              batch_size=65536).to_pandas()
-    else:
-        def keyed_partial(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                                 pc.less(t["l_shipdate"], hi)))
-            g = pa.table({
-                "l_orderkey": t["l_orderkey"],
-                "ship_day": pc.divide(pc.cast(t["l_shipdate"], pa.int64()),
-                                      pa.scalar(day_us))}) \
-                .group_by(["l_orderkey", "ship_day"]) \
-                .aggregate([([], "count_all")])
-            return rename_agg(g, {"count_all": "n"},
-                              ["l_orderkey", "ship_day", "n"])
-
-        attrs = ord_src.map_batches(
-            lambda t: pa.table(dict(zip(
-                ("doc_id", "value"),
-                _packed_attrs(t["o_orderkey"], t["o_orderdate"],
-                              t["o_orderpriority"])))),
-            batch_format="pyarrow")
-
-        def combine_cells(t: pa.Table) -> pa.Table:
-            return _cells_from(t["ship_day"], t["packed"], weight=t["n"])
-
-        cells = attach_value(
-            li.map_batches(keyed_partial, batch_format="pyarrow",
-                           batch_size=65536).materialize(),
-            attrs, "l_orderkey", "packed", pa.int64(),
-            [("l_orderkey", pa.int64()), ("ship_day", pa.int64()),
-             ("n", pa.int64())],
-            post=combine_cells).to_pandas()
+    cells = lookup(
+        li.map_batches(keyed_partial, batch_format="pyarrow",
+                       batch_size=65536),
+        "l_orderkey", f"{sf_dir}/orders.parquet",
+        ["o_orderkey", "o_orderdate", "o_orderpriority"], packed_attrs,
+        "packed", pa.int64(),
+        [("l_orderkey", pa.int64()), ("ship_day", pa.int64()),
+         ("n", pa.int64())],
+        post=combine_cells).to_pandas()
 
     agg = cells.groupby(["delay_class", "is_high"], as_index=False) \
         .agg(n=("n", "sum"))
@@ -3401,143 +2869,72 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     20% of the part's average quantity were not taken.  Exact arithmetic:
     ``qty < 0.2 * avg(qty)``  <=>  ``5*qty*cnt < qty_sum`` (quantities are
     integral), so the filter is an int64 compare that can never disagree
-    with the oracle at a float boundary.  Two passes over the brand's
-    lineitems; the per-part stats table (parts/25 rows) is size-gated:
-    broadcast arrays under BROADCAST_DIM_ROWS, else ONE bucketed cogroup
-    attaches (qty_sum, cnt) encoded as qsum*2^32+cnt (qty <= 50 keeps the
-    encode lossless to ~2^31 rows per part)."""
-    import pyarrow.parquet as pq_
-
+    with the oracle at a float boundary.  A ``joins.lookup`` semi-join
+    keeps the brand's lineitems; one keyed fold gives the per-part stats
+    (parts/25 rows), which attach back encoded as qsum*2^32+cnt (qty <= 50
+    keeps the encode lossless to ~2^31 rows per part)."""
     from .joins import attach_value, keyed, rename_agg
 
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand"])
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
-    if part_small:
-        pt = pq_.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_brand"])
-        brand_keys = pt.filter(pc.equal(pt["p_brand"], Q17_BRAND)) \
-            .column("p_partkey").combine_chunks()
-        bref = ray.put(brand_keys)
+    def to_rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_partkey": t["l_partkey"],
+            "qty": pc.cast(t["l_quantity"], pa.int64()),
+            "cents": pc.cast(pc.round(pc.multiply(
+                t["l_extendedprice"], pa.scalar(100.0))), pa.int64())})
 
-        def qty_partial(t: pa.Table, keys) -> pa.Table:
-            t = t.filter(pc.is_in(t["l_partkey"], value_set=keys))
-            g = pa.table({
-                "l_partkey": t["l_partkey"],
-                "qty": pc.cast(t["l_quantity"], pa.int64())}) \
-                .group_by("l_partkey") \
-                .aggregate([("qty", "sum"), ("qty", "count")])
-            return rename_agg(g, {"qty_sum": "qsum", "qty_count": "cnt"},
-                              ["l_partkey", "qsum", "cnt"])
+    # materialized: both the per-part stats and the final attach read it,
+    # and one plan would run its attach once per reader
+    brand_rows = lookup(
+        li.map_batches(to_rows, batch_format="pyarrow"),
+        "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_brand"],
+        _kv("p_partkey", "p_partkey"), "__b", pa.int64(),
+        [("l_partkey", pa.int64()), ("qty", pa.int64()),
+         ("cents", pa.int64())],
+        filters=[("p_brand", "==", Q17_BRAND)],
+        post=lambda t: t.drop_columns(["__b"])).materialize()
 
-        def bucket_final(g: pa.Table) -> pa.Table:
-            f = g.group_by("l_partkey").aggregate([("qsum", "sum"),
-                                                   ("cnt", "sum")])
-            return rename_agg(f, {"qsum_sum": "qsum", "cnt_sum": "cnt"},
-                              ["l_partkey", "qsum", "cnt"])
+    def stats_partial(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_partkey").aggregate([("qty", "sum"),
+                                               ("qty", "count")])
+        g = rename_agg(g, {"qty_sum": "qsum", "qty_count": "cnt"},
+                       ["l_partkey", "qsum", "cnt"])
+        return pa.table({
+            "doc_id": g["l_partkey"],
+            "qsum": g["qsum"], "cnt": g["cnt"]})
 
-        from .joins import broadcast_map
+    def stats_final(g: pa.Table) -> pa.Table:
+        f = g.group_by("doc_id").aggregate([("qsum", "sum"),
+                                            ("cnt", "sum")])
+        f = rename_agg(f, {"qsum_sum": "qsum", "cnt_sum": "cnt"},
+                       ["doc_id", "qsum", "cnt"])
+        enc = pc.add(pc.multiply(f["qsum"],
+                                 pa.scalar(1 << 32, pa.int64())),
+                     f["cnt"])
+        return pa.table({"doc_id": f["doc_id"], "value": enc})
 
-        stats = keyed(broadcast_map(li, qty_partial, bref, batch_size=65536),
-                      "l_partkey", bucket_final).take_all()
-        skeys = pa.array([r["l_partkey"] for r in stats], pa.int64())
-        sqsum = pa.array([r["qsum"] for r in stats], pa.int64())
-        scnt = pa.array([r["cnt"] for r in stats], pa.int64())
-        sref = ray.put((skeys, sqsum, scnt))
+    stats_ds = keyed(brand_rows.map_batches(stats_partial,
+                                            batch_format="pyarrow"),
+                     "doc_id", stats_final)
 
-        def small_qty_sum(t: pa.Table, state) -> pa.Table:
-            keys, qsum, cnt = state
-            idx = pc.index_in(t["l_partkey"], value_set=keys)
-            hit = pc.is_valid(idx)
-            t = t.filter(hit)
-            idx = idx.filter(hit)
-            qty = pc.cast(t["l_quantity"], pa.int64())
-            lhs = pc.multiply(pc.multiply(qty, pa.scalar(5, pa.int64())),
-                              pc.take(cnt, idx))
-            keep = pc.less(lhs, pc.take(qsum, idx))
-            t = t.filter(keep)
-            cents = pc.cast(pc.round(pc.multiply(
-                t["l_extendedprice"], pa.scalar(100.0))), pa.int64())
-            s = pc.sum(cents)
-            return pa.table({"cents": pa.array(
-                [int(s.as_py() or 0)], pa.int64())})
+    def small_sum(t: pa.Table) -> pa.Table:
+        qsum = pc.divide(t["enc"], pa.scalar(1 << 32, pa.int64()))
+        cnt = pc.subtract(t["enc"], pc.multiply(
+            qsum, pa.scalar(1 << 32, pa.int64())))
+        keep = pc.less(pc.multiply(pc.multiply(
+            t["qty"], pa.scalar(5, pa.int64())), cnt), qsum)
+        s = pc.sum(t.filter(keep)["cents"])
+        return pa.table({"cents": pa.array([int(s.as_py() or 0)],
+                                           pa.int64())})
 
-        total = broadcast_map(li, small_qty_sum, sref,
-                              batch_size=65536).sum("cents")
-    else:
-        # scale path: brand flag + per-part stats both attach by bucketed
-        # cogroups; encode (qsum, cnt) -> qsum*2^32 + cnt
-        flags = part_src.map_batches(
-            lambda t: pa.table({
-                "doc_id": t["p_partkey"],
-                "value": pc.cast(pc.equal(t["p_brand"], Q17_BRAND),
-                                 pa.int64())}),
-            batch_format="pyarrow")
-
-        def to_rows(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "l_partkey": t["l_partkey"],
-                "qty": pc.cast(t["l_quantity"], pa.int64()),
-                "cents": pc.cast(pc.round(pc.multiply(
-                    t["l_extendedprice"], pa.scalar(100.0))), pa.int64())})
-
-        rows = li.map_batches(to_rows, batch_format="pyarrow",
-                              batch_size=65536)
-
-        def keep_brand(t: pa.Table) -> pa.Table:
-            return t.filter(pc.equal(t["is_brand"],
-                                     pa.scalar(1, pa.int64()))) \
-                .drop_columns(["is_brand"])
-
-        # materialized: both the per-part stats and the final attach read
-        # it, and one plan would run the exchange once per reader
-        brand_rows = attach_value(
-            rows, flags, "l_partkey", "is_brand", pa.int64(),
-            [("l_partkey", pa.int64()), ("qty", pa.int64()),
-             ("cents", pa.int64())],
-            post=keep_brand).materialize()
-
-        def stats_partial(t: pa.Table) -> pa.Table:
-            g = t.group_by("l_partkey").aggregate([("qty", "sum"),
-                                                   ("qty", "count")])
-            g = rename_agg(g, {"qty_sum": "qsum", "qty_count": "cnt"},
-                           ["l_partkey", "qsum", "cnt"])
-            return pa.table({
-                "doc_id": g["l_partkey"],
-                "qsum": g["qsum"], "cnt": g["cnt"]})
-
-        def stats_final(g: pa.Table) -> pa.Table:
-            f = g.group_by("doc_id").aggregate([("qsum", "sum"),
-                                                ("cnt", "sum")])
-            f = rename_agg(f, {"qsum_sum": "qsum", "cnt_sum": "cnt"},
-                           ["doc_id", "qsum", "cnt"])
-            enc = pc.add(pc.multiply(f["qsum"],
-                                     pa.scalar(1 << 32, pa.int64())),
-                         f["cnt"])
-            return pa.table({"doc_id": f["doc_id"], "value": enc})
-
-        stats_ds = keyed(brand_rows.map_batches(stats_partial,
-                                                batch_format="pyarrow"),
-                         "doc_id", stats_final)
-
-        def small_sum(t: pa.Table) -> pa.Table:
-            qsum = pc.divide(t["enc"], pa.scalar(1 << 32, pa.int64()))
-            cnt = pc.subtract(t["enc"], pc.multiply(
-                qsum, pa.scalar(1 << 32, pa.int64())))
-            keep = pc.less(pc.multiply(pc.multiply(
-                t["qty"], pa.scalar(5, pa.int64())), cnt), qsum)
-            s = pc.sum(t.filter(keep)["cents"])
-            return pa.table({"cents": pa.array([int(s.as_py() or 0)],
-                                               pa.int64())})
-
-        total = attach_value(
-            brand_rows, stats_ds, "l_partkey", "enc",
-            pa.int64(),
-            [("l_partkey", pa.int64()), ("qty", pa.int64()),
-             ("cents", pa.int64())],
-            post=small_sum).sum("cents")
+    total = attach_value(
+        brand_rows, stats_ds, "l_partkey", "enc",
+        pa.int64(),
+        [("l_partkey", pa.int64()), ("qty", pa.int64()),
+         ("cents", pa.int64())],
+        post=small_sum).sum("cents")
 
     return pd.DataFrame({"avg_yearly": [
         np.float64(int(total or 0)) / 700.0]})
@@ -3554,15 +2951,10 @@ def q19_disjunct_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q19: revenue under three OR'd (brand, size range, quantity
     range) predicates.  Brands are disjoint across terms, so each part
     matches at most one term; the part side reduces to a
-    (partkey -> qty_lo*64+qty_hi) map over MATCHED parts only — size-gated
-    broadcast arrays, else ONE bucketed cogroup attach of the encoded
-    range.  The lineitem side is a pure vectorized filter + global sum of
-    exact sub-cents (q6 shape with a joined predicate)."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value
-
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand", "p_size"])
+    (partkey -> qty_lo*64+qty_hi) map over MATCHED parts only, which one
+    ``joins.lookup`` attaches to the lineitem rows before a per-batch (or
+    per-bucket) sum of exact sub-cents (q6 shape with a joined
+    predicate)."""
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
@@ -3576,66 +2968,32 @@ def q19_disjunct_revenue(sf_dir: str) -> pd.DataFrame:
                                               pa.scalar(shi))))
             enc = pc.if_else(m, pa.scalar(qlo * 64 + qhi, pa.int64()), enc)
         keep = pc.is_valid(enc)
-        return pa.table({"p_partkey": t["p_partkey"].filter(keep),
-                         "enc": enc.filter(keep)})
+        return pa.table({"doc_id": t["p_partkey"].filter(keep),
+                         "value": enc.filter(keep)})
 
-    if part_src.count() <= BROADCAST_DIM_ROWS:
-        pt = part_ranges(pq_.read_table(
-            f"{sf_dir}/part.parquet",
-            columns=["p_partkey", "p_brand", "p_size"]))
-        ref = ray.put((pt.column("p_partkey").combine_chunks(),
-                       pt.column("enc").combine_chunks()))
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_partkey": t["l_partkey"],
+            "qty": pc.cast(t["l_quantity"], pa.int64()),
+            "sub": _rev_subcents(t)})
 
-        def disjunct_sum(t: pa.Table, state) -> pa.Table:
-            keys, enc_arr = state
-            idx = pc.index_in(t["l_partkey"], value_set=keys)
-            hit = pc.is_valid(idx)
-            t = t.filter(hit)
-            enc = pc.take(enc_arr, idx.filter(hit))
-            qlo = pc.divide(enc, pa.scalar(64, pa.int64()))
-            qhi = pc.subtract(enc, pc.multiply(
-                qlo, pa.scalar(64, pa.int64())))
-            qty = pc.cast(t["l_quantity"], pa.int64())
-            keep = pc.and_(pc.greater_equal(qty, qlo),
-                           pc.less_equal(qty, qhi))
-            s = pc.sum(_rev_subcents(t.filter(keep)))
-            return pa.table({"sub": pa.array([int(s.as_py() or 0)],
-                                             pa.int64())})
+    def term_sum(t: pa.Table) -> pa.Table:
+        qlo = pc.divide(t["enc"], pa.scalar(64, pa.int64()))
+        qhi = pc.subtract(t["enc"], pc.multiply(
+            qlo, pa.scalar(64, pa.int64())))
+        keep = pc.and_(pc.greater_equal(t["qty"], qlo),
+                       pc.less_equal(t["qty"], qhi))
+        s = pc.sum(t.filter(keep)["sub"])
+        return pa.table({"sub": pa.array([int(s.as_py() or 0)],
+                                         pa.int64())})
 
-        from .joins import broadcast_map
-
-        total = broadcast_map(li, disjunct_sum, ref,
-                              batch_size=65536).sum("sub")
-    else:
-        ranges = part_src.map_batches(
-            lambda t: (lambda r: pa.table({"doc_id": r["p_partkey"],
-                                           "value": r["enc"]}))(
-                part_ranges(t)),
-            batch_format="pyarrow")
-
-        def keyed(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "l_partkey": t["l_partkey"],
-                "qty": pc.cast(t["l_quantity"], pa.int64()),
-                "sub": _rev_subcents(t)})
-
-        def term_sum(t: pa.Table) -> pa.Table:
-            qlo = pc.divide(t["enc"], pa.scalar(64, pa.int64()))
-            qhi = pc.subtract(t["enc"], pc.multiply(
-                qlo, pa.scalar(64, pa.int64())))
-            keep = pc.and_(pc.greater_equal(t["qty"], qlo),
-                           pc.less_equal(t["qty"], qhi))
-            s = pc.sum(t.filter(keep)["sub"])
-            return pa.table({"sub": pa.array([int(s.as_py() or 0)],
-                                             pa.int64())})
-
-        total = attach_value(
-            li.map_batches(keyed, batch_format="pyarrow",
-                           batch_size=65536).materialize(),
-            ranges, "l_partkey", "enc", pa.int64(),
-            [("l_partkey", pa.int64()), ("qty", pa.int64()),
-             ("sub", pa.int64())],
-            post=term_sum).sum("sub")
+    total = lookup(
+        li.map_batches(rows, batch_format="pyarrow"),
+        "l_partkey", f"{sf_dir}/part.parquet",
+        ["p_partkey", "p_brand", "p_size"], part_ranges, "enc", pa.int64(),
+        [("l_partkey", pa.int64()), ("qty", pa.int64()),
+         ("sub", pa.int64())],
+        post=term_sum).sum("sub")
 
     return pd.DataFrame({"revenue": [_sub_to_dollars(int(total or 0))]})
 
@@ -4398,66 +3756,30 @@ Q2_REGION_KEY = 3          # EUROPE
 
 
 def _nation_table(sf_dir: str) -> pa.Table:
-    import pyarrow.parquet as pq_
-
-    return pq_.read_table(f"{sf_dir}/nation.parquet")
+    return pq.read_table(f"{sf_dir}/nation.parquet")
 
 
 def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
     """For every STANDARD part of size 10-30, the EUROPE supplier(s) tied
     at the minimum observed price.  Plan: batch-partial min per (partkey,
-    suppkey) pair, size-gated part/supplier attachment (broadcast key
-    arrays under BROADCAST_DIM_ROWS, else attach_value cogroups), ONE
-    keyed exchange on partkey finalizes pair minima AND the per-part argmin
-    in the same task (partkeys are bucket-exclusive, so the in-bucket min
-    is global).  Winners are bounded by the candidate-part count; names
-    attach via semi-filtered dimension reads, never a full driver pull."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, keyed, rename_agg
+    suppkey) pair, two ``joins.lookup`` semi-joins (candidate parts, then
+    EUROPE suppliers), ONE keyed exchange on partkey finalizes pair minima
+    AND the per-part argmin in the same task (partkeys are
+    bucket-exclusive, so the in-bucket min is global).  Winners are
+    bounded by the candidate-part count; names attach via semi-filtered
+    dimension reads, never a full driver pull."""
+    from .joins import keyed, rename_agg
 
     nat = _nation_table(sf_dir)
-    eu_nk = pc.cast(nat.filter(pc.equal(nat["n_regionkey"],
-                                        pa.scalar(Q2_REGION_KEY, pa.int32())))
-                    .column("n_nationkey"), pa.int64()).combine_chunks()
+    eu_nk = nat.filter(pc.equal(nat["n_regionkey"],
+                                pa.scalar(Q2_REGION_KEY, pa.int32()))) \
+        .column("n_nationkey").to_pylist()
     n_names = dict(zip(nat["n_nationkey"].to_pylist(),
                        nat["n_name"].to_pylist()))
-
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type", "p_size"])
-    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_suppkey", "l_extendedprice"])
 
-    def _part_filter(t: pa.Table) -> pa.Table:
-        return t.filter(pc.and_(
-            pc.equal(t["p_type"], Q2_TYPE),
-            pc.and_(pc.greater_equal(t["p_size"],
-                                     pa.scalar(Q2_SIZE_LO, pa.int32())),
-                    pc.less_equal(t["p_size"],
-                                  pa.scalar(Q2_SIZE_HI, pa.int32())))))
-
-    cand_keys = eu_keys = None
-    if part_small:
-        pt = _part_filter(pq_.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type",
-                                               "p_size"]))
-        cand_keys = pt.column("p_partkey").combine_chunks()
-    if supp_small:
-        st = pq_.read_table(f"{sf_dir}/supplier.parquet",
-                            columns=["s_suppkey", "s_nationkey"])
-        st = st.filter(pc.is_in(pc.cast(st["s_nationkey"], pa.int64()),
-                                value_set=eu_nk))
-        eu_keys = st.column("s_suppkey").combine_chunks()
-    bref = ray.put((cand_keys, eu_keys))
-
-    def pair_min(t: pa.Table, state) -> pa.Table:
-        cand, eu = state
-        if cand is not None:
-            t = t.filter(pc.is_in(t["l_partkey"], value_set=cand))
-        if eu is not None:
-            t = t.filter(pc.is_in(t["l_suppkey"], value_set=eu))
+    def pair_min(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
             t["l_extendedprice"], pa.scalar(100.0))), pa.int64())
         g = pa.table({"l_partkey": t["l_partkey"],
@@ -4467,37 +3789,24 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"cents_min": "cents"},
                           ["l_partkey", "l_suppkey", "cents"])
 
-    from .joins import broadcast_map
-
-    pairs = broadcast_map(li, pair_min, bref, batch_size=65536)
     pair_cols = [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
                  ("cents", pa.int64())]
-    if not part_small:
-        # scale path: candidate flag attaches by cogroup (inner-join
-        # semantics drop non-candidate parts for free)
-        def cand_flags(t: pa.Table) -> pa.Table:
-            f = _part_filter(t)
-            return pa.table({
-                "doc_id": f["p_partkey"],
-                "value": pa.array(np.ones(f.num_rows, np.int64))})
-
-        flags = part_src.map_batches(cand_flags, batch_format="pyarrow")
-        pairs = attach_value(pairs, flags, "l_partkey",
-                             "__c", pa.int64(), pair_cols,
-                             post=lambda t: t.drop_columns(["__c"]))
-    if not supp_small:
-        nks = supp_src.map_batches(
-            lambda t: pa.table({
-                "doc_id": t["s_suppkey"],
-                "value": pc.cast(t["s_nationkey"], pa.int64())}),
-            batch_format="pyarrow")
-
-        def keep_eu(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["__nk"],
-                                     value_set=eu_nk)).drop_columns(["__nk"])
-
-        pairs = attach_value(pairs, nks, "l_suppkey",
-                             "__nk", pa.int64(), pair_cols, post=keep_eu)
+    # semi-joins: the attached column is dropped, and inner-join
+    # semantics drop the pairs of other parts and suppliers
+    pairs = lookup(
+        li.map_batches(pair_min, batch_format="pyarrow", batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet",
+        ["p_partkey", "p_type", "p_size"], _kv("p_partkey", "p_partkey"),
+        "__c", pa.int64(), pair_cols,
+        filters=[("p_type", "==", Q2_TYPE), ("p_size", ">=", Q2_SIZE_LO),
+                 ("p_size", "<=", Q2_SIZE_HI)],
+        post=lambda t: t.drop_columns(["__c"]))
+    pairs = lookup(
+        pairs, "l_suppkey", f"{sf_dir}/supplier.parquet",
+        ["s_suppkey", "s_nationkey"], _kv("s_suppkey", "s_suppkey"),
+        "__s", pa.int64(), pair_cols,
+        filters=[("s_nationkey", "in", eu_nk)],
+        post=lambda t: t.drop_columns(["__s"]))
 
     def bucket_argmin(g: pa.Table) -> pa.Table:
         empty = pa.table({"l_partkey": pa.array([], pa.int64()),
@@ -4557,119 +3866,67 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
     """sum(rev_sub - qty*retail_cents*100) per (supplier nation, ship
     year).  Group cardinality is tiny (25 nations x ~7 years) so partials
     collapse in-batch and ONE small aggregate merges them; the part and
-    supplier sides are size-gated (broadcast arrays under
-    BROADCAST_DIM_ROWS, else attach_value cogroups with in-bucket
-    re-partials, shrinking before each exchange)."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, rename_agg
+    supplier sides are ``joins.lookup`` attaches, each followed by a
+    re-partial, so the rows shrink before each exchange."""
+    from .joins import rename_agg
 
     nat = _nation_table(sf_dir)
     n_names = dict(zip(nat["n_nationkey"].to_pylist(),
                        nat["n_name"].to_pylist()))
-
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type", "p_retailprice"])
-    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
                      "l_discount", "l_shipdate"])
 
-    if part_small and supp_small:
-        pt = pq_.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_type", "p_retailprice"])
-        pt = pt.filter(pc.equal(pt["p_type"], Q9_TYPE))
-        pkeys = pt.column("p_partkey").combine_chunks()
-        rc = pc.cast(pc.round(pc.multiply(pt["p_retailprice"],
-                                          pa.scalar(100.0))),
-                     pa.int64()).combine_chunks()
-        st = pq_.read_table(f"{sf_dir}/supplier.parquet",
-                            columns=["s_suppkey", "s_nationkey"])
-        skeys = st.column("s_suppkey").combine_chunks()
-        snk = pc.cast(st["s_nationkey"], pa.int64()).combine_chunks()
-        bref = ray.put((pkeys, rc, skeys, snk))
+    def pair_partial(t: pa.Table) -> pa.Table:
+        yr = pc.cast(pc.year(t["l_shipdate"]), pa.int64())
+        g = pa.table({"l_partkey": t["l_partkey"],
+                      "l_suppkey": t["l_suppkey"], "ship_year": yr,
+                      "rev": _rev_subcents(t),
+                      "qty": pc.cast(t["l_quantity"], pa.int64())}) \
+            .group_by(["l_partkey", "l_suppkey", "ship_year"]) \
+            .aggregate([("rev", "sum"), ("qty", "sum")])
+        return rename_agg(g, {"rev_sum": "rev", "qty_sum": "qty"},
+                          ["l_partkey", "l_suppkey", "ship_year",
+                           "rev", "qty"])
 
-        def q9_partial(t: pa.Table, state) -> pa.Table:
-            pk, rc_arr, sk, nk_arr = state
-            idx = pc.index_in(t["l_partkey"], value_set=pk)
-            hit = pc.is_valid(idx)
-            t = t.filter(hit)
-            rc = pc.take(rc_arr, idx.filter(hit))
-            cost = pc.multiply(pc.multiply(
-                pc.cast(t["l_quantity"], pa.int64()), rc),
-                pa.scalar(100, pa.int64()))
-            amt = pc.subtract(_rev_subcents(t), cost)
-            nk = pc.take(nk_arr, pc.index_in(t["l_suppkey"],
-                                             value_set=sk))
-            yr = pc.cast(pc.year(t["l_shipdate"]), pa.int64())
-            g = pa.table({"nk": nk, "ship_year": yr, "amt": amt}) \
-                .group_by(["nk", "ship_year"]).aggregate([("amt", "sum")])
-            return rename_agg(g, {"amt_sum": "amt"},
-                              ["nk", "ship_year", "amt"])
+    def retail_cents(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": t["p_partkey"],
+            "value": pc.cast(pc.round(pc.multiply(
+                t["p_retailprice"], pa.scalar(100.0))), pa.int64())})
 
-        from .joins import broadcast_map
+    def amount_group(t: pa.Table) -> pa.Table:
+        amt = pc.subtract(t["rev"], pc.multiply(pc.multiply(
+            t["qty"], t["rc"]), pa.scalar(100, pa.int64())))
+        g = pa.table({"l_suppkey": t["l_suppkey"],
+                      "ship_year": t["ship_year"], "amt": amt}) \
+            .group_by(["l_suppkey", "ship_year"]) \
+            .aggregate([("amt", "sum")])
+        return rename_agg(g, {"amt_sum": "amt"},
+                          ["l_suppkey", "ship_year", "amt"])
 
-        partials = broadcast_map(li, q9_partial, bref, batch_size=65536)
-    else:
-        # scale path: two cogroup attaches, each post-hook re-partials so
-        # only slim aggregate rows ride every exchange
-        def pair_partial(t: pa.Table) -> pa.Table:
-            yr = pc.cast(pc.year(t["l_shipdate"]), pa.int64())
-            g = pa.table({"l_partkey": t["l_partkey"],
-                          "l_suppkey": t["l_suppkey"], "ship_year": yr,
-                          "rev": _rev_subcents(t),
-                          "qty": pc.cast(t["l_quantity"], pa.int64())}) \
-                .group_by(["l_partkey", "l_suppkey", "ship_year"]) \
-                .aggregate([("rev", "sum"), ("qty", "sum")])
-            return rename_agg(g, {"rev_sum": "rev", "qty_sum": "qty"},
-                              ["l_partkey", "l_suppkey", "ship_year",
-                               "rev", "qty"])
+    def nk_group(t: pa.Table) -> pa.Table:
+        g = t.group_by(["nk", "ship_year"]).aggregate([("amt", "sum")])
+        return rename_agg(g, {"amt_sum": "amt"},
+                          ["nk", "ship_year", "amt"])
 
-        def part_vals(t: pa.Table) -> pa.Table:
-            f = t.filter(pc.equal(t["p_type"], Q9_TYPE))
-            return pa.table({
-                "doc_id": f["p_partkey"],
-                "value": pc.cast(pc.round(pc.multiply(
-                    f["p_retailprice"], pa.scalar(100.0))), pa.int64())})
-
-        def amount_group(t: pa.Table) -> pa.Table:
-            amt = pc.subtract(t["rev"], pc.multiply(pc.multiply(
-                t["qty"], t["rc"]), pa.scalar(100, pa.int64())))
-            g = pa.table({"l_suppkey": t["l_suppkey"],
-                          "ship_year": t["ship_year"], "amt": amt}) \
-                .group_by(["l_suppkey", "ship_year"]) \
-                .aggregate([("amt", "sum")])
-            return rename_agg(g, {"amt_sum": "amt"},
-                              ["l_suppkey", "ship_year", "amt"])
-
-        rows = li.map_batches(pair_partial, batch_format="pyarrow",
-                              batch_size=65536)
-        mid = attach_value(
-            rows,
-            part_src.map_batches(part_vals, batch_format="pyarrow"),
-            "l_partkey", "rc", pa.int64(),
-            [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-             ("ship_year", pa.int64()), ("rev", pa.int64()),
-             ("qty", pa.int64())],
-            post=amount_group)
-
-        def nk_group(t: pa.Table) -> pa.Table:
-            g = t.group_by(["nk", "ship_year"]).aggregate([("amt", "sum")])
-            return rename_agg(g, {"amt_sum": "amt"},
-                              ["nk", "ship_year", "amt"])
-
-        partials = attach_value(
-            mid,
-            supp_src.map_batches(
-                lambda t: pa.table({
-                    "doc_id": t["s_suppkey"],
-                    "value": pc.cast(t["s_nationkey"], pa.int64())}),
-                batch_format="pyarrow"),
-            "l_suppkey", "nk", pa.int64(),
-            [("l_suppkey", pa.int64()), ("ship_year", pa.int64()),
-             ("amt", pa.int64())],
-            post=nk_group)
+    mid = lookup(
+        li.map_batches(pair_partial, batch_format="pyarrow",
+                       batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet",
+        ["p_partkey", "p_type", "p_retailprice"], retail_cents, "rc",
+        pa.int64(),
+        [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
+         ("ship_year", pa.int64()), ("rev", pa.int64()),
+         ("qty", pa.int64())],
+        filters=[("p_type", "==", Q9_TYPE)], post=amount_group)
+    partials = lookup(
+        mid, "l_suppkey", f"{sf_dir}/supplier.parquet",
+        ["s_suppkey", "s_nationkey"], _kv("s_suppkey", "s_nationkey"),
+        "nk", pa.int64(),
+        [("l_suppkey", pa.int64()), ("ship_year", pa.int64()),
+         ("amt", pa.int64())],
+        post=nk_group)
 
     out = frame(aggregate(partials, ["nk", "ship_year"],
                           {"amt": ("amt", "sum")}))
@@ -4693,70 +3950,42 @@ Q11_MULT = 2               # keep parts with value > 2x the mean part value
 def q11_important_parts(sf_dir: str) -> pd.DataFrame:
     """Per-part value of AFRICA-supplied lineitems, keeping parts with
     value*N > MULT*total (exact int64 cross-multiplication — never a
-    float mean).  Plan: batch partials -> ONE keyed exchange on partkey
-    finalizes per-part sums -> the filter scalar pair (total, N) comes
-    from a driver-side sum/count of the SMALL finals dataset -> a second
-    streaming pass filters.  Supplier side size-gated like q2/q9."""
-    from .joins import attach_value, keyed, rename_agg
+    float mean).  Plan: batch partials -> a ``joins.lookup`` semi-join on
+    the region's suppliers -> ONE keyed exchange on partkey finalizes
+    per-part sums -> the filter scalar pair (total, N) comes from a
+    driver-side sum/count of the SMALL finals dataset -> a second
+    streaming pass filters."""
+    from .joins import keyed, rename_agg
 
     nat = _nation_table(sf_dir)
-    reg_nk = pc.cast(nat.filter(pc.equal(
-        nat["n_regionkey"], pa.scalar(Q11_REGION_KEY, pa.int32())))
-        .column("n_nationkey"), pa.int64()).combine_chunks()
-
-    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_nationkey"])
-    supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
+    reg_nk = nat.filter(pc.equal(nat["n_regionkey"],
+                                 pa.scalar(Q11_REGION_KEY, pa.int32()))) \
+        .column("n_nationkey").to_pylist()
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"])
 
-    if supp_small:
-        import pyarrow.parquet as pq_
+    def pair_partial(t: pa.Table) -> pa.Table:
+        g = pa.table({"l_partkey": t["l_partkey"],
+                      "l_suppkey": t["l_suppkey"],
+                      "sub": _rev_subcents(t)}) \
+            .group_by(["l_partkey", "l_suppkey"]) \
+            .aggregate([("sub", "sum")])
+        return rename_agg(g, {"sub_sum": "sub"},
+                          ["l_partkey", "l_suppkey", "sub"])
 
-        st = pq_.read_table(f"{sf_dir}/supplier.parquet",
-                            columns=["s_suppkey", "s_nationkey"])
-        st = st.filter(pc.is_in(pc.cast(st["s_nationkey"], pa.int64()),
-                                value_set=reg_nk))
-        keys = st.column("s_suppkey").combine_chunks()
-        bref = ray.put(keys)
+    def part_group(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_partkey").aggregate([("sub", "sum")])
+        return rename_agg(g, {"sub_sum": "sub"}, ["l_partkey", "sub"])
 
-        def val_partial(t: pa.Table, keys) -> pa.Table:
-            t = t.filter(pc.is_in(t["l_suppkey"], value_set=keys))
-            g = pa.table({"l_partkey": t["l_partkey"],
-                          "sub": _rev_subcents(t)}) \
-                .group_by("l_partkey").aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_partkey", "sub"])
-
-        from .joins import broadcast_map
-
-        rows = broadcast_map(li, val_partial, bref, batch_size=65536)
-    else:
-        def pair_partial(t: pa.Table) -> pa.Table:
-            g = pa.table({"l_partkey": t["l_partkey"],
-                          "l_suppkey": t["l_suppkey"],
-                          "sub": _rev_subcents(t)}) \
-                .group_by(["l_partkey", "l_suppkey"]) \
-                .aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"},
-                              ["l_partkey", "l_suppkey", "sub"])
-
-        def keep_region(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.is_in(t["nk"], value_set=reg_nk))
-            g = t.group_by("l_partkey").aggregate([("sub", "sum")])
-            return rename_agg(g, {"sub_sum": "sub"}, ["l_partkey", "sub"])
-
-        rows = attach_value(
-            li.map_batches(pair_partial, batch_format="pyarrow",
-                           batch_size=65536).materialize(),
-            supp_src.map_batches(
-                lambda t: pa.table({
-                    "doc_id": t["s_suppkey"],
-                    "value": pc.cast(t["s_nationkey"], pa.int64())}),
-                batch_format="pyarrow"),
-            "l_suppkey", "nk", pa.int64(),
-            [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-             ("sub", pa.int64())],
-            post=keep_region)
+    rows = lookup(
+        li.map_batches(pair_partial, batch_format="pyarrow",
+                       batch_size=65536),
+        "l_suppkey", f"{sf_dir}/supplier.parquet",
+        ["s_suppkey", "s_nationkey"], _kv("s_suppkey", "s_suppkey"), "__s",
+        pa.int64(),
+        [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
+         ("sub", pa.int64())],
+        filters=[("s_nationkey", "in", reg_nk)], post=part_group)
 
     def bucket_final(g: pa.Table) -> pa.Table:
         f = g.group_by("l_partkey").aggregate([("sub", "sum")])
@@ -4799,7 +4028,7 @@ Q16_TYPES = ("ECONOMY", "LARGE", "MEDIUM", "PROMO", "SMALL", "STANDARD")
 
 def _q16_encode(t: pa.Table) -> pa.Table:
     """(p_brand, p_type, p_size) -> one int64: ((brand_no*8)+type_idx)*64
-    + size.  Vectorized, no global state — both gate paths share it."""
+    + size, as ``joins.lookup`` value rows of the kept parts."""
     keep = pc.and_(pc.and_(
         pc.not_equal(t["p_brand"], Q16_EX_BRAND),
         pc.not_equal(t["p_type"], Q16_EX_TYPE)),
@@ -4817,89 +4046,36 @@ def _q16_encode(t: pa.Table) -> pa.Table:
 
 def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
     """COUNT(DISTINCT suppkey) per (brand, type, size): batch-local pair
-    dedupe -> size-gated part-attr attach (broadcast arrays / cogroup)
-    and supplier exclusion (broadcast set / 0-1 flag cogroup over ALL
-    suppliers, filtered ==0 — attach-and-drop can't express NOT IN) ->
-    ONE keyed exchange on enc where in-bucket distinct is global (enc is
-    bucket-exclusive).  Attr strings decode on the driver from the
-    bounded group table."""
-    import pyarrow.parquet as pq_
+    dedupe -> a ``joins.lookup`` of the encoded part attrs (re-deduped on
+    (enc, suppkey)) and a ``joins.lookup`` semi-join on the suppliers NOT
+    excluded (acctbal >= the bar) -> ONE keyed exchange on enc where
+    in-bucket distinct is global (enc is bucket-exclusive).  Attr strings
+    decode on the driver from the bounded group table."""
+    from .joins import keyed, rename_agg
 
-    from .joins import attach_value, keyed, rename_agg
-
-    part_src = read_table(f"{sf_dir}/part.parquet",
-                          ["p_partkey", "p_brand", "p_type", "p_size"])
-    supp_src = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_acctbal"])
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
-    supp_small = supp_src.count() <= BROADCAST_DIM_ROWS
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey"])
 
-    enc_keys = enc_vals = excl = None
-    if part_small:
-        et = _q16_encode(pq_.read_table(
-            f"{sf_dir}/part.parquet",
-            columns=["p_partkey", "p_brand", "p_type", "p_size"]))
-        enc_keys = et.column("doc_id").combine_chunks()
-        enc_vals = et.column("value").combine_chunks()
-    if supp_small:
-        st = pq_.read_table(f"{sf_dir}/supplier.parquet",
-                            columns=["s_suppkey", "s_acctbal"])
-        excl = st.filter(pc.less(st["s_acctbal"],
-                                 pa.scalar(Q16_EXCL_BAL))) \
-            .column("s_suppkey").combine_chunks()
-    bref = ray.put((enc_keys, enc_vals, excl))
+    def pair_dedupe(t: pa.Table) -> pa.Table:
+        return t.group_by(["l_partkey", "l_suppkey"]).aggregate([]) \
+            .select(["l_partkey", "l_suppkey"])
 
-    def pair_enc(t: pa.Table, state) -> pa.Table:
-        ek, ev, excl_keys = state
-        g = t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        if excl_keys is not None:
-            g = g.filter(pc.invert(pc.coalesce(
-                pc.is_in(g["l_suppkey"], value_set=excl_keys),
-                pa.scalar(False))))
-        if ek is not None:
-            idx = pc.index_in(g["l_partkey"], value_set=ek)
-            hit = pc.is_valid(idx)
-            g = g.filter(hit)
-            enc = pc.take(ev, idx.filter(hit))
-            g = pa.table({"enc": enc, "l_suppkey": g["l_suppkey"]}) \
-                .group_by(["enc", "l_suppkey"]).aggregate([])
-            return g.select(["enc", "l_suppkey"])
-        return g.select(["l_partkey", "l_suppkey"])
+    def re_dedupe(t: pa.Table) -> pa.Table:
+        return t.group_by(["enc", "l_suppkey"]).aggregate([]) \
+            .select(["enc", "l_suppkey"])
 
-    from .joins import broadcast_map
-
-    pairs = broadcast_map(li, pair_enc, bref, batch_size=65536)
-    if not part_small:
-        enc_ds = part_src.map_batches(_q16_encode, batch_format="pyarrow")
-
-        def re_dedupe(t: pa.Table) -> pa.Table:
-            return t.group_by(["enc", "l_suppkey"]).aggregate([]) \
-                .select(["enc", "l_suppkey"])
-
-        pairs = attach_value(pairs, enc_ds, "l_partkey",
-                             "enc", pa.int64(),
-                             [("l_partkey", pa.int64()),
-                              ("l_suppkey", pa.int64())],
-                             post=lambda t: re_dedupe(
-                                 t.drop_columns(["l_partkey"])))
-    if not supp_small:
-        flags = supp_src.map_batches(
-            lambda t: pa.table({
-                "doc_id": t["s_suppkey"],
-                "value": pc.cast(pc.less(t["s_acctbal"],
-                                         pa.scalar(Q16_EXCL_BAL)),
-                                 pa.int64())}),
-            batch_format="pyarrow")
-
-        def drop_excluded(t: pa.Table) -> pa.Table:
-            return t.filter(pc.equal(t["xf"], pa.scalar(0, pa.int64()))) \
-                .drop_columns(["xf"])
-
-        pairs = attach_value(pairs, flags, "l_suppkey",
-                             "xf", pa.int64(),
-                             [("enc", pa.int64()),
-                              ("l_suppkey", pa.int64())],
-                             post=drop_excluded)
+    pairs = lookup(
+        li.map_batches(pair_dedupe, batch_format="pyarrow",
+                       batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet",
+        ["p_partkey", "p_brand", "p_type", "p_size"], _q16_encode, "enc",
+        pa.int64(), [("l_partkey", pa.int64()), ("l_suppkey", pa.int64())],
+        post=re_dedupe)
+    pairs = lookup(
+        pairs, "l_suppkey", f"{sf_dir}/supplier.parquet",
+        ["s_suppkey", "s_acctbal"], _kv("s_suppkey", "s_suppkey"), "__s",
+        pa.int64(), [("enc", pa.int64()), ("l_suppkey", pa.int64())],
+        filters=[("s_acctbal", ">=", Q16_EXCL_BAL)],
+        post=lambda t: t.drop_columns(["__s"]))
 
     def bucket_count(g: pa.Table) -> pa.Table:
         d = g.group_by(["enc", "l_suppkey"]).aggregate([])
@@ -4938,36 +4114,22 @@ Q20_MULT = 2
 
 
 def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
-    """Per-(part, supplier) quantity sums and the per-part total + supplier
-    count finalize in the SAME keyed task on partkey (partkeys are
+    """Per-(part, supplier) quantity sums of SMALL parts (a
+    ``joins.lookup`` semi-join) and the per-part total + supplier count
+    finalize in the SAME keyed task on partkey (partkeys are
     bucket-exclusive); dominance is the exact cross-multiplication
     q*ns > MULT*tot.  Each bucket forwards only its DISTINCT dominant
     suppkeys; the driver merge is bounded by the supplier count.  The
     region/name attach is a semi-filtered dimension read of the winners."""
-    import pyarrow.parquet as pq_
-
-    from .joins import attach_value, keyed, rename_agg
+    from .joins import keyed, rename_agg
 
     nat = _nation_table(sf_dir)
     reg_nk = pc.cast(nat.filter(pc.equal(
         nat["n_regionkey"], pa.scalar(Q20_REGION_KEY, pa.int32())))
         .column("n_nationkey"), pa.int64()).combine_chunks()
-
-    part_src = read_table(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"])
-    part_small = part_src.count() <= BROADCAST_DIM_ROWS
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey", "l_quantity"])
 
-    cand = None
-    if part_small:
-        pt = pq_.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_type"])
-        cand = pt.filter(pc.equal(pt["p_type"], Q20_TYPE)) \
-            .column("p_partkey").combine_chunks()
-    bref = ray.put(cand)
-
-    def qty_pairs(t: pa.Table, cand_keys) -> pa.Table:
-        if cand_keys is not None:
-            t = t.filter(pc.is_in(t["l_partkey"], value_set=cand_keys))
+    def qty_pairs(t: pa.Table) -> pa.Table:
         g = pa.table({"l_partkey": t["l_partkey"],
                       "l_suppkey": t["l_suppkey"],
                       "q": pc.cast(t["l_quantity"], pa.int64())}) \
@@ -4976,23 +4138,14 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"q_sum": "q"},
                           ["l_partkey", "l_suppkey", "q"])
 
-    from .joins import broadcast_map
-
-    pairs = broadcast_map(li, qty_pairs, bref, batch_size=65536)
-    if not part_small:
-        def cand_flags(t: pa.Table) -> pa.Table:
-            f = t.filter(pc.equal(t["p_type"], Q20_TYPE))
-            return pa.table({
-                "doc_id": f["p_partkey"],
-                "value": pa.array(np.ones(f.num_rows, np.int64))})
-
-        pairs = attach_value(
-            pairs,
-            part_src.map_batches(cand_flags, batch_format="pyarrow"),
-            "l_partkey", "__c", pa.int64(),
-            [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-             ("q", pa.int64())],
-            post=lambda t: t.drop_columns(["__c"]))
+    pairs = lookup(
+        li.map_batches(qty_pairs, batch_format="pyarrow", batch_size=65536),
+        "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
+        _kv("p_partkey", "p_partkey"), "__c", pa.int64(),
+        [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
+         ("q", pa.int64())],
+        filters=[("p_type", "==", Q20_TYPE)],
+        post=lambda t: t.drop_columns(["__c"]))
 
     def bucket_dominant(g: pa.Table) -> pa.Table:
         empty = pa.table({"l_suppkey": pa.array([], pa.int64())})

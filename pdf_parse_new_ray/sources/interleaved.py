@@ -82,7 +82,8 @@ def _read_range(picks: list, skip: Optional[int], start: int, end: int,
              for f, gs in picks]
     if not parts:
         return [schema.empty_table()]
-    t = pa.concat_tables(parts).slice(skip, end - start)
+    t = pa.concat_tables(parts).slice(skip, end - start) \
+        .replace_schema_metadata()
     if row_index is not None:
         t = t.append_column(row_index, pa.array(range(start, end), pa.int64()))
     return [t]
@@ -102,10 +103,12 @@ class ParquetRows(Datasource):
     def __init__(self, files: list[str], columns: Optional[list[str]],
                  row_index: Optional[str] = None):
         self._files, self._columns, self._row_index = files, columns, row_index
-        schema = pq.read_schema(files[0])
+        # no schema metadata (the writer's pandas metadata, say): a schema
+        # that carries it is unhashable, so Ray's schema dedup would fail
+        # on every block and fall back to a full unify
+        schema = pq.read_schema(files[0]).remove_metadata()
         if columns is not None:
-            schema = pa.schema([schema.field(c) for c in columns],
-                               metadata=schema.metadata)
+            schema = pa.schema([schema.field(c) for c in columns])
         keep = set(schema.names)
         if row_index is not None:
             schema = schema.append(pa.field(row_index, pa.int64()))

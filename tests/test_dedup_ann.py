@@ -186,11 +186,11 @@ def test_embedding_neardup_lsh_matches_brute(ray_session, planted_embeddings_dir
 def test_q3_cogroup_semi_join_matches_broadcast(ray_session, monkeypatch):
     """Forcing the distributed semi-join path (broadcast gate at 0) must
     produce the same q3 result as the broadcast value_set path."""
-    from pdf_parse_new_ray.functions import relational
+    from pdf_parse_new_ray.functions import joins, relational
 
     sf = "/root/testdata/sf0.001"
     base = relational.q3_top_orders(sf)
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     forced = relational.q3_top_orders(sf)
     import pandas as pd
 
@@ -198,11 +198,11 @@ def test_q3_cogroup_semi_join_matches_broadcast(ray_session, monkeypatch):
 
 
 def test_q5_cogroup_customer_side_matches_broadcast(ray_session, monkeypatch):
-    from pdf_parse_new_ray.functions import relational
+    from pdf_parse_new_ray.functions import joins, relational
 
     sf = "/root/testdata/sf0.001"
     base = relational.q5_nation_revenue(sf)
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     forced = relational.q5_nation_revenue(sf)
     import pandas as pd
 
@@ -884,12 +884,14 @@ def test_bloom_semi_join_matches_exact(ray_session, tmp_path):
         check_dtype=False)
     # the above-gate cogroup verify must agree with the fused
     # broadcast verify bit for bit
-    orig = relational.BROADCAST_DIM_ROWS
-    relational.BROADCAST_DIM_ROWS = 0
+    from pdf_parse_new_ray.functions import joins
+
+    orig = joins.LOCAL_FOLD_ROWS
+    joins.LOCAL_FOLD_ROWS = 0
     try:
         forced = relational.q_bloom_semi_join(str(tmp_path))
     finally:
-        relational.BROADCAST_DIM_ROWS = orig
+        joins.LOCAL_FOLD_ROWS = orig
     pd.testing.assert_frame_equal(out, forced)
 
 
@@ -1492,10 +1494,10 @@ def test_q7_cogroup_path_matches_broadcast(ray_session, monkeypatch):
     """Forcing the customer attach onto the distributed cogroup path must
     reproduce the broadcast-path result exactly (same gate-duality check
     as q5), and revenue is the exact integer-cents convention."""
-    from pdf_parse_new_ray.functions import relational
+    from pdf_parse_new_ray.functions import joins, relational
 
     base = relational.q7_nation_pair_revenue("/root/testdata/sf0.001")
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     forced = relational.q7_nation_pair_revenue("/root/testdata/sf0.001")
     assert base.equals(forced)
     assert len(base) > 0
@@ -2135,12 +2137,13 @@ def test_ngram_containment_detects_subset_doc(ray_session, tmp_path):
 
 
 def test_tpch_tail_cogroup_paths_match_broadcast(ray_session, monkeypatch):
-    """q8/q14/q17/q19 gate their part/customer sides on BROADCAST_DIM_ROWS;
+    """q8/q12/q14/q17/q19 attach their part/orders/customer sides through
+    joins.lookup, which broadcasts under joins.LOCAL_FOLD_ROWS;
     forcing the bucketed-cogroup scale path must reproduce the broadcast
     result exactly (same exact-integer money, different exchange layout)."""
     import pandas as pd
 
-    from pdf_parse_new_ray.functions import relational
+    from pdf_parse_new_ray.functions import joins, relational
 
     sf = "/root/testdata/sf0.001"
     base = {
@@ -2150,7 +2153,7 @@ def test_tpch_tail_cogroup_paths_match_broadcast(ray_session, monkeypatch):
         "q17": relational.q17_small_qty_revenue(sf),
         "q19": relational.q19_disjunct_revenue(sf),
     }
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     pd.testing.assert_frame_equal(base["q8"], relational.q8_market_share(sf))
     pd.testing.assert_frame_equal(base["q12"],
                                   relational.q12_ship_priority(sf))
@@ -2321,11 +2324,11 @@ def test_tpch_q2_q9_q11_q16_q20_q22_oracled(ray_session, monkeypatch):
     rollup, global-scalar HAVING, distinct-count with NOT-IN exclusion,
     dominance ratio semi-join, global-avg + anti-join) equals the DuckDB
     oracles exactly at sf0.001 — on the broadcast paths AND with the
-    bucketed-cogroup scale paths forced (BROADCAST_DIM_ROWS = 0)."""
+    bucketed-cogroup scale paths forced (joins.LOCAL_FOLD_ROWS = 0)."""
     import duckdb
 
     import __ray_entry__ as entry
-    from pdf_parse_new_ray.functions import relational
+    from pdf_parse_new_ray.functions import joins, relational
 
     sf = "/root/testdata/sf0.001"
     con = duckdb.connect()
@@ -2349,7 +2352,7 @@ def test_tpch_q2_q9_q11_q16_q20_q22_oracled(ray_session, monkeypatch):
             check_dtype=False), name
         base[name] = out
     # scale paths must reproduce the broadcast results bit-for-bit
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     for name in ("q2_min_cost_supplier", "q9_product_type_profit",
                  "q11_important_parts", "q16_supplier_cnt",
                  "q20_dominant_suppliers"):
@@ -2469,7 +2472,6 @@ def test_events_driver_fold_forced_paths_equal(ray_session, monkeypatch):
                relational.q_cohort_retention]
     fast = [q(sf) for q in queries]
     monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
-    monkeypatch.setattr(relational, "BROADCAST_DIM_ROWS", 0)
     for q, want in zip(queries, fast):
         got = q(sf)
         # datetime64 unit (ns vs us) may differ between the driver-read

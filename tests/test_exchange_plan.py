@@ -1,8 +1,9 @@
 """The keyed exchange as a Ray Data plan operator (``joins.HashExchange``):
 a query's reads, maps, exchanges and collect run as one job, each bucket
 is reduced once, and a finished exchange is not run again when its result
-is read a second time; and ``joins.aggregate``, the aggregation built on
-it."""
+is read a second time; ``joins.aggregate``, the aggregation built on it;
+and ``joins.lookup``, whose one bound chooses a broadcast or an
+exchange."""
 
 import collections
 import os
@@ -79,6 +80,108 @@ def test_forced_join_runs_as_one_job(ray_session, jobs, forced, query):
                     f"read_parquet('{SF001}/{f}')")
     assert compare(query, got,
                    con.execute(entry.oracle_sql()[query]).fetchdf()) == "OK"
+
+
+def _oracle_ok(query, got) -> bool:
+    import duckdb
+
+    import __ray_entry__ as entry
+    from tools.check_queries import compare
+
+    con = duckdb.connect()
+    for f in os.listdir(SF001):
+        con.execute(f"CREATE VIEW {f[:-len('.parquet')]} AS SELECT * FROM "
+                    f"read_parquet('{SF001}/{f}')")
+    return compare(query, got,
+                   con.execute(entry.oracle_sql()[query]).fetchdf()) == "OK"
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Counts the ``HashExchange`` plan operators built."""
+    from pdf_parse_new_ray.functions import joins
+
+    seen = {"n": 0}
+    init = joins.HashExchange.__init__
+
+    def counting_init(self, *a, **kw):
+        seen["n"] += 1
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(joins.HashExchange, "__init__", counting_init)
+    return seen
+
+
+@pytest.mark.parametrize("query", ["q5_nation_revenue", "q8_market_share"])
+def test_gated_dimension_joins_plan_no_exchange(ray_session, jobs, exchanges,
+                                                query):
+    """Gated (the shipped bounds), every dimension attach of q5 and q8 is
+    a ``joins.lookup`` broadcast: the query plans no ``HashExchange``,
+    runs as one Ray Data job and matches its DuckDB oracle."""
+    import __ray_entry__ as entry
+
+    got = entry.queries()[query](SF001)
+    assert exchanges["n"] == 0
+    assert jobs["jobs"] == 1
+    assert _oracle_ok(query, got)
+
+
+def test_lookup_routes_match_at_the_bound(ray_session, monkeypatch, tmp_path,
+                                          exchanges):
+    """``joins.lookup`` broadcasts a dimension table of exactly
+    ``LOCAL_FOLD_ROWS`` rows (no ``HashExchange`` planned) and exchanges
+    one of a row more (one ``HashExchange``); both routes give the same
+    rows, with a plain attach and with a partial ``post`` combine that the
+    caller merges.  ``filters`` drop dim rows on both routes."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins
+
+    rng = np.random.default_rng(5)
+    n_dim = 300
+    dim = str(tmp_path / "dim.parquet")
+    pq.write_table(pa.table({
+        "k": pa.array(np.arange(n_dim), pa.int64()),
+        "grp": pa.array(np.arange(n_dim) % 7, pa.int64()),
+        "keep": pa.array(np.arange(n_dim) % 5 != 0)}), dim)
+    fact = rd.from_arrow(pa.table({
+        "fk": pa.array(rng.integers(0, n_dim + 50, 4_000), pa.int64()),
+        "x": pa.array(rng.integers(0, 100, 4_000), pa.int64())})) \
+        .repartition(4)
+
+    def value(t):
+        return pa.table({"doc_id": t["k"], "value": t["grp"]})
+
+    def post(t):  # per-group partial sums of x
+        return t.group_by("grp").aggregate([("x", "sum")])
+
+    def run(bound, with_post, filters):
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
+        before = exchanges["n"]
+        out = joins.lookup(
+            fact, "fk", dim, ["k", "grp", "keep"], value, "grp", pa.int64(),
+            [("fk", pa.int64()), ("x", pa.int64())], filters=filters,
+            post=post if with_post else None)
+        planned = exchanges["n"] - before
+        df = out.to_pandas()
+        if with_post:
+            df = df.groupby("grp", as_index=False)["x_sum"].sum()
+        return planned, df.sort_values(list(df.columns)) \
+            .reset_index(drop=True)
+
+    for with_post in (False, True):
+        for filters in (None, [("keep", "==", True)]):
+            planned_b, broadcast = run(n_dim, with_post, filters)
+            planned_x, exchanged = run(n_dim - 1, with_post, filters)
+            assert (planned_b, planned_x) == (0, 1)
+            pd.testing.assert_frame_equal(broadcast, exchanged)
+            assert len(broadcast) > 0
+    f = fact.to_pandas()
+    hit = f[(f["fk"] < n_dim) & (f["fk"] % 5 != 0)]
+    got = run(n_dim, False, [("keep", "==", True)])[1]
+    assert len(got) == len(hit) and (got["grp"] == got["fk"] % 7).all()
 
 
 @pytest.mark.parametrize("query", ["t_token_stats", "q_events_daily"])

@@ -4,10 +4,17 @@ count, column names, and values (columns sorted by name, rows sorted).
 
 Usage: python tools/check_queries.py [--forced] [--repeat N] [sf_dir] [query ...]
 
---forced zeroes every driver-fold size gate (bench._force_distributed_gates)
-so each query runs its distributed plan; the gates are restored afterwards.
+--forced zeroes every driver-fold size gate (bench._force_distributed_gates:
+joins.LOCAL_FOLD_ROWS, which bounds both the in-process keyed folds and
+joins.lookup's dimension broadcasts, and the dedup/graph driver gates) so
+each query runs its distributed plan; the gates are restored afterwards.
 --repeat N runs each query N more times after its checked (untimed) run
 and prints the median of those N walls instead of the first run's wall.
+
+Each line shows the query's wall and the number of Ray Data jobs (one
+``StreamingExecutor.execute`` each) its checked run started, as
+``[0.123s, 1 job]``: every job costs a fixed launch time, so the count
+shows where a query pays it.
 """
 
 from __future__ import annotations
@@ -123,6 +130,27 @@ def run_checks(sf_dir: str, only: set[str] | None = None,
 
 def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
                 repeat: int) -> tuple[int, int, list[str]]:
+    """:func:`_check_all` with each Ray Data job (one
+    ``StreamingExecutor.execute``) counted into ``jobs[0]``."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    execute = StreamingExecutor.execute
+    jobs = [0]
+
+    def counting_execute(self, *a, **kw):
+        jobs[0] += 1
+        return execute(self, *a, **kw)
+
+    StreamingExecutor.execute = counting_execute
+    try:
+        return _check_all(sf_dir, only, verbose, repeat, jobs)
+    finally:
+        StreamingExecutor.execute = execute
+
+
+def _check_all(sf_dir: str, only: set[str] | None, verbose: bool,
+               repeat: int, jobs: list) -> tuple[int, int, list[str]]:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -143,6 +171,7 @@ def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
         if only and name not in only:
             continue
         t0 = time.time()
+        jobs[0] = 0
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
@@ -152,6 +181,7 @@ def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
             n_bad += 1
             continue
         dt = time.time() - t0
+        n_jobs = jobs[0]
         if repeat > 0:
             walls = []
             for _ in range(repeat):
@@ -184,7 +214,8 @@ def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
         if not ok:
             failures.append(f"{name}: {verdict}")
         if verbose:
-            print(f"{name}: {verdict}  [{dt:.3f}s]")
+            print(f"{name}: {verdict}  [{dt:.3f}s, {n_jobs} job"
+                  f"{'' if n_jobs == 1 else 's'}]")
     return n_ok, n_bad, failures
 
 
