@@ -337,7 +337,7 @@ def planted_extract_metadata(sf_dir: str):
         "media_ref": media["media_ref"],
         "numpages": media["numpages"].astype("int64"),
         "pdf_version": "1.4",
-        "title": [f"doc-{seed * 1_000_003 + int(r[4:]) + 1}"
+        "title": [f"doc-{seed * 1_000_003 + int(r.removeprefix('pdf-')) + 1}"
                   for r in media["media_ref"]],
         "author": None,
         "producer": "pdfgen/0.1",

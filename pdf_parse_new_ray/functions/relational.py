@@ -120,7 +120,7 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     # is 5.6e-10 below a half cent), so the fold adds them in that order
     # too, whatever the block layout
     out = frame(aggregate(
-        ds.map_batches(rows, batch_format="pyarrow", batch_size=65536),
+        ds.map_batches(rows, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         {**{c: (c, "sum") for c in sums}, "count_order": (None, "count")},
         order="row"))
@@ -233,7 +233,7 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
             .group_by("l_orderkey").aggregate([("rev", "sum")])
         return rename_agg(g, {"rev_sum": "rev"}, ["l_orderkey", "rev"])
 
-    partials = li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536)
+    partials = li.map_batches(rev_partial, batch_format="pyarrow")
 
     def combine_cust(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("rev", "sum")])
@@ -318,7 +318,7 @@ def q_top_suppliers(sf_dir: str, k: int = 5) -> pd.DataFrame:
             .group_by("l_suppkey").aggregate([("rev", "sum")])
         return rename_agg(g, {"rev_sum": "rev"}, ["l_suppkey", "rev"])
 
-    partials = li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536)
+    partials = li.map_batches(rev_partial, batch_format="pyarrow")
     names = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"]).map_batches(
         lambda t: pa.table({"doc_id": t["s_suppkey"], "value": t["s_name"]}),
         batch_format="pyarrow")
@@ -682,8 +682,7 @@ def q_price_band_join(sf_dir: str) -> pd.DataFrame:
     # the price sums add in table order, as the oracle's (see q1)
     out = frame(aggregate(read_table(f"{sf_dir}/part.parquet", ["p_retailprice"],
                                      row_index="row")
-                          .map_batches(probe, batch_format="pyarrow",
-                                       batch_size=65536), "band",
+                          .map_batches(probe, batch_format="pyarrow"), "band",
                           {"n_parts": (None, "count"),
                            "total_price": ("price", "sum")}, order="row"))
     out = out.sort_values("band").reset_index(drop=True)
@@ -752,7 +751,7 @@ def q_order_price_quantiles(sf_dir: str) -> pd.DataFrame:
 
     counts = frame(aggregate(
         read_table(f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"])
-        .map_batches(cents, batch_format="pyarrow", batch_size=65536),
+        .map_batches(cents, batch_format="pyarrow"),
         ["cents", "o_orderpriority"], {"n": (None, "count")}))
 
     rows = []
@@ -2046,7 +2045,7 @@ def q7_nation_pair_revenue(sf_dir: str) -> pd.DataFrame:
 
     from .joins import broadcast_map
 
-    partials = broadcast_map(li, rev_partial, sup_ref, batch_size=65536)
+    partials = broadcast_map(li, rev_partial, sup_ref)
 
     def combine_cust(t: pa.Table) -> pa.Table:
         g = t.group_by(["o_custkey", "supp_nk", "l_year"]) \
@@ -2496,7 +2495,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
 
     # PROMO parts only: inner-join semantics drop every other part
     partials = lookup(
-        broadcast_map(li, supp_partial, sup_ref, batch_size=65536),
+        broadcast_map(li, supp_partial, sup_ref),
         "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
         _kv("p_partkey", "p_partkey"), "__p", pa.int64(),
         [("l_orderkey", pa.int64()), ("supp_nk", pa.int64()),
@@ -2615,7 +2614,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"sub_sum": "sub"}, ["o_custkey", "sub"])
 
     by_cust = lookup(
-        li.map_batches(rev_partial, batch_format="pyarrow", batch_size=65536),
+        li.map_batches(rev_partial, batch_format="pyarrow"),
         "l_orderkey", f"{sf_dir}/orders.parquet",
         ["o_orderkey", "o_custkey", "o_orderdate"],
         _kv("o_orderkey", "o_custkey"), "o_custkey", pa.int64(),
@@ -2696,8 +2695,7 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
                           ["l_month", "is_promo", "sub"])
 
     cells = lookup(
-        li.map_batches(keyed_partial, batch_format="pyarrow",
-                       batch_size=65536),
+        li.map_batches(keyed_partial, batch_format="pyarrow"),
         "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
         promo_flag, "is_promo", pa.int64(),
         [("l_partkey", pa.int64()), ("l_month", pa.int64()),
@@ -2786,8 +2784,7 @@ def q12_ship_priority(sf_dir: str) -> pd.DataFrame:
                           ["l_orderkey", "ship_day", "n"])
 
     cells = lookup(
-        li.map_batches(keyed_partial, batch_format="pyarrow",
-                       batch_size=65536),
+        li.map_batches(keyed_partial, batch_format="pyarrow"),
         "l_orderkey", f"{sf_dir}/orders.parquet",
         ["o_orderkey", "o_orderdate", "o_orderpriority"], packed_attrs,
         "packed", pa.int64(),
@@ -2843,8 +2840,7 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
         m = pc.max(f["sub"])
         return f.filter(pc.equal(f["sub"], m))
 
-    cand = keyed(li.map_batches(rev_partial, batch_format="pyarrow",
-                                batch_size=65536),
+    cand = keyed(li.map_batches(rev_partial, batch_format="pyarrow"),
                  "l_suppkey", bucket_max).to_pandas()
     best = int(cand["sub"].max())
     winners = cand[cand["sub"] == best].copy()
@@ -3052,8 +3048,8 @@ def q_cms_heavy_hitters(sf_dir: str) -> pd.DataFrame:
             "cnt": pa.array(np.concatenate(cnts), pa.int64()),
         })
 
-    cells = frame(aggregate(ev.map_batches(sketch_partial, batch_format="pyarrow",
-                                           batch_size=65536), ["row", "bucket"],
+    cells = frame(aggregate(ev.map_batches(sketch_partial, batch_format="pyarrow"),
+                            ["row", "bucket"],
                             {"cnt": ("cnt", "sum")}))
     cms = np.zeros((CMS_DEPTH, CMS_WIDTH), np.int64)
     # int64 also when events is empty (an empty aggregate's keys are
@@ -3121,8 +3117,8 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
         return pa.table({"event_type": t["event_type"],
                          "vb": pa.array(vb, pa.int64())})
 
-    hist = frame(aggregate(ev.map_batches(value_bits, batch_format="pyarrow",
-                                          batch_size=65536), ["event_type", "vb"],
+    hist = frame(aggregate(ev.map_batches(value_bits, batch_format="pyarrow"),
+                           ["event_type", "vb"],
                            {"cnt": (None, "count")}))
     hist = hist.sort_values(["event_type", "vb"]).reset_index(drop=True)
 
@@ -3168,7 +3164,7 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
             "quantile": pa.array([r[1] for r in rows], pa.float64()),
             "value": pa.array([r[2] for r in rows], pa.float64())})
 
-    out = _keyed_frame(ev, "key", per_bucket, pick_rows, batch_size=65536)
+    out = _keyed_frame(ev, "key", per_bucket, pick_rows)
     return out.sort_values(["event_type", "quantile"]).reset_index(drop=True)
 
 
@@ -3200,8 +3196,7 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
                   * HOP_US)
         return pa.table({"wstart_us": pa.array(starts, pa.int64())})
 
-    out = frame(aggregate(ev.map_batches(windows, batch_format="pyarrow",
-                                         batch_size=65536), "wstart_us",
+    out = frame(aggregate(ev.map_batches(windows, batch_format="pyarrow"), "wstart_us",
                           {"n_events": (None, "count")}))
     return out.sort_values("wstart_us").reset_index(drop=True)
 
@@ -3235,8 +3230,7 @@ def q_user_mode_event(sf_dir: str) -> pd.DataFrame:
                                 "n_first": "n"},
                           ["user_id", "mode_event_type", "n"])
 
-    out = keyed(ev.map_batches(partial, batch_format="pyarrow",
-                               batch_size=65536),
+    out = keyed(ev.map_batches(partial, batch_format="pyarrow"),
                 "user_id", per_bucket).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
@@ -3309,8 +3303,8 @@ def q_hll_distinct(sf_dir: str) -> pd.DataFrame:
             "rank": pa.array(r_f, pa.int64())})
 
     # registers merge by max (idempotent)
-    regs = frame(aggregate(ev.map_batches(registers, batch_format="pyarrow",
-                                          batch_size=65536), ["event_type", "idx"],
+    regs = frame(aggregate(ev.map_batches(registers, batch_format="pyarrow"),
+                           ["event_type", "idx"],
                            {"mj": ("rank", "max")}))
 
     rows = []
@@ -3385,8 +3379,8 @@ def t_column_profile(sf_dir: str) -> pd.DataFrame:
                          "val": pa.array(vals, pa.string()),
                          "nulls": pa.array(nulls, pa.int64())})
 
-    cells = frame(aggregate(ds.map_batches(partial, batch_format="pyarrow",
-                                           batch_size=65536), ["val", "col"],
+    cells = frame(aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                            ["val", "col"],
                             {"nulls": ("nulls", "sum")}))
     rows = []
     for c, g in cells.groupby("col", sort=True):
@@ -3448,10 +3442,8 @@ def q_kmv_join_overlap(sf_dir: str, k: int = KMV_JOIN_K) -> pd.DataFrame:
                              "h": pa.array(hs, pa.uint64())})
         return fn
 
-    parts_a = orders.map_batches(sketch("a"), batch_format="pyarrow",
-                                 batch_size=65536).to_pandas()
-    parts_b = returned.map_batches(sketch("b"), batch_format="pyarrow",
-                                   batch_size=65536).to_pandas()
+    parts_a = orders.map_batches(sketch("a"), batch_format="pyarrow").to_pandas()
+    parts_b = returned.map_batches(sketch("b"), batch_format="pyarrow").to_pandas()
     ha = np.unique(parts_a["h"].to_numpy().astype(np.uint64))[:k]
     hb = np.unique(parts_b["h"].to_numpy().astype(np.uint64))[:k]
     un = np.unique(np.concatenate([ha, hb]))[:k]
@@ -3581,8 +3573,7 @@ def q_cumulative_distinct_users(sf_dir: str) -> pd.DataFrame:
         return rename_agg(out, {"day_count": "new_users"},
                           ["day", "new_users"])
 
-    days = keyed(ev.map_batches(partial, batch_format="pyarrow",
-                                batch_size=65536),
+    days = keyed(ev.map_batches(partial, batch_format="pyarrow"),
                  "user_id", per_bucket).to_pandas()
     out = days.groupby("day", as_index=False).agg(
         new_users=("new_users", "sum")).sort_values("day")
@@ -3686,8 +3677,7 @@ def q_window_trending(sf_dir: str) -> pd.DataFrame:
                                 "n_first": "n"},
                           ["wstart_us", "top_event_type", "n"])
 
-    out = keyed(ev.map_batches(partial, batch_format="pyarrow",
-                               batch_size=65536),
+    out = keyed(ev.map_batches(partial, batch_format="pyarrow"),
                 "wstart_us", winner).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values("wstart_us").reset_index(drop=True)
@@ -3726,8 +3716,8 @@ def q_cube_revenue(sf_dir: str) -> pd.DataFrame:
                 g.set_column(0, "rf", allk).set_column(1, "ls", allk)]
         return pa.concat_tables(sets)
 
-    parts = frame(aggregate(li.map_batches(partial, batch_format="pyarrow",
-                                           batch_size=65536), ["rf", "ls"],
+    parts = frame(aggregate(li.map_batches(partial, batch_format="pyarrow"),
+                            ["rf", "ls"],
                             {"sub": ("sub", "sum"), "n": ("n", "sum")}))
     parts["revenue"] = _sub_to_dollars(parts["sub"].astype("int64"))
     parts["n_items"] = parts["n"].astype("int64")
@@ -3794,7 +3784,7 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
     # semi-joins: the attached column is dropped, and inner-join
     # semantics drop the pairs of other parts and suppliers
     pairs = lookup(
-        li.map_batches(pair_min, batch_format="pyarrow", batch_size=65536),
+        li.map_batches(pair_min, batch_format="pyarrow"),
         "l_partkey", f"{sf_dir}/part.parquet",
         ["p_partkey", "p_type", "p_size"], _kv("p_partkey", "p_partkey"),
         "__c", pa.int64(), pair_cols,
@@ -3911,8 +3901,7 @@ def q9_product_type_profit(sf_dir: str) -> pd.DataFrame:
                           ["nk", "ship_year", "amt"])
 
     mid = lookup(
-        li.map_batches(pair_partial, batch_format="pyarrow",
-                       batch_size=65536),
+        li.map_batches(pair_partial, batch_format="pyarrow"),
         "l_partkey", f"{sf_dir}/part.parquet",
         ["p_partkey", "p_type", "p_retailprice"], retail_cents, "rc",
         pa.int64(),
@@ -3978,8 +3967,7 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
         return rename_agg(g, {"sub_sum": "sub"}, ["l_partkey", "sub"])
 
     rows = lookup(
-        li.map_batches(pair_partial, batch_format="pyarrow",
-                       batch_size=65536),
+        li.map_batches(pair_partial, batch_format="pyarrow"),
         "l_suppkey", f"{sf_dir}/supplier.parquet",
         ["s_suppkey", "s_nationkey"], _kv("s_suppkey", "s_suppkey"), "__s",
         pa.int64(),
@@ -4064,8 +4052,7 @@ def q16_supplier_cnt(sf_dir: str) -> pd.DataFrame:
             .select(["enc", "l_suppkey"])
 
     pairs = lookup(
-        li.map_batches(pair_dedupe, batch_format="pyarrow",
-                       batch_size=65536),
+        li.map_batches(pair_dedupe, batch_format="pyarrow"),
         "l_partkey", f"{sf_dir}/part.parquet",
         ["p_partkey", "p_brand", "p_type", "p_size"], _q16_encode, "enc",
         pa.int64(), [("l_partkey", pa.int64()), ("l_suppkey", pa.int64())],
@@ -4139,7 +4126,7 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
                           ["l_partkey", "l_suppkey", "q"])
 
     pairs = lookup(
-        li.map_batches(qty_pairs, batch_format="pyarrow", batch_size=65536),
+        li.map_batches(qty_pairs, batch_format="pyarrow"),
         "l_partkey", f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
         _kv("p_partkey", "p_partkey"), "__c", pa.int64(),
         [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
@@ -4229,8 +4216,7 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
         return pa.table({"s": pa.array([int(s.as_py() or 0)], pa.int64()),
                          "n": pa.array([t.num_rows], pa.int64())})
 
-    scal = cust.map_batches(avg_partial, batch_format="pyarrow",
-                            batch_size=65536).to_pandas()
+    scal = cust.map_batches(avg_partial, batch_format="pyarrow").to_pandas()
     sum_cents, cnt = int(scal["s"].sum()), int(scal["n"].sum())
     if cnt == 0:
         return pd.DataFrame({"n_name": pd.Series(dtype="object"),
@@ -4362,8 +4348,7 @@ def q21_waiting_suppliers(sf_dir: str,
             .group_by("l_suppkey").aggregate([("cnt", "sum")])
         return rename_agg(c, {"cnt_sum": "cnt"}, ["l_suppkey", "cnt"])
 
-    partials = keyed(li.map_batches(pair_partial, batch_format="pyarrow",
-                                    batch_size=65536),
+    partials = keyed(li.map_batches(pair_partial, batch_format="pyarrow"),
                      "l_orderkey", bucket_credit)
 
     names = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"]).map_batches(

@@ -106,9 +106,10 @@ def parse_doc(
 
 
 def probe_numpages(data: bytes) -> int:
-    """Cheap page-count probe: header + xref + page tree Count only — no
-    content decode (reference analogue: SmartPDFParser analyzePDF 1-page probe,
-    lib/SmartPDFParser.js:310-354).  Used by the skew-split planner."""
+    """The verified page count (``PDFDocument.num_pages``), with no content
+    decode (reference analogue: SmartPDFParser analyzePDF 1-page probe,
+    lib/SmartPDFParser.js:310-354).  The skew split cuts by the cheaper
+    declared count instead (``stages.split.probe_pages``)."""
     doc = PDFDocument(data)
     return doc.num_pages
 

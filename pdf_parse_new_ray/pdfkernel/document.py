@@ -505,26 +505,30 @@ class PDFDocument:
         return pair[1] if pair else None
 
     # -- page tree ------------------------------------------------------
+    def declared_num_pages(self) -> Optional[int]:
+        """The page count the file declares, unverified: the linearization
+        dict's /N, else the catalog's /Pages /Count (None when neither is
+        a usable count).  Costs no page-tree walk."""
+        if self.linearization is not None:
+            return self.linearization["num_pages"]
+        root = self.resolve(self.trailer["Root"])
+        pages = self.resolve(root.get("Pages")) if isinstance(root, dict) else None
+        if isinstance(pages, dict):
+            count = self.resolve(pages.get("Count"))
+            if isinstance(count, int) and count >= 0:
+                return count
+        return None
+
     @property
     def num_pages(self) -> int:
         # parity with pdf.js numPages + checkLastPage (build/pdf.worker.js
-        # :59501-59511, :59988-60055): a linearized document's count comes
-        # from the linearization dict's /N, else the catalog /Count; a
-        # declared count > 1 is then VERIFIED by loading the last page —
-        # on failure the actual page-tree size wins (getAllPageDicts →
+        # :59501-59511, :59988-60055): the declared count (linearization
+        # /N, else the catalog /Count) > 1 is VERIFIED by loading the last
+        # page — on failure the actual page-tree size wins (getAllPageDicts →
         # setActualNumPages), absorbing to 1 if the tree itself is broken.
         # A count that UNDER-reports the tree is kept (the last-page fetch
         # succeeds, pdf.js never re-counts).
-        if self.linearization is not None:
-            n: Optional[int] = self.linearization["num_pages"]
-        else:
-            root = self.resolve(self.trailer["Root"])
-            pages = self.resolve(root.get("Pages")) if isinstance(root, dict) else None
-            n = None
-            if isinstance(pages, dict):
-                count = self.resolve(pages.get("Count"))
-                if isinstance(count, int) and count >= 0:
-                    n = count
+        n = self.declared_num_pages()
         if n is not None and n <= 1:
             return n
         if n is not None:

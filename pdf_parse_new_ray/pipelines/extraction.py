@@ -3,14 +3,14 @@
 Ray-Data-first design (SURVEY §7, north_rule), one physical plan at every
 size:
 
-  extract, one wave of equal-cost bins: read media (ref+bytes) → split
-    units, each costed in bytes, materialized → the driver packs the units
+  extract, one wave of equal-cost bins: read media (ref+bytes), one block
+    per CPU → split units, each costed in bytes from the declared page
+    count (``stages.split``), materialized → the driver packs the units
     into one contiguous bin of equal cost per CPU, each assembled as one
     block (a split doc's bytes stored once per bin that holds one of its
     units) → one extract task per bin (warm per-worker kernel state), all
-    started at once, materialized once.  Meanwhile a background thread
-    explodes the docs to span rows carrying the stable lineage partition
-    key.
+    started at once.  Meanwhile a background thread explodes the docs to
+    span rows carrying the stable lineage partition key.
   media cogroup: chunk rows and pdf/html span rows, projected to one schema,
     meet in ``joins.keyed`` on media_ref; each bucket reassembles its
     page-split chunks and attaches the text to its spans with one
@@ -20,13 +20,15 @@ size:
     writes one fragment per partition and commits it (state.checkpoint's
     write_fragment + commit_partition) inside the same task.
 
-When writes happen: ``extract_documents`` runs the extract wave and the
-span explode before it returns, and returns a lazy Dataset whose plan
-ends in the two exchanges.  The tag maps, both exchanges and the
+When work happens: ``extract_documents`` runs only the split pre-pass,
+the bin packing and the span explode before it returns, and returns a
+lazy Dataset whose plan starts at the extract wave and ends in the two
+exchanges.  The extract wave, the tag maps, both exchanges and the
 fragment writes and commits run as one Ray Data job when the caller
-first consumes the result (``take_all``, ``count``, iteration).  The
-regroup keeps its reduced buckets (``joins.hash_exchange``), so
-consuming the result again commits nothing more.
+first consumes the result (``take_all``, ``count``, iteration); the
+media tag map fuses into the extract map, so each bin stays one task.
+The regroup keeps its reduced buckets (``joins.hash_exchange``), so
+consuming the result again extracts and commits nothing more.
 
 ``joins.exchange_buckets`` sizes both exchanges, so a bucket may hold many
 media refs and many partitions.  Both, and ``extract_media_text``'s
@@ -54,10 +56,11 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
+from ray.data import DataContext
 
 from ..fixtures.corpus import SPAN_TYPE
 from ..functions.joins import keyed
-from ..sources.interleaved import own_start, read_table
+from ..sources.interleaved import footer_bytes, own_start, read_table
 from ..stages.extractor import make_extract_task
 from ..stages.split import assemble_bin, make_split_units, pack_bins
 from ..stages.spans import explode_spans
@@ -194,6 +197,13 @@ def _assemble_bin(bounds, *blocks):
     return assemble_bin([b.slice(s, e - s) for b, (s, e) in zip(blocks, bounds)])
 
 
+# one remote function each, created once per process as joins' exchange
+# tasks are: a ``ray.remote`` made inside _cost_bins is exported again on
+# every job
+_unit_costs_task = ray.remote(_unit_costs)
+_assemble_bin_task = ray.remote(_assemble_bin)
+
+
 def _cost_bins(units: rd.Dataset, cpus: int) -> list:
     """Block refs of the extract wave: ``units`` packed into ``cpus x
     waves`` bins of equal cost (``pack_bins``, from the cost column only),
@@ -203,8 +213,7 @@ def _cost_bins(units: rd.Dataset, cpus: int) -> list:
             for ref, meta in b.blocks if meta.num_rows]
     if not refs:  # no media rows: an empty wave
         return []
-    unit_costs = ray.remote(_unit_costs)
-    costs = ray.get([unit_costs.remote(r) for r in refs])
+    costs = ray.get([_unit_costs_task.remote(r) for r in refs])
     total = int(sum(int(c.sum()) for c in costs))
     waves = max(1, -(-total // (cpus * units.context.target_max_block_size)))
     bin_of = pack_bins(np.concatenate(costs), cpus * waves)
@@ -218,34 +227,22 @@ def _cost_bins(units: rd.Dataset, cpus: int) -> list:
         for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(c)]):
             slices.setdefault(int(b[s]), []).append((ref, (int(s), int(e))))
         pos += len(c)
-    assemble = ray.remote(_assemble_bin)
-    return [assemble.remote([r for _, r in sl], *[ref for ref, _ in sl])
+    return [_assemble_bin_task.remote([r for _, r in sl], *[ref for ref, _ in sl])
             for _, sl in sorted(slices.items())]
 
 
-def extract_media_chunks(
-    media: rd.Dataset,
-    *,
-    size_threshold: int = 100 * 1024,
-    page_threshold: int = 200,
-    page_chunk: int = 100,
-    page_render=None,  # None or 'module:fn'
-    max_pages: int = 0,
-    progress=None,  # name of a state.progress actor (optional)
-    verbosity: int = 0,  # reference verbosityLevel (lib/pdf-parse.js:51)
-) -> rd.Dataset:
-    """media (media_ref, bytes) → chunk-level extraction results
-    (media_ref, chunk_text, page_start, n_chunks, numpages, error),
-    MATERIALIZED (the heavy compute runs exactly once; downstream
-    consumers see only extracted text, orders of magnitude smaller than
-    the media bytes).
+def _extract_wave(media: rd.Dataset, *, size_threshold: int,
+                  page_threshold: int, page_chunk: int, page_render,
+                  max_pages: int, progress, verbosity: int) -> rd.Dataset:
+    """The lazy extract wave of ``media``: the split pre-pass and the bin
+    packing run here, the extraction itself when the result is consumed.
 
-    One wave of equal-cost bins: the split map cuts docs > page_threshold
-    pages into page-range units of page_chunk pages and costs every unit
-    in bytes; the units are materialized, packed on the driver into one
-    contiguous bin per CPU (``stages.split.pack_bins``), and extracted by
-    one ``map_batches(extract_batch)`` task per bin, all started at once.
-    A split doc's units spread over the bins its cost span crosses.  The
+    The split map cuts docs > page_threshold pages into page-range units
+    of page_chunk pages and costs every unit in bytes; the units are
+    materialized, packed on the driver into one contiguous bin per CPU
+    (``stages.split.pack_bins``), and extracted by one
+    ``map_batches(extract_batch)`` task per bin, all started at once.  A
+    split doc's units spread over the bins its cost span crosses.  The
     split map shares its context with ``media`` (Ray's rule for derived
     Datasets), so ``media`` also starts its tasks together afterwards."""
     units = own_start(media.map_batches(
@@ -261,6 +258,29 @@ def extract_media_chunks(
         make_extract_task(page_render=page_render, max_pages=max_pages,
                           progress=progress, verbosity=verbosity),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
+
+
+def extract_media_chunks(
+    media: rd.Dataset,
+    *,
+    size_threshold: int = 100 * 1024,
+    page_threshold: int = 200,
+    page_chunk: int = 100,
+    page_render=None,  # None or 'module:fn'
+    max_pages: int = 0,
+    progress=None,  # name of a state.progress actor (optional)
+    verbosity: int = 0,  # reference verbosityLevel (lib/pdf-parse.js:51)
+) -> rd.Dataset:
+    """media (media_ref, bytes) → chunk-level extraction results
+    (media_ref, chunk_text, page_start, n_chunks, numpages, error),
+    MATERIALIZED: the extract wave (``_extract_wave``) runs exactly once,
+    however often the result is read, and downstream consumers see only
+    extracted text, orders of magnitude smaller than the media bytes."""
+    return _extract_wave(
+        media, size_threshold=size_threshold, page_threshold=page_threshold,
+        page_chunk=page_chunk, page_render=page_render, max_pages=max_pages,
+        progress=progress, verbosity=verbosity,
     ).materialize()
 
 
@@ -372,17 +392,22 @@ def extract_documents(
             docs = docs.map_batches(_filter_done_docs(n_partitions, done),
                                     batch_format="pyarrow")
 
-    # ~4 read tasks per CPU directly at the read (no repartition
-    # exchange), fused with the split map; the extract stage's balance
-    # comes from its cost bins, not from the read's block count.  Columns
+    # One read block per CPU (no repartition exchange): the split map's
+    # declared-count probe is cheap, so its tasks need no spreading over
+    # several waves, and the extract stage's balance comes from its cost
+    # bins, not from the read's block count.  More blocks only when one
+    # would pass target_max_block_size (by the footers' sizes).  Columns
     # pruned at the read: the pipeline needs only ref + payload.
     # GRAFT_MEDIA_BLOCKS pins the read's block count so a scaling
     # comparison reads the same blocks at two cluster sizes (bench.py
     # --scaling).
+    media_cols = ["media_ref", "bytes"]
     blocks_env = os.environ.get("GRAFT_MEDIA_BLOCKS")
-    media = read_table(media_path, columns=["media_ref", "bytes"],
-                       override_num_blocks=(int(blocks_env) if blocks_env
-                                            else max(16, _cluster_cpus() * 4)))
+    blocks = int(blocks_env) if blocks_env else max(
+        _cluster_cpus(), -(-footer_bytes(media_path, media_cols)
+                           // DataContext.get_current().target_max_block_size))
+    media = read_table(media_path, columns=media_cols,
+                       override_num_blocks=blocks)
     if done:
         # resume: only extract media still referenced by remaining docs
         ref_ds = docs.map_batches(
@@ -407,9 +432,10 @@ def extract_documents(
         spans_future = pool.submit(
             lambda: docs.map_batches(_explode_with_partition(n_partitions),
                                      batch_format="pyarrow").materialize())
-        # the heavy extraction runs exactly once, materialized, so the
-        # media cogroup sees only extracted text
-        chunks = extract_media_chunks(
+        # the split pre-pass and the bin packing run now; the wave itself
+        # runs in the job that writes, and the media cogroup sees only
+        # its extracted text
+        chunks = _extract_wave(
             media, size_threshold=size_threshold,
             page_threshold=page_threshold, page_chunk=page_chunk,
             page_render=page_render, max_pages=max_pages, progress=progress,
@@ -477,12 +503,15 @@ def extract_documents(
                                 pc.take(lookup.column("error"), idx)),
         })
 
-    # block-bundled tag stages: the extract/explode materializations leave
-    # many tiny blocks and the exchange runs one split task per block, so
-    # a batch_size on the slim tag maps BUNDLES many input blocks per task
-    # (one output block per batch)
+    # the media tag map takes a whole bin (batch_size=None), so it fuses
+    # into the extract map and each bin stays one task: a batch_size
+    # bundles bins into one task (4096 rows packed all four bins of the
+    # perfbench corpus into one, and jobs took 3.3-6.9 s instead of about
+    # 1.9 s).  The explode materialization leaves many tiny blocks and the
+    # exchange runs one split task per block, so the span tag map's
+    # batch_size BUNDLES many of them per task (one output block per batch)
     tagged = chunks.map_batches(
-        _tag_media, batch_format="pyarrow", batch_size=4096,
+        _tag_media, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     ).union(spans.map_batches(
         _tag_spans, batch_format="pyarrow", batch_size=16384,

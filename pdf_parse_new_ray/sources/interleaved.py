@@ -161,6 +161,14 @@ class ParquetRows(Datasource):
         return [self._range_task(bounds[i], bounds[i + 1]) for i in range(n)]
 
 
+def footer_bytes(path: str, columns: Optional[list[str]] = None) -> int:
+    """In-memory size estimate of a parquet table's ``columns`` from its
+    footers (the columns' uncompressed chunk sizes); 0 for Lance."""
+    if _is_lance(path):
+        return 0
+    return ParquetRows(_parquet_files(path), columns).estimate_inmemory_data_size()
+
+
 def read_table(path: str, columns: Optional[list[str]] = None, *,
                row_index: Optional[str] = None,
                override_num_blocks: Optional[int] = None) -> rd.Dataset:

@@ -119,12 +119,17 @@ class PdfExtractor:
             if ext is None:  # HTML media: one logical page, main
                 # content only (htmlkernel), no page separators
                 return (doc.main_text if p0 == 0 else ""), 1, None
-            numpages = doc.num_pages
-            counter = numpages if self._max_pages <= 0 else min(self._max_pages, numpages)
+            # flatten before num_pages, as api.parse_doc does: num_pages
+            # accepts the declared count once a flattened tree is at least
+            # that long, and otherwise re-counts a tree whose last declared
+            # page is broken, so the other order gave a doc's first unit in
+            # a worker another count than its later units
             try:
                 pages = doc.pages()
             except PDFError:
                 pages = None
+            numpages = doc.num_pages
+            counter = numpages if self._max_pages <= 0 else min(self._max_pages, numpages)
             # pdf.js getPage-per-index parity (see api.parse_doc): when
             # the flatten under-counts a truthful /Count (broken
             # interior sibling), fall back to the targeted descent so
@@ -309,20 +314,3 @@ class MetadataExtractor:
             "error": pa.array(cols["error"], pa.string()),
         })
 
-
-class NumPagesProbe:
-    """Cheap page-count probe: xref + page-tree Count only, no content
-    decode (reference analogue: analyzePDF probe, lib/SmartPDFParser.js:
-    310-354).  Adds a `numpages_probe` column; parse failures → -1."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        blob_col = batch.column("bytes")
-        if isinstance(blob_col, pa.ChunkedArray):
-            blob_col = blob_col.combine_chunks()
-        for i in range(batch.num_rows):
-            try:
-                out.append(PDFDocument(blob_col[i].as_py()).num_pages)
-            except Exception:
-                out.append(-1)
-        return batch.append_column("numpages_probe", pa.array(out, pa.int32()))

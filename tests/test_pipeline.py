@@ -26,6 +26,51 @@ def _check(docs, oracle):
         assert _spans(d) == oracle[d["doc_id"]], d["doc_id"]
 
 
+def test_write_mode_extracts_in_the_job_that_writes(ray_session, small_corpus,
+                                                    tmp_path, monkeypatch):
+    """A write-mode extraction starts 3 Ray Data executions: the span
+    explode and the split pre-pass before ``extract_documents`` returns,
+    then one job that extracts, exchanges and writes.  Its extract
+    operator runs one task per non-empty bin (a batch_size on the media
+    tag map would bundle bins into fewer tasks)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from pdf_parse_new_ray.pipelines import extraction
+    from pdf_parse_new_ray.state import checkpoint as ckpt
+
+    jobs, bins = [], []
+    execute, cost_bins = StreamingExecutor.execute, extraction._cost_bins
+
+    def counting_execute(self, *a, **kw):
+        jobs.append(1)
+        return execute(self, *a, **kw)
+
+    def recording_bins(units, cpus):
+        refs = cost_bins(units, cpus)
+        bins.append(len(refs))
+        return refs
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    monkeypatch.setattr(extraction, "_cost_bins", recording_bins)
+    out = str(tmp_path / "out")
+    ds = extraction.extract_documents(
+        f"{small_corpus}/documents_interleaved", f"{small_corpus}/media",
+        out_dir=out, n_partitions=8)
+    assert len(jobs) == 2
+    assert len(ds.take_all()) == 8
+    assert len(jobs) == 3
+    _check(ckpt.read_output(out).to_pylist(), _oracle(small_corpus))
+    summary, ops = ds._get_stats_summary(), []
+    todo = [summary]
+    while todo:
+        s = todo.pop()
+        ops.extend(o for o in s.operators_stats if "extract" in o.operator_name)
+        todo.extend(s.parents)
+    (op,) = ops
+    assert bins[0] > 1 and bins == [op.task_rows["count"]]
+
+
 def test_extraction_dataset_mode(ray_session, small_corpus):
     from pdf_parse_new_ray.pipelines.extraction import extract_documents
 

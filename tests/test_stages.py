@@ -2,6 +2,7 @@
 custom render hooks through the distributed path, planner-lite config."""
 
 import pyarrow.parquet as pq
+import pytest
 
 
 def test_metadata_stage(ray_session, small_corpus):
@@ -129,7 +130,7 @@ def test_split_unit_cap(ray_session, small_corpus):
     # are stored once, however many units the doc is cut into
     import pyarrow.parquet as pq
 
-    from pdf_parse_new_ray.stages.split import make_split_units
+    from pdf_parse_new_ray.stages.split import OPEN_END, make_split_units
 
     media = pq.read_table(f"{small_corpus}/media")
     big_idx = max(range(media.num_rows),
@@ -138,10 +139,11 @@ def test_split_unit_cap(ray_session, small_corpus):
     units = make_split_units(0, 2, 1)(one)  # page_chunk=1: one unit a page
     npages = media.column("numpages")[big_idx].as_py()
     assert 2 <= units.num_rows == npages
-    # ranges tile [0, npages) exactly
+    # ranges tile [0, npages); the last one is open-ended (the extractor
+    # clamps it to the verified page count)
     spans = sorted(zip(units.column("page_start").to_pylist(),
                        units.column("page_end").to_pylist()))
-    assert spans[0][0] == 0 and spans[-1][1] == npages
+    assert spans[0][0] == 0 and spans[-1] == (npages - 1, OPEN_END)
     for (s0, e0), (s1, _) in zip(spans, spans[1:]):
         assert e0 == s1
     blob = one.column("bytes")[0].as_py()
@@ -151,6 +153,96 @@ def test_split_unit_cap(ray_session, small_corpus):
     # unit costs are page shares of the doc's bytes
     assert sum(units.column("cost").to_pylist()) <= len(blob)
     assert min(units.column("cost").to_pylist()) >= len(blob) // npages - 1
+
+
+def test_split_probe_walks_no_page_tree(monkeypatch):
+    """The split cuts a 600-page doc by its declared page count: the probe
+    never descends the page tree (``_page_dict_at``) or flattens it
+    (``pages``), which the verified ``num_pages`` does."""
+    import collections
+
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures import pdfgen
+    from pdf_parse_new_ray.pdfkernel import PDFDocument
+    from pdf_parse_new_ray.stages.split import make_split_units
+
+    big, _ = pdfgen.make_text_pdf([[f"page {i}"] for i in range(600)])
+    calls = collections.Counter()
+    for name in ("_page_dict_at", "pages"):
+        def counting(self, *a, _orig=getattr(PDFDocument, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, *a)
+
+        monkeypatch.setattr(PDFDocument, name, counting)
+    units = make_split_units(0, 200, 100)(pa.table({
+        "media_ref": ["big"], "bytes": pa.array([big], pa.binary())}))
+    assert units.num_rows == 6 and not calls
+    assert PDFDocument(big).num_pages == 600  # the counters see a walk
+    assert calls["_page_dict_at"] == 1
+
+
+def _count_pdf(n_pages: int, count: int, broken_kid=None) -> bytes:
+    """A flat page tree of ``n_pages`` one-line pages whose /Pages /Count
+    says ``count``; ``broken_kid`` inserts a reference to a missing
+    object at that kid index."""
+    from pdf_parse_new_ray.fixtures.pdfgen import PDFBuilder
+
+    b = PDFBuilder()
+    font = b.add(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica "
+                 b"/Encoding /WinAnsiEncoding >>")
+    contents = [b.add_stream(b"", f"BT /F1 12 Tf 1 0 0 1 72 700 Tm "
+                             f"(page {i}) Tj ET".encode(), "flate")
+                for i in range(n_pages)]
+    pages_num = len(b.objects) + n_pages + 1
+    kids = [b.add((f"<< /Type /Page /Parent {pages_num} 0 R "
+                   f"/MediaBox [0 0 612 792] /Resources << /Font "
+                   f"<< /F1 {font} 0 R >> >> /Contents {c} 0 R >>").encode())
+            for c in contents]
+    if broken_kid is not None:
+        kids.insert(broken_kid, 900)  # an object the file never defines
+    refs = " ".join(f"{k} 0 R" for k in kids)
+    assert b.add(f"<< /Type /Pages /Kids [{refs}] /Count {count} >>"
+                 .encode()) == pages_num
+    return b.build(b.add(f"<< /Type /Catalog /Pages {pages_num} 0 R >>"
+                         .encode()))
+
+
+@pytest.mark.parametrize("case", [
+    "over-count-broken-last", "under-count", "under-count-broken-kid",
+    "linearized", "count-above-objects"])
+def test_split_by_declared_count_matches_parse_pdf(case):
+    """Docs whose declared page count is wrong still extract exactly when
+    split by it: the split text and page count equal ``parse_pdf``'s."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.fixtures.pdfgen import make_linearized_pdf
+    from pdf_parse_new_ray.pdfkernel import parse_pdf
+    from pdf_parse_new_ray.pipelines.extraction import assemble_media_chunk_table
+    from pdf_parse_new_ray.stages.extractor import PdfExtractor
+    from pdf_parse_new_ray.stages.split import make_split_units
+
+    blob, n_units = {
+        # /Count 9 over 7 pages and a missing 8th kid: num_pages heals to 7
+        "over-count-broken-last": (_count_pdf(7, 9, broken_kid=7), 5),
+        # /Count 4 over 7 pages is kept: 4 pages extract
+        "under-count": (_count_pdf(7, 4), 2),
+        # /Count 4 with a missing 4th kid: the flattened tree (7 pages)
+        # keeps the count at 4 in every unit, whichever a worker opens first
+        "under-count-broken-kid": (_count_pdf(7, 4, broken_kid=3), 2),
+        # /N 2 over a 1-page tree (/Count 1): the probe reads /N
+        "linearized": (make_linearized_pdf("n-overcount"), 2),
+        # /Count above the object count: the probe verifies, 7 pages
+        "count-above-objects": (_count_pdf(7, 10 ** 6), 4),
+    }[case]
+    chunk = 1 if case == "linearized" else 2
+    units = make_split_units(0, 1, chunk)(pa.table({
+        "media_ref": ["m"], "bytes": pa.array([blob], pa.binary())}))
+    assert units.num_rows == n_units
+    got = assemble_media_chunk_table(PdfExtractor()(units)).to_pylist()
+    want = parse_pdf(blob)
+    assert [(r["text"], r["numpages"], r["error"]) for r in got] == [
+        (want["text"], want["numpages"], None)]
 
 
 def test_pack_bins_covers_tiles_and_bounds(small_corpus):

@@ -22,7 +22,8 @@ distributed plans a 100x cluster run would execute:
      + spill), printed as ONE JSON line for BASELINE.md.
 
 Usage: python tools/scale_proof.py [--sf 1.0] [--cpus 32]
-Exits 1 when span equality fails or any spot oracle is bad.
+Prints FAIL (stderr) and exits 1 when span equality fails or any spot
+oracle is bad.
 """
 
 from __future__ import annotations
@@ -244,7 +245,11 @@ def main() -> int:
 
     ray.shutdown()
     print(json.dumps(out))
-    return 0 if out["span_equality"] and n_bad == 0 else 1
+    if not out["span_equality"] or n_bad:
+        print(f"FAIL: span_equality={out['span_equality']}, "
+              f"spot oracles bad={n_bad}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
