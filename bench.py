@@ -34,35 +34,30 @@ def _sf_of(sf_dir: str) -> float:
     return float(m.group(1)) if m else 0.1
 
 
-# Size gates (module constants) that pick a small-data plan below a row
-# threshold.  The distributed bench leg zeroes ALL of them so the exchange
-# plans that would execute at 100x — bucketed shuffles, cogroup joins,
-# banded LSH exchanges, BSP-free cogroup pagerank — regain tracked wall
-# times (round-4 verdict item #1: at sf0.1 every gated query otherwise
-# times a driver fold).  joins.LOCAL_FOLD_ROWS is the one bound on the rows
-# the driver holds of one input: every keyed fold and attach folds
-# in-process at or below it (hash_exchange), and every dimension attach
-# (joins.lookup) broadcasts a dim of at most that many rows; zeroed, each
+# The size gate that picks a small-data plan below a row threshold.  The
+# distributed bench leg zeroes it so the exchange plans that would execute
+# at 100x — bucketed shuffles, cogroup joins, banded LSH exchanges, the
+# cogroup PageRank and the triangle wedge join — regain tracked wall times
+# (round-4 verdict item #1: at sf0.1 every gated query otherwise times a
+# driver fold).  joins.LOCAL_FOLD_ROWS is the one bound on the rows the
+# driver holds of one input: every keyed fold and attach folds in-process
+# at or below it (hash_exchange), every dimension attach (joins.lookup)
+# broadcasts a dim of at most that many rows, PageRank keeps a rank vector
+# of at most that many vertices, the triangle count collects at most that
+# many pair partials, and the MinHash and embedding-LSH near-dup folds
+# take at most that many documents / vectors on the driver; zeroed, each
 # fold runs its split and reduce tasks and each lookup its cogroup.
 # t_sequence_pack's driver prefix sum reads it too.
 _DISTRIBUTED_GATES = {
     "pdf_parse_new_ray.functions.joins": ["LOCAL_FOLD_ROWS"],
-    "pdf_parse_new_ray.functions.dedup": [
-        "MINHASH_DRIVER_DOCS", "EMBED_LSH_DRIVER_ROWS"],
-    "pdf_parse_new_ray.functions.graph": ["TRIANGLE_DRIVER_ROWS"],
 }
 # NOT zeroed: the strategy constants that choose AMONG distributed routes
 # by actual data size: dedup's BROADCAST_PAIR_ROWS, EMBED_BRUTE_MAX_ROWS,
 # CLUSTER_BROADCAST_EDGES and SUBSTR_BROADCAST_ROWS; text's
-# BIGRAM_BROADCAST_ROWS and DSIR_BROADCAST_ROWS; graph's
-# PAGERANK_BROADCAST_VERTICES, PAGERANK_PREMERGE_VERTICES,
-# PAGERANK_TASK_VERTICES, TRIANGLE_BROADCAST_NODES,
-# TRIANGLE_BROADCAST_EDGES and TRIANGLE_DRIVER_PAIRS.  Those pick the same
-# strategy a 100x run would pick for the same relative shapes; zeroing
-# them forces routes no planner would choose (e.g. cogroup triangle over a
-# 20k-vertex graph).  Exchanges that pass local=False (the extraction
-# pipeline's, and d_levenshtein_pairs') never fold on the driver and need
-# no entry here.
+# BIGRAM_BROADCAST_ROWS and DSIR_BROADCAST_ROWS.  Those pick the same
+# strategy a 100x run would pick for the same relative shapes.  Exchanges
+# that pass local=False (the extraction pipeline's, and
+# d_levenshtein_pairs') never fold on the driver and need no entry here.
 
 
 def _force_distributed_gates() -> list:

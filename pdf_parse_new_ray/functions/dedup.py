@@ -449,28 +449,28 @@ def _candidate_pairs(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
 # side.  Above it the fully-distributed cogroup path runs.
 BROADCAST_PAIR_ROWS = 100_000
 
-# documents metadata gate for the all-driver band→pair→estimate fold
-# (520 B signature per doc → 1M docs ≈ 520 MB matrix)
-MINHASH_DRIVER_DOCS = 1_000_000
-
 
 def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     """Near-duplicate candidate pairs above an estimated-jaccard threshold.
     est_jaccard = fraction of equal signature components; signatures reach
     the pair rows by a size-gated plan: broadcast fetch of just the
     candidate docs' signatures when the pair set is small, two keyed
-    cogroup shuffles (candidates only, never the corpus) when it isn't."""
+    cogroup shuffles (candidates only, never the corpus) when it isn't.
+    At most ``joins.LOCAL_FOLD_ROWS`` documents (read when called) run
+    the banding and estimate as one driver fold."""
     import pyarrow.compute as pc
+
+    from . import joins
 
     empty = pd.DataFrame({"a": pd.Series(dtype="int64"),
                           "b": pd.Series(dtype="int64"),
                           "est_jaccard": pd.Series(dtype="float64")})
-    if _docs_meta_rows(sf_dir) <= MINHASH_DRIVER_DOCS \
-            and BROADCAST_PAIR_ROWS:
-        # driver fold under the documents metadata gate: the signature
-        # SCAN stays distributed (that's the corpus pass), but banding,
-        # the fine-bucket pair walk, pair dedupe and the est-jaccard
-        # compare run vectorized on the collected 520-byte/doc matrix —
+    if _docs_meta_rows(sf_dir) <= joins.LOCAL_FOLD_ROWS:
+        # driver fold under the one driver bound (it saved 0.2-0.3 s of
+        # the keyed plan's ~0.7 s at sf0.1): the signature SCAN stays
+        # distributed (that's the corpus pass), but banding, the
+        # fine-bucket pair walk, pair dedupe and the est-jaccard compare
+        # run vectorized on the collected 520-byte/doc matrix —
         # replacing three keyed exchanges
         sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
             _minhash_batch, batch_format="pyarrow",
@@ -505,8 +505,7 @@ def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     pairs, sigs = _candidate_pairs(sf_dir)
     n_pairs = pairs.count()
     if n_pairs == 0:
-        return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-                             "est_jaccard": pd.Series(dtype="float64")})
+        return empty
     if n_pairs <= BROADCAST_PAIR_ROWS:
         pair_tbl = pa.Table.from_pandas(pairs.to_pandas(), preserve_index=False)
         need = pc.unique(pa.concat_arrays([
@@ -555,8 +554,7 @@ def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
 
         df = with_ab.map_batches(est, batch_format="pyarrow").to_pandas()
     if df.empty:
-        return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-                             "est_jaccard": pd.Series(dtype="float64")})
+        return empty
     n_capped = int(df["capped"].sum())
     if n_capped:
         print(f"d_minhash_pairs: {n_capped} pairs came from capped hot buckets "
@@ -775,11 +773,6 @@ def d_embedding_neardup(sf_dir: str, threshold: float = 0.8,
     return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-# embeddings metadata gate for the all-driver LSH near-dup fold
-# (500k × 64 float64 ≈ 256 MB matrix, candidate pairs star-capped)
-EMBED_LSH_DRIVER_ROWS = 500_000
-
-
 def _embedding_neardup_lsh(sf_dir: str, threshold: float,
                            n_planes: int = 6, n_tables: int = 12) -> pd.DataFrame:
     """Scale path: random-hyperplane bucket rows (16 bytes each — vectors
@@ -797,16 +790,19 @@ def _embedding_neardup_lsh(sf_dir: str, threshold: float,
     decays slowly and 12 tables hold union recall ≈ 1; looser pairs
     degrade gracefully (cos 0.95 → ~98%, cos 0.8 → ~55% at n=10k) —
     candidate generation is approximate BY DESIGN, verification stays
-    exact."""
+    exact.  At most ``joins.LOCAL_FOLD_ROWS`` vectors (read when called)
+    run the same steps as one driver fold."""
     import pyarrow.compute as pc
+
+    from . import joins
 
     emb = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     n_rows = emb.count()
     n_planes = max(n_planes,
                    min(24, int(np.ceil(np.log2(max(n_rows, 2) / 4.0)))))
 
-    if n_rows <= EMBED_LSH_DRIVER_ROWS and BROADCAST_PAIR_ROWS:
-        # driver fold under the embeddings metadata gate: sign, the
+    if n_rows <= joins.LOCAL_FOLD_ROWS:
+        # driver fold under the one driver bound: sign, the
         # fine-bucket segment walk, pair dedupe and the exact-cosine
         # verify are all one vectorized pass over the in-memory matrix —
         # the three keyed exchanges (coarse-bucket pairs, pair dedupe,

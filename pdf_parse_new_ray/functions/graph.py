@@ -2,15 +2,17 @@
 (repeated shuffles over a fixed edge relation with an evolving vertex
 state) that one-pass relational operators don't cover.
 
-Scale plan shared by the operators here: the EDGE relation is the big
-side and never moves after its one materialization; per iteration the
-vertex state attaches to edge sources (broadcast when it fits the
-byte gate, bucketed cogroup otherwise — the same duality as every
-lookup in functions/joins.py) and new vertex state comes back as
-per-batch PARTIAL sums merged on the driver or by a keyed fold.  Float
-iteration order varies with partitioning, so these are rows-only driver
-checks; pytest locks them against a naive single-process reference on
-the same edges (np.allclose) plus exact invariants (rank mass = 1).
+Scale plan shared by the operators here: ``joins.LOCAL_FOLD_ROWS`` (read
+when called) is the one bound on what the driver holds.  At or under it
+the driver keeps the small state (PageRank's n-length rank vector, the
+triangle count's distinct pair keys) and fans the per-round work out as
+raw tasks over plasma-resident shards; above it the state never lands
+on the driver and every step is a keyed exchange (the vertex state
+cogroups with the edges each PageRank round; the triangle count runs
+the degree-oriented wedge join).  Float iteration order varies with
+partitioning, so PageRank results are rows-only driver checks; pytest
+locks them against a naive single-process reference on the same edges
+(np.allclose) plus exact invariants (rank mass = 1).
 """
 
 from __future__ import annotations
@@ -28,14 +30,39 @@ from ..sources.interleaved import read_table
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERS = 10
 
-# above this many vertices the per-iteration rank attach must cogroup
-# instead of broadcast (a rank vector, not a parquet dimension table, so
-# joins.lookup does not choose here)
-PAGERANK_BROADCAST_VERTICES = 5_000_000
-# broadcast path: pre-merge per-block dst partials through a keyed fold on
-# dst before the driver pull once the vertex count makes the
-# vertices × blocks transfer material
-PAGERANK_PREMERGE_VERTICES = 100_000
+
+def same_key_pairs(key: np.ndarray, val: np.ndarray):
+    """Every pair of rows of a key-sorted array that share a key, once,
+    without a join: for k = 1, 2, ... yields ``(val[i], val[i + k])``
+    over each i with ``key[i] == key[i + k]``, and stops at the first k
+    that matches nothing (a run of g equal keys takes g - 1 passes)."""
+    for k in range(1, len(key)):
+        same = key[:-k] == key[k:]
+        if not same.any():
+            return
+        yield val[:-k][same], val[k:][same]
+
+
+def order_part_pairs(g: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The co-purchase pairs of a (l_orderkey, l_partkey) table: each
+    (a, b) with a < b of two different parts on one order, once per pair
+    of its line items (the lineitem self-join's multiplicity), as two
+    int64 arrays.  Order keys must be below 2^32 and part keys below
+    2^31 (the repo-wide pair-encode convention), so one sort of the
+    packed (order, part) key orders the rows (a 2-key Arrow sort took
+    0.24 s of 600k rows, the packed sort 0.02 s)."""
+    key = np.sort(
+        (g.column("l_orderkey").to_numpy(zero_copy_only=False)
+         .astype(np.int64) << 31)
+        | g.column("l_partkey").to_numpy(zero_copy_only=False)
+        .astype(np.int64))
+    ok, pk = key >> 31, key & ((1 << 31) - 1)
+    a_l, b_l = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for a, b in same_key_pairs(ok, pk):
+        neq = a != b  # a < b (sorted) minus same-part repeats
+        a_l.append(a[neq])
+        b_l.append(b[neq])
+    return np.concatenate(a_l), np.concatenate(b_l)
 
 
 def _vertex_census(edges: rd.Dataset) -> rd.Dataset:
@@ -59,17 +86,6 @@ def _vertex_census(edges: rd.Dataset) -> rd.Dataset:
                      "node", {"deg": ("deg", "sum")})
 
 
-# below this many vertices the per-shard incoming-mass partial is a DENSE
-# float64 vector (8 B x n <= 8 MB) cheap enough to return from plain Ray
-# tasks, so the whole iteration loop runs as bulk-synchronous raw tasks
-# over pre-indexed edge shards — the brief's "raw tasks only where the
-# Dataset API can't express the semantics" case: a 10-step iterative
-# refinement pays ~0.3-0.4 s of Ray Data operator launch + driver pandas
-# merge PER ITERATION (measured 4.5 s of g_pagerank_copurchase's 5 s at
-# sf0.1), while a pre-indexed task round is ~30 ms.
-PAGERANK_TASK_VERTICES = 1_000_000
-
-
 @ray.remote
 def _pr_prep_shard(block: pa.Table, nodes: np.ndarray):
     """Edge block -> (src_idx, dst_idx) int32 index arrays into the sorted
@@ -89,38 +105,34 @@ def _pr_shard_contrib(shard, share: np.ndarray, n: int) -> np.ndarray:
 
 
 def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
-                   n_iters: int = PAGERANK_ITERS, top_k: int | None = None,
-                   force_cogroup: bool = False,
-                   force_ray_data: bool = False) -> pd.DataFrame:
+                   n_iters: int = PAGERANK_ITERS,
+                   top_k: int | None = None) -> pd.DataFrame:
     """PageRank over a directed edge Dataset with int64 columns
     (src, dst) — duplicate edges count as parallel edges.  Returns
     (node, rank) sorted by node, rank mass summing to 1 over all nodes
     (``top_k`` instead returns the k highest-rank rows, rank-major).
 
-    Two paths on the shared distributed vertex census, the repo-wide
-    broadcast-vs-cogroup duality (functions/joins.py):
+    Two routes on the shared distributed vertex census, chosen by the
+    one driver bound ``joins.LOCAL_FOLD_ROWS`` (read when called):
 
-    * under ``PAGERANK_BROADCAST_VERTICES``: per iteration ONE pass over
-      the (never re-shuffled) edge blocks — each batch looks up src
-      ranks from the broadcast rank map and emits per-batch PARTIAL dst
-      sums via an Arrow group_by; the partials merge into the next rank
-      vector with a driver-side sum bounded by the vertex count.
-    * over the gate (or ``force_cogroup``): vertex state never touches
-      the driver — ``_pagerank_cogroup`` below.
+    * at most that many vertices: the driver holds the n-length rank
+      vector and each round is bulk-synchronous raw tasks over the edge
+      shards, indexed into the census once — one bincount per shard,
+      ~30 ms a round where a Ray Data job per round costs ~0.3 s.
+    * above it: vertex state never touches the driver —
+      ``_pagerank_cogroup`` below.
 
     Dangling-node mass (nodes with no out-edges) redistributes
     uniformly, keeping total mass exactly 1 like the textbook
     formulation."""
+    from . import joins
+
     edges = edges.materialize()
     # normalize the edge block count ONCE before the iteration loop: an
     # upstream exchange can leave many tiny blocks (one per bucket),
-    # and every one of the n_iters passes then pays per-block task
-    # overhead plus a vertices x blocks partial pull — one coalesce
-    # amortizes over all iterations
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
+    # and every one of the n_iters rounds then pays per-block task
+    # overhead — one coalesce amortizes over all iterations
+    cpus = joins.cluster_cpus()
     if edges.num_blocks() > cpus * 4:
         edges = edges.repartition(cpus * 2).materialize()
     vs = _vertex_census(edges).materialize()
@@ -128,7 +140,7 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     if n == 0:
         return pd.DataFrame({"node": pd.Series(dtype="int64"),
                              "rank": pd.Series(dtype="float64")})
-    if force_cogroup or n > PAGERANK_BROADCAST_VERTICES:
+    if n > joins.LOCAL_FOLD_ROWS:
         return _pagerank_cogroup(edges, vs, n, damping, n_iters, top_k)
     deg = vs.to_pandas()
     order = np.argsort(deg["node"].to_numpy())
@@ -136,78 +148,22 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     out_deg = deg["deg"].to_numpy().astype(np.float64)[order]
     rank = np.full(n, 1.0 / n)
 
-    if not force_ray_data and n <= PAGERANK_TASK_VERTICES:
-        # raw-task BSP path: shards prepared once (plasma-resident index
-        # arrays), then n_iters rounds of one tiny task per shard; the
-        # driver folds <= blocks dense partials per round in waves of 8
-        # so peak transfer is bounded at 8 x 8n bytes.
-        blocks = edges.get_internal_block_refs()
-        nodes_ref = ray.put(nodes)
-        shards = [_pr_prep_shard.remote(b, nodes_ref) for b in blocks]
-        for _ in range(n_iters):
-            share = np.divide(rank, out_deg, out=np.zeros_like(rank),
-                              where=out_deg > 0)
-            share_ref = ray.put(share)
-            futs = [_pr_shard_contrib.remote(s, share_ref, n)
-                    for s in shards]
-            incoming = np.zeros(n, np.float64)
-            while futs:
-                done, futs = ray.wait(futs,
-                                      num_returns=min(8, len(futs)))
-                for v in ray.get(done):
-                    incoming += v
-            dangling = float(rank[out_deg == 0].sum())
-            rank = ((1.0 - damping) / n
-                    + damping * (incoming + dangling / n))
-        out = pd.DataFrame({"node": nodes, "rank": rank})
-        if top_k is not None:
-            out = out.sort_values(["rank", "node"],
-                                  ascending=[False, True]) \
-                .head(top_k).reset_index(drop=True)
-        return out
-
-    def contribs_for(rank_ref):
-        def contribs(t: pa.Table) -> pa.Table:
-            node_arr, share_arr = ray.get(rank_ref)
-            src = t.column("src").to_numpy(zero_copy_only=False)
-            dst = t.column("dst").to_numpy(zero_copy_only=False)
-            w = share_arr[np.searchsorted(node_arr, src)]
-            g = pa.table({"dst": pa.array(dst, pa.int64()),
-                          "w": pa.array(w, pa.float64())}) \
-                .group_by("dst").aggregate([("w", "sum")])
-            return g.rename_columns(
-                ["w" if c == "w_sum" else c for c in g.column_names])
-
-        return contribs
-
-    def dst_merge(g: pa.Table) -> pa.Table:
-        out = g.select(["dst", "w"]).group_by("dst").aggregate([("w", "sum")])
-        return out.rename_columns(
-            ["w" if c == "w_sum" else c for c in out.column_names])
-
-    # driver transfer of per-block partials is vertices × blocks rows; past
-    # this vertex count a keyed merge on dst (16-byte shuffle rows) folds
-    # them to ≤ vertices rows before they reach the driver.
-    # Below it the transfer is trivially small and the per-iteration
-    # shuffle would be pure overhead — same size-gated-plan convention as
-    # the extraction join and d_minhash_pairs.
-    premerge = n > PAGERANK_PREMERGE_VERTICES
-
+    # shards prepared once (plasma-resident index arrays), then n_iters
+    # rounds of one tiny task per shard; the driver folds the dense
+    # partials of a round in waves of 8, so peak transfer is 8 x 8n bytes
+    nodes_ref = ray.put(nodes)
+    shards = [_pr_prep_shard.remote(b, nodes_ref)
+              for b in edges.get_internal_block_refs()]
     for _ in range(n_iters):
         share = np.divide(rank, out_deg, out=np.zeros_like(rank),
                           where=out_deg > 0)
-        rank_ref = ray.put((nodes, share))
-        part_ds = edges.map_batches(contribs_for(rank_ref),
-                                    batch_format="pyarrow")
-        if premerge:
-            from .joins import keyed
-
-            part_ds = keyed(part_ds, "dst", dst_merge)
-        part = part_ds.to_pandas()
-        agg = part.groupby("dst", as_index=False)["w"].sum()
+        share_ref = ray.put(share)
+        futs = [_pr_shard_contrib.remote(s, share_ref, n) for s in shards]
         incoming = np.zeros(n, np.float64)
-        incoming[np.searchsorted(nodes, agg["dst"].to_numpy())] = \
-            agg["w"].to_numpy()
+        while futs:
+            done, futs = ray.wait(futs, num_returns=min(8, len(futs)))
+            for v in ray.get(done):
+                incoming += v
         dangling = float(rank[out_deg == 0].sum())
         rank = ((1.0 - damping) / n
                 + damping * (incoming + dangling / n))
@@ -221,7 +177,7 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
 def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
                       damping: float, n_iters: int,
                       top_k: int | None) -> pd.DataFrame:
-    """Over-gate PageRank: vertex state lives in a bucketed Dataset
+    """Above-bound PageRank: vertex state lives in a bucketed Dataset
     (node, deg, rank) and NEVER lands on the driver.  Per iteration:
 
       1. dangling mass — per-block float partials over the vertex state
@@ -242,11 +198,11 @@ def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
     raw-actor edge shard would save it at the cost of leaving the
     Dataset model).  Partial-sum order varies with partitioning, so
     results are float-stable only to ~1e-12 (same contract as the
-    broadcast path's np.allclose pytest lock).
+    BSP route's np.allclose pytest lock).
 
     ``top_k`` finalizes with per-block local top-k + a k×blocks driver
     merge; without it the full (node, rank) frame is pulled — callers
-    over the gate should always pass top_k or consume the state
+    above the bound should always pass top_k or consume the state
     upstream."""
     from .joins import attach_value, keyed, rename_agg
 
@@ -356,96 +312,16 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
     (iterative float), locked against the naive reference in pytest."""
     from .joins import keyed
 
-    # driver fold under the shared lineitem METADATA gate (the triangle /
-    # copurchase census fold): the symmetric edge multiset is one lexsort
-    # + shift-k walk and 10 BSP rounds are 10 bincounts — the identical
-    # iteration formula the raw-task path runs, so ranks agree to float
-    # merge-order noise (≤1e-12, the same bound the task-vs-Ray-Data
-    # pytest locks).  Distributed plans keep running above the gate and
-    # when a forced-path test zeroes any gate.
-    import pyarrow.parquet as _pq
-
-    if (_pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows
-            <= TRIANGLE_DRIVER_ROWS and PAGERANK_TASK_VERTICES
-            and PAGERANK_BROADCAST_VERTICES):
-        t = _pq.read_table(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_partkey"])
-        ok = t["l_orderkey"].to_numpy()
-        pk = t["l_partkey"].to_numpy()
-        o = np.lexsort((pk, ok))
-        ok, pk = ok[o], pk[o]
-        nn = len(ok)
-        a_l, b_l = [], []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < nn else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b
-            a_l.append(a[neq])
-            b_l.append(b[neq])
-            k += 1
-        if not a_l:
-            return pd.DataFrame({"node": pd.Series(dtype="int64"),
-                                 "rank": pd.Series(dtype="float64")})
-        a = np.concatenate(a_l).astype(np.int64)
-        b = np.concatenate(b_l).astype(np.int64)
-        src = np.concatenate((a, b))
-        dst = np.concatenate((b, a))
-        nodes = np.unique(src)  # symmetric: every endpoint is a source
-        n = len(nodes)
-        si = np.searchsorted(nodes, src)
-        di = np.searchsorted(nodes, dst)
-        out_deg = np.bincount(si, minlength=n).astype(np.float64)
-        rank = np.full(n, 1.0 / n)
-        for _ in range(PAGERANK_ITERS):
-            share = np.divide(rank, out_deg, out=np.zeros_like(rank),
-                              where=out_deg > 0)
-            incoming = np.bincount(di, weights=share[si], minlength=n)
-            dangling = float(rank[out_deg == 0].sum())
-            rank = ((1.0 - PAGERANK_DAMPING) / n
-                    + PAGERANK_DAMPING * (incoming + dangling / n))
-        pr = pd.DataFrame({"node": nodes, "rank": rank})
-        pr = pr.sort_values(["rank", "node"], ascending=[False, True]) \
-            .head(20).reset_index(drop=True)
-        pr["rank"] = pr["rank"].round(8)
-        return pr
-
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"])
 
     def pairs_sym(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
-                                              ("l_partkey", "ascending")])
-        g = g.take(order)
-        ok = g.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pk = g.column("l_partkey").to_numpy(zero_copy_only=False)
-        n = len(ok)
-        a_l, b_l = [], []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b
-            a_l.append(a[neq])
-            b_l.append(b[neq])
-            k += 1
-        if not a_l:
-            return pa.table({"src": pa.array([], pa.int64()),
-                             "dst": pa.array([], pa.int64())})
-        a = np.concatenate(a_l)
-        b = np.concatenate(b_l)
+        a, b = order_part_pairs(g)
         return pa.table({
             "src": pa.array(np.concatenate((a, b)), pa.int64()),
             "dst": pa.array(np.concatenate((b, a)), pa.int64()),
         })
 
-    edges = keyed(li, "l_orderkey", pairs_sym)
-    pr = pagerank_edges(edges)
-    pr = pr.sort_values(["rank", "node"], ascending=[False, True]) \
-        .head(20).reset_index(drop=True)
+    pr = pagerank_edges(keyed(li, "l_orderkey", pairs_sym), top_k=20)
     pr["rank"] = pr["rank"].round(8)
     return pr
 
@@ -454,37 +330,6 @@ def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
 # exact triangle counting (degree-oriented wedge join, MR-classic)
 # ---------------------------------------------------------------------------
 
-TRIANGLE_BROADCAST_NODES = 5_000_000
-
-# below this many distinct oriented edges the sorted edge-key array
-# (8 B/edge — 20M edges = 160 MB) broadcasts via ray.put and wedge
-# closure is counted INSIDE the per-source-bucket group function
-# (searchsorted membership, one int64 partial per bucket), eliminating
-# the wedge-table materialization + wkey cogroup entirely; above it the
-# classic MR wedge-join (emit wedges, cogroup with edges) is the scale
-# path — the same broadcast-vs-cogroup duality as functions/joins.py
-TRIANGLE_BROADCAST_EDGES = 20_000_000
-
-# per-worker-process cache of the broadcast (node, rank) arrays for the
-# task-mode orient map (resolved once per worker, not per batch)
-_TASK_RANK_CACHE: dict = {}
-
-# below this many pair-partial rows the whole edge set collapses on the
-# driver (8 B/key — 20M = 160 MB) and degrees / orientation / sharding
-# are one vectorized pass there; wedge closure fans out as raw tasks
-# over src-aligned slices of the plasma-resident oriented arrays.  This
-# skips THREE keyed exchanges (pair dedupe, degree census, wedge bucket)
-# that each cost ~0.5-1 s of fixed exchange time at bench scale — the
-# same small-graph duality as the PageRank raw-task BSP path.  Above
-# the gate (100 TB corpora) the fully distributed path below runs.
-TRIANGLE_DRIVER_PAIRS = 20_000_000
-# lineitem-metadata gate for the full driver stage-1 (pair census on the
-# driver, the q_copurchase_pairs fold): pairs ≈ 3× rows for ≤7-item
-# orders, so 6M rows keeps the distinct-pair array within the same
-# memory budget TRIANGLE_DRIVER_PAIRS bounds for the collected partials
-TRIANGLE_DRIVER_ROWS = 6_000_000
-
-
 @ray.remote
 def _tri_close_shard(state, lo: int, hi: int) -> int:
     """Wedge closure over one src-aligned slice of the oriented edge
@@ -492,40 +337,24 @@ def _tri_close_shard(state, lo: int, hi: int) -> int:
     immediate sorted-membership counting against the full oriented key
     array — no wedge row ever leaves the task."""
     s_all, d_all, ek = state
-    s = s_all[lo:hi]
-    d = d_all[lo:hi]
-    n = len(s)
-    if n == 0 or len(ek) == 0:
+    if len(ek) == 0:
         return 0
     total = 0
-    k = 1
-    while True:
-        same = s[:-k] == s[k:] if k < n else np.zeros(0, bool)
-        if not same.any():
-            break
-        wk = d[:-k][same] * (1 << 32) + d[k:][same]
+    for v, w in same_key_pairs(s_all[lo:hi], d_all[lo:hi]):
+        wk = v * (1 << 32) + w
         idx = np.searchsorted(ek, wk)
         idx[idx == len(ek)] = 0
         total += int((ek[idx] == wk).sum())
-        k += 1
     return total
-
-
-def _triangle_driver_close(pair_parts: "rd.Dataset") -> pd.DataFrame:
-    """Small-graph fast path: distinct edges, degrees, orientation and
-    src-sharding in one driver pass over the collected pair keys; wedge
-    closure as raw tasks over plasma-resident slices."""
-    kt = pair_parts.map_batches(
-        lambda t: pa.table({"k": pc.add(
-            pc.multiply(t["a"], pa.scalar(1 << 32, pa.int64())), t["b"])}),
-        batch_format="pyarrow").to_pandas()
-    keys = np.unique(kt["k"].to_numpy().astype(np.int64))
-    return _triangle_close_keys(keys)
 
 
 def _triangle_close_keys(keys: np.ndarray) -> pd.DataFrame:
     """Orientation + sharded wedge closure over the sorted distinct
-    oriented-by-id pair keys (a*2^32+b, a<b)."""
+    oriented-by-id pair keys (a*2^32+b, a<b): degrees, orientation and
+    src-sharding in one driver pass, wedge closure as raw tasks over
+    plasma-resident slices."""
+    from .joins import cluster_cpus
+
     n_e = len(keys)
     if n_e == 0:
         return pd.DataFrame({"n_nodes": [0], "n_edges": [0],
@@ -537,7 +366,7 @@ def _triangle_close_keys(keys: np.ndarray) -> pd.DataFrame:
     ib = np.searchsorted(nodes, b)
     deg = (np.bincount(ia, minlength=len(nodes))
            + np.bincount(ib, minlength=len(nodes)))
-    # same rank key as the distributed path: degree-major, id-minor
+    # same rank key as the wedge join: degree-major, id-minor
     rk = deg.astype(np.int64) * (1 << 32) + nodes
     ra, rb = rk[ia], rk[ib]
     lo_is_a = ra < rb
@@ -554,8 +383,7 @@ def _triangle_close_keys(keys: np.ndarray) -> pd.DataFrame:
     s = np.ascontiguousarray(src[order])
     d = np.ascontiguousarray(dst[order])
     ek = np.sort(src * (1 << 32) + dst)
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_shards = max(1, min(n_cpus, n_e // 20_000 + 1))
+    n_shards = max(1, min(cluster_cpus(), n_e // 20_000 + 1))
     pos = (np.arange(1, n_shards) * n_e) // n_shards
     cuts = np.unique(np.concatenate(
         [[0], np.searchsorted(s, s[pos]), [n_e]]))  # align on src runs
@@ -574,15 +402,17 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
     degree orientation, so every triangle is counted at exactly ONE
     node and wedge fan-out is O(m^1.5) instead of sum(deg^2):
 
-      1. distinct edges: shift-k pair generation keyed on orderkey
-         (q_copurchase_pairs stage 1) + a global dedupe keyed on the pair
-      2. degrees: per-batch endpoint partials -> node-bounded groupby;
-         the (node -> degree) map broadcasts under
-         TRIANGLE_BROADCAST_NODES, else it attaches by TWO bucketed
-         cogroups (forced in pytest)
-      3. wedges: edges oriented low->high (degree, id) rank, keyed on
-         the source, per-bucket sorted shift-k emits each wedge (v, w)
-         with rank(v) < rank(w), pre-aggregated per bucket
+      1. pair partials: shift-k pair generation keyed on orderkey
+         (q_copurchase_pairs stage 1), distinct per bucket.  When they
+         count at most ``joins.LOCAL_FOLD_ROWS`` rows (read when
+         called), the driver collects their keys and
+         ``_triangle_close_keys`` runs steps 2-4 there.  Otherwise:
+      2. distinct edges and degrees: a global dedupe keyed on the pair,
+         per-batch endpoint partials -> a node-keyed count
+      3. wedges: the degrees attach to both endpoints by two
+         ``attach_value`` cogroups, edges orient low->high (degree, id)
+         rank, and per-source-bucket sorted shift-k emits each wedge
+         (v, w) with rank(v) < rank(w), pre-aggregated per bucket
       4. close: wedge multiplicities attach to the oriented-edge set by
          ONE cogroup on the encoded pair key (v*2^32+w — partkeys are
          assumed < 2^31, the repo-wide pair-encode convention); matched
@@ -590,81 +420,26 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
 
     Returns (n_nodes, n_edges, n_triangles) — all exact int64, oracled
     against DuckDB's three-way self-join."""
+    from . import joins
     from .joins import aggregate, attach_value, keyed, rename_agg
-
-    # full driver stage-1 under the lineitem METADATA gate (the
-    # q_copurchase_pairs fold): the whole distinct-edge census is one
-    # lexsort + shift-k walk on the driver, skipping the orderkey
-    # sort-shuffle AND the pair-partial collect; distributed stage-1
-    # kept above the gate and whenever a forced-path test zeroes any
-    # distributed gate
-    import pyarrow.parquet as _pq
-
-    if (_pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows
-            <= TRIANGLE_DRIVER_ROWS and TRIANGLE_DRIVER_PAIRS
-            and TRIANGLE_BROADCAST_NODES and TRIANGLE_BROADCAST_EDGES):
-        t = _pq.read_table(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_partkey"])
-        ok = t["l_orderkey"].to_numpy()
-        pk = t["l_partkey"].to_numpy()
-        o = np.lexsort((pk, ok))
-        ok, pk = ok[o], pk[o]
-        n = len(ok)
-        keys_l = []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b  # a < b (pk sorted within order)
-            keys_l.append(a[neq].astype(np.int64) * (1 << 32) + b[neq])
-            k += 1
-        keys = (np.unique(np.concatenate(keys_l)) if keys_l
-                else np.array([], np.int64))
-        return _triangle_close_keys(keys)
 
     li = read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
 
     def pairs(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
-                                              ("l_partkey", "ascending")])
-        g = g.take(order)
-        ok = g.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pk = g.column("l_partkey").to_numpy(zero_copy_only=False)
-        n = len(ok)
-        pa_l, pb_l = [], []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b
-            pa_l.append(a[neq])
-            pb_l.append(b[neq])
-            k += 1
-        if not pa_l:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "__pk": pa.array([], pa.int64())})
-        t2 = pa.table({"a": pa.array(np.concatenate(pa_l), pa.int64()),
-                       "b": pa.array(np.concatenate(pb_l), pa.int64())})
-        t2 = t2.group_by(["a", "b"]).aggregate([])  # local distinct
-        key = pc.add(pc.multiply(t2["a"], pa.scalar(1 << 32, pa.int64())),
-                     t2["b"])
-        return t2.append_column("__pk", key)
+        a, b = order_part_pairs(g)
+        key = np.unique((a << 32) | b)  # local distinct
+        return pa.table({"a": key >> 32, "b": key & 0xFFFFFFFF,
+                         "__pk": key})
+
+    pair_parts = keyed(li, "l_orderkey", pairs).materialize()
+    if pair_parts.count() <= joins.LOCAL_FOLD_ROWS:
+        keys = [t.column("__pk").to_numpy()
+                for t in ray.get(pair_parts.to_arrow_refs())]
+        return _triangle_close_keys(
+            np.unique(np.concatenate([np.empty(0, np.int64)] + keys)))
 
     def dedupe(g: pa.Table) -> pa.Table:
         return g.group_by(["a", "b"]).aggregate([])
-
-    pair_parts = keyed(li, "l_orderkey", pairs)
-    # small-graph fast path: the pair partials fit the driver — skip the
-    # dedupe / census / wedge shuffles entirely (gated off whenever a
-    # forced-path test zeroes either distributed gate)
-    if (pair_parts.count() <= TRIANGLE_DRIVER_PAIRS
-            and TRIANGLE_BROADCAST_NODES and TRIANGLE_BROADCAST_EDGES):
-        return _triangle_driver_close(pair_parts)
 
     edges = keyed(pair_parts, "__pk", dedupe)
     n_edges = edges.count()
@@ -679,137 +454,46 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
                        "node", {"deg": (None, "count")})
     n_nodes = deg_ds.count()
 
-    # rank key for orientation: degree-major, id-minor (ids < 2^31)
-    def rank_key(dd: np.ndarray, ii: np.ndarray) -> np.ndarray:
-        return dd.astype(np.int64) * (1 << 32) + ii.astype(np.int64)
+    # orientation: the degree attaches to each endpoint by a cogroup
+    # (deg_a then deg_b); the degree table never lands on the driver
+    deg_vals = deg_ds.map_batches(
+        lambda t: pa.table({"doc_id": t["node"],
+                            "value": pc.cast(t["deg"], pa.int64())}),
+        batch_format="pyarrow")
+    withda = attach_value(
+        edges, deg_vals, "a", "deg_a", pa.int64(),
+        [("a", pa.int64()), ("b", pa.int64())])
+    withdb = attach_value(
+        withda, deg_vals, "b", "deg_b", pa.int64(),
+        [("a", pa.int64()), ("b", pa.int64()), ("deg_a", pa.int64())])
 
-    if n_nodes <= TRIANGLE_BROADCAST_NODES:
-        deg = deg_ds.to_pandas()
-        nid = deg["node"].to_numpy().astype(np.int64)
-        o = np.argsort(nid)
-        nid = nid[o]
-        rk = rank_key(deg["deg"].to_numpy()[o], nid)
-        ref = ray.put((nid, rk))
+    def orient(t: pa.Table) -> pa.Table:
+        # rank key: degree-major, id-minor (ids < 2^31)
+        a = t.column("a").to_numpy(zero_copy_only=False)
+        b = t.column("b").to_numpy(zero_copy_only=False)
+        ra = t.column("deg_a").to_numpy(zero_copy_only=False) * (1 << 32) + a
+        rb = t.column("deg_b").to_numpy(zero_copy_only=False) * (1 << 32) + b
+        lo_is_a = ra < rb
+        return pa.table({
+            "src": pa.array(np.where(lo_is_a, a, b), pa.int64()),
+            "dst": pa.array(np.where(lo_is_a, b, a), pa.int64()),
+            "dst_rank": pa.array(np.where(lo_is_a, rb, ra), pa.int64())})
 
-        # task-mode orient: a trivially vectorized map doesn't warrant an
-        # actor pool (spin-up + an 8-actor cap measured ~3.0 s of the 12 s
-        # wall); the broadcast (nid, rk) pair resolves once per worker
-        # process via the module cache — zero-copy plasma view per ray.get
-        def orient_bc(t: pa.Table) -> pa.Table:
-            ent = _TASK_RANK_CACHE.get(ref.hex())
-            if ent is None:
-                _TASK_RANK_CACHE.clear()
-                ent = _TASK_RANK_CACHE[ref.hex()] = ray.get(ref)
-            nid_w, rk_w = ent
-            a = t.column("a").to_numpy(zero_copy_only=False)
-            b = t.column("b").to_numpy(zero_copy_only=False)
-            ra = rk_w[np.searchsorted(nid_w, a)]
-            rb = rk_w[np.searchsorted(nid_w, b)]
-            src = np.where(ra < rb, a, b)
-            dst = np.where(ra < rb, b, a)
-            dstr = np.where(ra < rb, rb, ra)
-            return pa.table({
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
-                "dst_rank": pa.array(dstr, pa.int64())})
-
-        oriented = edges.map_batches(orient_bc, batch_format="pyarrow")
-    else:
-        # scale path: degree attaches by two cogroups (deg_a then deg_b);
-        # the degree table never lands on the driver
-        deg_vals = deg_ds.map_batches(
-            lambda t: pa.table({"doc_id": t["node"],
-                                "value": pc.cast(t["deg"], pa.int64())}),
-            batch_format="pyarrow")
-        withda = attach_value(
-            edges, deg_vals, "a", "deg_a", pa.int64(),
-            [("a", pa.int64()), ("b", pa.int64())])
-        withdb = attach_value(
-            withda, deg_vals, "b", "deg_b", pa.int64(),
-            [("a", pa.int64()), ("b", pa.int64()),
-             ("deg_a", pa.int64())])
-
-        def orient(t: pa.Table) -> pa.Table:
-            a = t.column("a").to_numpy(zero_copy_only=False)
-            b = t.column("b").to_numpy(zero_copy_only=False)
-            ra = rank_key(t.column("deg_a").to_numpy(zero_copy_only=False), a)
-            rb = rank_key(t.column("deg_b").to_numpy(zero_copy_only=False), b)
-            src = np.where(ra < rb, a, b)
-            dst = np.where(ra < rb, b, a)
-            dstr = np.where(ra < rb, rb, ra)
-            return pa.table({"src": pa.array(src, pa.int64()),
-                             "dst": pa.array(dst, pa.int64()),
-                             "dst_rank": pa.array(dstr, pa.int64())})
-
-        oriented = withdb.map_batches(orient, batch_format="pyarrow")
-
-    oriented = oriented.materialize()
-
-    if n_edges <= TRIANGLE_BROADCAST_EDGES:
-        # broadcast closure path: one sorted int64 key per oriented edge
-        # (src*2^32+dst); each keyed src bucket emits wedges per shift-k and
-        # counts membership hits immediately — constant memory per k,
-        # no wedge row ever leaves the worker
-        ek_parts = oriented.map_batches(
-            lambda t: pa.table({"k": pc.add(
-                pc.multiply(t["src"], pa.scalar(1 << 32, pa.int64())),
-                t["dst"])}),
-            batch_format="pyarrow").to_pandas()
-        ekeys = np.sort(ek_parts["k"].to_numpy().astype(np.int64))
-        ek_ref = ray.put(ekeys)
-
-        def wedge_close(g: pa.Table) -> pa.Table:
-            ek = ray.get(ek_ref)
-            if len(ek) == 0:
-                return pa.table({"tri": pa.array([0], pa.int64())})
-            order = pc.sort_indices(g, sort_keys=[("src", "ascending"),
-                                                  ("dst_rank", "ascending")])
-            g = g.take(order)
-            s = g.column("src").to_numpy(zero_copy_only=False)
-            d = g.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(s)
-            total = 0
-            k = 1
-            while True:
-                same = s[:-k] == s[k:] if k < n else np.zeros(0, bool)
-                if not same.any():
-                    break
-                wk = d[:-k][same] * (1 << 32) + d[k:][same]
-                idx = np.searchsorted(ek, wk)
-                idx[idx == len(ek)] = 0
-                total += int((ek[idx] == wk).sum())
-                k += 1
-            return pa.table({"tri": pa.array([total], pa.int64())})
-
-        tri = keyed(oriented, "src", wedge_close).sum("tri")
-        return pd.DataFrame({"n_nodes": [int(n_nodes)],
-                             "n_edges": [int(n_edges)],
-                             "n_triangles": [int(tri or 0)]})
+    oriented = withdb.map_batches(orient, batch_format="pyarrow") \
+        .materialize()
 
     def wedges(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("src", "ascending"),
                                               ("dst_rank", "ascending")])
         g = g.take(order)
         s = g.column("src").to_numpy(zero_copy_only=False)
-        d = g.column("dst").to_numpy(zero_copy_only=False)
-        n = len(s)
-        va, vb = [], []
-        k = 1
-        while True:
-            same = s[:-k] == s[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            va.append(d[:-k][same])   # rank(v) < rank(w) by dst_rank sort
-            vb.append(d[k:][same])
-            k += 1
-        if not va:
-            return pa.table({"wkey": pa.array([], pa.int64()),
-                             "mult": pa.array([], pa.int64())})
-        v = np.concatenate(va).astype(np.int64)
-        w = np.concatenate(vb).astype(np.int64)
-        t2 = pa.table({"wkey": pa.array(v * (1 << 32) + w, pa.int64()),
-                       "mult": pa.array(np.ones(len(v), np.int64))})
-        g2 = t2.group_by("wkey").aggregate([("mult", "sum")])
+        d = g.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
+        # rank(v) < rank(w) by the dst_rank sort
+        wk = np.concatenate([np.empty(0, np.int64)] + [
+            v * (1 << 32) + w for v, w in same_key_pairs(s, d)])
+        g2 = pa.table({"wkey": pa.array(wk, pa.int64()),
+                       "mult": pa.array(np.ones(len(wk), np.int64))}) \
+            .group_by("wkey").aggregate([("mult", "sum")])
         return rename_agg(g2, {"mult_sum": "mult"}, ["wkey", "mult"])
 
     wedge_ds = keyed(oriented, "src", wedges)

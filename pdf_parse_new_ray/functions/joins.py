@@ -165,9 +165,9 @@ def broadcast_map(ds: rd.Dataset, fn, ref, **mb_kwargs) -> rd.Dataset:
     process through a module cache (a local-object-store ``ray.get`` is a
     zero-copy plasma view).  Replaces a ``(1, N)``-actor pool for trivially
     vectorized per-batch probes — the pool's spin-up dominates bench-scale
-    wall time (g_triangle_count measured its 8-actor orient pool at ~3.0 s
-    of a 12 s run) and its cap starves wide hosts, while task mode rides
-    every core the scheduler owns with identical per-batch work."""
+    wall time (an 8-actor probe pool measured ~3.0 s of a 12 s run) and
+    its cap starves wide hosts, while task mode rides every core the
+    scheduler owns with identical per-batch work."""
     multi = isinstance(ref, (tuple, list))
     key = "+".join(r.hex() if r is not None else "-" for r in ref) \
         if multi else ref.hex()
@@ -215,6 +215,12 @@ def _pow2_floor(n: int) -> int:
     return 1 << (max(1, n).bit_length() - 1)
 
 
+def cluster_cpus() -> int:
+    """The CPU count of the Ray cluster the driver is attached to (at
+    least 1)."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def exchange_buckets(input_rows: int) -> int:
     """The bucket count of every keyed exchange: the largest power of two
     <= ``min(4096, max(cluster CPUs, input_rows // 250_000))``.
@@ -223,9 +229,9 @@ def exchange_buckets(input_rows: int) -> int:
     whatever the data, so buckets beyond the core count only add overhead
     until a bucket would hold more than 250k rows (on a 4-vCPU host the
     forced q3+q5+q8 legs ran slower at 8 and 16 buckets than at 4)."""
-    cpus = int(ray.cluster_resources().get("CPU", 1))
     return _pow2_floor(min(_EXCHANGE_MAX_BUCKETS,
-                           max(cpus, input_rows // EXCHANGE_ROWS_PER_BUCKET)))
+                           max(cluster_cpus(),
+                               input_rows // EXCHANGE_ROWS_PER_BUCKET)))
 
 
 def salted_buckets(n_buckets: int, n_salts: int) -> int:

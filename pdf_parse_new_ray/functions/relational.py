@@ -2150,33 +2150,14 @@ def q_copurchase_pairs(sf_dir: str) -> pd.DataFrame:
     re-buckets the partials for the exact global count, each bucket
     forwarding only its local top-K.  The driver merges K x buckets
     candidate rows."""
+    from .graph import order_part_pairs
     from .joins import keyed
 
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"])
 
     def pairs(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("l_orderkey", "ascending"),
-                                              ("l_partkey", "ascending")])
-        g = g.take(order)
-        ok = g.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pk = g.column("l_partkey").to_numpy(zero_copy_only=False)
-        n = len(ok)
-        pa_l, pb_l = [], []
-        k = 1
-        while True:
-            same = ok[:-k] == ok[k:] if k < n else np.zeros(0, bool)
-            if not same.any():
-                break
-            a, b = pk[:-k][same], pk[k:][same]
-            neq = a != b  # strict a < b (sorted) minus same-part repeats
-            pa_l.append(a[neq])
-            pb_l.append(b[neq])
-            k += 1
-        key = np.empty(0, np.int64)
-        if pa_l:
-            key = (np.concatenate(pa_l).astype(np.int64) << 32) \
-                | np.concatenate(pb_l).astype(np.int64)
-        key, support = np.unique(key, return_counts=True)
+        a, b = order_part_pairs(g)
+        key, support = np.unique((a << 32) | b, return_counts=True)
         return pa.table({"__pk": pa.array(key, pa.int64()),
                          "support": pa.array(support, pa.int64())})
 

@@ -80,7 +80,6 @@ def test_dedup_driver_folds_match_bucketed(ray_session, monkeypatch):
                tx.t_gram_novelty, tx.t_sequence_pack]
     fast = [q(sf) for q in queries]
     monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
-    monkeypatch.setattr(dedup, "MINHASH_DRIVER_DOCS", 0)
     for q, want in zip(queries, fast):
         pd.testing.assert_frame_equal(q(sf), want)
 
@@ -171,14 +170,14 @@ def test_embedding_neardup_lsh_matches_brute(ray_session, planted_embeddings_dir
     """The LSH-bucketed scale path must find the planted near-identical
     pair with exact cosines equal to the brute-force plan — on BOTH the
     driver fold and the forced distributed exchanges."""
-    from pdf_parse_new_ray.functions import dedup
+    from pdf_parse_new_ray.functions import dedup, joins
 
     brute = dedup.d_embedding_neardup(planted_embeddings_dir, method="brute")
     lsh = dedup.d_embedding_neardup(planted_embeddings_dir, method="lsh")
     assert list(zip(lsh["id_a"], lsh["id_b"])) == list(zip(brute["id_a"], brute["id_b"]))
     assert (lsh["cosine"] == brute["cosine"]).all()
     assert (0, 1) in set(zip(lsh["id_a"], lsh["id_b"]))
-    monkeypatch.setattr(dedup, "EMBED_LSH_DRIVER_ROWS", 0)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     dist = dedup.d_embedding_neardup(planted_embeddings_dir, method="lsh")
     pd.testing.assert_frame_equal(lsh, dist)
 
@@ -2032,17 +2031,16 @@ def test_pagerank_matches_naive(ray_session, tmp_path):
 
 def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path,
                                                       monkeypatch):
-    """The over-gate cogroup iteration (vertex state never on the driver)
-    produces the same ranks as the broadcast path on the same edges, and
-    its per-block top-k merge returns the same top rows."""
+    """The above-bound cogroup iteration (vertex state never on the
+    driver, ``joins.LOCAL_FOLD_ROWS`` at 0) produces the same ranks as
+    the BSP route at the default bound on the same edges, and its
+    per-block top-k merge returns the same top rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.graph import pagerank_edges
-
-    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
 
     rng = np.random.RandomState(7)
     src = rng.randint(0, 40, 300).astype(np.int64)
@@ -2053,12 +2051,13 @@ def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path,
                    str(tmp_path / "edges.parquet"))
     ds = rd.read_parquet(str(tmp_path / "edges.parquet"))
     bc = pagerank_edges(ds)
-    cg = pagerank_edges(ds, force_cogroup=True)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    cg = pagerank_edges(ds)
     assert list(cg["node"]) == list(bc["node"])
     assert np.allclose(cg["rank"].to_numpy(), bc["rank"].to_numpy(),
                        atol=1e-12)
     assert abs(cg["rank"].sum() - 1.0) < 1e-9
-    top = pagerank_edges(ds, force_cogroup=True, top_k=5)
+    top = pagerank_edges(ds, top_k=5)
     want = bc.sort_values(["rank", "node"], ascending=[False, True]) \
         .head(5).reset_index(drop=True)
     assert list(top["node"]) == list(want["node"])
@@ -2066,46 +2065,17 @@ def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path,
                        atol=1e-12)
 
 
-def test_pagerank_task_path_matches_ray_data(ray_session, tmp_path):
-    """The raw-task BSP fast path (pre-indexed shards + per-round bincount
-    partials) matches the Ray Data broadcast iteration to 1e-12 on the
-    same edges, including dangling mass and top-k."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from pdf_parse_new_ray.functions.graph import pagerank_edges
-
-    rng = np.random.RandomState(11)
-    src = rng.randint(0, 60, 500).astype(np.int64)
-    dst = rng.randint(0, 70, 500).astype(np.int64)  # nodes 60-69 dangle
-    keep = src != dst
-    pq.write_table(pa.table({"src": pa.array(src[keep], pa.int64()),
-                             "dst": pa.array(dst[keep], pa.int64())}),
-                   str(tmp_path / "edges.parquet"))
-    ds = rd.read_parquet(str(tmp_path / "edges.parquet"))
-    task = pagerank_edges(ds)                       # n << gate: task path
-    rdat = pagerank_edges(ds, force_ray_data=True)  # Ray Data iteration
-    assert list(task["node"]) == list(rdat["node"])
-    assert np.allclose(task["rank"].to_numpy(), rdat["rank"].to_numpy(),
-                       atol=1e-12)
-    assert abs(task["rank"].sum() - 1.0) < 1e-9
-    topt = pagerank_edges(ds, top_k=5)
-    want = rdat.sort_values(["rank", "node"], ascending=[False, True]) \
-        .head(5).reset_index(drop=True)
-    assert list(topt["node"]) == list(want["node"])
-
-
 def test_pagerank_copurchase_runs(ray_session, monkeypatch):
-    from pdf_parse_new_ray.functions import graph
+    from pdf_parse_new_ray.functions import joins
     from pdf_parse_new_ray.functions.graph import g_pagerank_copurchase
 
-    out = g_pagerank_copurchase("/root/testdata/sf0.001")  # driver fold
+    out = g_pagerank_copurchase("/root/testdata/sf0.001")  # BSP route
     assert len(out) == 20
     assert (out["rank"].to_numpy()[:-1] >= out["rank"].to_numpy()[1:]).all()
-    # forcing the distributed census + BSP task path must reproduce the
-    # driver fold (identical iteration formula, float merge-order only)
-    monkeypatch.setattr(graph, "TRIANGLE_DRIVER_ROWS", 0)
+    # bound 0 (exchanged stage 1 + cogroup iteration) must reproduce the
+    # in-process route (identical iteration formula, float merge-order
+    # only)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     dist = g_pagerank_copurchase("/root/testdata/sf0.001")
     pd.testing.assert_frame_equal(out, dist, check_exact=False, atol=1e-9)
 
@@ -2251,32 +2221,20 @@ def test_semdedup_planted_pair_collapses(ray_session, planted_embeddings_dir):
 
 def test_triangle_count_cogroup_path_matches_broadcast(ray_session,
                                                        monkeypatch):
-    """Forcing the degree-attach cogroup path (broadcast gate at 0) must
-    reproduce the broadcast orientation exactly."""
+    """The wedge join at ``joins.LOCAL_FOLD_ROWS`` 0 (exchanged stage 1,
+    dedupe, degree census, two orient attaches, wedge cogroup) must
+    reproduce the in-process pair-key close of the default bound
+    exactly."""
     import pandas as pd
 
     from pdf_parse_new_ray.functions import graph, joins
 
-    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     sf = "/root/testdata/sf0.001"
-    base = graph.g_triangle_count(sf)  # driver stage-1 at this scale
-    # force the distributed stage-1 + collected-pair-partials driver close
-    monkeypatch.setattr(graph, "TRIANGLE_DRIVER_ROWS", 0)
-    pair_route = graph.g_triangle_count(sf)
-    pd.testing.assert_frame_equal(base, pair_route)
-    # force the distributed broadcast-orient + broadcast-closure path
-    monkeypatch.setattr(graph, "TRIANGLE_DRIVER_PAIRS", 0)
-    dist = graph.g_triangle_count(sf)
-    pd.testing.assert_frame_equal(base, dist)
-    monkeypatch.setattr(graph, "TRIANGLE_BROADCAST_NODES", 0)
-    forced = graph.g_triangle_count(sf)
-    pd.testing.assert_frame_equal(base, forced)
-    assert int(base["n_triangles"].iloc[0]) > 0  # non-trivial input
-    # and the MR wedge-join scale path (edge broadcast gate at 0) must
-    # reproduce the broadcast-closure count too
-    monkeypatch.setattr(graph, "TRIANGLE_BROADCAST_EDGES", 0)
+    base = graph.g_triangle_count(sf)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
     wedge_join = graph.g_triangle_count(sf)
     pd.testing.assert_frame_equal(base, wedge_join)
+    assert int(base["n_triangles"].iloc[0]) > 0  # non-trivial input
 
 
 def test_pca_power_iteration_matches_naive(ray_session):
@@ -2419,29 +2377,6 @@ def test_minhash_batched_signatures():
     for i, txt in enumerate(texts):
         want = mh.signature(txt or "").tobytes()
         assert out.column("sig")[i].as_py() == want, i
-
-
-def test_pagerank_broadcast_premerge_matches(ray_session, tmp_path, monkeypatch):
-    """The size-gated coarse dst-bucket pre-merge (forced by dropping the
-    vertex gate to 0) leaves broadcast-path ranks unchanged to 1e-12."""
-    import ray.data as rd
-
-    from pdf_parse_new_ray.functions import graph
-
-    rng = np.random.RandomState(11)
-    src = rng.randint(0, 30, 200).astype(np.int64)
-    dst = rng.randint(0, 35, 200).astype(np.int64)
-    keep = src != dst
-    pq.write_table(pa.table({"src": pa.array(src[keep], pa.int64()),
-                             "dst": pa.array(dst[keep], pa.int64())}),
-                   str(tmp_path / "edges.parquet"))
-    ds = rd.read_parquet(str(tmp_path / "edges.parquet"))
-    plain = graph.pagerank_edges(ds)
-    monkeypatch.setattr(graph, "PAGERANK_PREMERGE_VERTICES", 0)
-    merged = graph.pagerank_edges(ds)
-    assert list(merged["node"]) == list(plain["node"])
-    assert np.allclose(merged["rank"].to_numpy(), plain["rank"].to_numpy(),
-                       atol=1e-12)
 
 
 def test_events_driver_fold_forced_paths_equal(ray_session, monkeypatch):

@@ -2,8 +2,8 @@
 a query's reads, maps, exchanges and collect run as one job, each bucket
 is reduced once, and a finished exchange is not run again when its result
 is read a second time; ``joins.aggregate``, the aggregation built on it;
-and ``joins.lookup``, whose one bound chooses a broadcast or an
-exchange."""
+and ``joins.lookup`` and the graph operators, whose one bound chooses
+between a driver-side route and an exchange."""
 
 import collections
 import os
@@ -182,6 +182,62 @@ def test_lookup_routes_match_at_the_bound(ray_session, monkeypatch, tmp_path,
     hit = f[(f["fk"] < n_dim) & (f["fk"] % 5 != 0)]
     got = run(n_dim, False, [("keep", "==", True)])[1]
     assert len(got) == len(hit) and (got["grp"] == got["fk"] % 7).all()
+
+
+def test_graph_routes_match_at_the_bound(ray_session, monkeypatch,
+                                         exchanges):
+    """``LOCAL_FOLD_ROWS`` alone picks the graph routes.  PageRank on the
+    sf0.001 co-purchase edges runs the raw-task BSP loop when the bound
+    equals the vertex count (only the vertex census plans an exchange)
+    and the cogroup iteration one below (two exchanges a round); ranks
+    and top-k agree to 1e-12.  The triangle count closes on the driver
+    when the bound equals its pair-partial count (no exchange after
+    stage 1) and runs the wedge join one below; the frames are equal."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import graph, joins
+
+    li = pq.read_table(os.path.join(SF001, "lineitem.parquet"),
+                       columns=["l_orderkey", "l_partkey"])
+    a, b = graph.order_part_pairs(li)
+    edges = rd.from_arrow(pa.table({
+        "src": np.concatenate((a, b)), "dst": np.concatenate((b, a))})) \
+        .repartition(4).materialize()
+    n = len(np.unique(np.concatenate((a, b))))
+
+    def run(bound, fn, *args, **kw):  # -> (exchanges planned, result)
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
+        before = exchanges["n"]
+        out = fn(*args, **kw)
+        return exchanges["n"] - before, out
+
+    planned_b, bsp = run(n, graph.pagerank_edges, edges)
+    planned_x, cogroup = run(n - 1, graph.pagerank_edges, edges)
+    assert (planned_b, planned_x) == (1, 1 + 2 * graph.PAGERANK_ITERS)
+    assert list(bsp["node"]) == list(cogroup["node"])
+    assert np.allclose(bsp["rank"], cogroup["rank"], rtol=0, atol=1e-12)
+    assert abs(bsp["rank"].sum() - 1.0) < 1e-9
+    top = run(n, graph.pagerank_edges, edges, top_k=5)[1]
+    want = bsp.sort_values(["rank", "node"], ascending=[False, True]) \
+        .head(5).reset_index(drop=True)
+    assert list(top["node"]) == list(want["node"])
+    got = np.sort(cogroup["rank"].to_numpy())[::-1][:5]
+    assert np.allclose(top["rank"].to_numpy(), got, rtol=0, atol=1e-12)
+
+    # lineitem has fewer rows than either bound, so stage 1 folds
+    # in-process at both and its partials are the distinct edges
+    base = graph.g_triangle_count(SF001)
+    n_pairs = int(base["n_edges"].iloc[0])
+    assert li.num_rows < n_pairs - 1
+
+    planned_b, closed = run(n_pairs, graph.g_triangle_count, SF001)
+    planned_x, joined = run(n_pairs - 1, graph.g_triangle_count, SF001)
+    assert planned_b == 1 and planned_x > 1
+    pd.testing.assert_frame_equal(closed, joined)
+    pd.testing.assert_frame_equal(closed, base)
+    assert int(closed["n_triangles"].iloc[0]) > 0
 
 
 @pytest.mark.parametrize("query", ["t_token_stats", "q_events_daily"])

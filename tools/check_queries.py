@@ -4,10 +4,10 @@ count, column names, and values (columns sorted by name, rows sorted).
 
 Usage: python tools/check_queries.py [--forced] [--repeat N] [sf_dir] [query ...]
 
---forced zeroes every driver-fold size gate (bench._force_distributed_gates:
-joins.LOCAL_FOLD_ROWS, which bounds both the in-process keyed folds and
-joins.lookup's dimension broadcasts, and the dedup/graph driver gates) so
-each query runs its distributed plan; the gates are restored afterwards.
+--forced zeroes the driver-fold size gate (bench._force_distributed_gates:
+joins.LOCAL_FOLD_ROWS, which bounds the in-process keyed folds,
+joins.lookup's dimension broadcasts and the graph and near-dup driver
+folds) so each query runs its distributed plan; it is restored afterwards.
 --repeat N runs each query N more times after its checked (untimed) run
 and prints the median of those N walls instead of the first run's wall.
 
