@@ -36,14 +36,13 @@ def _sf_of(sf_dir: str) -> float:
 
 # The size gate that picks a small-data plan below a row threshold.  The
 # distributed bench leg zeroes it so the exchange plans that would execute
-# at 100x — bucketed shuffles, cogroup joins, banded LSH exchanges, the
-# cogroup PageRank and the triangle wedge join — regain tracked wall times
-# (round-4 verdict item #1: at sf0.1 every gated query otherwise times a
-# driver fold).  joins.LOCAL_FOLD_ROWS is the one bound on the rows the
-# driver holds of one input: every keyed fold and attach folds in-process
-# at or below it (hash_exchange), every dimension attach (joins.lookup)
-# broadcasts a dim of at most that many rows, PageRank keeps a rank vector
-# of at most that many vertices, the triangle count collects at most that
+# at 100x — bucketed shuffles, cogroup joins, banded LSH exchanges and the
+# triangle wedge join — regain tracked wall times (round-4 verdict item
+# #1: at sf0.1 every gated query otherwise times a driver fold).
+# joins.LOCAL_FOLD_ROWS is the one bound on the rows the driver holds of
+# one input: every keyed fold and attach folds in-process at or below it
+# (hash_exchange), every dimension attach (joins.lookup) broadcasts a dim
+# of at most that many rows, the triangle count collects at most that
 # many pair partials, and the MinHash and embedding-LSH near-dup folds
 # take at most that many documents / vectors on the driver; zeroed, each
 # fold runs its split and reduce tasks and each lookup its cogroup.

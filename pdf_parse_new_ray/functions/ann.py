@@ -17,6 +17,7 @@ import pyarrow as pa
 import ray
 
 from ..sources.interleaved import read_table
+from .joins import block_refs, per_block
 
 
 # task-mode per-worker instance cache for the light-state scan stages
@@ -712,48 +713,23 @@ KMEANS_K = 10
 KMEANS_ITERS = 5
 
 
-class _KmeansPartial:
-    """One Lloyd half-step per batch: assign each (unit-normalized)
-    vector to its max-dot centroid, emit per-cluster partials
-    (count, float64 component sums packed as bytes, inertia partial).
-    Centroids arrive by ray.put once per ITERATION — never per batch.
-    Used as a plain pickled INSTANCE (task pool, ref resolved lazily on
-    the worker) — per-iteration actor-pool spin-up dominated the short
-    iterations this runs."""
-
-    def __init__(self, cents_ref):
-        self._ref = cents_ref
-        self.cents = None  # resolved on first batch, node-local ray.get
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if self.cents is None:
-            c = self._ref
-            self.cents = (ray.get(c)
-                          if isinstance(c, ray.ObjectRef) else c)
-        if t.num_rows == 0:
-            return pa.table({"cluster": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.binary()),
-                             "inertia": pa.array([], pa.float64())})
-        m = emb_matrix(t)
-        m = m / np.linalg.norm(m, axis=1, keepdims=True)
-        sims = m @ self.cents.T
-        assign = sims.argmax(axis=1)
-        k, d = self.cents.shape
-        rows = []
-        for c in range(k):
-            sel = m[assign == c]
-            if not len(sel):
-                continue
-            # squared L2 on unit vectors = 2 - 2*cos
-            rows.append((c, len(sel), sel.sum(axis=0).tobytes(),
-                         float((2.0 - 2.0 * sims[assign == c, c]).sum())))
-        return pa.table({
-            "cluster": pa.array([r[0] for r in rows], pa.int64()),
-            "n": pa.array([r[1] for r in rows], pa.int64()),
-            "s": pa.array([r[2] for r in rows], pa.binary()),
-            "inertia": pa.array([r[3] for r in rows], pa.float64()),
-        })
+def _kmeans_partial(t: pa.Table, cents: np.ndarray) -> list[tuple]:
+    """One Lloyd half-step over one block: assign each (unit-normalized)
+    vector to its max-dot centroid, emit one (cluster, count, float64
+    component sums packed as bytes, inertia) partial per cluster hit."""
+    m = emb_matrix(t)
+    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    sims = m @ cents.T
+    assign = sims.argmax(axis=1)
+    rows = []
+    for c in range(len(cents)):
+        sel = m[assign == c]
+        if not len(sel):
+            continue
+        # squared L2 on unit vectors = 2 - 2*cos
+        rows.append((c, len(sel), sel.sum(axis=0).tobytes(),
+                     float((2.0 - 2.0 * sims[assign == c, c]).sum())))
+    return rows
 
 
 def _kmeans_init(sf_dir: str, k: int) -> np.ndarray:
@@ -773,37 +749,36 @@ def _kmeans_init(sf_dir: str, k: int) -> np.ndarray:
 def e_kmeans_train(sf_dir: str, k: int = KMEANS_K,
                    n_iters: int = KMEANS_ITERS) -> pd.DataFrame:
     """Distributed Lloyd k-means over the FULL embedding table (vs the
-    driver-sample training `_train_centroids` uses for IVF): each
-    iteration is ONE streaming map_batches pass — centroids broadcast
-    via ray.put, per-batch per-cluster partial sums (k rows x 8d bytes
-    per batch, no shuffle), driver merge is O(k x n_batches).  Partials
-    are sorted by content before the float64 merge so the result is
-    run-deterministic regardless of task completion order.  Returns
+    driver-sample training `_train_centroids` uses for IVF): the table
+    is read once into object-store blocks (one Ray Data job), and each
+    iteration is one ``joins.per_block`` round of raw tasks over them —
+    centroids put once a round, per-block per-cluster partial sums (k
+    rows x 8d bytes per block, no shuffle), driver merge is
+    O(k x n_blocks).  Partials are sorted by content before the float64
+    merge so the result is run-deterministic whatever the block layout.  Returns
     per-cluster size + within-cluster inertia (squared L2 on unit
     vectors) after n_iters iterations; pytest locks the result against
     a single-process Lloyd reference on the same init."""
     cents = _kmeans_init(sf_dir, k)
     d = cents.shape[1]
     stats = None
-    # read + decode the embedding column ONCE; iterations re-stream the
-    # materialized blocks from the object store (Ray spills if the table
-    # outgrows it) instead of re-reading parquet per iteration
-    emb_ds = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"]).materialize()
+    # read + decode the embedding column ONCE; iterations re-read the
+    # blocks from the object store (Ray spills if the table outgrows it)
+    # instead of re-reading parquet per iteration
+    blocks = block_refs(read_table(f"{sf_dir}/embeddings.parquet",
+                                   ["embedding"]))
     for _ in range(n_iters):
-        ref = ray.put(cents)
-        parts = emb_ds.map_batches(
-            _KmeansPartial(ref), batch_format="pyarrow", batch_size=4096,
-        ).take_all()
+        parts = [r for rows in per_block(blocks, _kmeans_partial, cents)
+                 for r in rows]
         # content-sort -> deterministic float64 accumulation order
-        parts.sort(key=lambda r: (r["cluster"], r["n"], r["s"]))
+        parts.sort(key=lambda r: r[:3])
         counts = np.zeros(k, np.int64)
         sums = np.zeros((k, d), np.float64)
         inertia = np.zeros(k, np.float64)
-        for r in parts:
-            c = r["cluster"]
-            counts[c] += r["n"]
-            sums[c] += np.frombuffer(r["s"], np.float64)
-            inertia[c] += r["inertia"]
+        for c, n, s, part_inertia in parts:
+            counts[c] += n
+            sums[c] += np.frombuffer(s, np.float64)
+            inertia[c] += part_inertia
         new = cents.copy()
         nz = counts > 0
         new[nz] = sums[nz] / np.linalg.norm(sums[nz], axis=1,
@@ -825,43 +800,33 @@ def e_kmeans_train(sf_dir: str, k: int = KMEANS_K,
 PCA_ITERS = 20
 
 
-class _PcaPartial:
-    """One power-iteration half-step per batch: emit the d-vector
-    partial (X - mean)^T ((X - mean) @ v) plus the batch's Rayleigh
-    numerator — (mean, v) broadcast once per iteration via ray.put.
-    Plain pickled instance (task pool, lazy ref resolve) — see
-    _KmeansPartial."""
+def _pca_partial(t: pa.Table, state) -> tuple:
+    """One power-iteration half-step over one block, for the round's
+    ``state = (mean, v)``: the d-vector partial (X - mean)^T
+    ((X - mean) @ v) packed as bytes, then the block's Rayleigh
+    numerator."""
+    mean, v = state
+    x = emb_matrix(t) - mean
+    proj = x @ v
+    return (x.T @ proj).tobytes(), float(proj @ proj)
 
-    def __init__(self, state_ref):
-        self._ref = state_ref
-        self.mean = self.v = None
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if self.v is None:
-            s = self._ref
-            self.mean, self.v = (ray.get(s)
-                                 if isinstance(s, ray.ObjectRef) else s)
-        if t.num_rows == 0:
-            return pa.table({"s": pa.array([], pa.binary()),
-                             "num": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
-        x = emb_matrix(t) - self.mean
-        proj = x @ self.v
-        return pa.table({
-            "s": pa.array([(x.T @ proj).tobytes()], pa.binary()),
-            "num": pa.array([float(proj @ proj)], pa.float64()),
-            "n": pa.array([t.num_rows], pa.int64()),
-        })
+def _mean_partial(t: pa.Table, state=None) -> tuple:
+    """One block's component sums (packed float64) and row count."""
+    return emb_matrix(t).sum(axis=0).tobytes(), t.num_rows
 
 
 def e_pca_power_iteration(sf_dir: str,
                           n_iters: int = PCA_ITERS) -> pd.DataFrame:
     """Top principal component of the embedding table by DISTRIBUTED
-    power iteration: the mean and the current direction broadcast per
-    iteration (two d-vectors), each batch contributes the d-vector
-    partial (X-mean)^T (X-mean) v — the covariance is NEVER formed and
-    no pass stores more than O(d) per batch.  Partials merge in
-    content-sorted order (the e_kmeans_train determinism recipe).
+    power iteration: the table is read once into object-store blocks
+    (one Ray Data job); the mean pass and each iteration are one
+    ``joins.per_block`` round of raw tasks over them, with the mean and
+    the current direction (two d-vectors) put once a round.  Each block
+    contributes the d-vector partial (X-mean)^T (X-mean) v — the
+    covariance is NEVER formed and no round stores more than O(d) per
+    block.  Partials merge in content-sorted order (the e_kmeans_train
+    determinism recipe).
     Returns one row per component weight plus the Rayleigh-quotient
     eigenvalue estimate; sign convention: the largest-|w| component is
     positive.  pytest locks it against a single-process power
@@ -873,43 +838,28 @@ def e_pca_power_iteration(sf_dir: str,
                       columns=["embedding"]).slice(0, 1)
     d = len(t.column("embedding")[0])
 
-    # pass 0: mean vector (content-sorted float64 partial merge)
-    def mean_partial(tt: pa.Table) -> pa.Table:
-        if tt.num_rows == 0:
-            return pa.table({"s": pa.array([], pa.binary()),
-                             "n": pa.array([], pa.int64())})
-        m = emb_matrix(tt)
-        return pa.table({"s": pa.array([m.sum(axis=0).tobytes()],
-                                       pa.binary()),
-                         "n": pa.array([tt.num_rows], pa.int64())})
-
-    # read + decode ONCE; the 21 passes below re-stream materialized
+    # read + decode ONCE; the mean pass and the rounds below re-read the
     # blocks from the object store instead of re-reading parquet
-    emb_ds = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"]).materialize()
-    parts = emb_ds.map_batches(
-        mean_partial, batch_format="pyarrow", batch_size=4096).take_all()
-    parts.sort(key=lambda r: r["s"])
+    blocks = block_refs(read_table(f"{sf_dir}/embeddings.parquet",
+                                   ["embedding"]))
+    # pass 0: mean vector (content-sorted float64 partial merge)
     total = np.zeros(d)
     n_rows = 0
-    for r in parts:
-        total += np.frombuffer(r["s"], np.float64)
-        n_rows += r["n"]
+    for s, n in sorted(per_block(blocks, _mean_partial, None)):
+        total += np.frombuffer(s, np.float64)
+        n_rows += n
     mean = total / n_rows
 
     v = np.zeros(d)
     v[0] = 1.0  # deterministic init
     eig = 0.0
     for _ in range(n_iters):
-        ref = ray.put((mean, v))
-        parts = emb_ds.map_batches(
-            _PcaPartial(ref), batch_format="pyarrow",
-            batch_size=4096).take_all()
-        parts.sort(key=lambda r: r["s"])
         s = np.zeros(d)
         num = 0.0
-        for r in parts:
-            s += np.frombuffer(r["s"], np.float64)
-            num += r["num"]
+        for part, part_num in sorted(per_block(blocks, _pca_partial,
+                                               (mean, v))):
+            s += np.frombuffer(part, np.float64)
+            num += part_num
         eig = num / n_rows          # Rayleigh numerator with unit v
         v = s / np.linalg.norm(s)
     if v[np.argmax(np.abs(v))] < 0:

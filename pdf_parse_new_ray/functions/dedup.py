@@ -981,11 +981,11 @@ def d_paragraph_dedup(sf_dir: str) -> pd.DataFrame:
 # the step after pair generation in a real dedup pipeline (keep one doc
 # per component).  Size-gated: driver union-find while the edge set is
 # small (near-dup edges are a sliver of the corpus after LSH+verify);
-# past the gate, distributed min-label propagation — each round is ONE
-# map over the symmetric edges against the broadcast labels plus a tiny
-# driver aggregate, and
-# convergence is detected by the strictly-decreasing label sum (no
-# extra join).  Rounds are bounded by component diameter.
+# past the gate, distributed min-label propagation — each round is one
+# raw task per piece of the symmetric edges against the round's labels
+# (joins.per_block) plus a tiny driver aggregate, and convergence is
+# detected by the strictly-decreasing label sum (no extra join).  Rounds
+# are bounded by component diameter.
 # ---------------------------------------------------------------------------
 
 CLUSTER_BROADCAST_EDGES = 2_000_000
@@ -1019,34 +1019,35 @@ def cluster_edges(edges: pd.DataFrame,
         rows = sorted((n, find(n)) for n in parent)
         return pd.DataFrame({"doc_id": [r[0] for r in rows],
                              "cluster": [r[1] for r in rows]})
-    # distributed: each round maps the symmetric edges against the
-    # broadcast label table (min label over in-edges), then min-merges
-    import pyarrow.compute as pc
-
+    # distributed: the symmetric edges are put once as one piece per
+    # cluster CPU; each round is one joins.per_block task per piece
+    # against the round's label table (min label over in-edges), then
+    # the driver min-merges
     import ray
+
+    from .joins import cluster_cpus, per_block
 
     sym = pa.table({
         "u": pa.array(pd.concat([edges["a"], edges["b"]]), pa.int64()),
         "v": pa.array(pd.concat([edges["b"], edges["a"]]), pa.int64()),
     })
-    edge_ds = rd.from_arrow(sym)
+    step = -(-sym.num_rows // cluster_cpus())
+    pieces = [ray.put(sym.slice(i, step))
+              for i in range(0, sym.num_rows, step)]
     nodes = pc.unique(sym["u"])
     labels = pa.table({"node": nodes, "label": nodes})
+
+    def propagate(t: pa.Table, lab: pa.Table) -> pa.Table:
+        idx = pc.index_in(t["u"], value_set=lab["node"].combine_chunks())
+        lu = pc.take(lab["label"].combine_chunks(), idx)
+        g = pa.table({"node": t["v"], "label": lu}) \
+            .group_by("node").aggregate([("label", "min")])
+        return pa.table({"node": g["node"], "label": g["label_min"]})
+
     prev_sum = None
     for _ in range(max_rounds):
-        lab_ref = ray.put(labels)
-
-        def propagate(t: pa.Table, ref=lab_ref) -> pa.Table:
-            lab = ray.get(ref)
-            idx = pc.index_in(t["u"], value_set=lab["node"].combine_chunks())
-            lu = pc.take(lab["label"].combine_chunks(), idx)
-            g = pa.table({"node": t["v"], "label": lu}) \
-                .group_by("node").aggregate([("label", "min")])
-            return pa.table({"node": g["node"], "label": g["label_min"]})
-
-        msgs = edge_ds.map_batches(propagate, batch_format="pyarrow") \
-            .to_arrow_refs()
-        msg_tbl = pa.concat_tables(ray.get(msgs) + [labels])
+        msg_tbl = pa.concat_tables(per_block(pieces, propagate, labels)
+                                   + [labels])
         g = msg_tbl.group_by("node").aggregate([("label", "min")])
         labels = pa.table({"node": g["node"], "label": g["label_min"]})
         cur = pc.sum(labels["label"]).as_py()

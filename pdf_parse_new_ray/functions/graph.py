@@ -2,17 +2,20 @@
 (repeated shuffles over a fixed edge relation with an evolving vertex
 state) that one-pass relational operators don't cover.
 
-Scale plan shared by the operators here: ``joins.LOCAL_FOLD_ROWS`` (read
-when called) is the one bound on what the driver holds.  At or under it
-the driver keeps the small state (PageRank's n-length rank vector, the
-triangle count's distinct pair keys) and fans the per-round work out as
-raw tasks over plasma-resident shards; above it the state never lands
-on the driver and every step is a keyed exchange (the vertex state
-cogroups with the edges each PageRank round; the triangle count runs
-the degree-oriented wedge join).  Float iteration order varies with
-partitioning, so PageRank results are rows-only driver checks; pytest
-locks them against a naive single-process reference on the same edges
-(np.allclose) plus exact invariants (rank mass = 1).
+PageRank runs one route at every size: the rank vector is sharded by a
+hash of the vertex, the edges are split by src once, and each round is
+one raw task per shard that combines its per-dst partials before
+sending them to their owner shards (FP-Hadoop's combine before the
+keyed reduce).  No vertex state lands on the driver, and every float sum
+adds in an order fixed by the edges, so the ranks are the same whatever
+the block layout; pytest locks them against a naive single-process
+reference on the same edges plus exact invariants (rank mass = 1).
+
+The triangle count reads ``joins.LOCAL_FOLD_ROWS`` (when called), the
+one bound on what the driver holds: at or under it the driver keeps the
+distinct pair keys and fans the wedge closure out as raw tasks over
+plasma-resident slices; above it every step is a keyed exchange (the
+degree-oriented wedge join).
 """
 
 from __future__ import annotations
@@ -65,43 +68,84 @@ def order_part_pairs(g: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(a_l), np.concatenate(b_l)
 
 
-def _vertex_census(edges: rd.Dataset) -> rd.Dataset:
-    """Distributed (node, deg) vertex set of a (src, dst) edge Dataset —
-    out-degree per node, deg=0 for sink-only nodes.  Per-batch endpoint
-    partials merge through ONE keyed fold on the node
-    (``joins.aggregate``); the vertex table never lands on the driver."""
-    from .joins import aggregate
+@ray.remote
+def _pr_prep(n_shards: int, *shards):
+    """One src bucket of the edges: its edges sorted by (src, dst), so
+    every later float sum of the bucket adds in one fixed order; its
+    unique srcs with their out-degrees; and its unique dsts routed to
+    their owner shards by the split's own hash.  Returns that edge state,
+    then the dsts sent to each shard."""
+    from .joins import _key_buckets
 
-    def endpoints(t: pa.Table) -> pa.Table:
-        src = t.column("src").combine_chunks()
-        dst = t.column("dst").combine_chunks()
-        return pa.table({
-            "node": pa.concat_arrays([src, dst]),
-            "deg": pa.array(np.concatenate([
-                np.ones(len(src), np.int64),
-                np.zeros(len(dst), np.int64)])),
-        })
+    t = [s for s in shards if s.num_rows]
+    src, dst = (np.concatenate([np.empty(0, np.int64)] + [
+        s.column(c).to_numpy(zero_copy_only=False) for s in t])
+        .astype(np.int64) for c in ("src", "dst"))
+    srcs, src_idx, deg = np.unique(src, return_inverse=True,
+                                   return_counts=True)
+    dsts, dst_idx = np.unique(dst, return_inverse=True)
+    # (src, dst) order by one sort of the packed index pair (a 2-key
+    # lexsort took 3x as long on 600k edges)
+    order = np.argsort(src_idx * len(dsts) + dst_idx)
+    src_idx, dst_idx = src_idx[order], dst_idx[order]
+    owner = _key_buckets(pa.array(dsts, pa.int64()), n_shards)
+    route = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[route], np.arange(n_shards + 1))
+    return ((srcs, deg, src_idx, dst_idx, route, cuts),
+            *np.split(dsts[route], cuts[1:-1]))
 
-    return aggregate(edges.map_batches(endpoints, batch_format="pyarrow"),
-                     "node", {"deg": ("deg", "sum")})
+
+@ray.remote(num_returns=2)
+def _pr_nodes(edge_state, *routed):
+    """A shard's vertex table: the srcs of its edge bucket plus the dsts
+    routed to it (sinks at out-degree 0), each round's arrays indexed
+    into it once.  Returns the shard and its vertex count."""
+    srcs, deg, src_idx, dst_idx, route, cuts = edge_state
+    nodes = np.unique(np.concatenate((srcs,) + routed))
+    src_pos = np.searchsorted(nodes, srcs)
+    out_deg = np.zeros(len(nodes))
+    out_deg[src_pos] = deg
+    recv = [np.searchsorted(nodes, r) for r in routed]
+    return (nodes, out_deg, src_pos[src_idx], dst_idx, route, cuts,
+            recv), len(nodes)
 
 
 @ray.remote
-def _pr_prep_shard(block: pa.Table, nodes: np.ndarray):
-    """Edge block -> (src_idx, dst_idx) int32 index arrays into the sorted
-    vertex census (computed ONCE; iterations then skip the searchsorted)."""
-    src = block.column("src").to_numpy(zero_copy_only=False)
-    dst = block.column("dst").to_numpy(zero_copy_only=False)
-    return (np.searchsorted(nodes, src).astype(np.int32),
-            np.searchsorted(nodes, dst).astype(np.int32))
+def _pr_round(shard, rank, n: int, damping: float, *msgs):
+    """One round of one vertex shard.  ``msgs`` are every shard's
+    dangling-mass partial of the previous round, then the per-dst
+    partials each shard sent here, both in shard order; the first round
+    gets none and starts at the uniform rank.  Returns the new ranks,
+    their dangling-mass partial, then one per-dst partial per owner
+    shard (a single bincount over the sorted edges: the combine before
+    the exchange)."""
+    nodes, out_deg, edge_src, dst_idx, route, cuts, recv = shard
+    if rank is None:
+        rank = np.full(len(nodes), 1.0 / n)
+    else:
+        incoming = np.zeros(len(nodes))
+        for idx, part in zip(recv, msgs[len(recv):]):
+            incoming[idx] += part
+        dangling = sum(msgs[:len(recv)])
+        rank = (1.0 - damping) / n + damping * (incoming + dangling / n)
+    share = np.divide(rank, out_deg, out=np.zeros_like(rank),
+                      where=out_deg > 0)
+    part = np.bincount(dst_idx, weights=share[edge_src],
+                       minlength=len(route))[route]
+    return (rank, float(rank[out_deg == 0].sum()),
+            *np.split(part, cuts[1:-1]))
+
+
+def _top(ranks: pd.DataFrame, k: int) -> pd.DataFrame:
+    return ranks.sort_values(["rank", "node"], ascending=[False, True]) \
+        .head(k).reset_index(drop=True)
 
 
 @ray.remote
-def _pr_shard_contrib(shard, share: np.ndarray, n: int) -> np.ndarray:
-    """One BSP round on one shard: dense incoming-mass partial via a
-    single C-loop bincount (deterministic sequential summation)."""
-    src_idx, dst_idx = shard
-    return np.bincount(dst_idx, weights=share[src_idx], minlength=n)
+def _pr_ranks(shard, rank, top_k: int | None) -> pd.DataFrame:
+    """A shard's (node, rank) rows, or its ``top_k`` highest."""
+    out = pd.DataFrame({"node": shard[0], "rank": rank})
+    return out if top_k is None else _top(out, top_k)
 
 
 def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
@@ -111,205 +155,60 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     (src, dst) — duplicate edges count as parallel edges.  Returns
     (node, rank) sorted by node, rank mass summing to 1 over all nodes
     (``top_k`` instead returns the k highest-rank rows, rank-major).
-
-    Two routes on the shared distributed vertex census, chosen by the
-    one driver bound ``joins.LOCAL_FOLD_ROWS`` (read when called):
-
-    * at most that many vertices: the driver holds the n-length rank
-      vector and each round is bulk-synchronous raw tasks over the edge
-      shards, indexed into the census once — one bincount per shard,
-      ~30 ms a round where a Ray Data job per round costs ~0.3 s.
-    * above it: vertex state never touches the driver —
-      ``_pagerank_cogroup`` below.
-
     Dangling-node mass (nodes with no out-edges) redistributes
     uniformly, keeping total mass exactly 1 like the textbook
-    formulation."""
-    from . import joins
+    formulation.
 
-    edges = edges.materialize()
-    # normalize the edge block count ONCE before the iteration loop: an
-    # upstream exchange can leave many tiny blocks (one per bucket),
-    # and every one of the n_iters rounds then pays per-block task
-    # overhead — one coalesce amortizes over all iterations
-    cpus = joins.cluster_cpus()
-    if edges.num_blocks() > cpus * 4:
-        edges = edges.repartition(cpus * 2).materialize()
-    vs = _vertex_census(edges).materialize()
-    n = int(vs.count())
+    One route at every size, with no vertex state on the driver: the
+    edges are materialized once (the only Ray Data job) and split by
+    ``src`` with the exchange's own split tasks; one prep task per bucket
+    and one node task per shard build the vertex shards, of which the
+    driver reads only the counts; then each round is one task per shard
+    (:func:`_pr_round`), submitted without waiting, and each shard
+    returns its rows or its local top-k (k x shards rows merged here).
+    Every float sum adds in an order fixed by the edges alone, so the
+    ranks do not depend on the block layout or on task timing.
+
+    The shard count is the cluster's CPUs floored to a power of two
+    (``exchange_buckets(0)``), not a count that grows with the rows:
+    each round makes shards^2 small partials, so more shards than cores
+    only add per-object overhead (on a 4-vCPU host, 8 shards ran the
+    sf0.1 co-purchase graph slower than 4)."""
+    from .joins import block_refs, exchange_buckets, key_split, split_blocks
+
+    p = exchange_buckets(0)
+    splits = split_blocks(block_refs(edges), key_split("src", ["src", "dst"]),
+                          p)
+    preps = [_pr_prep.options(num_returns=p + 1).remote(
+        p, *[s[1 + k] for s in splits]) for k in range(p)]
+    built = [_pr_nodes.remote(prep[0], *[o[1 + k] for o in preps])
+             for k, prep in enumerate(preps)]
+    shards = [shard for shard, _ in built]
+    n = sum(ray.get([count for _, count in built]))
     if n == 0:
         return pd.DataFrame({"node": pd.Series(dtype="int64"),
                              "rank": pd.Series(dtype="float64")})
-    if n > joins.LOCAL_FOLD_ROWS:
-        return _pagerank_cogroup(edges, vs, n, damping, n_iters, top_k)
-    deg = vs.to_pandas()
-    order = np.argsort(deg["node"].to_numpy())
-    nodes = deg["node"].to_numpy().astype(np.int64)[order]
-    out_deg = deg["deg"].to_numpy().astype(np.float64)[order]
-    rank = np.full(n, 1.0 / n)
-
-    # shards prepared once (plasma-resident index arrays), then n_iters
-    # rounds of one tiny task per shard; the driver folds the dense
-    # partials of a round in waves of 8, so peak transfer is 8 x 8n bytes
-    nodes_ref = ray.put(nodes)
-    shards = [_pr_prep_shard.remote(b, nodes_ref)
-              for b in edges.get_internal_block_refs()]
+    step = _pr_round.options(num_returns=p + 2)
+    outs = [step.remote(s, None, n, damping) for s in shards]
     for _ in range(n_iters):
-        share = np.divide(rank, out_deg, out=np.zeros_like(rank),
-                          where=out_deg > 0)
-        share_ref = ray.put(share)
-        futs = [_pr_shard_contrib.remote(s, share_ref, n) for s in shards]
-        incoming = np.zeros(n, np.float64)
-        while futs:
-            done, futs = ray.wait(futs, num_returns=min(8, len(futs)))
-            for v in ray.get(done):
-                incoming += v
-        dangling = float(rank[out_deg == 0].sum())
-        rank = ((1.0 - damping) / n
-                + damping * (incoming + dangling / n))
-    out = pd.DataFrame({"node": nodes, "rank": rank})
+        outs = [step.remote(s, outs[k][0], n, damping,
+                            *[o[1] for o in outs], *[o[2 + k] for o in outs])
+                for k, s in enumerate(shards)]
+    out = pd.concat(ray.get([_pr_ranks.remote(s, o[0], top_k)
+                             for s, o in zip(shards, outs)]),
+                    ignore_index=True)
     if top_k is not None:
-        out = out.sort_values(["rank", "node"], ascending=[False, True]) \
-            .head(top_k).reset_index(drop=True)
-    return out
-
-
-def _pagerank_cogroup(edges: rd.Dataset, vs: rd.Dataset, n: int,
-                      damping: float, n_iters: int,
-                      top_k: int | None) -> pd.DataFrame:
-    """Above-bound PageRank: vertex state lives in a bucketed Dataset
-    (node, deg, rank) and NEVER lands on the driver.  Per iteration:
-
-      1. dangling mass — per-block float partials over the vertex state
-         folded to ONE driver scalar (the only driver-side value).
-      2. shares (node -> rank/deg for deg>0; every edge src has deg>=1
-         so inner-join attach semantics lose nothing) attach to the edge
-         relation by ONE src-bucketed cogroup (joins.attach_value) whose
-         ``post`` hook collapses each bucket to per-dst partial sums —
-         contribution rows leaving a bucket are bounded by the bucket's
-         distinct dst count, not its edge count.
-      3. the partials cogroup with the vertex state in ONE keyed fold on
-         the node; inside each bucket an Arrow group_by folds the
-         partials and a vectorized index_in probe writes the new rank
-         vector.
-
-    Two keyed exchanges per iteration — the edge relation re-shuffles
-    each round (an exchange does not pin a prior partitioning; a
-    raw-actor edge shard would save it at the cost of leaving the
-    Dataset model).  Partial-sum order varies with partitioning, so
-    results are float-stable only to ~1e-12 (same contract as the
-    BSP route's np.allclose pytest lock).
-
-    ``top_k`` finalizes with per-block local top-k + a k×blocks driver
-    merge; without it the full (node, rank) frame is pulled — callers
-    above the bound should always pass top_k or consume the state
-    upstream."""
-    from .joins import attach_value, keyed, rename_agg
-
-    base = (1.0 - damping) / n
-    # the vertex state stays at one block per keyed bucket: each round's
-    # keyed fold emits one block per non-empty bucket, so the block count
-    # does not grow across iterations
-    vs = vs.map_batches(
-        lambda t: t.append_column(
-            "rank", pa.array(np.full(t.num_rows, 1.0 / n))),
-        batch_format="pyarrow").materialize()
-
-    def dang_partial(t: pa.Table) -> pa.Table:
-        r = t.column("rank").to_numpy(zero_copy_only=False)
-        d = t.column("deg").to_numpy(zero_copy_only=False)
-        return pa.table({"m": pa.array([float(r[d == 0].sum())])})
-
-    def share_rows(t: pa.Table) -> pa.Table:
-        d = t.column("deg").to_numpy(zero_copy_only=False)
-        r = t.column("rank").to_numpy(zero_copy_only=False)
-        keep = d > 0
-        return pa.table({
-            "doc_id": pa.array(
-                t.column("node").to_numpy(zero_copy_only=False)[keep],
-                pa.int64()),
-            "value": pa.array(r[keep] / d[keep], pa.float64()),
-        })
-
-    def post(tbl: pa.Table) -> pa.Table:
-        g = pa.table({"dst": tbl["dst"], "w": tbl["share"]}) \
-            .group_by("dst").aggregate([("w", "sum")])
-        return rename_agg(g, {"w_sum": "w"}, ["dst", "w"])
-
-    def tag_vs(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t["node"], "deg": t["deg"], "rank": t["rank"],
-            "__w": pa.nulls(t.num_rows, pa.float64()),
-        })
-
-    def tag_parts(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t["dst"],
-            "deg": pa.nulls(t.num_rows, pa.int64()),
-            "rank": pa.nulls(t.num_rows, pa.float64()),
-            "__w": t["w"],
-        })
-
-    def new_state_for(dangling: float):
-        def new_state(g: pa.Table) -> pa.Table:
-            is_v = pc.is_valid(g.column("deg"))
-            verts = g.filter(is_v)
-            parts = g.filter(pc.invert(is_v))
-            if verts.num_rows == 0:
-                return pa.table({"node": pa.array([], pa.int64()),
-                                 "deg": pa.array([], pa.int64()),
-                                 "rank": pa.array([], pa.float64())})
-            incoming = np.zeros(verts.num_rows, np.float64)
-            if parts.num_rows:
-                agg = pa.table({"node": parts["node"], "w": parts["__w"]}) \
-                    .group_by("node").aggregate([("w", "sum")])
-                idx = pc.index_in(
-                    verts.column("node"),
-                    value_set=agg.column("node").combine_chunks())
-                hit = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-                incoming[hit] = agg.column("w_sum").to_numpy(
-                    zero_copy_only=False)[
-                        idx.to_numpy(zero_copy_only=False)[hit]]
-            rank_new = base + damping * (incoming + dangling / n)
-            return pa.table({"node": verts["node"], "deg": verts["deg"],
-                             "rank": pa.array(rank_new, pa.float64())})
-
-        return new_state
-
-    for _ in range(n_iters):
-        dangling = float(
-            vs.map_batches(dang_partial, batch_format="pyarrow")
-            .sum("m") or 0.0)
-        shares = vs.map_batches(share_rows, batch_format="pyarrow")
-        partials = attach_value(
-            edges, shares, "src", "share", pa.float64(),
-            [("src", pa.int64()), ("dst", pa.int64())], post=post)
-        vs = keyed(vs.map_batches(tag_vs, batch_format="pyarrow")
-                   .union(partials.map_batches(tag_parts,
-                                               batch_format="pyarrow")),
-                   "node", new_state_for(dangling))
-
-    if top_k is not None:
-        def local_topk(t: pa.Table) -> pa.Table:
-            order = pc.sort_indices(
-                t, sort_keys=[("rank", "descending"),
-                              ("node", "ascending")])
-            return t.take(order.slice(0, top_k)).select(["node", "rank"])
-
-        cand = vs.map_batches(local_topk, batch_format="pyarrow") \
-            .to_pandas()
-        return cand.sort_values(["rank", "node"],
-                                ascending=[False, True]) \
-            .head(top_k).reset_index(drop=True)
-    return vs.to_pandas().sort_values("node").reset_index(drop=True) \
-        .drop(columns=["deg"])
+        return _top(out, top_k)
+    return out.sort_values("node").reset_index(drop=True)
 
 
 def g_pagerank_copurchase(sf_dir: str) -> pd.DataFrame:
     """PageRank over the co-purchase graph (parts as nodes, one directed
     edge each way per same-order part pair — the q_copurchase_pairs
     relation made symmetric).  Top-20 parts by rank; rows-only checked
-    (iterative float), locked against the naive reference in pytest."""
+    (iterative float), locked against the naive reference in pytest.
+    The lineitem read, the pair fold and the edges' materialize run as
+    one Ray Data job; every round is raw tasks (:func:`pagerank_edges`)."""
     from .joins import keyed
 
     li = read_table(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"])
@@ -445,7 +344,7 @@ def g_triangle_count(sf_dir: str) -> pd.DataFrame:
     n_edges = edges.count()
 
     # degree census: per-batch partials merged through ONE keyed fold on
-    # the node — the _vertex_census plan
+    # the node
     def endpoints(t: pa.Table) -> pa.Table:
         return pa.table({"node": pa.concat_arrays(
             [t["a"].combine_chunks(), t["b"].combine_chunks()])})

@@ -1988,26 +1988,13 @@ def test_trailing_hour_sum_peers_and_fallback(ray_session, tmp_path,
     assert fast.equals(slow) and len(fast) > 0
 
 
-def test_pagerank_matches_naive(ray_session, tmp_path):
-    """Distributed PageRank equals the naive single-process iteration on
-    the same edges (same damping/iterations), and rank mass stays 1.
-    Includes a dangling node (no out-edges) to exercise redistribution."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
+def _naive_pagerank(edges: list) -> tuple[list, np.ndarray]:
+    """(sorted nodes, ranks) of the textbook single-process PageRank on
+    ``(src, dst)`` edges: the operator's damping and iterations, one
+    Python add per edge, dangling mass spread uniformly."""
     from pdf_parse_new_ray.functions.graph import (PAGERANK_DAMPING,
-                                                   PAGERANK_ITERS,
-                                                   pagerank_edges)
+                                                   PAGERANK_ITERS)
 
-    edges = [(1, 2), (2, 3), (3, 1), (1, 3), (4, 1)]  # 5 is reachable-only
-    edges.append((3, 5))  # node 5 dangles
-    pq.write_table(pa.table({
-        "src": pa.array([a for a, _ in edges], pa.int64()),
-        "dst": pa.array([b for _, b in edges], pa.int64()),
-    }), str(tmp_path / "edges.parquet"))
-    got = pagerank_edges(rd.read_parquet(str(tmp_path / "edges.parquet")))
-    # naive reference
     nodes = sorted({x for e in edges for x in e})
     ix = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -2024,45 +2011,74 @@ def test_pagerank_matches_naive(ray_session, tmp_path):
         dangling = rank[out_deg == 0].sum()
         rank = (1 - PAGERANK_DAMPING) / n \
             + PAGERANK_DAMPING * (incoming + dangling / n)
+    return nodes, rank
+
+
+def _edge_dataset(edges: list, path):
+    import ray.data as rd
+
+    pq.write_table(pa.table({
+        "src": pa.array([a for a, _ in edges], pa.int64()),
+        "dst": pa.array([b for _, b in edges], pa.int64()),
+    }), str(path))
+    return rd.read_parquet(str(path))
+
+
+def test_pagerank_matches_naive(ray_session, tmp_path):
+    """Distributed PageRank equals the naive single-process iteration on
+    the same edges (same damping/iterations), and rank mass stays 1.
+    Includes a dangling node (no out-edges) to exercise redistribution."""
+    from pdf_parse_new_ray.functions.graph import pagerank_edges
+
+    edges = [(1, 2), (2, 3), (3, 1), (1, 3), (4, 1)]  # 5 is reachable-only
+    edges.append((3, 5))  # node 5 dangles
+    got = pagerank_edges(_edge_dataset(edges, tmp_path / "edges.parquet"))
+    nodes, rank = _naive_pagerank(edges)
     assert np.allclose(got["rank"].to_numpy(), rank, atol=1e-12)
     assert abs(got["rank"].sum() - 1.0) < 1e-9
     assert list(got["node"]) == nodes
 
 
-def test_pagerank_cogroup_scale_path_matches_broadcast(ray_session, tmp_path,
-                                                      monkeypatch):
-    """The above-bound cogroup iteration (vertex state never on the
-    driver, ``joins.LOCAL_FOLD_ROWS`` at 0) produces the same ranks as
-    the BSP route at the default bound on the same edges, and its
-    per-block top-k merge returns the same top rows."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from pdf_parse_new_ray.functions import joins
+def test_pagerank_random_graph_matches_naive(ray_session, tmp_path):
+    """On a seeded 300-edge graph whose nodes 40-49 dangle, the sharded
+    rank vector matches the naive iteration to 1e-12 and keeps mass 1,
+    and the shards' merged local top-k is the naive top 5."""
     from pdf_parse_new_ray.functions.graph import pagerank_edges
 
     rng = np.random.RandomState(7)
     src = rng.randint(0, 40, 300).astype(np.int64)
     dst = rng.randint(0, 50, 300).astype(np.int64)  # nodes 40-49 dangle
     keep = src != dst
-    pq.write_table(pa.table({"src": pa.array(src[keep], pa.int64()),
-                             "dst": pa.array(dst[keep], pa.int64())}),
-                   str(tmp_path / "edges.parquet"))
-    ds = rd.read_parquet(str(tmp_path / "edges.parquet"))
-    bc = pagerank_edges(ds)
-    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
-    cg = pagerank_edges(ds)
-    assert list(cg["node"]) == list(bc["node"])
-    assert np.allclose(cg["rank"].to_numpy(), bc["rank"].to_numpy(),
-                       atol=1e-12)
-    assert abs(cg["rank"].sum() - 1.0) < 1e-9
+    edges = list(zip(src[keep].tolist(), dst[keep].tolist()))
+    ds = _edge_dataset(edges, tmp_path / "edges.parquet")
+    nodes, rank = _naive_pagerank(edges)
+    got = pagerank_edges(ds)
+    assert list(got["node"]) == nodes
+    assert np.allclose(got["rank"].to_numpy(), rank, rtol=0, atol=1e-12)
+    assert abs(got["rank"].sum() - 1.0) < 1e-9
     top = pagerank_edges(ds, top_k=5)
-    want = bc.sort_values(["rank", "node"], ascending=[False, True]) \
-        .head(5).reset_index(drop=True)
+    want = pd.DataFrame({"node": nodes, "rank": rank}) \
+        .sort_values(["rank", "node"], ascending=[False, True]).head(5)
     assert list(top["node"]) == list(want["node"])
     assert np.allclose(top["rank"].to_numpy(), want["rank"].to_numpy(),
-                       atol=1e-12)
+                       rtol=0, atol=1e-12)
+
+
+def test_pagerank_bit_identical_across_block_layouts(ray_session):
+    """The same edges as 1 block and as 7 blocks give bit-identical
+    ranks: every float sum adds in an order fixed by the edges, never by
+    the block layout or by which task finishes first."""
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions.graph import pagerank_edges
+
+    rng = np.random.RandomState(11)
+    edges = pa.table({"src": rng.randint(0, 300, 5000).astype(np.int64),
+                      "dst": rng.randint(0, 400, 5000).astype(np.int64)})
+    one = pagerank_edges(rd.from_arrow(edges))
+    seven = pagerank_edges(rd.from_arrow(edges).repartition(7))
+    assert list(one["node"]) == list(seven["node"])
+    assert np.array_equal(one["rank"].to_numpy(), seven["rank"].to_numpy())
 
 
 def test_pagerank_copurchase_runs(ray_session, monkeypatch):

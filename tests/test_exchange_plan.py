@@ -2,8 +2,9 @@
 a query's reads, maps, exchanges and collect run as one job, each bucket
 is reduced once, and a finished exchange is not run again when its result
 is read a second time; ``joins.aggregate``, the aggregation built on it;
-and ``joins.lookup`` and the graph operators, whose one bound chooses
-between a driver-side route and an exchange."""
+``joins.lookup`` and the triangle count, whose one bound chooses between
+a driver-side route and an exchange; and the iterative operators, whose
+rounds are raw tasks that start no Ray Data job."""
 
 import collections
 import os
@@ -112,6 +113,36 @@ def exchanges(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("query,bound", [
+    ("e_kmeans_train", None), ("e_pca_power_iteration", None),
+    ("g_pagerank_copurchase", None), ("g_pagerank_copurchase", 0)])
+def test_iterative_query_runs_as_one_job(ray_session, monkeypatch, tmp_path,
+                                         jobs, query, bound):
+    """k-means, PCA and PageRank each start exactly one Ray Data job,
+    their read (PageRank's pair fold too, exchanged at bound 0); every
+    round is raw tasks (``joins.per_block`` or PageRank's shard tasks),
+    so a job per round cannot come back unseen.  It reads perfbench's
+    sf0.001 tables plus a seeded 500-vector embeddings table, which that
+    copy lacks."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    from pdf_parse_new_ray.functions import joins
+
+    for f in os.listdir(SF001):
+        os.symlink(os.path.join(SF001, f), tmp_path / f)
+    emb = np.random.RandomState(5).rand(500, 16).astype(np.float32)
+    pq.write_table(pa.table({
+        "vec_id": np.arange(500, dtype=np.int64),
+        "embedding": pa.array(list(emb), pa.list_(pa.float32()))}),
+        tmp_path / "embeddings.parquet")
+    if bound is not None:
+        monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", bound)
+    out = entry.queries()[query](str(tmp_path))
+    assert len(out) > 0
+    assert jobs["jobs"] == 1
+
+
 @pytest.mark.parametrize("query", ["q5_nation_revenue", "q8_market_share"])
 def test_gated_dimension_joins_plan_no_exchange(ray_session, jobs, exchanges,
                                                 query):
@@ -186,13 +217,13 @@ def test_lookup_routes_match_at_the_bound(ray_session, monkeypatch, tmp_path,
 
 def test_graph_routes_match_at_the_bound(ray_session, monkeypatch,
                                          exchanges):
-    """``LOCAL_FOLD_ROWS`` alone picks the graph routes.  PageRank on the
-    sf0.001 co-purchase edges runs the raw-task BSP loop when the bound
-    equals the vertex count (only the vertex census plans an exchange)
-    and the cogroup iteration one below (two exchanges a round); ranks
-    and top-k agree to 1e-12.  The triangle count closes on the driver
-    when the bound equals its pair-partial count (no exchange after
-    stage 1) and runs the wedge join one below; the frames are equal."""
+    """``LOCAL_FOLD_ROWS`` alone picks the triangle count's route, and
+    PageRank has one route that does not read it.  PageRank on the
+    sf0.001 co-purchase edges plans no ``HashExchange`` at bounds n
+    (the vertex count), n - 1 and 0, and its ranks are bit-identical at
+    all three.  The triangle count closes on the driver when the bound
+    equals its pair-partial count (no exchange after stage 1) and runs
+    the wedge join one below; the frames are equal."""
     import pandas as pd
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -213,18 +244,15 @@ def test_graph_routes_match_at_the_bound(ray_session, monkeypatch,
         out = fn(*args, **kw)
         return exchanges["n"] - before, out
 
-    planned_b, bsp = run(n, graph.pagerank_edges, edges)
-    planned_x, cogroup = run(n - 1, graph.pagerank_edges, edges)
-    assert (planned_b, planned_x) == (1, 1 + 2 * graph.PAGERANK_ITERS)
-    assert list(bsp["node"]) == list(cogroup["node"])
-    assert np.allclose(bsp["rank"], cogroup["rank"], rtol=0, atol=1e-12)
-    assert abs(bsp["rank"].sum() - 1.0) < 1e-9
-    top = run(n, graph.pagerank_edges, edges, top_k=5)[1]
-    want = bsp.sort_values(["rank", "node"], ascending=[False, True]) \
-        .head(5).reset_index(drop=True)
-    assert list(top["node"]) == list(want["node"])
-    got = np.sort(cogroup["rank"].to_numpy())[::-1][:5]
-    assert np.allclose(top["rank"].to_numpy(), got, rtol=0, atol=1e-12)
+    ranks = [run(bound, graph.pagerank_edges, edges)
+             for bound in (n, n - 1, 0)]
+    assert [planned for planned, _ in ranks] == [0, 0, 0]
+    first = ranks[0][1]
+    assert len(first) == n and abs(first["rank"].sum() - 1.0) < 1e-9
+    for _, other in ranks[1:]:
+        assert list(other["node"]) == list(first["node"])
+        assert np.array_equal(other["rank"].to_numpy(),
+                              first["rank"].to_numpy())
 
     # lineitem has fewer rows than either bound, so stage 1 folds
     # in-process at both and its partials are the distinct edges
