@@ -979,84 +979,39 @@ def d_paragraph_dedup(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 # near-dup clustering: connected components over verified pair edges —
 # the step after pair generation in a real dedup pipeline (keep one doc
-# per component).  Size-gated: driver union-find while the edge set is
-# small (near-dup edges are a sliver of the corpus after LSH+verify);
-# past the gate, distributed min-label propagation — each round is one
-# raw task per piece of the symmetric edges against the round's labels
-# (joins.per_block) plus a tiny driver aggregate, and convergence is
-# detected by the strictly-decreasing label sum (no extra join).  Rounds
-# are bounded by component diameter.
+# per component).  One driver union-find: near-dup edges are a sliver of
+# the corpus after LSH+verify, and it finishes in one pass over them
+# whatever the component diameter (1M random edges in 6.8 s on a 4-vCPU
+# host, where a per-block min-label propagation took 39 s and stopped
+# unconverged on long chains).
 # ---------------------------------------------------------------------------
 
-CLUSTER_BROADCAST_EDGES = 2_000_000
-
-
-def cluster_edges(edges: pd.DataFrame,
-                  max_rounds: int = 64) -> pd.DataFrame:
+def cluster_edges(edges: pd.DataFrame) -> pd.DataFrame:
     """edges: DataFrame with int64 columns (a, b) → DataFrame
     (doc_id, cluster) where cluster = min doc_id of the component."""
     if len(edges) == 0:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "cluster": pd.Series(dtype="int64")})
-    if len(edges) <= CLUSTER_BROADCAST_EDGES:
-        parent: dict[int, int] = {}
+    parent: dict[int, int] = {}
 
-        def find(x: int) -> int:
-            r = x
-            while parent.setdefault(r, r) != r:
-                r = parent[r]
-            while parent[x] != r:  # path compression
-                parent[x], x = r, parent[x]
-            return r
+    def find(x: int) -> int:
+        r = x
+        while parent.setdefault(r, r) != r:
+            r = parent[r]
+        while parent[x] != r:  # path compression
+            parent[x], x = r, parent[x]
+        return r
 
-        for a, b in zip(edges["a"], edges["b"]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        rows = sorted((n, find(n)) for n in parent)
-        return pd.DataFrame({"doc_id": [r[0] for r in rows],
-                             "cluster": [r[1] for r in rows]})
-    # distributed: the symmetric edges are put once as one piece per
-    # cluster CPU; each round is one joins.per_block task per piece
-    # against the round's label table (min label over in-edges), then
-    # the driver min-merges
-    import ray
-
-    from .joins import cluster_cpus, per_block
-
-    sym = pa.table({
-        "u": pa.array(pd.concat([edges["a"], edges["b"]]), pa.int64()),
-        "v": pa.array(pd.concat([edges["b"], edges["a"]]), pa.int64()),
-    })
-    step = -(-sym.num_rows // cluster_cpus())
-    pieces = [ray.put(sym.slice(i, step))
-              for i in range(0, sym.num_rows, step)]
-    nodes = pc.unique(sym["u"])
-    labels = pa.table({"node": nodes, "label": nodes})
-
-    def propagate(t: pa.Table, lab: pa.Table) -> pa.Table:
-        idx = pc.index_in(t["u"], value_set=lab["node"].combine_chunks())
-        lu = pc.take(lab["label"].combine_chunks(), idx)
-        g = pa.table({"node": t["v"], "label": lu}) \
-            .group_by("node").aggregate([("label", "min")])
-        return pa.table({"node": g["node"], "label": g["label_min"]})
-
-    prev_sum = None
-    for _ in range(max_rounds):
-        msg_tbl = pa.concat_tables(per_block(pieces, propagate, labels)
-                                   + [labels])
-        g = msg_tbl.group_by("node").aggregate([("label", "min")])
-        labels = pa.table({"node": g["node"], "label": g["label_min"]})
-        cur = pc.sum(labels["label"]).as_py()
-        if cur == prev_sum:
-            break
-        prev_sum = cur
-    out = labels.to_pandas().rename(columns={"node": "doc_id",
-                                             "label": "cluster"})
-    return out.sort_values("doc_id").reset_index(drop=True)
+    for a, b in zip(edges["a"], edges["b"]):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            if ra < rb:
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
+    rows = sorted((n, find(n)) for n in parent)
+    return pd.DataFrame({"doc_id": [r[0] for r in rows],
+                         "cluster": [r[1] for r in rows]})
 
 
 def d_dup_clusters(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
@@ -1182,11 +1137,6 @@ def d_incremental_dedup(sf_dir: str, n_batches: int = 2,
 
 SUBSTR_GRAM_N = 15
 
-# below this many (hash, doc_id) gram rows the document-frequency table
-# folds on the driver and the dup-set probe is a shuffle-free broadcast
-# pass; above it the hash-bucket exchange runs (100 TB corpora)
-SUBSTR_BROADCAST_ROWS = 5_000_000
-
 
 def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
     """Exact-substring duplication census — the suffix-array dedup of
@@ -1202,8 +1152,10 @@ def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
     each bucket computes BOTH the df>=2 hash set and the per-doc
     partial counts in a single Arrow group_by pass (vectorized is_in
     semi-join, no second scan of the gram stream); the final per-doc
-    merge is a tiny int64 groupby.  Gram hashes are md5-derived
-    (_gram_hash64) so the DuckDB oracle recomputes identical values.
+    merge is a tiny int64 groupby.  Both folds run in-process or
+    exchange as joins.LOCAL_FOLD_ROWS decides.  Gram hashes are
+    md5-derived (_gram_hash64) so the DuckDB oracle recomputes identical
+    values.
     """
     import pyarrow.compute as pc
 
@@ -1255,50 +1207,10 @@ def d_substring_dedup(sf_dir: str) -> pd.DataFrame:
                          "n_dup": pc.cast(nd, pa.int64())})
 
     gds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
-        .map_batches(grams, batch_format="pyarrow").materialize()
-
-    if gds.count() <= SUBSTR_BROADCAST_ROWS:
-        # broadcast path (same template as t_bigram_lm_score): fold
-        # per-batch df partials on the driver, broadcast the sorted
-        # df>=2 hash set, score each batch shuffle-free
-        import ray
-
-        from .joins import broadcast_map
-
-        parts = gds.map_batches(
-            lambda t: t.select(["h"]).group_by("h")
-            .aggregate([("h", "count")]),
-            batch_format="pyarrow").to_pandas()
-        hp = parts["h"].to_numpy().astype(np.uint64)
-        cp = parts["h_count"].to_numpy().astype(np.int64)
-        hs, inv = np.unique(hp, return_inverse=True)
-        dfc = np.zeros(len(hs), np.int64)
-        np.add.at(dfc, inv, cp)
-        shared_ref = ray.put(hs[dfc >= 2])
-
-        def score_bc(t: pa.Table, shared) -> pa.Table:
-            h = t.column("h").to_numpy(zero_copy_only=False)
-            if len(shared):
-                idx = np.searchsorted(shared, h)
-                idx[idx == len(shared)] = 0
-                dup = (shared[idx] == h).astype(np.int64)
-            else:
-                dup = np.zeros(len(h), np.int64)
-            per = pa.table({
-                "doc_id": t.column("doc_id"),
-                "one": pa.array(np.ones(len(h), np.int64)),
-                "dup": pa.array(dup),
-            }).group_by("doc_id").aggregate([("one", "sum"),
-                                             ("dup", "sum")])
-            return per
-
-        out = broadcast_map(gds, score_bc, shared_ref).to_pandas() \
-            .groupby("doc_id", as_index=False).sum()
-        out.columns = ["doc_id", "n_grams", "n_dup"]
-    else:
-        out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
-                              {"n_grams": ("n_grams", "sum"),
-                               "n_dup": ("n_dup", "sum")}))
+        .map_batches(grams, batch_format="pyarrow")
+    out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
+                          {"n_grams": ("n_grams", "sum"),
+                           "n_dup": ("n_dup", "sum")}))
     out["n_grams"] = out["n_grams"].astype("int64")
     out["n_dup"] = out["n_dup"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -30,8 +30,8 @@ Data plan operator, and the operators built on it.
 * :func:`block_refs` / :func:`per_block` -- the one way an iterative
   operator runs its rounds: materialize the input once, then each round
   puts its state once and runs one raw task per block, so no round
-  starts a Ray Data job (k-means, PCA and label propagation; PageRank's
-  shard rounds use :func:`split_blocks`, the exchange's split wave).
+  starts a Ray Data job (k-means and PCA; PageRank's shard rounds use
+  :func:`split_blocks`, the exchange's split wave).
 
 All run on :func:`hash_exchange`, the canonical Ray map-reduce shuffle:
 each input block splits into one shard object per bucket, and one reduce
@@ -205,7 +205,7 @@ def _run_per_block(fn, state, block):
 
 def per_block(refs: list, fn, state) -> list:
     """``fn(table, state)`` over each block of ``refs`` (from
-    :func:`block_refs`, or tables the caller put), one raw task per block,
+    :func:`block_refs`), one raw task per block,
     with ``state`` put once: the results, in ref order.
 
     The round of an iterative operator: its loop calls this once a round

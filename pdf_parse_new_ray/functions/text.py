@@ -334,11 +334,10 @@ def t_top_bigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
     feeds contamination / boilerplate analyses).
 
     Scale plan: per-batch Counter partials collapse each batch to its
-    DISTINCT grams before the only shuffle; under a 5M-partial-row gate
-    the mergeable (gram, n) partials fold on the driver, above it they
-    merge through ONE keyed fold on the gram (Arrow group_by + local
-    top-k per bucket — never a Ray-native per-distinct-gram aggregate),
-    so driver traffic is k x buckets rows."""
+    DISTINCT grams, then ONE keyed fold on the gram merges them (Arrow
+    group_by + local top-k per bucket — never a Ray-native
+    per-distinct-gram aggregate), so driver traffic is k x buckets rows.
+    A small partial table folds in-process (joins.LOCAL_FOLD_ROWS)."""
     from collections import Counter
 
     from .joins import keyed, rename_agg
@@ -355,19 +354,16 @@ def t_top_bigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
             "n": pa.array(list(c.values()), pa.int64()),
         })
 
-    parts = read_table(f"{sf_dir}/documents.parquet", ["text"]).map_batches(
-        partial, batch_format="pyarrow").materialize()
-    if parts.count() <= DSIR_BROADCAST_ROWS:
-        df = parts.to_pandas().groupby("gram", as_index=False)["n"].sum()
-    else:
-        def bucket_merge(g: pa.Table) -> pa.Table:
-            t = g.group_by("gram").aggregate([("n", "sum")])
-            t = rename_agg(t, {"n_sum": "n"}, ["gram", "n"])
-            order = pc.sort_indices(t, sort_keys=[("n", "descending"),
-                                                  ("gram", "ascending")])
-            return t.take(order[:k])
+    def bucket_merge(g: pa.Table) -> pa.Table:
+        t = g.group_by("gram").aggregate([("n", "sum")])
+        t = rename_agg(t, {"n_sum": "n"}, ["gram", "n"])
+        order = pc.sort_indices(t, sort_keys=[("n", "descending"),
+                                              ("gram", "ascending")])
+        return t.take(order[:k])
 
-        df = keyed(parts, "gram", bucket_merge).to_pandas()
+    parts = read_table(f"{sf_dir}/documents.parquet", ["text"]).map_batches(
+        partial, batch_format="pyarrow")
+    df = keyed(parts, "gram", bucket_merge).to_pandas()
     df = df.sort_values(["n", "gram"], ascending=[False, True]).head(k)
     return df.reset_index(drop=True)[["gram", "n"]]
 
@@ -645,13 +641,6 @@ def t_lang_mix_sample(sf_dir: str) -> pd.DataFrame:
 # corpus bigram-LM document scoring (CCNet-style fluency proxy)
 # ---------------------------------------------------------------------------
 
-# below this many gram rows the corpus bigram-frequency table folds on
-# the driver (per-batch Arrow partials; 24 B/row — 5M = 120 MB transfer
-# bound) and document scoring is a shuffle-free broadcast searchsorted
-# pass; above it the bucketed two-exchange plan runs (100 TB corpora)
-BIGRAM_BROADCAST_ROWS = 5_000_000
-
-
 def t_bigram_lm_score(sf_dir: str) -> pd.DataFrame:
     """Corpus-LM document scoring (the CCNet idea with an integer-exact
     statistic): build the corpus-wide bigram frequency table, then
@@ -659,17 +648,14 @@ def t_bigram_lm_score(sf_dir: str) -> pd.DataFrame:
     bigrams — fluent, typical text scores high; gibberish and
     boilerplate-free outliers score low.
 
-    Small-corpus fast path (gram rows under BIGRAM_BROADCAST_ROWS):
-    the materialized (h, doc_id, occ) gram rows yield the corpus
-    frequency table in one driver fold of per-batch Arrow partials;
-    scoring is then a shuffle-free broadcast_map searchsorted pass —
-    zero exchanges.  Scale path: ONE keyed exchange on the gram hash
-    computes the global counts AND the per-row occ x corpus_count
-    products per bucket, and the per-doc merge rides a keyed fold on
-    doc_id (never a per-distinct-doc Ray-native aggregate).  All
-    counting in int64 — no float drift."""
+    ONE keyed exchange on the gram hash computes the global counts AND
+    the per-row occ x corpus_count products per bucket, and the per-doc
+    merge rides a keyed fold on doc_id (never a per-distinct-doc
+    Ray-native aggregate); joins.LOCAL_FOLD_ROWS decides whether each
+    fold runs in-process or exchanges.  All counting in int64 — no
+    float drift."""
     from .dedup import _gram_hash64
-    from .joins import broadcast_map, keyed
+    from .joins import keyed, rename_agg
 
     word = re.compile(r"[a-z0-9]+")
 
@@ -696,68 +682,33 @@ def t_bigram_lm_score(sf_dir: str) -> pd.DataFrame:
             "occ": pa.array(o, pa.int64()),
         })
 
+    def per_bucket(g: pa.Table) -> pa.Table:
+        if g.num_rows == 0:
+            return pa.table({"doc_id": pa.array([], pa.int64()),
+                             "n_bigrams": pa.array([], pa.int64()),
+                             "total_freq": pa.array([], pa.int64())})
+        cnt = rename_agg(g.group_by("h").aggregate([("occ", "sum")]),
+                         {"occ_sum": "c"})
+        # vectorized corpus-count attach: position of each row's h in
+        # the bucket-local (== global for these hashes) count table
+        idx = pc.index_in(g.column("h"), value_set=cnt.column("h"))
+        c_row = pc.take(cnt.column("c"), idx)
+        score = pc.multiply_checked(
+            pc.cast(g.column("occ"), pa.int64()),
+            pc.cast(c_row, pa.int64()))
+        per = pa.table({"doc_id": g.column("doc_id"),
+                        "occ": g.column("occ"), "part": score}) \
+            .group_by("doc_id").aggregate([("occ", "sum"),
+                                           ("part", "sum")])
+        return rename_agg(per, {"occ_sum": "n_bigrams",
+                                "part_sum": "total_freq"},
+                          ["doc_id", "n_bigrams", "total_freq"])
+
     gds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
-        .map_batches(grams, batch_format="pyarrow").materialize()
-
-    if gds.count() <= BIGRAM_BROADCAST_ROWS:
-        # broadcast path: fold per-batch (h, occ) partials on the driver
-        # into the corpus frequency table, then score each batch against
-        # the broadcast sorted table — no shuffle at all
-        parts = gds.map_batches(
-            lambda t: t.select(["h", "occ"]).group_by("h")
-            .aggregate([("occ", "sum")]),
-            batch_format="pyarrow").to_pandas()
-        hp = parts["h"].to_numpy().astype(np.uint64)
-        op = parts["occ_sum"].to_numpy().astype(np.int64)
-        hs, inv = np.unique(hp, return_inverse=True)
-        cs = np.zeros(len(hs), np.int64)
-        np.add.at(cs, inv, op)  # exact int64 fold
-        ref = ray.put((hs, cs))
-
-        def score_bc(t: pa.Table, state) -> pa.Table:
-            hs_w, cs_w = state
-            h = t.column("h").to_numpy(zero_copy_only=False)
-            occ = t.column("occ").to_numpy(zero_copy_only=False)
-            c_row = cs_w[np.searchsorted(hs_w, h)]
-            per = pa.table({
-                "doc_id": t.column("doc_id"),
-                "occ": t.column("occ"),
-                "part": pa.array(occ * c_row, pa.int64()),
-            }).group_by("doc_id").aggregate([("occ", "sum"),
-                                             ("part", "sum")])
-            return per
-
-        out = broadcast_map(gds, score_bc, ref).to_pandas() \
-            .groupby("doc_id", as_index=False).sum()
-        out.columns = ["doc_id", "n_bigrams", "total_freq"]
-    else:
-        def per_bucket(g: pa.Table) -> pa.Table:
-            from .joins import rename_agg
-
-            if g.num_rows == 0:
-                return pa.table({"doc_id": pa.array([], pa.int64()),
-                                 "n_bigrams": pa.array([], pa.int64()),
-                                 "total_freq": pa.array([], pa.int64())})
-            cnt = rename_agg(g.group_by("h").aggregate([("occ", "sum")]),
-                             {"occ_sum": "c"})
-            # vectorized corpus-count attach: position of each row's h in
-            # the bucket-local (== global for these hashes) count table
-            idx = pc.index_in(g.column("h"), value_set=cnt.column("h"))
-            c_row = pc.take(cnt.column("c"), idx)
-            score = pc.multiply_checked(
-                pc.cast(g.column("occ"), pa.int64()),
-                pc.cast(c_row, pa.int64()))
-            per = pa.table({"doc_id": g.column("doc_id"),
-                            "occ": g.column("occ"), "part": score}) \
-                .group_by("doc_id").aggregate([("occ", "sum"),
-                                               ("part", "sum")])
-            return rename_agg(per, {"occ_sum": "n_bigrams",
-                                    "part_sum": "total_freq"},
-                              ["doc_id", "n_bigrams", "total_freq"])
-
-        out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
-                              {"n_bigrams": ("n_bigrams", "sum"),
-                               "total_freq": ("total_freq", "sum")}))
+        .map_batches(grams, batch_format="pyarrow")
+    out = frame(aggregate(keyed(gds, "h", per_bucket), "doc_id",
+                          {"n_bigrams": ("n_bigrams", "sum"),
+                           "total_freq": ("total_freq", "sum")}))
     out["n_bigrams"] = out["n_bigrams"].astype("int64")
     out["total_freq"] = out["total_freq"].astype("int64")
     # no rounded-division column: total_freq / n_bigrams is derivable,
@@ -916,9 +867,6 @@ def t_sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN,
 # ---------------------------------------------------------------------------
 
 DSIR_BUCKETS = 4096        # hashed feature dimension (DSIR's 10^4 scale)
-# below this many gram rows the bounded (rcnt, tcnt) feature table folds
-# on the driver and scoring is a shuffle-free broadcast pass
-DSIR_BROADCAST_ROWS = 5_000_000
 DSIR_TARGET_LANG = "en"    # target distribution = the English slice
 
 
@@ -942,7 +890,9 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
     every occurrence row of a feature lands in one keyed bucket, so
     bucket-local counts ARE the global tcnt/rcnt and the per-doc partial
     masses fold in the same pass; the per-doc merge is a keyed fold on
-    doc_id (doc-exclusive), never a high-cardinality Ray aggregate."""
+    doc_id (doc-exclusive), never a high-cardinality Ray aggregate.  The
+    same fold sums each doc's target-slice occurrences (n_tgt), so the
+    totals R and T need no second read of the corpus."""
     from .dedup import _gram_hash64
     from .joins import keyed, rename_agg
 
@@ -983,6 +933,7 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "n_occ": pa.array([], pa.int64()),
+                      "n_tgt": pa.array([], pa.int64()),
                       "tmass": pa.array([], pa.int64()),
                       "rmass": pa.array([], pa.int64())})
 
@@ -1001,71 +952,30 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
         tm = pc.multiply(g["occ"], pc.add(tc, pa.scalar(1, pa.int64())))
         rm = pc.multiply(g["occ"], pc.add(rc, pa.scalar(1, pa.int64())))
         f = pa.table({"doc_id": g["doc_id"], "n_occ": g["occ"],
-                      "tmass": tm, "rmass": rm}) \
+                      "n_tgt": tocc, "tmass": tm, "rmass": rm}) \
             .group_by("doc_id").aggregate([
-                ("n_occ", "sum"), ("tmass", "sum"), ("rmass", "sum")])
-        return rename_agg(f, {"n_occ_sum": "n_occ", "tmass_sum": "tmass",
-                              "rmass_sum": "rmass"},
-                          ["doc_id", "n_occ", "tmass", "rmass"])
+                ("n_occ", "sum"), ("n_tgt", "sum"), ("tmass", "sum"),
+                ("rmass", "sum")])
+        return rename_agg(f, {"n_occ_sum": "n_occ", "n_tgt_sum": "n_tgt",
+                              "tmass_sum": "tmass", "rmass_sum": "rmass"},
+                          ["doc_id", "n_occ", "n_tgt", "tmass", "rmass"])
 
-    docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    gds = docs.map_batches(grams, batch_format="pyarrow").materialize()
-
-    if gds.count() <= DSIR_BROADCAST_ROWS:
-        # broadcast path: the feature space is bounded (DSIR_BUCKETS
-        # dense int64 cells), so the global (rcnt, tcnt) table folds on
-        # the driver from per-batch Arrow partials and scoring is one
-        # shuffle-free broadcast pass
-        from .joins import broadcast_map
-
-        def cnt_partial(t: pa.Table) -> pa.Table:
-            tocc = pc.multiply(t["occ"], t["is_tgt"])
-            return pa.table({"b": t["b"], "r": t["occ"], "t": tocc}) \
-                .group_by("b").aggregate([("r", "sum"), ("t", "sum")])
-
-        parts = gds.map_batches(cnt_partial,
-                                batch_format="pyarrow").to_pandas()
-        rcnt = np.zeros(DSIR_BUCKETS, np.int64)
-        tcnt = np.zeros(DSIR_BUCKETS, np.int64)
-        bi = parts["b"].to_numpy().astype(np.int64)
-        np.add.at(rcnt, bi, parts["r_sum"].to_numpy().astype(np.int64))
-        np.add.at(tcnt, bi, parts["t_sum"].to_numpy().astype(np.int64))
-        ref = ray.put((rcnt, tcnt))
-
-        def score_bc(t: pa.Table, state) -> pa.Table:
-            rc_w, tc_w = state
-            b = t.column("b").to_numpy(zero_copy_only=False)
-            occ = t.column("occ").to_numpy(zero_copy_only=False)
-            per = pa.table({
-                "doc_id": t.column("doc_id"),
-                "n_occ": t.column("occ"),
-                "tmass": pa.array(occ * (tc_w[b] + 1), pa.int64()),
-                "rmass": pa.array(occ * (rc_w[b] + 1), pa.int64()),
-            }).group_by("doc_id").aggregate([
-                ("n_occ", "sum"), ("tmass", "sum"), ("rmass", "sum")])
-            return per
-
-        out = broadcast_map(gds, score_bc, ref).to_pandas() \
-            .groupby("doc_id", as_index=False).sum()
-        out.columns = ["doc_id", "n_occ", "tmass", "rmass"]
-    else:
-        out = frame(aggregate(keyed(gds, "b", per_bucket), "doc_id",
-                              {c: (c, "sum") for c in ("n_occ", "tmass", "rmass")}))
+    gds = read_table(f"{sf_dir}/documents.parquet",
+                     columns=["doc_id", "text", "lang"]) \
+        .map_batches(grams, batch_format="pyarrow")
+    out = frame(aggregate(
+        keyed(gds, "b", per_bucket), "doc_id",
+        {c: (c, "sum") for c in ("n_occ", "n_tgt", "tmass", "rmass")}))
 
     # global totals: R = all bigram occurrences, T = the target slice's
-    # (per-doc n_occ split by lang — a tiny column-pruned read)
-    langs = read_table(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "lang"]).to_pandas()
-    out = out.merge(langs, on="doc_id", how="left")
     big_r = int(out["n_occ"].sum())
-    big_t = int(out.loc[out["lang"] == DSIR_TARGET_LANG, "n_occ"].sum())
+    big_t = int(out["n_tgt"].sum())
     bb = DSIR_BUCKETS
     num = out["tmass"].to_numpy().astype(np.float64) \
         * np.float64(big_r + bb)
     den = out["rmass"].to_numpy().astype(np.float64) \
         * np.float64(big_t + bb)
     out["importance"] = num / den
-    out = out.drop(columns=["lang"])
     return out.sort_values("doc_id").reset_index(drop=True) \
         [["doc_id", "n_occ", "tmass", "rmass", "importance"]]
 

@@ -342,10 +342,11 @@ def test_repetition_signals_known_values(ray_session, tmp_path):
         check_dtype=False)
 
 
-def test_dup_clusters_planted(ray_session, monkeypatch):
+def test_dup_clusters_planted(ray_session):
     """Connected components over near-dup edges: chain A-B-C merges into
-    one cluster; the distributed label-propagation path must agree with
-    the driver union-find path."""
+    one cluster, and so does a 201-node chain whose edges arrive from its
+    far end (200 label hops from the root: more than a bounded number of
+    min-label propagation rounds would carry)."""
     from pdf_parse_new_ray.functions import dedup
 
     edges = pd.DataFrame({"a": [1, 2, 10, 30, 31],
@@ -353,9 +354,12 @@ def test_dup_clusters_planted(ray_session, monkeypatch):
     small = dedup.cluster_edges(edges)
     assert dict(zip(small.doc_id, small.cluster)) == {
         1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 30: 30, 31: 30, 32: 30}
-    monkeypatch.setattr(dedup, "CLUSTER_BROADCAST_EDGES", 0)
-    big = dedup.cluster_edges(edges)
-    pd.testing.assert_frame_equal(small, big.astype(small.dtypes.to_dict()))
+
+    nodes = np.arange(1000, 1201, dtype=np.int64)
+    chain = pd.DataFrame({"a": nodes[:-1][::-1], "b": nodes[1:][::-1]})
+    out = dedup.cluster_edges(chain)
+    assert out["doc_id"].tolist() == nodes.tolist()
+    assert set(out["cluster"]) == {1000}
 
 
 def test_dup_clusters_from_minhash(ray_session, planted_docs_dir):
@@ -437,11 +441,11 @@ def test_scrub_pii_planted(ray_session, tmp_path):
         check_dtype=False)
 
 
-def test_top_bigrams_known_counts(ray_session, tmp_path):
+def test_top_bigrams_known_counts(ray_session, tmp_path, monkeypatch):
     import duckdb
 
     import __ray_entry__ as entry
-    from pdf_parse_new_ray.functions import text as tx
+    from pdf_parse_new_ray.functions import joins, text as tx
 
     rows = {
         "doc_id": [1, 2],
@@ -462,16 +466,10 @@ def test_top_bigrams_known_counts(ray_session, tmp_path):
     ora = con.execute(sql).fetchdf()
     pd.testing.assert_frame_equal(
         out.sort_index(axis=1), ora.sort_index(axis=1), check_dtype=False)
-    # forcing the gram-bucketed distributed merge must match the driver fold
-    import pytest as _pytest
-
-    mp = _pytest.MonkeyPatch()
-    try:
-        mp.setattr(tx, "DSIR_BROADCAST_ROWS", 0)
-        dist = tx.t_top_bigrams(str(tmp_path), k=3)
-        pd.testing.assert_frame_equal(out, dist)
-    finally:
-        mp.undo()
+    # the gram-bucketed exchange must match the in-process fold
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    dist = tx.t_top_bigrams(str(tmp_path), k=3)
+    pd.testing.assert_frame_equal(out, dist)
 
 
 def test_above_median_by_lang_exact(ray_session, tmp_path):
@@ -1051,14 +1049,14 @@ def test_late_data_drop_watermark(ray_session, tmp_path):
     assert got == {win: (4, 1)}
 
 
-def test_substring_dedup_planted(ray_session, tmp_path):
+def test_substring_dedup_planted(ray_session, tmp_path, monkeypatch):
     """Two docs share one 15-word span (every shingle inside it goes
     df>=2); a third doc is unique; a 5-word doc is below the shingle
     width and drops out entirely."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from pdf_parse_new_ray.functions import dedup
+    from pdf_parse_new_ray.functions import dedup, joins
 
     span = " ".join(f"w{i}" for i in range(15))          # 15 words
     pq.write_table(pa.table({
@@ -1076,24 +1074,20 @@ def test_substring_dedup_planted(ray_session, tmp_path):
     assert rows[1].n_grams == 4 and rows[1].n_dup == 1
     assert rows[2].n_grams == 4 and rows[2].n_dup == 1
     assert rows[3].n_dup == 0 and rows[3].n_grams > 0
-    # the bucketed scale path (broadcast gate forced to 0) must agree
-    orig = dedup.SUBSTR_BROADCAST_ROWS
-    dedup.SUBSTR_BROADCAST_ROWS = 0
-    try:
-        forced = dedup.d_substring_dedup(str(tmp_path))
-    finally:
-        dedup.SUBSTR_BROADCAST_ROWS = orig
+    # the exchanged folds (local bound forced to 0) must agree
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    forced = dedup.d_substring_dedup(str(tmp_path))
     assert out.equals(forced)
 
 
-def test_bigram_lm_score_planted(ray_session, tmp_path):
+def test_bigram_lm_score_planted(ray_session, tmp_path, monkeypatch):
     """Exact integer bigram-frequency scoring: 'a b' occurs 3x in the
     corpus (2x in doc 1, 1x in doc 2), so each of its positions scores
     3; singleton bigrams score 1."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from pdf_parse_new_ray.functions import text
+    from pdf_parse_new_ray.functions import joins, text
 
     pq.write_table(pa.table({
         "doc_id": [1, 2, 3],
@@ -1107,30 +1101,22 @@ def test_bigram_lm_score_planted(ray_session, tmp_path):
     assert rows[1].n_bigrams == 3 and rows[1].total_freq == 7
     # doc 2: (a b)=3, (b c)=1 -> total 4 of 2
     assert rows[2].n_bigrams == 2 and rows[2].total_freq == 4
-    # the bucketed scale path (broadcast gate forced to 0) must agree
-    orig = text.BIGRAM_BROADCAST_ROWS
-    text.BIGRAM_BROADCAST_ROWS = 0
-    try:
-        forced = text.t_bigram_lm_score(str(tmp_path))
-    finally:
-        text.BIGRAM_BROADCAST_ROWS = orig
+    # the exchanged folds (local bound forced to 0) must agree
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    forced = text.t_bigram_lm_score(str(tmp_path))
     pd_testing_equal = out.equals(forced)
     assert pd_testing_equal, (out, forced)
 
 
-def test_dsir_broadcast_matches_bucketed(ray_session):
-    """The DSIR broadcast fast path (driver-folded dense feature table)
-    must reproduce the two-exchange bucketed plan bit for bit."""
-    from pdf_parse_new_ray.functions import text
+def test_dsir_local_fold_matches_exchange(ray_session, monkeypatch):
+    """DSIR's in-process folds must reproduce its two-exchange plan bit
+    for bit."""
+    from pdf_parse_new_ray.functions import joins, text
 
     sf = "/root/testdata/sf0.001"
     base = text.t_dsir_importance(sf)
-    orig = text.DSIR_BROADCAST_ROWS
-    text.DSIR_BROADCAST_ROWS = 0
-    try:
-        forced = text.t_dsir_importance(sf)
-    finally:
-        text.DSIR_BROADCAST_ROWS = orig
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    forced = text.t_dsir_importance(sf)
     assert base.equals(forced)
     assert len(base) > 0
 

@@ -268,12 +268,14 @@ def test_graph_routes_match_at_the_bound(ray_session, monkeypatch,
     assert int(closed["n_triangles"].iloc[0]) > 0
 
 
-@pytest.mark.parametrize("query", ["t_token_stats", "q_events_daily"])
+@pytest.mark.parametrize("query", ["t_token_stats", "q_events_daily",
+                                   "d_substring_dedup", "t_bigram_lm_score"])
 def test_forced_aggregate_runs_as_one_job(ray_session, jobs, forced, query):
     """A forced ``joins.aggregate`` query (per-batch partials and one
     keyed merge for t_token_stats, the table-order fold for
-    q_events_daily) starts exactly one Ray Data execution, reduces each
-    bucket once and matches its DuckDB oracle."""
+    q_events_daily, a keyed gram-table fold then the per-doc merge for
+    d_substring_dedup and t_bigram_lm_score) starts exactly one Ray Data
+    execution, reduces each bucket once and matches its DuckDB oracle."""
     import duckdb
 
     import __ray_entry__ as entry
