@@ -17,7 +17,7 @@ import pyarrow as pa
 import ray
 
 from ..sources.interleaved import read_table
-from .joins import block_refs, per_block
+from .joins import block_refs, per_block, sliced
 
 
 # task-mode per-worker instance cache for the light-state scan stages
@@ -120,8 +120,7 @@ def e_knn_bruteforce(sf_dir: str, n_queries: int = 5, k: int = 5) -> pd.DataFram
     # 2000-vector bench scan)
     local = broadcast_map(
         read_table(f"{sf_dir}/embeddings.parquet"),
-        lambda t, state: BruteForceTopK(state, k)(t),
-        ref, batch_size=4096,
+        lambda t, state: sliced(BruteForceTopK(state, k), 4096)(t), ref,
     ).to_pandas()
     # global merge of per-batch top-k
     local = local[local["query_id"] != local["vec_id"]]
@@ -148,7 +147,7 @@ def e_label_centroids(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pylist(rows)
 
     parts = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
-        partial, batch_format="pyarrow", batch_size=4096).to_pandas()
+        partial, batch_format="pyarrow").to_pandas()
     agg = []
     for lab, g in parts.groupby("label"):
         n = int(g["n"].sum())
@@ -259,12 +258,12 @@ def e_knn_lsh(sf_dir: str, n_queries: int = 5, k: int = 5,
         _warm_stage(LshSigner, ("lshsig", q.shape[1], n_planes, n_tables),
                     {"dim": q.shape[1], "n_planes": n_planes,
                      "n_tables": n_tables}),
-        batch_format="pyarrow", batch_size=4096,
+        batch_format="pyarrow",
     ).map_batches(
-        _warm_stage(LshTopK, ("lshtop", ref, n_tables, k),
-                    {"queries_ref": ref, "q_codes": q_codes,
-                     "n_tables": n_tables, "k": k}),
-        batch_format="pyarrow", batch_size=4096,
+        sliced(_warm_stage(LshTopK, ("lshtop", ref, n_tables, k),
+                           {"queries_ref": ref, "q_codes": q_codes,
+                            "n_tables": n_tables, "k": k}), 4096),
+        batch_format="pyarrow",
     ).to_pandas()
     if local.empty:
         return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
@@ -413,10 +412,10 @@ def e_knn_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
     cents = _train_centroids(sf_dir, n_cells)
     ref = ray.put((q_ids, q))
     local = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
-        _warm_stage(IvfTopK, ("ivf", ref, n_probe, k),
-                    {"queries_ref": ref, "cents": cents,
-                     "n_probe": n_probe, "k": k}),
-        batch_format="pyarrow", batch_size=4096,
+        sliced(_warm_stage(IvfTopK, ("ivf", ref, n_probe, k),
+                           {"queries_ref": ref, "cents": cents,
+                            "n_probe": n_probe, "k": k}), 4096),
+        batch_format="pyarrow",
     ).to_pandas()
     if local.empty:
         return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
@@ -498,9 +497,9 @@ def e_knn_filtered(sf_dir: str, n_queries: int = 5, k: int = 5) -> pd.DataFrame:
     ref = ray.put((q_ids, q, q_labels))
     local = read_table(f"{sf_dir}/embeddings.parquet",
                        ["vec_id", "embedding", "label"]).map_batches(
-        _warm_stage(FilteredTopK, ("filt", ref, k),
-                    {"queries_ref": ref, "k": k}),
-        batch_format="pyarrow", batch_size=4096,
+        sliced(_warm_stage(FilteredTopK, ("filt", ref, k),
+                           {"queries_ref": ref, "k": k}), 4096),
+        batch_format="pyarrow",
     ).to_pandas()
     local = local[local["query_id"] != local["vec_id"]]
     local["rank_key"] = -local["cosine"]
@@ -537,7 +536,7 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pylist(rows)
 
     parts = read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]).map_batches(
-        partial, batch_format="pyarrow", batch_size=4096).to_pandas()
+        partial, batch_format="pyarrow").to_pandas()
     labs, cents = [], []
     for lab, g in sorted(parts.groupby("label"), key=lambda kv: kv[0]):
         s = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0)
@@ -564,7 +563,7 @@ def e_centroid_assign(sf_dir: str) -> pd.DataFrame:
     out = frame(aggregate(
         read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
         .map_batches(_warm_stage(Assign, ("cent_assign", ref), {}),
-                     batch_format="pyarrow", batch_size=4096),
+                     batch_format="pyarrow"),
         ["label", "assigned"], {"n": (None, "count")}))
     return out.sort_values(["label", "assigned"]).reset_index(drop=True)
 
@@ -686,10 +685,10 @@ def e_knn_pq(sf_dir: str, n_queries: int = 5, k: int = 5,
     books = _train_pq(sf_dir, m_sub=m_sub, n_codes=n_codes)
     ref = ray.put((q_ids, q))
     local = read_table(f"{sf_dir}/embeddings.parquet").map_batches(
-        _warm_stage(PqTopK, ("pq", ref, k, shortlist_factor * k),
-                    {"queries_ref": ref, "books": books, "k": k,
-                     "shortlist": shortlist_factor * k}),
-        batch_format="pyarrow", batch_size=4096,
+        sliced(_warm_stage(PqTopK, ("pq", ref, k, shortlist_factor * k),
+                           {"queries_ref": ref, "books": books, "k": k,
+                            "shortlist": shortlist_factor * k}), 4096),
+        batch_format="pyarrow",
     ).to_pandas()
     if local.empty:
         return pd.DataFrame({"query_id": pd.Series(dtype="int64"),

@@ -410,6 +410,7 @@ def lsh_pairs(bands: rd.Dataset) -> rd.Dataset:
 
 
 from .joins import attach_value as _attach_value  # shared cogroup attach
+from .joins import sliced
 
 
 # task-mode warm MinHasher (module-level per worker process): the
@@ -419,10 +420,13 @@ _TASK_MINHASHER: dict = {}
 
 
 def _minhash_batch(t: pa.Table) -> pa.Table:
+    """Signatures of a whole block (Ray's default batch, so the map fuses
+    with the documents read), 256 documents at a time: one call's gram
+    table stays bounded."""
     mh = _TASK_MINHASHER.get("default")
     if mh is None:
         mh = _TASK_MINHASHER["default"] = MinHasher()
-    return mh(t)
+    return sliced(mh, 256)(t)
 
 
 def _candidate_pairs(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
@@ -436,8 +440,8 @@ def _candidate_pairs(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
     # materialized too, because callers count it before they attach to
     # it.  Signatures are ~64x smaller than the text, so the spill cost
     # is trivial
-    sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
-        _minhash_batch, batch_format="pyarrow", batch_size=256).materialize()
+    sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+        .map_batches(_minhash_batch, batch_format="pyarrow").materialize()
     bands = sigs.map_batches(_band_rows, batch_format="pyarrow")
     return lsh_pairs(bands).materialize(), sigs
 
@@ -472,9 +476,8 @@ def d_minhash_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
         # fine-bucket pair walk, pair dedupe and the est-jaccard compare
         # run vectorized on the collected 520-byte/doc matrix —
         # replacing three keyed exchanges
-        sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]).map_batches(
-            _minhash_batch, batch_format="pyarrow",
-            batch_size=256).to_pandas()
+        sigs = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]) \
+            .map_batches(_minhash_batch, batch_format="pyarrow").to_pandas()
         ids = sigs["doc_id"].to_numpy().astype(np.int64)
         if not len(ids):
             return empty
@@ -765,9 +768,9 @@ def d_embedding_neardup(sf_dir: str, threshold: float = 0.8,
 
     pairs = read_table(f"{sf_dir}/embeddings.parquet",
                        columns=["vec_id", "embedding"]).map_batches(
-        _warm_stage(_CosinePairFinder, ("cospair", ref, threshold),
-                    {"all_ref": ref, "threshold": threshold}),
-        batch_size=256, batch_format="pyarrow",
+        sliced(_warm_stage(_CosinePairFinder, ("cospair", ref, threshold),
+                           {"all_ref": ref, "threshold": threshold}), 256),
+        batch_format="pyarrow",
     ).take_all()
     df = pd.DataFrame(pairs, columns=["id_a", "id_b", "cosine"])
     return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -861,7 +864,7 @@ def _embedding_neardup_lsh(sf_dir: str, threshold: float,
             "bucket": pa.array(keys.reshape(-1), pa.uint64()),
         })
 
-    bands = emb.map_batches(bucket_rows, batch_format="pyarrow", batch_size=4096)
+    bands = emb.map_batches(bucket_rows, batch_format="pyarrow")
     pairs = lsh_pairs(bands).materialize()
     n_pairs = pairs.count()
     empty = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
@@ -1574,7 +1577,7 @@ def d_semdedup(sf_dir: str, eps: float = SEMDEDUP_EPS,
 
     out = keyed(broadcast_map(
         read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]),
-        assign, cents_ref, batch_size=4096), "cluster", per_bucket).to_pandas()
+        assign, cents_ref), "cluster", per_bucket).to_pandas()
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

@@ -110,24 +110,29 @@ def _pr_nodes(edge_state, *routed):
             recv), len(nodes)
 
 
+def _next_rank(shard, rank, n: int, damping: float, msgs) -> np.ndarray:
+    """A vertex shard's ranks after one round.  ``msgs`` are every
+    shard's dangling-mass partial of the previous round, then the per-dst
+    partials each shard sent here, both in shard order; the first round
+    gets none (``rank`` None) and starts at the uniform rank."""
+    nodes, recv = shard[0], shard[-1]
+    if rank is None:
+        return np.full(len(nodes), 1.0 / n)
+    incoming = np.zeros(len(nodes))
+    for idx, part in zip(recv, msgs[len(recv):]):
+        incoming[idx] += part
+    dangling = sum(msgs[:len(recv)])
+    return (1.0 - damping) / n + damping * (incoming + dangling / n)
+
+
 @ray.remote
 def _pr_round(shard, rank, n: int, damping: float, *msgs):
-    """One round of one vertex shard.  ``msgs`` are every shard's
-    dangling-mass partial of the previous round, then the per-dst
-    partials each shard sent here, both in shard order; the first round
-    gets none and starts at the uniform rank.  Returns the new ranks,
-    their dangling-mass partial, then one per-dst partial per owner
-    shard (a single bincount over the sorted edges: the combine before
-    the exchange)."""
+    """One round of one vertex shard (:func:`_next_rank`).  Returns the
+    new ranks, their dangling-mass partial, then one per-dst partial per
+    owner shard (a single bincount over the sorted edges: the combine
+    before the exchange)."""
     nodes, out_deg, edge_src, dst_idx, route, cuts, recv = shard
-    if rank is None:
-        rank = np.full(len(nodes), 1.0 / n)
-    else:
-        incoming = np.zeros(len(nodes))
-        for idx, part in zip(recv, msgs[len(recv):]):
-            incoming[idx] += part
-        dangling = sum(msgs[:len(recv)])
-        rank = (1.0 - damping) / n + damping * (incoming + dangling / n)
+    rank = _next_rank(shard, rank, n, damping, msgs)
     share = np.divide(rank, out_deg, out=np.zeros_like(rank),
                       where=out_deg > 0)
     part = np.bincount(dst_idx, weights=share[edge_src],
@@ -142,8 +147,13 @@ def _top(ranks: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 @ray.remote
-def _pr_ranks(shard, rank, top_k: int | None) -> pd.DataFrame:
-    """A shard's (node, rank) rows, or its ``top_k`` highest."""
+def _pr_ranks(shard, rank, n: int, damping: float, top_k: int | None,
+              *msgs) -> pd.DataFrame:
+    """A shard's (node, rank) rows, or its ``top_k`` highest, after the
+    last round when given its ``msgs`` (:func:`_next_rank`): that round
+    computes ranks only, as no task reads its partials."""
+    if msgs:
+        rank = _next_rank(shard, rank, n, damping, msgs)
     out = pd.DataFrame({"node": shard[0], "rank": rank})
     return out if top_k is None else _top(out, top_k)
 
@@ -164,8 +174,9 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
     ``src`` with the exchange's own split tasks; one prep task per bucket
     and one node task per shard build the vertex shards, of which the
     driver reads only the counts; then each round is one task per shard
-    (:func:`_pr_round`), submitted without waiting, and each shard
-    returns its rows or its local top-k (k x shards rows merged here).
+    (:func:`_pr_round`), submitted without waiting, and the last round's
+    task per shard computes ranks only and returns the shard's rows or
+    its local top-k (k x shards rows merged here).
     Every float sum adds in an order fixed by the edges alone, so the
     ranks do not depend on the block layout or on task timing.
 
@@ -190,13 +201,17 @@ def pagerank_edges(edges: rd.Dataset, damping: float = PAGERANK_DAMPING,
                              "rank": pd.Series(dtype="float64")})
     step = _pr_round.options(num_returns=p + 2)
     outs = [step.remote(s, None, n, damping) for s in shards]
-    for _ in range(n_iters):
-        outs = [step.remote(s, outs[k][0], n, damping,
-                            *[o[1] for o in outs], *[o[2 + k] for o in outs])
+
+    def msgs(k):  # what shard k receives from the last wave
+        return [o[1] for o in outs] + [o[2 + k] for o in outs]
+
+    for _ in range(n_iters - 1):
+        outs = [step.remote(s, outs[k][0], n, damping, *msgs(k))
                 for k, s in enumerate(shards)]
-    out = pd.concat(ray.get([_pr_ranks.remote(s, o[0], top_k)
-                             for s, o in zip(shards, outs)]),
-                    ignore_index=True)
+    out = pd.concat(ray.get([
+        _pr_ranks.remote(s, outs[k][0], n, damping, top_k,
+                         *(msgs(k) if n_iters else []))
+        for k, s in enumerate(shards)]), ignore_index=True)
     if top_k is not None:
         return _top(out, top_k)
     return out.sort_values("node").reset_index(drop=True)

@@ -60,6 +60,21 @@ lose too (sf0.01, medians of 7): ``t_token_stats`` 145 -> 101 ms,
   operator's tasks are executor tasks, so the scheduling loop never
   blocks on them, and each reducer returns its block's metadata with the
   block, so the output needs no metadata round trip.
+* **Map-side split** (FP-Hadoop's map task, which partitions its own
+  output for the keyed reduce).  The physical-plan rule
+  :class:`AbsorbMaps`, registered in Ray Data's physical ruleset after
+  ``FuseOperators``, hands the task-pool map that feeds a side (a read
+  and the maps fused onto it, say) to the exchange: the exchange reads
+  the map's own input, and each split task maps its bundle, then splits
+  it, as the bundle arrives.  So the map operator never runs, and no
+  split wave of its own waits for it after the barrier.  A side fed by
+  another exchange, a union, an actor-pool map or a map with a second
+  consumer keeps its own operator, and the split after the barrier.
+  Absorbing the maps in front of the exchanges of the forced
+  ``queries_forced`` pass (11 queries at sf0.01), with
+  ``d_minhash_pairs``' MinHash map fused onto its read, took that
+  benchmark from 6.48 to 8.40 queries/s (4-vCPU host, medians of 10
+  alternating pairs, each pair won by the change).
 * **A result read twice.**  A finished exchange keeps its reduced buckets
   on its plan operator, as a materialized result would be kept, and a
   later plan reads them back: consuming a result again (``count()`` then
@@ -71,15 +86,21 @@ lose too (sf0.01, medians of 7): ``t_token_stats`` 145 -> 101 ms,
   reader: materialize such a result first.
 * **Ray internals.**  The operator uses ``ray.data._internal`` names,
   pinned to Ray 2.49.2: ``logical.operators.n_ary_operator.NAry``,
-  ``logical.interfaces.LogicalPlan``, ``plan.ExecutionPlan``,
+  ``logical.interfaces.LogicalPlan`` / ``Rule``, ``plan.ExecutionPlan``,
   ``stats.DatasetStats``, ``execution.interfaces.PhysicalOperator`` /
-  ``RefBundle``, ``physical_operator.MetadataOpTask``,
+  ``RefBundle`` / ``TaskContext``, ``physical_operator.MetadataOpTask``,
   ``base_physical_operator.InternalQueueOperatorMixin``,
-  ``input_data_buffer.InputDataBuffer``, and two registrations: an entry
-  in ``planner.planner.Planner._DEFAULT_PLAN_FNS`` and one in
+  ``input_data_buffer.InputDataBuffer``, and three registrations: an
+  entry in ``planner.planner.Planner._DEFAULT_PLAN_FNS``, one in
   ``execution.resource_manager.MATERIALIZING_OPERATORS`` (which lifts the
-  inputs' object-store budget, as for ``Zip``).
-  ``tests/test_exchange_plan.py`` fails if an upgrade moves them.
+  inputs' object-store budget, as for ``Zip``) and :class:`AbsorbMaps` in
+  ``logical.optimizers.get_physical_ruleset()``, ordered by
+  ``logical.rules.operator_fusion.FuseOperators`` and
+  ``ConfigureMapTaskMemoryUsingOutputSize``.  The rule reads a
+  ``TaskPoolMapOperator``'s transformer, remote args, bundler, split
+  factor, task kwargs and concurrency, and a split task runs the
+  transformer under ``DataContext._set_current`` as Ray's ``_map_task``
+  does.  ``tests/test_exchange_plan.py`` fails if an upgrade moves them.
 
 * **Bucket count.**  The exchange, not its caller, picks it (FP-Hadoop's
   split of the reduce function from how its input is partitioned):
@@ -88,7 +109,14 @@ lose too (sf0.01, medians of 7): ``t_token_stats`` 145 -> 101 ms,
   costs map blocks x buckets shard objects plus one reduce task per bucket
   whatever the data, so fixed counts were pure overhead on small clusters
   (one lineitem x orders attach at sf0.01 on a 4-vCPU host, reads
-  included: 0.47-1.5 s at a fixed 64 buckets, 0.20-0.28 s at 4).
+  included: 0.47-1.5 s at a fixed 64 buckets, 0.20-0.28 s at 4).  A
+  side whose map the exchange absorbed is split before its rows are
+  known (a read task's bundle says 1 row): at the floor count
+  ``exchange_buckets(0)``, and if the counted rows then ask for more
+  buckets, each floor bucket j is split again into buckets j + k x
+  floor, which hold exactly its rows because both bucket hashes keep low
+  bits.  An exchange that may fold locally maps such a side whole
+  instead, and splits it only when the count passes the bound.
 * **Reducers take their shards as top-level task arguments.**  Ray
   resolves those before the task starts.  A reducer that fetched them
   itself with a nested ``ray.get`` would block inside the task, give its
@@ -103,9 +131,10 @@ lose too (sf0.01, medians of 7): ``t_token_stats`` 145 -> 101 ms,
 * **Local fold.**  Whether to partition at all is the exchange's call
   too, made once here instead of in every query: when the sides' total
   row count (from the block metadata it already sums for the bucket
-  count) is at most ``LOCAL_FOLD_ROWS``, the reduce runs once, in the
-  driver process, over every block of each side, with no split or reduce
-  task.  Below that size the exchange of a vectorized fold is all
+  count, or from the split tasks of an absorbed side, which then map each
+  bundle whole) is at most ``LOCAL_FOLD_ROWS``, the reduce runs once, in
+  the driver process, over every block of each side, with no split or
+  reduce task.  Below that size the exchange of a vectorized fold is all
   overhead: its split and reduce tasks and one shard object per block
   and bucket cost more than the fold, and the caller lands the rows on
   the driver anyway.  The bound trades driver memory for fewer tasks,
@@ -128,6 +157,7 @@ lose too (sf0.01, medians of 7): ``t_token_stats`` 145 -> 101 ms,
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -137,19 +167,27 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ray.data._internal.execution import resource_manager as _resource_manager
-from ray.data._internal.execution.interfaces import PhysicalOperator, RefBundle
+from ray.data._internal.execution.interfaces import (PhysicalOperator,
+                                                     RefBundle, TaskContext)
 from ray.data._internal.execution.interfaces.physical_operator import (
     MetadataOpTask)
 from ray.data._internal.execution.operators.base_physical_operator import (
     InternalQueueOperatorMixin)
 from ray.data._internal.execution.operators.input_data_buffer import (
     InputDataBuffer)
-from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.execution.operators.task_pool_map_operator import (
+    TaskPoolMapOperator)
+from ray.data._internal.logical.interfaces import LogicalPlan, Rule
 from ray.data._internal.logical.operators.n_ary_operator import NAry
+from ray.data._internal.logical.optimizers import get_physical_ruleset
+from ray.data._internal.logical.rules.configure_map_task_memory import (
+    ConfigureMapTaskMemoryUsingOutputSize)
+from ray.data._internal.logical.rules.operator_fusion import FuseOperators
 from ray.data._internal.plan import ExecutionPlan
 from ray.data._internal.planner.planner import Planner
 from ray.data._internal.stats import DatasetStats
 from ray.data.block import BlockMetadataWithSchema
+from ray.data.context import DataContext
 
 
 def rename_agg(t: pa.Table, mapping: dict[str, str],
@@ -188,6 +226,18 @@ def broadcast_map(ds: rd.Dataset, fn, ref, **mb_kwargs) -> rd.Dataset:
 
     mb_kwargs.setdefault("batch_format", "pyarrow")
     return ds.map_batches(_apply, **mb_kwargs)
+
+
+def sliced(fn, rows: int):
+    """``fn`` over each ``rows``-row slice of a table, the outputs
+    concatenated (an empty table is one slice): a whole-block map (Ray's
+    default batch, so it fuses with the read before it) that still bounds
+    what one call of ``fn`` holds."""
+    def _apply(t: pa.Table) -> pa.Table:
+        return _concat([fn(t.slice(i, rows))
+                        for i in range(0, max(1, t.num_rows), rows)])
+
+    return _apply
 
 
 def block_refs(ds: rd.Dataset) -> list:
@@ -323,10 +373,13 @@ def salted_fact_split(key_col: str, columns: list[str], n_salts: int):
     """Hot-key-salted fact split: each key's rows spread over ``n_salts``
     sub-buckets (salt = row position mod n_salts).  Pair with
     ``salted_dim_split`` on the other side; the total bucket count is a
-    multiple of n_salts (:func:`salted_buckets`)."""
-    def _split(t: pa.Table, n_total: int):
+    multiple of n_salts (:func:`salted_buckets`).  Given ``salt``, ``t``
+    is one bucket's shard, whose rows all carry that salt already: its
+    re-split keeps it (see :class:`HashExchangeOperator`)."""
+    def _split(t: pa.Table, n_total: int, salt=None):
         bk = _key_buckets(t.column(key_col), n_total // n_salts)
-        salt = np.arange(t.num_rows, dtype=np.int64) % n_salts
+        if salt is None:
+            salt = np.arange(t.num_rows, dtype=np.int64) % n_salts
         return _slice_by_bucket(t.select(columns), bk * n_salts + salt,
                                 n_total)
 
@@ -336,8 +389,14 @@ def salted_fact_split(key_col: str, columns: list[str], n_salts: int):
 def salted_dim_split(key_col: str, columns: list[str], n_salts: int):
     """Hot-key-salted dim split: every row replicated to all ``n_salts``
     sub-buckets of its key's bucket (dim replication is n_salts x dim
-    size — cheap, the dim is the small side by construction)."""
-    def _split(t: pa.Table, n_total: int):
+    size — cheap, the dim is the small side by construction).  Given
+    ``salt``, ``t`` is one bucket's shard, already replicated: its
+    re-split keeps the salt and replicates nothing."""
+    def _split(t: pa.Table, n_total: int, salt=None):
+        if salt is not None:
+            bk = _key_buckets(t.column(key_col), n_total // n_salts)
+            return _slice_by_bucket(t.select(columns), bk * n_salts + salt,
+                                    n_total)
         n = t.num_rows
         rep = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64),
                                         n_salts)))
@@ -354,16 +413,41 @@ def _concat(tables: list) -> pa.Table:
         if len(tables) > 1 else tables[0]
 
 
-def _run_split(split_fn, n_buckets: int, *blocks):
+def _map_blocks(mapper, blocks) -> list:
+    """The output blocks of an absorbed map (:class:`AbsorbMaps`) over
+    its input blocks, run as Ray's own map task runs it: the map's
+    ``DataContext`` and a ``TaskContext`` set around the transform.  Its
+    output is not cut into target-size blocks, as the split concatenates
+    it anyway."""
+    transformer, data_context, name = mapper
+    DataContext._set_current(data_context)
+    ctx = TaskContext(task_idx=0, op_name=name)
+    TaskContext.set_current(ctx)
+    transformer.set_target_max_block_size(float("inf"))
+    try:
+        return list(transformer.apply_transform(iter(blocks), ctx))
+    finally:
+        TaskContext.reset_current()
+
+
+def _run_split(side, n_buckets: int, *blocks):
     """Split task over a contiguous run of blocks: returns the per-bucket
-    row counts, then one shard per bucket."""
+    row counts, then one shard per bucket.  ``side`` is ``(split_fn,
+    mapper)``; a ``mapper`` (:func:`_map_blocks`) is the map the exchange
+    absorbed, and the blocks are that map's input (read tasks, say), so
+    this task reads, maps and splits them.  Without a ``split_fn`` the
+    blocks are returned whole, as one shard (``n_buckets`` 1)."""
+    split_fn, mapper = side
+    if mapper is not None:
+        blocks = _map_blocks(mapper, blocks)
     # Ray Data passes empty blocks through map_batches UNMAPPED, so an
     # empty block may carry an upstream schema (even lack the key column):
     # drop it before splitting.
     tables = [t for t in map(_ensure_table, blocks) if t.num_rows]
     if not tables:
         return (np.zeros(n_buckets, np.int64),) + (pa.table({}),) * n_buckets
-    shards = split_fn(_concat(tables), n_buckets)
+    t = _concat(tables)
+    shards = (t,) if split_fn is None else split_fn(t, n_buckets)
     return (np.array([s.num_rows for s in shards], np.int64),) + tuple(shards)
 
 
@@ -386,16 +470,20 @@ _reduce_task = ray.remote(_run_reduce).options(num_returns=2)
 _per_block_task = ray.remote(_run_per_block)
 
 
+def _split_wave(side_ref, n_buckets: int, refs: list,
+                remote_args: dict) -> list:
+    split = _split_task.options(num_returns=n_buckets + 1, **remote_args)
+    step = max(1, -(-len(refs) // _EXCHANGE_MAX_BLOCKS))
+    return [split.remote(side_ref, n_buckets, *refs[i:i + step])
+            for i in range(0, len(refs), step)]
+
+
 def split_blocks(refs: list, split_fn, n_buckets: int) -> list:
     """The split wave of an exchange: one :func:`_run_split` task per
     block of ``refs``, or per contiguous run of blocks past
     ``_EXCHANGE_MAX_BLOCKS`` blocks.  Each task's refs are its per-bucket
     row counts, then one shard per bucket."""
-    split = _split_task.options(num_returns=n_buckets + 1)
-    split_ref = ray.put(split_fn)
-    step = max(1, -(-len(refs) // _EXCHANGE_MAX_BLOCKS))
-    return [split.remote(split_ref, n_buckets, *refs[i:i + step])
-            for i in range(0, len(refs), step)]
+    return _split_wave(ray.put((split_fn, None)), n_buckets, refs, {})
 
 
 class HashExchange(NAry):
@@ -418,50 +506,152 @@ class HashExchange(NAry):
 
 class HashExchangeOperator(InternalQueueOperatorMixin, PhysicalOperator):
     """Physical :class:`HashExchange`, a bulk N-ary operator in the manner
-    of Ray's ``ZipOperator``: it buffers each side's bundles and, once
-    every input is done, sizes the exchange from their metadata and either
-    folds locally or submits the split wave.  Split and reduce tasks are
-    tracked as executor tasks, so the scheduling loop never waits on them:
-    the last split to finish submits the reduces, and each bucket's bundle
-    is emitted, in bucket order, once its reduce is done."""
+    of Ray's ``ZipOperator``: once every input is done, it sizes the
+    exchange and either folds locally or splits, then reduces.  Split and
+    reduce tasks are tracked as executor tasks, so the scheduling loop
+    never waits on them: the last split to finish submits the reduces,
+    and each bucket's bundle is emitted, in bucket order, once its reduce
+    is done.
+
+    A side whose map :class:`AbsorbMaps` took in (:meth:`absorb`) is run
+    as its bundles arrive, by split tasks that run the map first; its row
+    count is then the sum of their per-bucket counts (a read task's
+    bundle says 1 row, whatever it reads).  Any other side is buffered and
+    counted from its block metadata.  An exchange that may fold locally
+    (a positive ``local_rows``) has those tasks map each bundle whole, as
+    the fold would throw a split away (splitting first made the gated
+    sf0.1 ``q_rollup_revenue`` 0.05 s slower); past the bound it splits
+    the mapped tables as it splits any side.  Any other exchange splits
+    them at the floor count ``exchange_buckets(0)`` as they arrive; when
+    the total asks for more buckets than the floor (past CPUs x
+    ``EXCHANGE_ROWS_PER_BUCKET`` rows), each floor bucket is split again:
+    both bucket hashes keep the low bits of one hash, so bucket j of the
+    floor count holds exactly the rows of buckets j + k x floor of the
+    larger count, salted buckets too (a shard's salt is its bucket mod
+    ``n_salts``)."""
 
     def __init__(self, op: HashExchange, inputs: list, ctx):
         super().__init__("HashExchange", inputs, ctx,
                          target_max_block_size=None)
         self._op = op
+        # per side: the map absorbed into its split tasks, as (transformer,
+        # DataContext, name), or None, and the Ray remote args of its tasks
+        self._mappers: list = [None] * len(inputs)
+        self._remote_args: list = [{} for _ in inputs]
+        self._side_refs: list = []  # per side: its (split_fn, mapper), put
+        self._floor = 0  # the bucket count absorbed sides first split at
         self._sides: list[list] = [[] for _ in inputs]
         self._tasks: dict = {}  # task index -> MetadataOpTask
         self._n_tasks = 0
-        self._splits: list = []  # per side, per split task: its refs
-        self._n_buckets = 0
+        self._splits: list = [[] for _ in inputs]  # per side, per split task
+        self._n_buckets = 0  # once sized: the bucket count of the reduce
         self._slots: list = []  # per reduced bucket: its bundle once done
         self._ready = 0  # slots emitted to _out so far
         self._out: deque = deque()
 
+    def absorb(self, i: int, map_op: TaskPoolMapOperator) -> None:
+        """Take input ``i``, a map that only this exchange consumes, into
+        the split tasks: the exchange reads the map's own input instead,
+        and is named after what it absorbed (``Dataset.stats()`` still
+        names every UDF)."""
+        up = map_op.input_dependencies[0]
+        self._input_dependencies[i] = up
+        up._output_dependencies = [self if d is map_op else d
+                                   for d in up._output_dependencies]
+        self._mappers[i] = (map_op.get_map_transformer(),
+                            map_op.data_context, map_op.name)
+        self._remote_args[i] = map_op._ray_remote_args
+        self._name = "HashExchange(%s)" % ", ".join(
+            m[2] for m in self._mappers if m is not None)
+
+    def start(self, options) -> None:
+        super().start(options)
+        op = self._op
+        if op.local_rows > 0:
+            self._floor = 1  # each bundle mapped whole
+        elif any(self._mappers):
+            self._floor = exchange_buckets(0)
+            if op.n_salts > 1:
+                self._floor = salted_buckets(self._floor, op.n_salts)
+        # an absorbed side with a floor of 1 bucket is mapped whole: its
+        # first tasks run no split function
+        self._side_refs = [ray.put((None if self._floor == 1 and m else fn,
+                                    m))
+                           for fn, m in zip(op.split_fns, self._mappers)]
+
     # -- inputs
     def _add_input_inner(self, refs, input_index: int) -> None:
-        self._sides[input_index].append(refs)
         self._metrics.on_input_queued(refs)
+        if self._mappers[input_index] is None:
+            self._sides[input_index].append(refs)
+            return
+        self._metrics.on_input_dequeued(refs)
+        self._split(input_index, self._side_refs[input_index], self._floor,
+                    refs.block_refs, self._remote_args[input_index])
 
     def internal_queue_size(self) -> int:
         return sum(map(len, self._sides))
 
     def all_inputs_done(self) -> None:
+        super().all_inputs_done()
+        self._when_split()
+
+    def _when_split(self) -> None:
+        """Once every input is done and no split task is out: size the
+        exchange, or, when it is sized, reduce."""
+        if not self._inputs_complete or self._tasks:
+            return
+        if self._n_buckets:
+            self._reduce_all()
+        else:
+            self._size()
+
+    def _size(self) -> None:
         bundles, self._sides = self._sides, [[] for _ in self._sides]
         for b in (b for side in bundles for b in side):
             self._metrics.on_input_dequeued(b)
-        side_refs = [[r for b in side for r in b.block_refs]
-                     for side in bundles]
-        rows = sum(b.num_rows() or 0 for side in bundles for b in side)
-        n_buckets = exchange_buckets(rows)
+        counts = [ray.get([o[0] for o in side]) for side in self._splits]
+        rows = sum(b.num_rows() or 0 for side in bundles for b in side) + \
+            int(sum(c.sum() for side in counts for c in side))
         op = self._op
+        n_buckets = exchange_buckets(rows)
+        # per side: its block refs, or an absorbed side's non-empty shards
+        # per floor bucket
+        block_refs = [[r for b in side for r in b.block_refs]
+                      for side in bundles]
+        shards = [[[o[1 + j] for o, c in zip(side, cs) if c[j]]
+                   for j in range(self._floor)]
+                  for side, cs in zip(self._splits, counts)]
         if rows <= op.local_rows:
-            self._fold_locally(side_refs, n_buckets)
-        else:
-            if op.n_salts > 1:
-                n_buckets = salted_buckets(n_buckets, op.n_salts)
-            self._split(side_refs, n_buckets)
-        super().all_inputs_done()
+            self._fold_locally([
+                refs if m is None else [r for b in by_bucket for r in b]
+                for refs, by_bucket, m in zip(block_refs, shards,
+                                              self._mappers)], n_buckets)
+            return
+        if op.n_salts > 1:
+            n_buckets = salted_buckets(n_buckets, op.n_salts)
+        # never below the floor the absorbed sides split at (a cluster
+        # that lost CPUs since the start would size fewer buckets)
+        self._n_buckets = n_buckets = max(n_buckets, self._floor)
+        for i, m in enumerate(self._mappers):
+            if m is None:
+                self._split(i, self._side_refs[i], n_buckets, block_refs[i])
+            elif self._floor == 1:  # mapped whole: split as any side
+                self._splits[i] = []
+                self._split(i, ray.put((op.split_fns[i], None)), n_buckets,
+                            shards[i][0])
+            elif n_buckets > self._floor:
+                self._splits[i] = []
+                for j, refs in enumerate(shards[i]):
+                    if refs:
+                        self._resplit(i, j, refs)
+        self._when_split()  # no split task out: reduce now
+
+    def _resplit(self, i: int, j: int, refs: list) -> None:
+        split_fn = self._op.split_fns[i]
+        if self._op.n_salts > 1:
+            split_fn = partial(split_fn, salt=j % self._op.n_salts)
+        self._split(i, ray.put((split_fn, None)), self._n_buckets, refs)
 
     def _fold_locally(self, side_refs: list, n_buckets: int) -> None:
         out = self._op.reduce_fn(*[
@@ -481,7 +671,7 @@ class HashExchangeOperator(InternalQueueOperatorMixin, PhysicalOperator):
                        for t in tables if t.num_columns]
         self._flush()
 
-    # -- split wave, then one reduce per non-empty bucket
+    # -- split tasks, then one reduce per non-empty bucket
     def _track(self, ref, callback) -> None:
         i = self._n_tasks
         self._n_tasks += 1
@@ -492,18 +682,11 @@ class HashExchangeOperator(InternalQueueOperatorMixin, PhysicalOperator):
 
         self._tasks[i] = MetadataOpTask(i, ref, done)
 
-    def _split(self, side_refs: list, n_buckets: int) -> None:
-        self._n_buckets = n_buckets
-        self._splits = [split_blocks(refs, split_fn, n_buckets)
-                        for refs, split_fn in zip(side_refs,
-                                                  self._op.split_fns)]
-        for o in (o for side in self._splits for o in side):
-            self._track(o[0], self._reduce_when_split)
-        self._reduce_when_split()  # no blocks on any side: no split task
-
-    def _reduce_when_split(self) -> None:
-        if not self._tasks:
-            self._reduce_all()
+    def _split(self, i: int, side_ref, n_buckets: int, refs: list,
+               remote_args: dict | None = None) -> None:
+        for o in _split_wave(side_ref, n_buckets, refs, remote_args or {}):
+            self._splits[i].append(o)
+            self._track(o[0], self._when_split)
 
     def _reduce_all(self) -> None:
         all_counts = iter(ray.get([o[0] for side in self._splits
@@ -581,6 +764,53 @@ Planner._DEFAULT_PLAN_FNS[HashExchange] = _plan_exchange
 _resource_manager.MATERIALIZING_OPERATORS += (HashExchangeOperator,)
 
 
+def _absorbable(op) -> bool:
+    """Whether a split task can run ``op``'s tasks instead: a task-pool
+    map that only one operator consumes and whose tasks do nothing but
+    map (no bundling to a row count, no extra output split, no per-task
+    kwargs or remote-args function, no concurrency cap)."""
+    return (isinstance(op, TaskPoolMapOperator)
+            and len(op.output_dependencies) == 1
+            and op.supports_fusion()
+            and op._block_ref_bundler._min_rows_per_bundle is None
+            and op.get_additional_split_factor() == 1
+            and op._ray_remote_args_fn is None
+            and not op._map_task_kwargs and not op._map_task_kwargs_fns
+            and op._concurrency is None)
+
+
+class AbsorbMaps(Rule):
+    """Physical-plan rule: each :class:`HashExchangeOperator` takes in
+    the task-pool map that feeds a side (:meth:`HashExchangeOperator.
+    absorb`), so one raw task reads, maps and splits, and the map
+    operator never runs.  It runs after Ray's ``FuseOperators``, so a read
+    and the maps fused onto it go in as one, and before
+    ``ConfigureMapTaskMemoryUsingOutputSize``, which gives every map a
+    remote-args function that could not be told from a user's.  A side
+    fed by another exchange, a union, an actor-pool map or a map with a
+    second consumer keeps its own operator."""
+
+    @classmethod
+    def dependencies(cls) -> list:
+        return [FuseOperators]
+
+    @classmethod
+    def dependents(cls) -> list:
+        return [ConfigureMapTaskMemoryUsingOutputSize]
+
+    def apply(self, plan):
+        for op in list(plan.dag.post_order_iter()):
+            if isinstance(op, HashExchangeOperator):
+                for i, up in enumerate(op.input_dependencies):
+                    if op._mappers[i] is None and _absorbable(up):
+                        op.absorb(i, up)
+                        plan.op_map.pop(up, None)
+        return plan
+
+
+get_physical_ruleset().add(AbsorbMaps)
+
+
 def hash_exchange(sides: list, reduce_fn, n_salts: int = 1,
                   local: bool = True) -> rd.Dataset:
     """Generic keyed cogroup: ``sides = [(dataset, split_fn), ...]`` where
@@ -590,17 +820,19 @@ def hash_exchange(sides: list, reduce_fn, n_salts: int = 1,
     sides, the exchange and whatever the caller chains after it run as
     one Ray Data job.
 
-    When every side is done, their total row count from block metadata
-    sizes the exchange (:func:`exchange_buckets`, widened by
-    :func:`salted_buckets` when ``n_salts > 1``).  Each side is then
-    hash-partitioned into that many aligned buckets; ``reduce_fn(
-    tables_side0, tables_side1, ...) -> pa.Table`` runs once per bucket
-    that has rows on some side, over that bucket's non-empty shards (a
-    side's list may be empty).  When the input has at most
+    When every side is done, their total row count sizes the exchange
+    (:func:`exchange_buckets`, widened by :func:`salted_buckets` when
+    ``n_salts > 1``).  Each side is then hash-partitioned into that many
+    aligned buckets; ``reduce_fn(tables_side0, tables_side1, ...) ->
+    pa.Table`` runs once per bucket that has rows on some side, over that
+    bucket's non-empty shards (a side's list may be empty).  A side whose
+    last step is a task-pool map is split as it arrives, by split tasks
+    that run the map (:class:`AbsorbMaps`).  When the input has at most
     ``LOCAL_FOLD_ROWS`` rows (read now, when the exchange is built) it runs
-    once instead, on the driver, over each side's non-empty blocks,
-    unsplit; ``local=False`` keeps the rows off the driver at any size
-    (every bucket empty still folds there, over empty lists).
+    once instead, on the driver, over each side's non-empty blocks (an
+    absorbed side's mapped tables); ``local=False`` keeps the rows off the
+    driver at any size (every bucket empty still folds there, over empty
+    lists).
 
     A side of more than ``_EXCHANGE_MAX_BLOCKS`` blocks is split in
     contiguous runs of blocks, one split task per run.  The reduced

@@ -893,16 +893,25 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
     doc_id (doc-exclusive), never a high-cardinality Ray aggregate.  The
     same fold sums each doc's target-slice occurrences (n_tgt), so the
     totals R and T need no second read of the corpus."""
+    return _dsir_scores(sf_dir) \
+        [["doc_id", "n_occ", "tmass", "rmass", "importance"]]
+
+
+def _dsir_scores(sf_dir: str) -> pd.DataFrame:
+    """:func:`t_dsir_importance`'s per-doc frame, sorted by doc_id, with
+    each doc's ``lang`` and ``n_tgt`` too: the language rides the gram
+    rows and both folds group by (doc_id, lang), one value per doc, so
+    :func:`x_dsir_select` needs no second read of the corpus."""
     from .dedup import _gram_hash64
     from .joins import keyed, rename_agg
 
     word = re.compile(r"[a-z0-9]+")
 
     def grams(t: pa.Table) -> pa.Table:
-        hs_all, ids_all, occ_all, tgt_all = [], [], [], []
-        for did, text, lang in zip(t.column("doc_id").to_pylist(),
-                                   t.column("text").to_pylist(),
-                                   t.column("lang").to_pylist()):
+        hs_all, ids_all, occ_all, tgt_all, rows = [], [], [], [], []
+        for i, (did, text, lang) in enumerate(zip(
+                t.column("doc_id").to_pylist(), t.column("text").to_pylist(),
+                t.column("lang").to_pylist())):
             ws = word.findall((text or "").lower())
             if len(ws) < 2:
                 continue
@@ -917,6 +926,7 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
             tgt_all.append(np.full(len(uh),
                                    1 if lang == DSIR_TARGET_LANG else 0,
                                    np.int64))
+            rows.append(np.full(len(uh), i, np.int64))
         h = np.concatenate(hs_all) if hs_all else np.empty(0, np.uint64)
         return pa.table({
             "b": pa.array(h.astype(np.int64), pa.int64()),
@@ -929,9 +939,12 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
             "is_tgt": pa.array(
                 np.concatenate(tgt_all) if tgt_all
                 else np.empty(0, np.int64), pa.int64()),
+            "lang": t.column("lang").take(pa.array(
+                np.concatenate(rows) if rows else np.empty(0, np.int64))),
         })
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "lang": pa.array([], pa.string()),
                       "n_occ": pa.array([], pa.int64()),
                       "n_tgt": pa.array([], pa.int64()),
                       "tmass": pa.array([], pa.int64()),
@@ -951,20 +964,22 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
         tc = pc.take(cnt.column("tcnt").combine_chunks(), idx)
         tm = pc.multiply(g["occ"], pc.add(tc, pa.scalar(1, pa.int64())))
         rm = pc.multiply(g["occ"], pc.add(rc, pa.scalar(1, pa.int64())))
-        f = pa.table({"doc_id": g["doc_id"], "n_occ": g["occ"],
-                      "n_tgt": tocc, "tmass": tm, "rmass": rm}) \
-            .group_by("doc_id").aggregate([
+        f = pa.table({"doc_id": g["doc_id"], "lang": g["lang"],
+                      "n_occ": g["occ"], "n_tgt": tocc, "tmass": tm,
+                      "rmass": rm}) \
+            .group_by(["doc_id", "lang"]).aggregate([
                 ("n_occ", "sum"), ("n_tgt", "sum"), ("tmass", "sum"),
                 ("rmass", "sum")])
         return rename_agg(f, {"n_occ_sum": "n_occ", "n_tgt_sum": "n_tgt",
                               "tmass_sum": "tmass", "rmass_sum": "rmass"},
-                          ["doc_id", "n_occ", "n_tgt", "tmass", "rmass"])
+                          ["doc_id", "lang", "n_occ", "n_tgt", "tmass",
+                           "rmass"])
 
     gds = read_table(f"{sf_dir}/documents.parquet",
                      columns=["doc_id", "text", "lang"]) \
         .map_batches(grams, batch_format="pyarrow")
     out = frame(aggregate(
-        keyed(gds, "b", per_bucket), "doc_id",
+        keyed(gds, "b", per_bucket), ["doc_id", "lang"],
         {c: (c, "sum") for c in ("n_occ", "n_tgt", "tmass", "rmass")}))
 
     # global totals: R = all bigram occurrences, T = the target slice's
@@ -976,8 +991,7 @@ def t_dsir_importance(sf_dir: str) -> pd.DataFrame:
     den = out["rmass"].to_numpy().astype(np.float64) \
         * np.float64(big_t + bb)
     out["importance"] = num / den
-    return out.sort_values("doc_id").reset_index(drop=True) \
-        [["doc_id", "n_occ", "tmass", "rmass", "importance"]]
+    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 DSIR_KEEP_FRAC = 4   # keep the top 1/4 by importance
@@ -993,14 +1007,11 @@ def x_dsir_select(sf_dir: str) -> pd.DataFrame:
     becomes a distributed rank threshold (q_value_quantiles_by_type's
     bit-bucket pass over the importance column) followed by a filter —
     same semantics, no driver sort."""
-    scores = t_dsir_importance(sf_dir)
+    scores = _dsir_scores(sf_dir)
     n = len(scores)
     k = -(-n // DSIR_KEEP_FRAC)  # ceil
-    top = scores.sort_values(["importance", "doc_id"],
+    sel = scores.sort_values(["importance", "doc_id"],
                              ascending=[False, True]).head(k)
-    langs = read_table(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "lang"]).to_pandas()
-    sel = top.merge(langs, on="doc_id", how="left")
     out = sel.groupby("lang", as_index=False).agg(
         n_selected=("doc_id", "count"))
     out["n_selected"] = out["n_selected"].astype("int64")

@@ -106,12 +106,12 @@ def parse_doc(
 
 
 def probe_numpages(data: bytes) -> int:
-    """The verified page count (``PDFDocument.num_pages``), with no content
-    decode (reference analogue: SmartPDFParser analyzePDF 1-page probe,
-    lib/SmartPDFParser.js:310-354).  The skew split cuts by the cheaper
-    declared count instead (``stages.split.probe_pages``)."""
-    doc = PDFDocument(data)
-    return doc.num_pages
+    """The verified page count (``PDFDocument.page_count``, the count
+    ``parse_pdf`` gives), with no content decode (reference analogue:
+    SmartPDFParser analyzePDF 1-page probe, lib/SmartPDFParser.js:310-354).
+    The skew split cuts by the cheaper declared count instead
+    (``stages.split.probe_pages``)."""
+    return PDFDocument(data).page_count()
 
 
 def extract_page_texts(doc: PDFDocument, page_indices: list[int],

@@ -552,6 +552,20 @@ class PDFDocument:
             return 1  # getAllPageDicts failure -> setActualNumPages(1)
         return actual
 
+    def page_count(self) -> int:
+        """The verified page count as ``parse_pdf`` gives it, whatever ran
+        on this document before.  ``parse_pdf`` flattens the page tree
+        before it asks ``num_pages``, and ``num_pages`` depends on that
+        order: after a flatten at least as long as the declared count it
+        keeps that count, while on a fresh document whose last declared
+        page cannot be reached it re-counts the flattened tree.  Capping
+        ``num_pages`` by the declared count gives the flatten-first count
+        in every case, without flattening a tree whose last declared page
+        loads."""
+        n = self.num_pages
+        declared = self.declared_num_pages()
+        return n if declared is None else min(n, declared)
+
     def _page_dict_at(self, idx: int) -> dict:
         """Targeted page-tree descent to page index ``idx`` mirroring
         pdf.js Catalog.getPageDict (build/pdf.worker.js catalog): interior

@@ -281,7 +281,7 @@ class MetadataExtractor:
             try:
                 doc = PDFDocument(blob_col[i].as_py())
                 info = doc.document_info() or {}
-                cols["numpages"].append(doc.num_pages)
+                cols["numpages"].append(doc.page_count())
                 cols["pdf_version"].append(info.get("PDFFormatVersion"))
                 cols["title"].append(info.get("Title"))
                 cols["author"].append(info.get("Author"))

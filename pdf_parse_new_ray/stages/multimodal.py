@@ -107,7 +107,7 @@ class MediaFeatureExtractor:
         from ..pdfkernel import PDFDocument
 
         try:
-            return PDFDocument(blob).num_pages, True, None
+            return PDFDocument(blob).page_count(), True, None
         except Exception as e:  # noqa: BLE001
             return 0, False, f"{type(e).__name__}: {e}"
 

@@ -1,7 +1,10 @@
 """The keyed exchange as a Ray Data plan operator (``joins.HashExchange``):
 a query's reads, maps, exchanges and collect run as one job, each bucket
 is reduced once, and a finished exchange is not run again when its result
-is read a second time; ``joins.aggregate``, the aggregation built on it;
+is read a second time; the map-side split (``joins.AbsorbMaps``), whose
+split tasks run the map that feeds an exchange, at the floor bucket count
+and then re-split or folded locally as the counted rows ask;
+``joins.aggregate``, the aggregation built on it;
 ``joins.lookup`` and the triangle count, whose one bound chooses between
 a driver-side route and an exchange; and the iterative operators, whose
 rounds are raw tasks that start no Ray Data job."""
@@ -423,3 +426,343 @@ def test_extract_write_commits_each_partition_once(ray_session, small_corpus,
         assert len(committed) == 1 and files[f"part={k}"] == committed
     assert ds.count() == 8
     assert on_disk() == files
+
+
+@pytest.fixture
+def dags(monkeypatch):
+    """The physical plan of each Ray Data execution: the operators of its
+    DAG, as (type name, operator name) pairs."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    seen = []
+    execute = StreamingExecutor.execute
+
+    def recording_execute(self, dag, *a, **kw):
+        seen.append([(type(op).__name__, op.name)
+                     for op in dag.post_order_iter()])
+        return execute(self, dag, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording_execute)
+    return seen
+
+
+@pytest.fixture
+def without_absorb():
+    """A context in which ``joins.AbsorbMaps`` is out of Ray Data's
+    physical ruleset, so every exchange side keeps its map operator."""
+    import contextlib
+
+    from ray.data._internal.logical.optimizers import get_physical_ruleset
+
+    from pdf_parse_new_ray.functions import joins
+
+    @contextlib.contextmanager
+    def ctx():
+        get_physical_ruleset().remove(joins.AbsorbMaps)
+        try:
+            yield
+        finally:
+            get_physical_ruleset().add(joins.AbsorbMaps)
+
+    return ctx
+
+
+def test_forced_frames_equal_without_absorb(ray_session, forced,
+                                            without_absorb):
+    """Every forced perfbench query gives the same frame, exactly, with
+    the maps absorbed into the exchanges' split tasks and with the rule
+    out of the ruleset (each map its own operator, a split wave of its
+    own after it)."""
+    import pandas as pd
+
+    import __ray_entry__ as entry
+    from perfbench.workloads import QUERIES
+
+    sf = os.path.join(REPO, "perfbench", "data", "sf0.01")
+    qs = entry.queries()
+    with without_absorb():
+        want = {q: qs[q](sf) for q in QUERIES}
+    for q in QUERIES:
+        pd.testing.assert_frame_equal(qs[q](sf), want[q], check_exact=True)
+
+
+def test_forced_events_daily_runs_no_map_operator(ray_session, forced, dags,
+                                                  jobs):
+    """Forced, ``q_events_daily`` runs as one job whose only operators are
+    the read tasks' input and one exchange, named after the read and the
+    ``day`` map its split tasks run; without the rule the map is an
+    operator of its own."""
+    import __ray_entry__ as entry
+
+    entry.queries()["q_events_daily"](SF001)
+    assert jobs["jobs"] == 1
+    assert dags == [[("InputDataBuffer", "Input"), (
+        "HashExchangeOperator",
+        "HashExchange(ReadParquetRows->MapBatches(day))")]]
+    assert _oracle_ok("q_events_daily",
+                      entry.queries()["q_events_daily"](SF001))
+
+
+def _keyed_counts(ds):
+    from pdf_parse_new_ray.functions import joins
+
+    return joins.frame(joins.keyed(ds, "k", lambda t: t.group_by("k")
+                                   .aggregate([("v", "sum")]))) \
+        .sort_values("k").reset_index(drop=True)
+
+
+def _source(n=5_000, keys=700, seed=4):
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+    t = pa.table({"k": pa.array(rng.integers(0, keys, n), pa.int64()),
+                  "v": pa.array(rng.integers(0, 100, n), pa.int64())})
+    return t, rd.from_arrow([t.slice(i, 1_000) for i in range(0, n, 1_000)])
+
+
+def test_resplit_past_the_floor(ray_session, monkeypatch, dags):
+    """With ``EXCHANGE_ROWS_PER_BUCKET`` small, the counted rows ask for
+    more buckets than the floor the absorbed sides split at: each floor
+    bucket is split again.  The keyed fold and the attach give the rows
+    they give at the floor, and a salted exchange's re-split keeps each
+    shard's salt: every fact row lands once, and every dim row once per
+    salt, never replicated again.  So does an exchange whose positive
+    bound is below the rows: its absorbed sides are mapped whole, then
+    split as any side."""
+    import pandas as pd
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from pdf_parse_new_ray.functions import joins
+
+    t, ds = _source()
+    keys = np.arange(0, 700, 2)
+    vals = pa.table({"doc_id": pa.array(keys, pa.int64()),
+                     "value": pa.array(keys * 3, pa.int64())})
+
+    def identity(b):
+        return b
+
+    def mapped(src):
+        return src.map_batches(identity, batch_format="pyarrow")
+
+    def sizes(facts, dims):  # one row per salted bucket
+        d = pa.concat_tables(dims) if dims else vals.slice(0, 0)
+        return pa.table({
+            "fact": [sum(f.num_rows for f in facts)], "dim": [d.num_rows],
+            "dim_keys": [len(pc.unique(d["doc_id"]))]})
+
+    def run():
+        counts = _keyed_counts(mapped(ds))
+        attached = joins.attach_value(
+            mapped(ds), mapped(rd.from_arrow(vals)), "k", "x", pa.int64(),
+            [("k", pa.int64()), ("v", pa.int64())]).to_pandas() \
+            .sort_values(["k", "v", "x"]).reset_index(drop=True)
+        salted = joins.hash_exchange(
+            [(mapped(ds), joins.salted_fact_split("k", ["k", "v"], 4)),
+             (mapped(rd.from_arrow(vals)),
+              joins.salted_dim_split("doc_id", ["doc_id", "value"], 4))],
+            sizes, n_salts=4).to_pandas()
+        return counts, attached, salted
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    resplits = []
+    resplit = joins.HashExchangeOperator._resplit
+
+    def counting_resplit(self, i, j, refs):
+        resplits.append((self._floor, self._n_buckets))
+        return resplit(self, i, j, refs)
+
+    monkeypatch.setattr(joins.HashExchangeOperator, "_resplit",
+                        counting_resplit)
+    at_floor = run()
+    assert not resplits
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 100)
+    whole = run()  # a positive bound: mapped whole, then split
+    assert not resplits
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    monkeypatch.setattr(joins, "EXCHANGE_ROWS_PER_BUCKET", 100)
+    refined = run()
+    assert resplits and all(n > floor for floor, n in resplits)
+    assert all(op != "TaskPoolMapOperator" for dag in dags
+               for op, _ in dag)
+    pd.testing.assert_frame_equal(refined[0], at_floor[0])
+    want = t.to_pandas().groupby("k", as_index=False)["v"].sum()
+    assert refined[0]["v_sum"].tolist() == want["v"].tolist()
+    pd.testing.assert_frame_equal(refined[1], at_floor[1])
+    hit = t.to_pandas()
+    assert len(refined[1]) == int((hit["k"] % 2 == 0).sum())
+    assert (refined[1]["x"] == refined[1]["k"] * 3).all()
+    pd.testing.assert_frame_equal(whole[0], at_floor[0])
+    pd.testing.assert_frame_equal(whole[1], at_floor[1])
+    for salted in (at_floor[2], whole[2], refined[2]):
+        assert salted["fact"].sum() == t.num_rows
+        assert (salted["dim"] == salted["dim_keys"]).all()
+        assert salted["dim"].sum() == 4 * len(keys)
+    assert len(refined[2]) > len(at_floor[2])
+
+
+def test_local_fold_over_shards(ray_session, monkeypatch, jobs, dags):
+    """Under ``LOCAL_FOLD_ROWS`` (tested against the rows the absorbed
+    split tasks counted, not the read's bundles), the fold runs once on
+    the driver over the tables those tasks mapped, whole: no reduce task,
+    no map operator, and the frame the exchange gives at bound 0."""
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    from pdf_parse_new_ray.functions import joins
+
+    t, ds = _source()
+
+    def double(b):
+        return b.set_column(1, "v", pc.multiply(b["v"], 2))
+
+    local = _keyed_counts(ds.map_batches(double, batch_format="pyarrow"))
+    assert not jobs["reduces"]
+    assert [op for op, _ in dags[-1]] == ["InputDataBuffer",
+                                          "HashExchangeOperator"]
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    exchanged = _keyed_counts(ds.map_batches(double, batch_format="pyarrow"))
+    assert jobs["reduces"]
+    pd.testing.assert_frame_equal(local, exchanged)
+    want = t.to_pandas().groupby("k", as_index=False)["v"].sum()
+    assert (local["v_sum"].to_numpy() == 2 * want["v"].to_numpy()).all()
+
+
+def test_only_single_consumer_task_pool_maps_are_absorbed(ray_session,
+                                                          monkeypatch, dags):
+    """An actor-pool map keeps its operator (and the exchange's split
+    wave), and so does a task-pool map with a second consumer; a
+    single-consumer task-pool map is absorbed.  Results are unchanged."""
+    import pandas as pd
+    from ray.data._internal.logical.optimizers import LogicalOptimizer
+    from ray.data._internal.logical.rules.operator_fusion import (
+        FuseOperators)
+    from ray.data._internal.planner import create_planner
+
+    from pdf_parse_new_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    t, ds = _source()
+    want = t.to_pandas().groupby("k", as_index=False)["v"].sum()
+
+    class Identity:
+        def __call__(self, b):
+            return b
+
+    got = _keyed_counts(ds.map_batches(Identity, batch_format="pyarrow",
+                                       concurrency=1))
+    assert got["v_sum"].tolist() == want["v"].tolist()
+    assert ("ActorPoolMapOperator", "MapBatches(Identity)") in dags[-1]
+
+    def plan(second_consumer: bool):
+        out = joins.keyed(ds.map_batches(lambda b: b, batch_format="pyarrow"),
+                          "k", lambda b: b)
+        p = FuseOperators().apply(create_planner().plan(
+            LogicalOptimizer().optimize(out._logical_plan)))
+        exchange = p.dag
+        side = exchange.input_dependencies[0]
+        if second_consumer:
+            side._output_dependencies.append(exchange)
+        joins.AbsorbMaps().apply(p)
+        return exchange, side
+
+    exchange, side = plan(second_consumer=True)
+    assert exchange.input_dependencies[0] is side
+    assert exchange.name == "HashExchange"
+    exchange, side = plan(second_consumer=False)
+    assert type(exchange.input_dependencies[0]).__name__ == "InputDataBuffer"
+    assert exchange.name == "HashExchange(MapBatches(<lambda>))"
+    pd.testing.assert_frame_equal(
+        _keyed_counts(ds.map_batches(lambda b: b, batch_format="pyarrow")),
+        got)
+
+
+def test_absorb_rule_ray_internals(ray_session, monkeypatch):
+    """Ray-internals guard for ``joins.AbsorbMaps``: it is in Ray Data's
+    physical ruleset after ``FuseOperators`` and before
+    ``ConfigureMapTaskMemoryUsingOutputSize``, and the ``ray.data.
+    _internal`` names it reads on a map operator and its transformer
+    still exist, so a Ray upgrade that moves them fails here, never
+    silently.  ``Dataset.stats()`` names the absorbed map."""
+    import ray.data as rd
+    from ray.data._internal.execution.interfaces import TaskContext
+    from ray.data._internal.logical.optimizers import get_physical_ruleset
+    from ray.data._internal.logical.rules.configure_map_task_memory import (
+        ConfigureMapTaskMemoryUsingOutputSize)
+    from ray.data._internal.logical.rules.operator_fusion import (
+        FuseOperators)
+    from ray.data.context import DataContext
+
+    from pdf_parse_new_ray.functions import joins
+
+    rules = list(get_physical_ruleset())
+    at = rules.index(joins.AbsorbMaps)
+    assert rules.index(FuseOperators) < at < \
+        rules.index(ConfigureMapTaskMemoryUsingOutputSize)
+    assert joins.AbsorbMaps.dependencies() == [FuseOperators]
+    assert callable(DataContext._set_current)
+    assert callable(TaskContext.set_current) and \
+        callable(TaskContext.reset_current)
+
+    maps = []
+    init = joins.TaskPoolMapOperator.__init__
+
+    def recording_init(self, *a, **kw):
+        init(self, *a, **kw)
+        maps.append(self)
+
+    monkeypatch.setattr(joins.TaskPoolMapOperator, "__init__",
+                        recording_init)
+    monkeypatch.setattr(joins, "LOCAL_FOLD_ROWS", 0)
+    ds = rd.range(100).map_batches(lambda b: b, batch_format="pyarrow")
+    out = joins.keyed(ds, "id", lambda b: b)
+    assert sorted(out.to_pandas()["id"]) == list(range(100))
+    assert "HashExchange(ReadRange->MapBatches(<lambda>))" in out.stats()
+    m = maps[-1]
+    assert m._block_ref_bundler._min_rows_per_bundle is None
+    assert m.get_additional_split_factor() == 1
+    for name in ("_ray_remote_args", "_ray_remote_args_fn",
+                 "_map_task_kwargs", "_map_task_kwargs_fns", "_concurrency",
+                 "_input_dependencies", "_output_dependencies", "_name"):
+        assert hasattr(m, name), name
+    tr = m.get_map_transformer()
+    assert callable(tr.apply_transform) and \
+        callable(tr.set_target_max_block_size)
+
+
+def test_forced_minhash_reads_and_signs_in_one_operator(ray_session, forced,
+                                                        dags):
+    """Forced ``d_minhash_pairs``: the documents read and the MinHash map
+    run as one fused operator (the map takes Ray's default whole-block
+    batch and slices inside), and the query matches its oracle."""
+    import __ray_entry__ as entry
+
+    got = entry.queries()["d_minhash_pairs"](SF001)
+    ops = [name for dag in dags for _, name in dag]
+    assert "ReadParquetRows->MapBatches(_minhash_batch)" in ops
+    assert "MapBatches(_minhash_batch)" not in ops
+    assert "ReadParquetRows" not in ops
+    assert _oracle_ok("d_minhash_pairs", got)
+
+
+def test_sliced_bounds_each_call():
+    """``joins.sliced`` runs its function over slices of at most ``rows``
+    rows and concatenates the outputs in order; an empty table is one
+    call."""
+    from pdf_parse_new_ray.functions import joins
+
+    seen = []
+
+    def double(t):
+        seen.append(t.num_rows)
+        return pa.table({"x": pa.array(np.asarray(t["x"]) * 2, pa.int64())})
+
+    t = pa.table({"x": pa.array(np.arange(1_000), pa.int64())})
+    out = joins.sliced(double, 256)(t)
+    assert seen == [256, 256, 256, 232]
+    assert out["x"].to_pylist() == list(range(0, 2_000, 2))
+    seen.clear()
+    assert joins.sliced(double, 256)(t.slice(0, 0)).num_rows == 0
+    assert seen == [0]

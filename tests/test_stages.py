@@ -245,6 +245,46 @@ def test_split_by_declared_count_matches_parse_pdf(case):
         (want["text"], want["numpages"], None)]
 
 
+def test_every_page_count_caller_agrees_with_parse_pdf():
+    """/Count 4 over a flat tree of 7 pages whose 4th kid is missing: a
+    fresh ``num_pages`` re-counts the tree (7), while ``parse_pdf``
+    flattens first and keeps the count (4).  Each caller that reports a
+    PDF's page count gives ``parse_pdf``'s, whatever ran on the document
+    before: the metadata stage, the media-feature stage, the page-count
+    probe and ``PDFDocument.page_count`` itself."""
+    import pyarrow as pa
+
+    from pdf_parse_new_ray.pdfkernel import PDFDocument, parse_pdf
+    from pdf_parse_new_ray.pdfkernel.api import probe_numpages
+    from pdf_parse_new_ray.stages.extractor import MetadataExtractor
+    from pdf_parse_new_ray.stages.multimodal import MediaFeatureExtractor
+
+    blob = _count_pdf(7, 4, broken_kid=3)
+    want = parse_pdf(blob)["numpages"]
+    assert want == 4
+    assert PDFDocument(blob).num_pages == 7  # the call-order trap
+    media = pa.table({"media_ref": ["m"], "bytes": pa.array([blob],
+                                                             pa.binary())})
+    meta = MetadataExtractor()(media)
+    assert meta.column("error").to_pylist() == [None]
+    assert meta.column("numpages").to_pylist() == [want]
+    feats = MediaFeatureExtractor()(media)
+    assert feats.column("numpages").to_pylist() == [want]
+    assert probe_numpages(blob) == want
+    doc = PDFDocument(blob)
+    assert doc.page_count() == want
+    doc.pages()
+    assert doc.page_count() == want
+    # the flatten-first count on the other crafted trees too
+    from pdf_parse_new_ray.fixtures.pdfgen import make_linearized_pdf
+
+    for other in (_count_pdf(7, 9, broken_kid=7), _count_pdf(7, 4),
+                  _count_pdf(7, 10 ** 6), _count_pdf(5, 5),
+                  make_linearized_pdf("n-overcount")):
+        assert PDFDocument(other).page_count() == \
+            parse_pdf(other)["numpages"]
+
+
 def test_pack_bins_covers_tiles_and_bounds(small_corpus):
     """The packer: every unit lands in exactly one bin, each split doc's
     page ranges still tile [0, numpages) over the bins, the largest bin

@@ -12,11 +12,13 @@ it is restored afterwards.
 --repeat N runs each query N more times after its checked (untimed) run
 and prints the median of those N walls instead of the first run's wall.
 
-Each line shows the query's wall and the number of Ray Data jobs (one
-``StreamingExecutor.execute`` each) its checked run started, as
-``[0.123s, 1 job]``: every job costs a fixed launch time, so the count
-shows where a query pays it.  The summary line adds up the checked runs'
-jobs: ``137 ok, 0 bad, 221 jobs``.
+Each line shows the query's wall, the number of Ray Data jobs (one
+``StreamingExecutor.execute`` each) its checked run started and the
+physical operators those jobs ran (input buffers included), as
+``[0.123s, 1 job, 2 ops]``: every job and every operator costs a fixed
+launch time, so the counts show where a query pays it.  The summary line
+adds up the checked runs' jobs and operators: ``137 ok, 0 bad, 199 jobs,
+600 ops``.
 """
 
 from __future__ import annotations
@@ -125,19 +127,21 @@ def run_checks(sf_dir: str, only: set[str] | None = None,
 def _run_checks(sf_dir: str, only: set[str] | None, verbose: bool,
                 forced: bool, repeat: int):
     """:func:`_check_all` with each Ray Data job (one
-    ``StreamingExecutor.execute``) counted into ``jobs[0]``, and every
-    driver-fold gate zeroed when ``forced``: its three results plus the
-    jobs of all checked runs."""
+    ``StreamingExecutor.execute``) counted into ``jobs[0]`` and its
+    physical operators into ``jobs[1]``, and every driver-fold gate
+    zeroed when ``forced``: its three results plus the jobs and the
+    operators of all checked runs."""
     import bench
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
     execute = StreamingExecutor.execute
-    jobs = [0]
+    jobs = [0, 0]
 
-    def counting_execute(self, *a, **kw):
+    def counting_execute(self, dag, *a, **kw):
         jobs[0] += 1
-        return execute(self, *a, **kw)
+        jobs[1] += len(set(dag.post_order_iter()))
+        return execute(self, dag, *a, **kw)
 
     saved = bench._force_distributed_gates() if forced else []
     StreamingExecutor.execute = counting_execute
@@ -164,13 +168,13 @@ def _check_all(sf_dir: str, only: set[str] | None, verbose: bool,
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
-    n_ok = n_bad = n_jobs_all = 0
+    n_ok = n_bad = n_jobs_all = n_ops_all = 0
     failures: list[str] = []
     for name, fn in qs.items():
         if only and name not in only:
             continue
         t0 = time.time()
-        jobs[0] = 0
+        jobs[:] = [0, 0]
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
@@ -180,8 +184,9 @@ def _check_all(sf_dir: str, only: set[str] | None, verbose: bool,
             n_bad += 1
             continue
         dt = time.time() - t0
-        n_jobs = jobs[0]
+        n_jobs, n_ops = jobs
         n_jobs_all += n_jobs
+        n_ops_all += n_ops
         if repeat > 0:
             walls = []
             for _ in range(repeat):
@@ -215,8 +220,8 @@ def _check_all(sf_dir: str, only: set[str] | None, verbose: bool,
             failures.append(f"{name}: {verdict}")
         if verbose:
             print(f"{name}: {verdict}  [{dt:.3f}s, {n_jobs} job"
-                  f"{'' if n_jobs == 1 else 's'}]")
-    return n_ok, n_bad, failures, n_jobs_all
+                  f"{'' if n_jobs == 1 else 's'}, {n_ops} ops]")
+    return n_ok, n_bad, failures, n_jobs_all, n_ops_all
 
 
 def main() -> None:
@@ -237,8 +242,9 @@ def main() -> None:
         # keyed exchanges size their buckets from the session's CPUs
         ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
                  include_dashboard=False, logging_level="ERROR")
-    n_ok, n_bad, _, n_jobs = _run_checks(sf_dir, only, True, forced, repeat)
-    print(f"\n{n_ok} ok, {n_bad} bad, {n_jobs} jobs")
+    n_ok, n_bad, _, n_jobs, n_ops = _run_checks(sf_dir, only, True, forced,
+                                                repeat)
+    print(f"\n{n_ok} ok, {n_bad} bad, {n_jobs} jobs, {n_ops} ops")
     ray.shutdown()
 
 
